@@ -322,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=sorted(SOLVERS), default="fpt")
     p.add_argument("--witness", help="write the witness solution here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker budget; results are independent of N")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
@@ -392,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        ap.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except (FormatError, FileNotFoundError, ValueError) as exc:

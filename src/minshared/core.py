@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 UNDIRECTED = "undirected"
@@ -119,6 +120,16 @@ class Graph:
     def unit_size(self) -> int:
         """Number of unit edges after expanding all chains."""
         return sum(e.length for e in self.edges)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
+        """inc[v] = (edge id, other end, v is the tail) for every edge at v,
+        in either direction, in edge-id order; built once per graph."""
+        inc: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.vertex_count)]
+        for i, e in enumerate(self.edges):
+            inc[e.tail].append((i, e.head, True))
+            inc[e.head].append((i, e.tail, False))
+        return tuple(map(tuple, inc))
 
     def adjacency(self) -> list[list[int]]:
         """adj[v] = sorted edge ids leaving v (both directions if undirected)."""

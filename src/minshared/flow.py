@@ -1,13 +1,23 @@
-"""Unit-capacity max-flow with a boosted edge set, min cuts, path decomposition.
+"""Max-flow with a boosted edge set, min cuts and path decomposition.
 
 Boosting an edge to capacity `ceiling` (= p) is the flow-side stand-in for
 declaring it shared: a flow of value p under boosted capacities decomposes
 into p paths whose shared edges all lie in the boosted set, and conversely
 the indicator vectors of any p-path solution sum to such a flow.
 
+The residual network runs on the super-edges of the compressed graph; chains
+are never expanded.  A chain's interior vertices have degree 2, so flow
+conservation makes every unit edge of a chain carry the same flow: a chain
+of L unit edges of capacity 1 carries exactly what one capacity-1 edge does,
+and a boosted chain exactly what one capacity-`ceiling` edge does.  Flow
+values, and therefore the residual reachable set and every min cut, are the
+same as on the unit-edge expansion.
+
 Undirected edges are realised as anti-parallel arc pairs with a single signed
-net-flow variable per unit edge, so cancellation is automatic and a
-non-boosted unit edge carries at most one total unit.  Everything is
+net-flow variable per super-edge, so cancellation is automatic and a
+non-boosted edge carries at most one total unit.  Capacities only ever rise
+under boosting, so a flow found for a boost set is feasible for every
+superset and can seed the next search (`start=`).  Everything is
 deterministic: ties break by lowest edge id.
 """
 
@@ -17,12 +27,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Expansion, Graph, Instance, PathSeq, expand_chains
+# not used here: kept importable under this name because tracing tools wrap
+# minshared.flow.expand_chains
+from .core import Instance, PathSeq, expand_chains  # noqa: F401
 
 
 @dataclass(frozen=True)
 class BoostedCaps:
-    """Capacity ceiling for boosted super-edges, 1 per unit edge otherwise."""
+    """Capacity ceiling for boosted super-edges, 1 per super-edge otherwise."""
 
     boosted: frozenset[int]
     ceiling: int
@@ -35,107 +47,106 @@ class BoostedCaps:
 @dataclass
 class FlowResult:
     value: int
-    arc_flow: list[int]  # signed net flow per expanded unit edge
-    expansion: Expansion
-    boosted_units: frozenset[int]
-    ceiling: int
+    arc_flow: list[int]  # signed net flow per super-edge, tail to head
     min_cut: Optional[frozenset[int]] = None  # super-edge ids; set when value < ceiling
 
 
 class _Net:
-    """Residual network over the expanded unit edges."""
+    """Residual network over the super-edges."""
 
-    def __init__(self, g: Graph, boosted_units: frozenset[int], ceiling: int):
-        self.g = g
-        self.cap = [ceiling if i in boosted_units else 1 for i in range(len(g.edges))]
-        self.flow = [0] * len(g.edges)
+    def __init__(self, inst: Instance, caps: BoostedCaps, flow: list[int]):
+        g = inst.graph
         self.directed = g.directed
-        self.adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        for i, e in enumerate(g.edges):
-            self.adj[e.tail].append(i)
-            self.adj[e.head].append(i)
+        self.adj = g.incidence
+        self.cap = [1] * len(g.edges)
+        for eid in caps.boosted:
+            self.cap[eid] = caps.ceiling
+        self.flow = flow
 
-    def residual(self, eid: int, frm: int) -> int:
-        e = self.g.edges[eid]
-        if frm == e.tail:
+    def residual(self, eid: int, fwd: bool) -> int:
+        if fwd:
             return self.cap[eid] - self.flow[eid]
         if self.directed:
             return self.flow[eid]
         return self.cap[eid] + self.flow[eid]
 
-    def push(self, eid: int, frm: int, amount: int = 1):
-        e = self.g.edges[eid]
-        self.flow[eid] += amount if frm == e.tail else -amount
-
-    def augment_once(self, s: int, t: int) -> bool:
-        """One shortest augmenting path, neighbours scanned in edge-id order."""
-        parent: dict[int, tuple[int, int]] = {}
-        seen = {s}
+    def search(self, s: int, t: int) -> dict[int, tuple[int, int, bool]]:
+        """BFS tree of the residual graph from s, neighbours scanned in
+        edge-id order: vertex -> (parent, edge id, forward).  It stops once t
+        is reached; otherwise its keys are everything reachable from s."""
+        cap, flow, directed = self.cap, self.flow, self.directed
+        tree = {s: (s, -1, True)}
         q = deque([s])
-        while q:
+        while q and t not in tree:
             u = q.popleft()
-            if u == t:
-                break
-            for eid in self.adj[u]:
-                e = self.g.edges[eid]
-                v = e.head if e.tail == u else e.tail
-                if v in seen or self.residual(eid, u) <= 0:
+            for eid, v, fwd in self.adj[u]:
+                if v in tree:
                     continue
-                seen.add(v)
-                parent[v] = (u, eid)
-                q.append(v)
-        if t not in seen:
-            return False
+                # self.residual(eid, fwd) > 0, inlined: this is the hot loop
+                if fwd:
+                    room = cap[eid] - flow[eid]
+                else:
+                    room = flow[eid] if directed else cap[eid] + flow[eid]
+                if room > 0:
+                    tree[v] = (u, eid, fwd)
+                    q.append(v)
+        return tree
+
+    def augment(self, tree: dict[int, tuple[int, int, bool]], s: int, t: int, limit: int) -> int:
+        """Push the bottleneck (at most `limit`) along the tree path to t."""
+        amount = limit
         v = t
         while v != s:
-            u, eid = parent[v]
-            self.push(eid, u)
-            v = u
-        return True
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.adj[u]:
-                e = self.g.edges[eid]
-                v = e.head if e.tail == u else e.tail
-                if v not in seen and self.residual(eid, u) > 0:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+            v, eid, fwd = tree[v]
+            amount = min(amount, self.residual(eid, fwd))
+        v = t
+        while v != s:
+            v, eid, fwd = tree[v]
+            self.flow[eid] += amount if fwd else -amount
+        return amount
 
 
-def _boosted_units(exp: Expansion, caps: BoostedCaps) -> frozenset[int]:
-    units = set()
-    for sid in caps.boosted:
-        units.update(exp.runs[sid])
-    return frozenset(units)
+def _check_start(inst: Instance, caps: BoostedCaps, start: FlowResult):
+    """Raise ValueError unless `start` fits the capacities of `caps`."""
+    if len(start.arc_flow) != len(inst.graph.edges):
+        raise ValueError("start flow has the wrong number of edges")
+    if start.value > caps.ceiling:
+        raise ValueError(f"start flow value {start.value} exceeds the ceiling {caps.ceiling}")
+    low = 0 if inst.graph.directed else -1
+    # only boosted edges may carry more than one unit, so test those alone
+    for eid in [eid for eid, f in enumerate(start.arc_flow) if f > 1 or f < low]:
+        f, c = start.arc_flow[eid], caps.ceiling if eid in caps.boosted else 1
+        if not low * c <= f <= c:
+            raise ValueError(f"start flow {f} on edge {eid} exceeds its capacity {c}")
 
 
-def max_flow_boosted(inst: Instance, caps: BoostedCaps) -> FlowResult:
-    """Max s-t flow under boosted capacities, capped at caps.ceiling."""
-    exp = expand_chains(inst.graph)
-    units = _boosted_units(exp, caps)
-    net = _Net(exp.graph, units, caps.ceiling)
-    value = 0
-    while value < caps.ceiling and net.augment_once(inst.s, inst.t):
-        value += 1
-    result = FlowResult(value, net.flow, exp, units, caps.ceiling)
-    if value < caps.ceiling:
-        reach = net.reachable(inst.s)
-        cut_supers = set()
-        for eid, e in enumerate(exp.graph.edges):
-            if exp.graph.directed:
-                crosses = e.tail in reach and e.head not in reach
-            else:
-                crosses = (e.tail in reach) != (e.head in reach)
-            if crosses:
-                sid = exp.owner[eid]
-                assert sid not in caps.boosted, "boosted edge in a < ceiling cut"
-                cut_supers.add(sid)
-        result.min_cut = frozenset(cut_supers)
+def max_flow_boosted(inst: Instance, caps: BoostedCaps,
+                     start: Optional[FlowResult] = None) -> FlowResult:
+    """Max s-t flow under boosted capacities, capped at caps.ceiling.
+
+    `start`, a flow on the same instance (typically the result for a subset
+    of caps.boosted), seeds the augmentation; it must fit the capacities of
+    `caps` or ValueError is raised.
+    """
+    g = inst.graph
+    if start is None:
+        result = FlowResult(0, [0] * len(g.edges))
+    else:
+        _check_start(inst, caps, start)
+        result = FlowResult(start.value, list(start.arc_flow))
+    net = _Net(inst, caps, result.arc_flow)
+    while result.value < caps.ceiling:
+        tree = net.search(inst.s, inst.t)
+        if inst.t in tree:
+            result.value += net.augment(tree, inst.s, inst.t, caps.ceiling - result.value)
+            continue
+        # no augmenting path: the search reached exactly the source side, and
+        # the cut is every edge leaving it (in either direction if undirected)
+        cut = frozenset(eid for u in tree for eid, v, fwd in net.adj[u]
+                        if v not in tree and (fwd or not g.directed))
+        assert caps.boosted.isdisjoint(cut), "boosted edge in a < ceiling cut"
+        result.min_cut = cut
+        break
     return result
 
 
@@ -154,13 +165,12 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
     """Extract `count` simple s-t paths from an integral flow.
 
     Cycles met along a walk are cancelled from the flow (loop-erasure), so the
-    returned paths are simple and every non-boosted unit edge appears in at
+    returned paths are simple and every non-boosted super-edge appears in at
     most one of them.
     """
     if fr.value < count:
         raise ValueError(f"flow value {fr.value} below requested count {count}")
-    exp = fr.expansion
-    g = exp.graph
+    g = inst.graph
     flow = list(fr.arc_flow)
     out_arcs: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for eid, e in enumerate(g.edges):
@@ -195,5 +205,5 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
                 continue
             visited_at[v] = len(steps)
             u = v
-        paths.append(exp.compress_path(PathSeq(tuple(steps))))
+        paths.append(PathSeq(tuple(steps)))
     return paths

@@ -9,9 +9,9 @@ Three routes to the same answer, used to cross-check each other:
 * solve_fpt_branching - branch on the edges of a < p cut, boosting one per
   child; the search tree has at most (p-1)^k nodes on unit-edge graphs.
 
-Branch children could be evaluated in parallel; results are defined to be
-identical to sequential evaluation (first witness in edge-id order wins), so
-the sequential implementation below is the reference behaviour.
+Each branching child is warm-started from its parent's flow: boosting only
+raises capacities, so that flow stays feasible and the child needs at most
+p - value new augmentations instead of p.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Graph, Instance, PathSeq, Solution, distance, verify_solution
-from .flow import BoostedCaps, decompose_to_paths, max_flow_boosted
+from .flow import BoostedCaps, FlowResult, decompose_to_paths, max_flow_boosted
 
 
 class GuardExceeded(RuntimeError):
@@ -47,31 +47,40 @@ MAX_ENUM_SUBSETS = 100_000_000
 
 
 def enumerate_simple_paths(g: Graph, s: int, t: int, limit: Optional[int] = None) -> list[PathSeq]:
-    """All simple s-t paths as edge-id sequences, DFS in edge-id order."""
+    """All simple s-t paths as edge-id sequences, DFS in edge-id order.
+
+    The DFS keeps an explicit stack, so path length is not bounded by the
+    interpreter's recursion limit.
+    """
+    if s == t:
+        return [PathSeq(())]
     adj = g.adjacency()
     paths: list[PathSeq] = []
     steps: list[tuple[int, bool]] = []
     on_path = {s}
-
-    def dfs(u: int):
-        if u == t:
-            paths.append(PathSeq(tuple(steps)))
-            if limit is not None and len(paths) > limit:
-                raise GuardExceeded(f"more than {limit} simple s-t paths")
-            return
-        for eid in adj[u]:
+    frames = [(s, iter(adj[s]))]  # (vertex, its unexplored edge ids)
+    while frames:
+        u, pending = frames[-1]
+        for eid in pending:
             e = g.edges[eid]
             fwd = e.tail == u
             v = e.head if fwd else e.tail
             if v in on_path:
                 continue
+            if v == t:
+                paths.append(PathSeq(tuple(steps) + ((eid, fwd),)))
+                if limit is not None and len(paths) > limit:
+                    raise GuardExceeded(f"more than {limit} simple s-t paths")
+                continue
             on_path.add(v)
             steps.append((eid, fwd))
-            dfs(v)
-            steps.pop()
-            on_path.remove(v)
-
-    dfs(s)
+            frames.append((v, iter(adj[v])))
+            break
+        else:
+            frames.pop()
+            if frames:
+                steps.pop()
+                on_path.remove(u)
     return paths
 
 
@@ -216,26 +225,26 @@ def solve_fpt_branching(inst: Instance) -> SolveReport:
     nodes = 0
     memo: dict[frozenset[int], bool] = {}
 
-    def rec(boosts: frozenset[int], budget: int) -> Optional[SolveReport]:
+    def rec(boosts: frozenset[int], budget: int, start: Optional[FlowResult]) -> Optional[SolveReport]:
         nonlocal nodes
         nodes += 1
         if boosts in memo:
             return None  # known dead end
         caps = BoostedCaps(boosts, inst.p)
-        fr = max_flow_boosted(inst, caps)
+        fr = max_flow_boosted(inst, caps, start=start)
         if fr.value >= inst.p:
             paths = decompose_to_paths(inst, fr, inst.p)
             return SolveReport(True, "branching", witness=Solution(tuple(paths)), shared_set=boosts)
         if budget > 0:
             for eid in sorted(fr.min_cut):
                 if lengths[eid] <= budget:
-                    got = rec(boosts | {eid}, budget - lengths[eid])
+                    got = rec(boosts | {eid}, budget - lengths[eid], fr)
                     if got is not None:
                         return got
         memo[boosts] = False
         return None
 
-    got = rec(frozenset(), inst.k)
+    got = rec(frozenset(), inst.k, None)
     if got is None:
         return SolveReport(False, "branching", nodes_explored=nodes)
     return SolveReport(True, "branching", witness=got.witness, shared_set=got.shared_set,

@@ -1,14 +1,27 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minshared.core import Graph, Instance, Solution, SuperEdge, UNDIRECTED, verify_solution
+from minshared.core import (
+    DIRECTED,
+    UNDIRECTED,
+    Graph,
+    Instance,
+    Solution,
+    SuperEdge,
+    expand_chains,
+    verify_solution,
+)
 from minshared.flow import BoostedCaps, decompose_to_paths, max_flow_boosted, min_cut_boosted
+from minshared.reductions import synthesize_holey_witness, vc_to_holey_grid, vc_to_manhattan_dag
+from minshared.vc import VCInstance
 
 from helpers import brute_force_max_flow, cycle4, grid_graph, grid_vertex, path_graph
 
 
-def random_multigraph(draw):
+def random_multigraph(draw, mode=UNDIRECTED):
     n = draw(st.integers(3, 6))
     n_edges = draw(st.integers(2, 8))
     edges = []
@@ -19,7 +32,7 @@ def random_multigraph(draw):
             continue
         length = draw(st.integers(1, 3))
         edges.append(SuperEdge(u, v, length))
-    return Graph(UNDIRECTED, n, tuple(edges))
+    return Graph(mode, n, tuple(edges))
 
 
 graphs = st.composite(random_multigraph)
@@ -207,3 +220,87 @@ class TestDecomposeProperty:
         rest = tuple(e for i, e in enumerate(g.edges) if i not in cut)
         g2 = Graph(g.mode, g.vertex_count, rest)
         assert math.isinf(distance(g2, 0, g.vertex_count - 1))
+
+
+def draw_boosts(data, g):
+    return frozenset(data.draw(st.lists(st.integers(0, len(g.edges) - 1), max_size=3)))
+
+
+class TestCompressedNetwork:
+    @pytest.mark.parametrize("mode", [UNDIRECTED, DIRECTED])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_unit_edge_expansion(self, mode, data):
+        # the flow on super-edges has the value and min cut of the flow on
+        # the expanded unit edges, with each boosted chain boosted throughout
+        g = data.draw(graphs(mode))
+        if not g.edges:
+            return
+        ceiling = data.draw(st.integers(1, 4))
+        boosts = draw_boosts(data, g)
+        inst = Instance(g, 0, g.vertex_count - 1, ceiling, 0)
+        exp = expand_chains(g)
+        units = frozenset(u for sid in boosts for u in exp.runs[sid])
+        fr = max_flow_boosted(inst, BoostedCaps(boosts, ceiling))
+        unit_fr = max_flow_boosted(exp.expand_instance(inst), BoostedCaps(units, ceiling))
+        assert fr.value == unit_fr.value
+        if unit_fr.min_cut is None:
+            assert fr.min_cut is None
+        else:
+            assert fr.min_cut == frozenset(exp.owner[u] for u in unit_fr.min_cut)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("mode", [UNDIRECTED, DIRECTED])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_warm_equals_cold(self, mode, data):
+        g = data.draw(graphs(mode))
+        if not g.edges:
+            return
+        ceiling = data.draw(st.integers(1, 4))
+        boosts = draw_boosts(data, g)
+        subset = frozenset(b for b in sorted(boosts) if data.draw(st.booleans()))
+        inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
+        parent = max_flow_boosted(inst, BoostedCaps(subset, ceiling))
+        caps = BoostedCaps(boosts, ceiling)
+        warm = max_flow_boosted(inst, caps, start=parent)
+        cold = max_flow_boosted(inst, caps)
+        assert (warm.value, warm.min_cut) == (cold.value, cold.min_cut)
+        if warm.value:
+            paths = decompose_to_paths(inst, warm, warm.value)
+            sol = Solution(tuple(paths))
+            assert verify_solution(replace(inst, p=warm.value), sol).answer
+            assert set(sol.shared_edge_ids()) <= boosts
+
+    def test_start_over_capacity_rejected(self):
+        # the flow with edges 0 and 1 boosted puts 2 units on each of them
+        g = cycle4()
+        inst = Instance(g, 0, 2, 3, 0)
+        start = max_flow_boosted(inst, boosted([0, 1], 3))
+        assert start.value == 3
+        with pytest.raises(ValueError):
+            max_flow_boosted(inst, boosted([0], 3), start=start)
+
+    def test_start_above_ceiling_rejected(self):
+        inst = Instance(cycle4(), 0, 2, 2, 0)
+        start = max_flow_boosted(inst, boosted([], 2))
+        with pytest.raises(ValueError):
+            max_flow_boosted(inst, boosted([], 1), start=start)
+
+
+class TestCompiledCertificate:
+    @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
+    def test_full_scale_c4_reaches_p(self, compiler):
+        # ~1e8 unit edges: only a flow on the compressed graph can run here
+        c4 = Graph(UNDIRECTED, 4, tuple(SuperEdge(i, (i + 1) % 4) for i in range(4)))
+        art = compiler(VCInstance(c4, 2))
+        inst = art.instance
+        assert inst.graph.unit_size() > 10**8
+        witness = synthesize_holey_witness(art, {0, 2})
+        shared = frozenset(witness.shared_edge_ids())
+        fr = max_flow_boosted(inst, BoostedCaps(shared, inst.p))
+        assert fr.value == inst.p
+        sol = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+        assert verify_solution(inst, sol).answer
+        assert set(sol.shared_edge_ids()) <= shared

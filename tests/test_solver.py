@@ -16,6 +16,7 @@ from minshared.core import (
 )
 from minshared.solver import (
     GuardExceeded,
+    enumerate_simple_paths,
     extract_witness,
     normalize_antiparallel,
     solve_enum_oracle,
@@ -51,6 +52,28 @@ class TestExhaustive:
         g = grid_graph(4, 4)
         with pytest.raises(GuardExceeded):
             solve_exhaustive_paths(Instance(g, 0, 15, 2, 1))
+
+    def test_long_path_beyond_recursion_limit(self):
+        rep = solve_exhaustive_paths(Instance(path_graph(1500), 0, 1499, 2, 1499))
+        assert rep.answer
+
+    def test_path_order_is_edge_id_dfs(self):
+        g = grid_graph(3, 3)
+        adj = g.adjacency()
+        want = []
+
+        def dfs(u, steps, seen):
+            if u == 8:
+                want.append(PathSeq(tuple(steps)))
+                return
+            for eid in adj[u]:
+                e = g.edges[eid]
+                v = e.other(u)
+                if v not in seen:
+                    dfs(v, steps + [(eid, e.tail == u)], seen | {v})
+
+        dfs(0, [], {0})
+        assert enumerate_simple_paths(g, 0, 8) == want
 
 
 class TestEnumOracle:

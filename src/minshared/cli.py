@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     FormatError,
     Instance,
     Solution,
+    Verdict,
     check_grid_embedding,
     expand_chains,
     parse_instance,
@@ -152,12 +153,14 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _print_verdict(answer: bool, shared=None, method=None):
-    print(f"answer {'yes' if answer else 'no'}")
-    if shared is not None:
-        print(f"shared {shared}")
-    if method is not None:
-        print(f"method {method}")
+def _print_verdict(verdict: Verdict):
+    print(f"answer {'yes' if verdict.answer else 'no'}")
+    if verdict.shared_count is not None:
+        print(f"shared {verdict.shared_count}")
+    if verdict.method is not None:
+        print(f"method {verdict.method}")
+    if verdict.reason:
+        print(f"reason {verdict.reason}")
 
 
 SOLVERS = {
@@ -172,24 +175,19 @@ SOLVERS = {
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
-    report = SOLVERS[args.method](inst)
-    shared = None
-    if report.answer:
-        shared = report.witness.shared_count(inst.graph)
-        if args.witness:
-            _write(args.witness, serialize_solution(report.witness))
-    _print_verdict(report.answer, shared, report.method)
-    print(f"nodes {report.nodes_explored}")
-    return 0 if report.answer else 1
+    verdict = SOLVERS[args.method](inst)
+    if verdict.answer and args.witness:
+        _write(args.witness, serialize_solution(verdict.witness))
+    _print_verdict(verdict)
+    print(f"nodes {verdict.nodes_explored}")
+    return 0 if verdict.answer else 1
 
 
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
     sol = parse_solution(_read(args.solution))
     verdict = verify_solution(inst, sol)
-    _print_verdict(verdict.answer, verdict.shared_count, "verify")
-    if verdict.reason:
-        print(f"reason {verdict.reason}")
+    _print_verdict(replace(verdict, method="verify"))
     return 0 if verdict.answer else 1
 
 
@@ -200,7 +198,7 @@ def _grid_from_args(args) -> GridInstance:
 
 def _cmd_grid_decide(args) -> int:
     verdict = decide_grid(_grid_from_args(args))
-    _print_verdict(verdict.answer, verdict.shared_count, verdict.method)
+    _print_verdict(verdict)
     return 0 if verdict.answer else 1
 
 
@@ -209,10 +207,9 @@ def _cmd_grid_witness(args) -> int:
 
     gi = _grid_from_args(args)
     verdict = decide_grid(gi, want_witness=True)
+    _print_verdict(verdict)
     if not verdict.answer:
-        _print_verdict(False, method=verdict.method)
         return 1
-    _print_verdict(True, verdict.shared_count, verdict.method)
     _write(args.out, serialize_solution(verdict.witness))
     if args.instance_out:
         _write(args.instance_out, serialize_instance(materialize_grid(gi)))
@@ -270,14 +267,14 @@ def _cmd_normalize(args) -> int:
     sol = parse_solution(_read(args.solution))
     out = normalize_antiparallel(inst, sol)
     _write(args.out, serialize_solution(out))
-    _print_verdict(True, out.shared_count(inst.graph), "normalize")
+    _print_verdict(Verdict(True, out.shared_count(inst.graph), method="normalize"))
     return 0
 
 
 def _cmd_vc_solve(args) -> int:
     vc = parse_vc(_read(args.vcfile))
     result = vc_decide(vc)
-    _print_verdict(result.exists, method="vc")
+    _print_verdict(Verdict(result.exists, method="vc"))
     if result.exists:
         print("cover " + " ".join(str(v) for v in sorted(result.cover)))
     return 0 if result.exists else 1

@@ -9,11 +9,12 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
@@ -206,12 +207,20 @@ class Solution:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The one result type: of a verification, a grid decision or a solver.
+
+    A solver sets `shared_count` on a yes, `shared_set` to the super-edges it
+    allowed to be shared, and `nodes_explored` to its search effort.
+    """
+
     answer: bool
     shared_count: Optional[int] = None
     witness: Optional[Solution] = None
     certificate: object = None
     method: Optional[str] = None
     reason: Optional[str] = None
+    shared_set: Optional[frozenset[int]] = None
+    nodes_explored: int = 0
 
     def __bool__(self) -> bool:
         return self.answer
@@ -350,31 +359,71 @@ def expand_chains(g: Graph) -> Expansion:
 
 
 # ---------------------------------------------------------------------------
-# distance
+# walks and shortest paths
 
-def distance(g: Graph, u: int, v: int) -> float:
-    """Chain-length-weighted shortest-path distance; math.inf if unreachable."""
-    import heapq
+def loop_erase(vertices: Sequence[Hashable]) -> list[int]:
+    """Chronological loop-erasure of a walk given by its vertex sequence.
 
-    if u == v:
-        return 0
+    Whenever the walk returns to a vertex it still holds, everything after
+    the earlier visit is cut.  Returns the indices of the kept visits, first
+    to last; a kept index i > 0 is entered by step i - 1 of the walk, so the
+    kept steps of an edge walk are steps[i - 1] for i in kept[1:].
+    """
+    kept: list[int] = []
+    pos: dict[Hashable, int] = {}  # vertex -> its index in kept
+    for i, v in enumerate(vertices):
+        j = pos.get(v)
+        if j is None:
+            pos[v] = len(kept)
+            kept.append(i)
+            continue
+        for cut in kept[j + 1 :]:
+            del pos[vertices[cut]]
+        del kept[j + 1 :]
+    return kept
+
+
+def shortest_path(g: Graph, u: int, v: int) -> Optional[PathSeq]:
+    """A chain-length-weighted shortest u-v path, or None if v is unreachable.
+
+    Dijkstra, relaxing each vertex's edges in edge-id order with strict
+    improvement only, so ties go to the lowest edge id; it stops once v is
+    popped.
+    """
     dist = {u: 0}
+    parent: dict[int, tuple[int, int, bool]] = {}
     heap = [(0, u)]
     adj = g.adjacency()
     while heap:
         d, x = heapq.heappop(heap)
         if x == v:
-            return d
-        if d > dist.get(x, math.inf):
+            break
+        if d > dist[x]:
             continue
         for eid in adj[x]:
             e = g.edges[eid]
-            y = e.head if e.tail == x else e.tail
+            fwd = e.tail == x
+            y = e.head if fwd else e.tail
             nd = d + e.length
             if nd < dist.get(y, math.inf):
                 dist[y] = nd
+                parent[y] = (x, eid, fwd)
                 heapq.heappush(heap, (nd, y))
-    return math.inf
+    else:
+        return None
+    steps = []
+    while v != u:
+        v, eid, fwd = parent[v]
+        steps.append((eid, fwd))
+    return PathSeq(tuple(reversed(steps)))
+
+
+def distance(g: Graph, u: int, v: int) -> float:
+    """Chain-length-weighted shortest-path distance; math.inf if unreachable."""
+    path = shortest_path(g, u, v)
+    if path is None:
+        return math.inf
+    return sum(g.edges[eid].length for eid, _ in path.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .core import Instance, PathSeq, loop_erase
 # not used here: kept importable under this name because tracing tools wrap
 # minshared.flow.expand_chains
-from .core import Instance, PathSeq, expand_chains  # noqa: F401
+from .core import expand_chains  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -164,9 +165,10 @@ def min_cut_boosted(inst: Instance, caps: BoostedCaps) -> frozenset[int]:
 def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathSeq]:
     """Extract `count` simple s-t paths from an integral flow.
 
-    Cycles met along a walk are cancelled from the flow (loop-erasure), so the
-    returned paths are simple and every non-boosted super-edge appears in at
-    most one of them.
+    Each path is a walk along flow-carrying arcs from s to t that cancels
+    every arc it takes from the flow, cycles included; its loop-erasure is
+    returned, so the paths are simple and every non-boosted super-edge
+    appears in at most one of them.
     """
     if fr.value < count:
         raise ValueError(f"flow value {fr.value} below requested count {count}")
@@ -190,20 +192,12 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
     paths = []
     for _ in range(count):
         steps: list[tuple[int, bool]] = []
-        visited_at = {inst.s: 0}
-        u = inst.s
-        while u != inst.t:
-            eid, fwd = next_arc(u)
+        walk = [inst.s]
+        while walk[-1] != inst.t:
+            eid, fwd = next_arc(walk[-1])
             flow[eid] += -1 if fwd else 1
             e = g.edges[eid]
-            v = e.head if fwd else e.tail
             steps.append((eid, fwd))
-            if v in visited_at:
-                steps = steps[: visited_at[v]]  # cycle already cancelled from flow
-                visited_at = {w: i for w, i in visited_at.items() if i <= visited_at[v]}
-                u = v
-                continue
-            visited_at[v] = len(steps)
-            u = v
-        paths.append(PathSeq(tuple(steps)))
+            walk.append(e.head if fwd else e.tail)
+        paths.append(PathSeq(tuple(steps[i - 1] for i in loop_erase(walk)[1:])))
     return paths

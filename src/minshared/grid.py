@@ -20,7 +20,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, verify_solution
+from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, loop_erase,
+                   verify_solution)
 from .solver import solve_fpt_branching
 
 Point = tuple[int, int]
@@ -164,7 +165,11 @@ def vertex_id(m: int, pt: Point) -> int:
 
 
 def materialize_grid(gi: GridInstance) -> Instance:
-    """The n x m grid as an Instance with canonical coords and polylines."""
+    """The n x m grid as an Instance with canonical coords and polylines.
+
+    Edges are numbered per point (x major, then y), right edge then up edge;
+    edge_id and edge_ends give that numbering in closed form.
+    """
     edges = []
     coords = {}
     for x in range(gi.n):
@@ -184,24 +189,42 @@ def materialize_grid(gi: GridInstance) -> Instance:
     return Instance(g, vertex_id(gi.m, gi.s), vertex_id(gi.m, gi.t), gi.p, gi.k)
 
 
-def _edge_lookup(inst: Instance) -> dict[tuple[Point, Point], int]:
-    g = inst.graph
-    table = {}
-    for eid, e in enumerate(g.edges):
-        a, b = g.coords[e.tail], g.coords[e.head]
-        table[(a, b)] = eid
-        table[(b, a)] = eid
-    return table
+def edge_id(n: int, m: int, a: Point, b: Point) -> tuple[int, bool]:
+    """(edge id, forward) of the unit step a -> b in materialize_grid's
+    numbering.  A column x holds 2m - 1 edges when it has right edges
+    (r = 1) and m - 1 otherwise; point (x, y) owns ids from
+    x(2m - 1) + y(1 + r), its right edge first."""
+    fwd = a < b  # an edge runs from its lower-left end
+    x, y = a if fwd else b
+    r = x + 1 < n
+    up = a[0] == b[0]
+    return x * (2 * m - 1) + y * (1 + r) + up * r, fwd
 
 
-def _points_to_pathseq(inst: Instance, pts: list[Point], lookup) -> PathSeq:
-    steps = []
-    g = inst.graph
-    for a, b in zip(pts, pts[1:]):
-        eid = lookup[(a, b)]
-        fwd = g.coords[g.edges[eid].tail] == a
-        steps.append((eid, fwd))
-    return PathSeq(tuple(steps))
+def edge_ends(n: int, m: int, eid: int) -> tuple[Point, Point]:
+    """(tail, head) points of edge `eid`; the inverse of edge_id."""
+    x = min(eid // (2 * m - 1), n - 1)
+    y, up = eid - x * (2 * m - 1), 1
+    if x + 1 < n:
+        y, up = divmod(y, 2)
+    return (x, y), ((x, y + 1) if up else (x + 1, y))
+
+
+def _points_to_pathseq(gi: GridInstance, pts: list[Point]) -> PathSeq:
+    return PathSeq(tuple(edge_id(gi.n, gi.m, a, b) for a, b in zip(pts, pts[1:])))
+
+
+def _path_points(gi: GridInstance, path: PathSeq) -> list[Point]:
+    """The lattice points a path on gi's grid visits from gi.s."""
+    pts = [gi.s]
+    for eid, fwd in path.steps:
+        a, b = edge_ends(gi.n, gi.m, eid)
+        if not fwd:
+            a, b = b, a
+        if a != pts[-1]:
+            raise ValueError(f"step on edge {eid} does not chain (at point {pts[-1]})")
+        pts.append(b)
+    return pts
 
 
 def _staircase(a: Point, b: Point) -> list[Point]:
@@ -220,10 +243,7 @@ def _staircase(a: Point, b: Point) -> list[Point]:
 
 
 def _trivial_witness(gi: GridInstance) -> Solution:
-    inst = materialize_grid(gi)
-    lookup = _edge_lookup(inst)
-    path = _points_to_pathseq(inst, _staircase(gi.s, gi.t), lookup)
-    return Solution((path,) * gi.p)
+    return Solution((_points_to_pathseq(gi, _staircase(gi.s, gi.t)),) * gi.p)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +254,7 @@ def decide_small(gi: GridInstance) -> Verdict:
     if classify(gi) != P_SMALL:
         raise ValueError("decide_small needs a p-small instance")
     if gi.dist() <= gi.k:
-        return Verdict(True, shared_count=gi.dist() if gi.p >= 2 else 0,
-                       witness=_trivial_witness(gi), method="small")
+        return Verdict(True, shared_count=gi.dist() if gi.p >= 2 else 0, method="small")
     return Verdict(False, method="small")
 
 
@@ -277,15 +296,14 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     """Full grid decision: closed-form for p-small/p-large, solver fallback
     for p-narrow."""
     if gi.p == 1:
-        witness = None
-        if want_witness:
-            inst = materialize_grid(gi)
-            witness = Solution((_points_to_pathseq(inst, _staircase(gi.s, gi.t),
-                                                   _edge_lookup(inst)),))
+        witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
     cls = classify(gi)
     if cls == P_SMALL:
-        return decide_small(gi)
+        verdict = decide_small(gi)
+        if want_witness and verdict.answer:
+            verdict = replace(verdict, witness=_trivial_witness(gi))
+        return verdict
     if cls == P_LARGE:
         canon, sym = canonicalize(gi)
         if not degenerate_alignment(canon):
@@ -294,38 +312,29 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
             nontrivial = gi.k >= k_min
             if not (trivial or nontrivial):
                 return Verdict(False, method="criteria", certificate=(case_id, k_min))
-            witness = None
-            shared = None
-            if want_witness:
-                if nontrivial:
-                    sol = build_witness_p_large(canon)
-                    witness = map_solution(sol, canon, sym, gi)
-                else:
-                    witness = _trivial_witness(gi)
-                shared = witness.shared_count(materialize_grid(gi).graph)
+            witness = shared = reason = None
+            if want_witness and nontrivial:
+                sol = build_witness_p_large(canon)
+                witness = map_solution(sol, canon, sym, gi)
+                shared, reason = sol.shared, sol.reason
+            elif want_witness:
+                witness, shared = _trivial_witness(gi), gi.dist()
             return Verdict(True, shared_count=shared, witness=witness, method="criteria",
-                           certificate=(case_id, k_min))
-    inst = materialize_grid(gi)
-    rep = solve_fpt_branching(inst)
+                           certificate=(case_id, k_min), reason=reason)
+    rep = solve_fpt_branching(materialize_grid(gi))
     return Verdict(rep.answer, witness=rep.witness if want_witness else None,
-                   shared_count=rep.witness.shared_count(inst.graph) if rep.answer else None,
-                   method="fallback")
+                   shared_count=rep.shared_count, method="fallback")
 
 
 def map_solution(sol: Solution, canon: GridInstance, sym: GridSymmetry,
                  original: GridInstance) -> Solution:
     """Carry a witness on the canonical grid back to the original instance."""
-    canon_inst = materialize_grid(canon)
-    orig_inst = materialize_grid(original)
-    lookup = _edge_lookup(orig_inst)
     paths = []
     for path in sol.paths:
-        ids = path.vertices(canon_inst.graph, canon_inst.s)
-        pts = [canon_inst.graph.coords[v] for v in ids]
-        back = [sym.inverse(q) for q in pts]
+        back = [sym.inverse(q) for q in _path_points(canon, path)]
         if sym.swap:
             back.reverse()
-        paths.append(_points_to_pathseq(orig_inst, back, lookup))
+        paths.append(_points_to_pathseq(original, back))
     return Solution(tuple(paths))
 
 
@@ -367,6 +376,15 @@ class _BadFragment(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class GridWitness(Solution):
+    """A witness from build_witness_p_large, with the shared count its
+    verification measured and, when the exact solver supplied it, why."""
+
+    shared: int = 0
+    reason: Optional[str] = None
+
+
 def _seg(pts: list[Point], to: Point):
     """Extend pts by a straight axis-aligned run to `to` (may be empty)."""
     x, y = pts[-1]
@@ -387,23 +405,16 @@ def _check_bounds(pts: list[Point], n: int, m: int):
             raise _BadFragment(f"point {x, y} outside grid")
 
 
-def _family_order(primary: int, secondary: int) -> list[int]:
+def _family_order(primary: int, secondary: int, count: int) -> list[int]:
     """Index order in which one fragment family is grown: the two rim-parallel
-    starters, part A fill-ins, then part B."""
-    order = [0, primary]
-    order += [primary + i for i in range(1, secondary)]
-    order += [i for i in range(1, primary)]
+    starters, part A fill-ins, then part B; at least `count` indices."""
+    order = dict.fromkeys([0, primary, *range(primary + 1, primary + secondary),
+                           *range(1, primary)])
     nxt = primary + secondary
-    while len(order) < 64:
-        order.append(nxt)
+    while len(order) < count:
+        order[nxt] = None
         nxt += 1
-    seen = set()
-    out = []
-    for j in order:
-        if j not in seen:
-            seen.add(j)
-            out.append(j)
-    return out
+    return list(order)
 
 
 def _up_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
@@ -414,7 +425,7 @@ def _up_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
     back over their own pairing row to fill the gaps without new sharing.
     """
     qx, qy = q
-    order = _family_order(qx, qy)
+    order = _family_order(qx, qy, count)
     taken = order[:count]
     extras = sorted((j for j in taken if j >= count), reverse=True)
     gaps = sorted((j for j in range(count) if j not in taken), reverse=True)
@@ -446,55 +457,14 @@ def _up_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
 
 
 def _right_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
-    """`count` right-going fragments from q ending at (n-1-i, i); mirror image
-    of _up_family with the roles of the axes exchanged."""
-    qx, qy = q
-    order = _family_order(qy, qx)
-    taken = order[:count]
-    extras = sorted((i for i in taken if i >= count), reverse=True)
-    gaps = sorted((i for i in range(count) if i not in taken), reverse=True)
-    assert len(extras) == len(gaps)
-    swing_of = dict(zip(extras, gaps))
-
-    frags: dict[int, list[Point]] = {}
-    for i in taken:
-        pts = [q]
-        if i in swing_of:
-            target = swing_of[i]
-            _seg(pts, (qx, i))
-            _seg(pts, (n - 1 - i, i))
-            _seg(pts, (n - 1 - i, target))
-            _seg(pts, (n - 1 - target, target))
-            endpoint = target
-        elif i < qy:
-            _seg(pts, (qx + i, qy))
-            _seg(pts, (qx + i, i))
-            _seg(pts, (n - 1 - i, i))
-            endpoint = i
-        else:
-            _seg(pts, (qx, i))
-            _seg(pts, (n - 1 - i, i))
-            endpoint = i
-        _check_bounds(pts, n, m)
-        frags[endpoint] = pts
-    return [frags[i] for i in range(count)]
+    """`count` right-going fragments from q ending at (n-1-i, i): the up-going
+    family of the transposed grid, transposed back."""
+    ups = _up_family((q[1], q[0]), m, n, count)
+    return [[(y, x) for x, y in frag] for frag in ups]
 
 
 def _mirror(pts: list[Point], n: int, m: int) -> list[Point]:
     return [(n - 1 - x, m - 1 - y) for x, y in pts]
-
-
-def _simplify_points(pts: list[Point]) -> list[Point]:
-    kept: list[Point] = []
-    pos: dict[Point, int] = {}
-    for q in pts:
-        if q in pos:
-            kept = kept[: pos[q] + 1]
-            pos = {w: i for w, i in pos.items() if i <= pos[q]}
-        else:
-            pos[q] = len(kept)
-            kept.append(q)
-    return kept
 
 
 def _candidate(gi: GridInstance, u: int, r: int) -> Optional[Solution]:
@@ -507,20 +477,18 @@ def _candidate(gi: GridInstance, u: int, r: int) -> Optional[Solution]:
         lefts = [_mirror(f, n, m) for f in _right_family(t_star, n, m, u)]
     except _BadFragment:
         return None
-    inst = materialize_grid(gi)
-    lookup = _edge_lookup(inst)
     paths = []
     for a, b in itertools.chain(zip(ups, lefts), zip(rights, downs)):
         assert a[-1] == b[-1], "fragment endpoints must pair up"
         walk = a + list(reversed(b))[1:]
-        pts = _simplify_points(walk)
+        pts = [walk[i] for i in loop_erase(walk)]
         if pts[0] != gi.s or pts[-1] != gi.t:
             return None
-        paths.append(_points_to_pathseq(inst, pts, lookup))
+        paths.append(_points_to_pathseq(gi, pts))
     return Solution(tuple(paths))
 
 
-def build_witness_p_large(gi: GridInstance) -> Solution:
+def build_witness_p_large(gi: GridInstance) -> GridWitness:
     """A non-trivial p-path witness on a canonical p-large instance, optimal
     at the criterion threshold.
 
@@ -528,7 +496,9 @@ def build_witness_p_large(gi: GridInstance) -> Solution:
     the paired fragments for each, and keeps the verifier-best solution.  On
     small grids with s or t squeezed against a rim the textbook fragment
     shapes can collide head-on (the mirrored frame loses its orientation); the
-    exact branching solver then supplies the witness instead.
+    exact branching solver then supplies the witness instead, and the
+    returned witness's `reason` says so.  The grid is materialised once, for
+    the verifier and the solver.
     """
     if classify(gi) != P_LARGE or not _is_canonical(gi):
         raise ValueError("needs a canonical p-large instance")
@@ -548,14 +518,17 @@ def build_witness_p_large(gi: GridInstance) -> Solution:
             continue
         if best is None or verdict.shared_count < best_shared:
             best, best_shared = sol, verdict.shared_count
+    reason = None
     if best is None or best_shared > gi.k:
+        reason = ("fallback: no fragment candidate verifies" if best is None else
+                  f"fallback: the best fragment candidate shares {best_shared} > k={gi.k}")
         rep = solve_fpt_branching(inst)
         if not rep.answer:
             # only reachable in the degenerate-alignment band, where the
             # closed-form threshold undershoots the true one
             raise ValueError(f"no non-trivial witness within k={gi.k} for {gi}")
-        best = rep.witness
-        best_shared = best.shared_count(inst.graph)
+        best, best_shared = rep.witness, rep.shared_count
+        reason += "; witness from the exact branching solver"
     if best_shared > gi.k:
         raise AssertionError(f"witness shares {best_shared} > k={gi.k} on {gi}")
-    return best
+    return GridWitness(best.paths, best_shared, reason)

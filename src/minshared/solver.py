@@ -18,27 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import Graph, Instance, PathSeq, Solution, distance, verify_solution
+from .core import (Graph, Instance, PathSeq, Solution, Verdict, distance, loop_erase,
+                   shortest_path, verify_solution)
 from .flow import BoostedCaps, FlowResult, decompose_to_paths, max_flow_boosted
 
 
 class GuardExceeded(RuntimeError):
     """Input too large for the requested exact method."""
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    answer: bool
-    method: str
-    witness: Optional[Solution] = None
-    shared_set: Optional[frozenset[int]] = None
-    nodes_explored: int = 0
-
-    def __bool__(self) -> bool:
-        return self.answer
 
 
 MAX_EXHAUSTIVE_PATHS = 64
@@ -88,13 +76,13 @@ def _multiset_count(n_paths: int, p: int) -> int:
     return math.comb(n_paths + p - 1, p)
 
 
-def solve_exhaustive_paths(inst: Instance) -> SolveReport:
+def solve_exhaustive_paths(inst: Instance) -> Verdict:
     """Minimum shared count over all p-multisets of simple paths; too-large
     inputs are refused rather than silently sampled."""
     g = inst.graph
     paths = enumerate_simple_paths(g, inst.s, inst.t, limit=MAX_EXHAUSTIVE_PATHS)
     if not paths:
-        return SolveReport(False, "exhaustive")
+        return Verdict(False, method="exhaustive")
     if _multiset_count(len(paths), inst.p) > MAX_EXHAUSTIVE_MULTISETS:
         raise GuardExceeded("too large for exhaustive multiset enumeration")
     edge_sets = [frozenset(p.edge_ids()) for p in paths]
@@ -112,58 +100,21 @@ def solve_exhaustive_paths(inst: Instance) -> SolveReport:
             best, best_combo = shared, combo
             if best == 0:
                 break
+    if best > inst.k:
+        return Verdict(False, method="exhaustive", nodes_explored=nodes)
     witness = Solution(tuple(paths[i] for i in best_combo))
-    answer = best <= inst.k
-    return SolveReport(
-        answer,
-        "exhaustive",
-        witness=witness if answer else None,
-        shared_set=frozenset(witness.shared_edge_ids()) if answer else None,
-        nodes_explored=nodes,
-    )
+    return Verdict(True, best, witness, method="exhaustive",
+                   shared_set=frozenset(witness.shared_edge_ids()), nodes_explored=nodes)
 
 
-def _shortest_path(inst: Instance) -> Optional[PathSeq]:
-    """A shortest s-t path by chain-weighted Dijkstra, edge-id tie-break."""
-    import heapq
-
-    g = inst.graph
-    adj = g.adjacency()
-    dist = {inst.s: 0}
-    parent: dict[int, tuple[int, int, bool]] = {}
-    heap = [(0, inst.s)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        for eid in adj[u]:
-            e = g.edges[eid]
-            fwd = e.tail == u
-            v = e.head if fwd else e.tail
-            nd = d + e.length
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                parent[v] = (u, eid, fwd)
-                heapq.heappush(heap, (nd, v))
-    if inst.t not in dist:
-        return None
-    steps = []
-    v = inst.t
-    while v != inst.s:
-        u, eid, fwd = parent[v]
-        steps.append((eid, fwd))
-        v = u
-    return PathSeq(tuple(reversed(steps)))
-
-
-def _trivial_report(inst: Instance, method: str) -> Optional[SolveReport]:
+def _trivial_verdict(inst: Instance, method: str) -> Optional[Verdict]:
     """The trivial solution (p identical shortest paths) when dist(s,t) <= k."""
-    if distance(inst.graph, inst.s, inst.t) > inst.k:
+    g = inst.graph
+    if distance(g, inst.s, inst.t) > inst.k:
         return None
-    path = _shortest_path(inst)
-    witness = Solution((path,) * inst.p)
-    shared = frozenset(witness.shared_edge_ids())
-    return SolveReport(True, method, witness=witness, shared_set=shared, nodes_explored=0)
+    witness = Solution((shortest_path(g, inst.s, inst.t),) * inst.p)
+    return Verdict(True, witness.shared_count(g), witness, method=method,
+                   shared_set=frozenset(witness.shared_edge_ids()))
 
 
 def _subsets_within_budget(g: Graph, budget: int):
@@ -186,14 +137,14 @@ def _subsets_within_budget(g: Graph, budget: int):
         yield from fixed_size(0, budget, size, [])
 
 
-def solve_enum_oracle(inst: Instance) -> SolveReport:
+def solve_enum_oracle(inst: Instance) -> Verdict:
     """Yes iff some boost set S of expanded size <= k allows a flow of p."""
     g = inst.graph
-    trivial = _trivial_report(inst, "enum")
+    trivial = _trivial_verdict(inst, "enum")
     if trivial is not None:
         return trivial
     if math.isinf(distance(g, inst.s, inst.t)):
-        return SolveReport(False, "enum")
+        return Verdict(False, method="enum")
     if math.comb(len(g.edges), min(inst.k, len(g.edges))) > MAX_ENUM_SUBSETS:
         raise GuardExceeded("too many candidate shared sets")
     nodes = 0
@@ -202,13 +153,13 @@ def solve_enum_oracle(inst: Instance) -> SolveReport:
         caps = BoostedCaps(sub, inst.p)
         fr = max_flow_boosted(inst, caps)
         if fr.value >= inst.p:
-            paths = decompose_to_paths(inst, fr, inst.p)
-            witness = Solution(tuple(paths))
-            return SolveReport(True, "enum", witness=witness, shared_set=sub, nodes_explored=nodes)
-    return SolveReport(False, "enum", nodes_explored=nodes)
+            witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+            return Verdict(True, witness.shared_count(g), witness, method="enum",
+                           shared_set=sub, nodes_explored=nodes)
+    return Verdict(False, method="enum", nodes_explored=nodes)
 
 
-def solve_fpt_branching(inst: Instance) -> SolveReport:
+def solve_fpt_branching(inst: Instance) -> Verdict:
     """Branch on the edges of a residual < p cut, boosting one per child.
 
     A solution's shared set must hit every cut smaller than p, so the
@@ -217,7 +168,7 @@ def solve_fpt_branching(inst: Instance) -> SolveReport:
     Identical boost sets reached along different branch orders are memoised.
     """
     g = inst.graph
-    trivial = _trivial_report(inst, "branching")
+    trivial = _trivial_verdict(inst, "branching")
     if trivial is not None:
         return trivial
 
@@ -225,7 +176,8 @@ def solve_fpt_branching(inst: Instance) -> SolveReport:
     nodes = 0
     memo: dict[frozenset[int], bool] = {}
 
-    def rec(boosts: frozenset[int], budget: int, start: Optional[FlowResult]) -> Optional[SolveReport]:
+    def rec(boosts: frozenset[int], budget: int,
+            start: Optional[FlowResult]) -> Optional[tuple[Solution, frozenset[int]]]:
         nonlocal nodes
         nodes += 1
         if boosts in memo:
@@ -233,8 +185,7 @@ def solve_fpt_branching(inst: Instance) -> SolveReport:
         caps = BoostedCaps(boosts, inst.p)
         fr = max_flow_boosted(inst, caps, start=start)
         if fr.value >= inst.p:
-            paths = decompose_to_paths(inst, fr, inst.p)
-            return SolveReport(True, "branching", witness=Solution(tuple(paths)), shared_set=boosts)
+            return Solution(tuple(decompose_to_paths(inst, fr, inst.p))), boosts
         if budget > 0:
             for eid in sorted(fr.min_cut):
                 if lengths[eid] <= budget:
@@ -246,12 +197,13 @@ def solve_fpt_branching(inst: Instance) -> SolveReport:
 
     got = rec(frozenset(), inst.k, None)
     if got is None:
-        return SolveReport(False, "branching", nodes_explored=nodes)
-    return SolveReport(True, "branching", witness=got.witness, shared_set=got.shared_set,
-                       nodes_explored=nodes)
+        return Verdict(False, method="branching", nodes_explored=nodes)
+    witness, boosts = got
+    return Verdict(True, witness.shared_count(g), witness, method="branching",
+                   shared_set=boosts, nodes_explored=nodes)
 
 
-def extract_witness(report: SolveReport, inst: Instance) -> Solution:
+def extract_witness(report: Verdict, inst: Instance) -> Solution:
     """The verified witness of a yes-report."""
     if not report.answer:
         raise ValueError("no witness: the report answer is no")
@@ -287,23 +239,6 @@ def _find_antiparallel_conflict(g: Graph, sol: Solution) -> Optional[tuple[int, 
     return None
 
 
-def _simplify_walk(g: Graph, steps: list[tuple[int, bool]], start: int) -> PathSeq:
-    """Remove all cycles from an edge walk, keeping a simple path."""
-    kept: list[tuple[int, bool]] = []
-    pos = {start: 0}
-    cur = start
-    for eid, fwd in steps:
-        e = g.edges[eid]
-        cur = e.head if fwd else e.tail
-        kept.append((eid, fwd))
-        if cur in pos:
-            kept = kept[: pos[cur]]
-            pos = {w: i for w, i in pos.items() if i <= pos[cur]}
-        else:
-            pos[cur] = len(kept)
-    return PathSeq(tuple(kept))
-
-
 def normalize_antiparallel(inst: Instance, sol: Solution) -> Solution:
     """Rewire paths so no anti-parallel arc pair is used in both directions.
 
@@ -330,10 +265,10 @@ def normalize_antiparallel(inst: Instance, sol: Solution) -> Solution:
         ib = pb.edge_ids().index(e_bwd)
         # pa: s ->[.. ia-1] u -(u,v)-> v ->[ia+1 ..] t
         # pb: s ->[.. ib-1] v -(v,u)-> u ->[ib+1 ..] t
-        new_a = list(pa.steps[:ia]) + list(pb.steps[ib + 1 :])
-        new_b = list(pb.steps[:ib]) + list(pa.steps[ia + 1 :])
-        paths[a] = _simplify_walk(g, new_a, inst.s)
-        paths[b] = _simplify_walk(g, new_b, inst.s)
+        for i, walk in ((a, pa.steps[:ia] + pb.steps[ib + 1 :]),
+                        (b, pb.steps[:ib] + pa.steps[ia + 1 :])):
+            kept = loop_erase(PathSeq(walk).vertices(g, inst.s))
+            paths[i] = PathSeq(tuple(walk[j - 1] for j in kept[1:]))
 
     out = Solution(tuple(paths))
     check = verify_solution(inst, out)

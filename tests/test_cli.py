@@ -77,6 +77,14 @@ class TestGrid:
     def test_decide_no(self, capsys):
         assert main(["grid-decide", "3", "3", "0", "0", "2", "2", "4", "3"]) == 1
 
+    def test_witness_fallback_reason(self, tmp_path, capsys):
+        code = main(["grid-witness", "5", "5", "0", "0", "2", "2", "3", "1",
+                     "--out", str(tmp_path / "w.msesol")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:3] == ["answer yes", "shared 1", "method criteria"]
+        assert lines[3].startswith("reason fallback: ")
+
     def test_witness(self, tmp_path, capsys):
         out = tmp_path / "w.msesol"
         inst_out = tmp_path / "g.mse"

@@ -16,6 +16,7 @@ from minshared.core import (
     check_grid_embedding,
     distance,
     expand_chains,
+    loop_erase,
     parse_instance,
     parse_solution,
     serialize_instance,
@@ -236,6 +237,40 @@ class TestDistance:
             for v in verts[:4]:
                 for w in verts[:4]:
                     assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
+
+
+def _erase_reference(walk):
+    """Chronological loop-erasure, written out directly: on a return to a
+    vertex still on the path, cut the path back to that vertex."""
+    path = []
+    for v in walk:
+        if v in path:
+            del path[path.index(v) + 1 :]
+        else:
+            path.append(v)
+    return path
+
+
+class TestLoopErase:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_walks(self, data):
+        n = data.draw(st.integers(2, 6))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                   .filter(lambda uv: uv[0] != uv[1]), min_size=1, max_size=12))
+        nbrs = {v: sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v})
+                for v in range(n)}
+        walk = [data.draw(st.sampled_from(sorted({a for a, _ in pairs})))]
+        for _ in range(data.draw(st.integers(0, 30))):
+            walk.append(data.draw(st.sampled_from(nbrs[walk[-1]])))
+        kept = loop_erase(walk)
+        path = [walk[i] for i in kept]
+        assert path == _erase_reference(walk)
+        assert kept == sorted(kept) and kept[0] == 0
+        assert path[-1] == walk[-1] and len(set(path)) == len(path)
+        for i, j in zip(kept, kept[1:]):
+            # kept visit j is entered by step j - 1, which leaves the vertex of visit i
+            assert walk[j - 1] == walk[i] and walk[j] in nbrs[walk[i]]
 
 
 class TestGridEmbedding:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import minshared.grid as grid_module
 from minshared.core import verify_solution
 from minshared.grid import (
     GridInstance,
@@ -10,6 +11,7 @@ from minshared.grid import (
     P_LARGE,
     P_NARROW,
     P_SMALL,
+    _up_family,
     all_symmetries,
     build_witness_p_large,
     canonicalize,
@@ -18,6 +20,8 @@ from minshared.grid import (
     decide_grid,
     decide_small,
     degenerate_alignment,
+    edge_ends,
+    edge_id,
     grid_cut_lower_bound,
     map_solution,
     materialize_grid,
@@ -232,3 +236,84 @@ class TestSymmetryInvariance:
             base = decide_grid(gi).answer
             for sym in all_symmetries(gi):
                 assert decide_grid(sym.apply(gi)).answer == base
+
+
+class TestEdgeIds:
+    def test_round_trip_against_materialize(self):
+        for n in range(1, 7):
+            for m in range(1, 7):
+                if n * m < 2:
+                    continue
+                gi = GridInstance(n, m, (0, 0), (n - 1, m - 1), 1, 0)
+                g = materialize_grid(gi).graph
+                for eid, e in enumerate(g.edges):
+                    a, b = g.coords[e.tail], g.coords[e.head]
+                    assert edge_ends(n, m, eid) == (a, b)
+                    assert edge_id(n, m, a, b) == (eid, True)
+                    assert edge_id(n, m, b, a) == (eid, False)
+
+
+class TestMaterializeCalls:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = grid_module.materialize_grid
+
+        def counting(gi):
+            count[0] += 1
+            return original(gi)
+
+        monkeypatch.setattr(grid_module, "materialize_grid", counting)
+        return count
+
+    @pytest.mark.parametrize("want_witness", [False, True])
+    def test_none_for_p_small(self, calls, want_witness):
+        v = decide_grid(GridInstance(120, 120, (3, 4), (90, 100), 130, 183), want_witness)
+        assert v.answer and v.shared_count == 183
+        assert (v.witness is not None) == want_witness
+        assert calls[0] == 0
+
+    def test_none_for_one_path(self, calls):
+        assert decide_grid(GridInstance(6, 7, (5, 6), (0, 1), 1, 0), want_witness=True)
+        assert calls[0] == 0
+
+    def test_none_for_p_large_decision_and_trivial_witness(self, calls):
+        gi = GridInstance(100, 100, (20, 30), (80, 70), 40, 36)
+        assert decide_grid(gi).answer
+        # dist 5 <= k = 5 < k_min = 8: only the trivial witness
+        trivial = decide_grid(GridInstance(9, 9, (0, 0), (2, 3), 8, 5), want_witness=True)
+        assert trivial.answer and trivial.shared_count == 5
+        assert len(set(trivial.witness.paths)) == 1
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("gi", [
+        GridInstance(5, 5, (4, 4), (0, 0), 5, 6),  # fragment witness
+        GridInstance(5, 5, (0, 0), (2, 2), 3, 1),  # exact-solver fallback
+    ])
+    def test_once_for_nontrivial_p_large_witness(self, calls, gi):
+        v = decide_grid(gi, want_witness=True)
+        assert calls[0] == 1
+        check = verify_solution(materialize_grid(gi), v.witness)
+        assert v.answer and check.answer and check.shared_count == v.shared_count
+
+
+class TestFragments:
+    def test_family_beyond_64(self):
+        frags = _up_family((20, 30), 100, 100, 70)
+        assert len(frags) == 70
+        assert [f[-1] for f in frags] == [(j, 99 - j) for j in range(70)]
+
+
+class TestWitnessFallback:
+    def test_fallback_is_labelled(self):
+        gi = GridInstance(5, 5, (0, 0), (2, 2), 3, 1)
+        assert decide_grid(gi).reason is None
+        v = decide_grid(gi, want_witness=True)
+        assert v.method == "criteria"
+        assert v.reason.startswith("fallback: the best fragment candidate shares 2 > k=1")
+        check = verify_solution(materialize_grid(gi), v.witness)
+        assert check.answer and check.shared_count == v.shared_count == 1
+
+    def test_fragment_witness_has_no_reason(self):
+        v = decide_grid(GridInstance(5, 5, (0, 0), (4, 4), 5, 6), want_witness=True)
+        assert v.answer and v.reason is None and v.shared_count == 6

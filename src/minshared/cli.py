@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     except (GuardExceeded, LayoutError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug, never an answer: keep it off exit code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ operation here is a pure function.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import re
@@ -429,23 +430,17 @@ def distance(g: Graph, u: int, v: int) -> float:
 # ---------------------------------------------------------------------------
 # grid embedding check
 
-def _segments(e: SuperEdge, eid: int):
-    pts = e.polyline
-    for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        if a[1] == b[1]:  # horizontal
-            lo, hi = sorted((a[0], b[0]))
-            yield ("h", a[1], lo, hi, eid, i)
-        else:
-            lo, hi = sorted((a[1], b[1]))
-            yield ("v", a[0], lo, hi, eid, i)
-
-
 def check_grid_embedding(g: Graph) -> Verdict:
     """Accept iff the expanded graph is a holey grid (subgraph of a bounded grid).
 
     All expanded lattice points must be pairwise distinct except where distinct
     super-edges legitimately meet at a declared shared endpoint, and every unit
     step must be an axis-aligned L1 step (guaranteed by polyline validation).
+
+    Runs in O((S + I) log S) for S segments and I touching pairs: collinear
+    segments are compared with their neighbours on each sorted line, crossings
+    come from one x-ordered sweep over the active horizontals, and each
+    declared vertex is located on its row and column by bisection.
     """
     if g.coords is None or any(v not in g.coords for v in range(g.vertex_count)):
         raise ValueError("missing coordinates")
@@ -472,16 +467,15 @@ def check_grid_embedding(g: Graph) -> Verdict:
 
     hsegs: dict[int, list[tuple[int, int, int, int]]] = {}
     vsegs: dict[int, list[tuple[int, int, int, int]]] = {}
-    all_h: list[tuple[int, int, int, int, int]] = []
-    all_v: list[tuple[int, int, int, int, int]] = []
     for eid, e in enumerate(g.edges):
-        for kind, fixed, lo, hi, _, si in _segments(e, eid):
-            if kind == "h":
-                hsegs.setdefault(fixed, []).append((lo, hi, eid, si))
-                all_h.append((fixed, lo, hi, eid, si))
+        pts = e.polyline
+        for si, (a, b) in enumerate(zip(pts, pts[1:])):
+            if a[1] == b[1]:
+                lo, hi = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
+                hsegs.setdefault(a[1], []).append((lo, hi, eid, si))
             else:
-                vsegs.setdefault(fixed, []).append((lo, hi, eid, si))
-                all_v.append((fixed, lo, hi, eid, si))
+                lo, hi = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
+                vsegs.setdefault(a[0], []).append((lo, hi, eid, si))
 
     # collinear pairs: sort per line, compare neighbours
     for table, make_pt in ((hsegs, lambda f, c: (c, f)), (vsegs, lambda f, c: (f, c))):
@@ -501,38 +495,52 @@ def check_grid_embedding(g: Graph) -> Verdict:
                     if not legal_meet(p, e1, e2):
                         return Verdict(False, reason=f"edges {e1},{e2} touch at non-vertex {p}")
 
-    # horizontal x vertical crossings
-    h_by_y = sorted(all_h)
-    ys = [rec[0] for rec in h_by_y]
-    import bisect
+    # horizontal x vertical crossings: sweep x.  At each x the horizontals
+    # starting there join `active`, sorted by (y, xlo, xhi, eid, si), the
+    # verticals there take the active ones in their y-range, and then the
+    # horizontals ending there leave, so every vertical meets exactly the
+    # horizontals it touches.
+    starts: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    stops: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for y, segs in hsegs.items():
+        for xlo, xhi, eid, si in segs:
+            rec = (y, xlo, xhi, eid, si)
+            starts.setdefault(xlo, []).append(rec)
+            stops.setdefault(xhi, []).append(rec)
+    active: list[tuple[int, int, int, int, int]] = []
+    find = bisect.bisect_left
+    for x in sorted(starts.keys() | stops.keys() | vsegs.keys()):
+        for rec in starts.get(x, ()):
+            bisect.insort(active, rec)
+        for lo, hi, ev, sv in vsegs.get(x, ()):
+            for y, xlo, xhi, eh, sh in active[find(active, (lo,)):find(active, (hi + 1,))]:
+                p = (x, y)
+                if eh == ev:
+                    if sh - sv in (1, -1):
+                        continue  # consecutive runs of one polyline share their bend
+                    return Verdict(False, reason=f"edge {eh} self-intersects at {p}")
+                # crossing is legal only at a declared vertex shared by both
+                # edges, and only at segment endpoints (a vertex interior to a
+                # run would mean the run passes through another vertex's point)
+                if y in (lo, hi) and x in (xlo, xhi) and legal_meet(p, eh, ev):
+                    continue
+                return Verdict(False, reason=f"edges {eh},{ev} cross at {p}")
+        for rec in stops.get(x, ()):
+            del active[find(active, rec)]
 
-    for x, lo, hi, ev, sv in all_v:
-        left = bisect.bisect_left(ys, lo)
-        right = bisect.bisect_right(ys, hi)
-        for y, xlo, xhi, eh, sh in h_by_y[left:right]:
-            if not xlo <= x <= xhi:
-                continue
-            p = (x, y)
-            if eh == ev:
-                if abs(sh - sv) == 1:
-                    continue  # consecutive runs of one polyline share their bend
-                return Verdict(False, reason=f"edge {eh} self-intersects at {p}")
-            # crossing is legal only at a declared vertex shared by both edges,
-            # and only at segment endpoints (a vertex interior to a run would
-            # mean the run passes through another vertex's point)
-            if p in ((x, lo), (x, hi)) and p in ((xlo, y), (xhi, y)) and legal_meet(p, eh, ev):
-                continue
-            return Verdict(False, reason=f"edges {eh},{ev} cross at {p}")
-
-    # a vertex point may not lie in the interior of any run
+    # a vertex point may lie on a chain only at that chain's end, never
+    # inside a run or at a bend; the segments of each line are sorted and
+    # disjoint now, so only the last one starting before the point and the
+    # one starting at it can hold it
     for pt, v in vertex_at.items():
-        x, y = pt
-        for ylo, yhi, eid, si in vsegs.get(x, ()):
-            if ylo < y < yhi:
-                return Verdict(False, reason=f"edge {eid} passes through vertex {v} at {pt}")
-        for xlo, xhi, eid, si in hsegs.get(y, ()):
-            if xlo < x < xhi:
-                return Verdict(False, reason=f"edge {eid} passes through vertex {v} at {pt}")
+        for segs, c in ((vsegs.get(pt[0], ()), pt[1]), (hsegs.get(pt[1], ()), pt[0])):
+            i = find(segs, (c,))
+            if i:
+                _, hi, eid, _ = segs[i - 1]
+                if hi > c or (hi == c and pt not in ends[eid]):
+                    return Verdict(False, reason=f"edge {eid} passes through vertex {v} at {pt}")
+            if i < len(segs) and segs[i][0] == c and pt not in ends[segs[i][2]]:
+                return Verdict(False, reason=f"edge {segs[i][2]} passes through vertex {v} at {pt}")
 
     return Verdict(True)
 

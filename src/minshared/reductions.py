@@ -237,7 +237,13 @@ class _SnakeRouter:
 
     The drop zone holds max_drop levels (four in the undirected construction,
     eight in the directed one whose columns carry two tracks); return levels
-    beyond c-1 would collide with the next row's rainbows and raise."""
+    beyond c-1 would collide with the next row's rainbows and raise.
+
+    Tracks come left to right (sx and tx never decrease) and every elbow lies
+    right of the one before, so the runs that still reach a new track are the
+    latest ones.  Each side keeps those runs' (elbow, level) in a monotone
+    queue: `over` the drop runs with rising levels, `under` the return runs
+    with falling levels, so the binding level is always at the front."""
 
     def __init__(self, y_top: int, y_bottom: int, run: int, c: int, max_drop: int):
         self.y_top = y_top
@@ -245,28 +251,33 @@ class _SnakeRouter:
         self.run = run
         self.max_drop = max_drop
         self.max_level = c - 1
-        self.right_runs: list[tuple[int, int, int]] = []  # (level, x1, x2)
-        self.left_runs: list[tuple[int, int, int]] = []   # (level, x_left, elbow)
+        self.over: deque[tuple[int, int]] = deque()
+        self.under: deque[tuple[int, int]] = deque()
+        self.last = (-math.inf, -math.inf)
         self.frontier: Optional[int] = None
 
     def route(self, sx: int, tx: int) -> list[Point]:
-        drop = self.max_drop
-        for level, x1, x2 in self.right_runs:
-            if x1 <= sx <= x2:
-                drop = min(drop, level - 1)
+        assert self.last[0] <= sx and self.last[1] <= tx, "tracks out of order"
+        self.last = (sx, tx)
+        over, under = self.over, self.under
+        while over and over[0][0] < sx:
+            over.popleft()
+        drop = min(self.max_drop, over[0][1] - 1) if over else self.max_drop
         if drop < 1:
             raise LayoutError("snake drop level exhausted")
         elbow = max(sx + self.run, tx + 1,
                     self.frontier + 1 if self.frontier is not None else sx)
-        level = self.max_drop
-        for lvl, x_left, x_elbow in self.left_runs:
-            if x_elbow >= tx:
-                level = max(level, lvl)
-        level += 1
+        while under and under[0][0] < tx:
+            under.popleft()
+        level = max(self.max_drop, under[0][1]) + 1 if under else self.max_drop + 1
         if level > self.max_level:
             raise LayoutError("snake return level exhausted")
-        self.right_runs.append((drop, sx, elbow))
-        self.left_runs.append((level, tx, elbow))
+        while over and over[-1][1] >= drop:
+            over.pop()
+        over.append((elbow, drop))
+        while under and under[-1][1] <= level:
+            under.pop()
+        under.append((elbow, level))
         self.frontier = elbow
         return [
             (sx, self.y_top),
@@ -283,22 +294,47 @@ def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionA
     stretches the gaps between rows only when the snake router runs out of
     levels (row spacing is purely geometric and enters no budget constant;
     misaligned wide/narrow row pairs can need more return corridors than
-    c - 1)."""
-    last: Optional[LayoutError] = None
-    for extra in (0, 8, 24, 56, 120, 248):
-        try:
-            return _layout_holey(vc_raw, directed, demo, extra)
-        except LayoutError as exc:
-            last = exc
-    raise LayoutError(f"snake routing failed even with stretched rows: {last}")
-
-
-def _layout_holey(vc_raw: VCInstance, directed: bool, demo: bool,
-                  extra_spacing: int) -> ReductionArtifact:
+    c - 1).  The snake routes of each spacing are planned on coordinates
+    alone, so the chains are laid once, for the first spacing that routes."""
     vc = pad_to_power_of_two(vc_raw)
     if max(vc.degrees(), default=0) > 3:
         raise ValueError("compiler requires maximum degree three")
     cons = reduction_constants(vc)
+    last: Optional[LayoutError] = None
+    for extra in (0, 8, 24, 56, 120, 248):
+        try:
+            plan = _plan_holey(vc, cons, directed, demo, extra)
+        except LayoutError as exc:
+            last = exc
+            continue
+        return _lay_holey(vc, cons, directed, demo, plan)
+    raise LayoutError(f"snake routing failed even with stretched rows: {last}")
+
+
+@dataclass
+class _Plan:
+    """The coordinates one row spacing fixes, and the snake routes it admits."""
+
+    budget: int
+    incident: list[list[bool]]
+    row_y: list[int]
+    leaf_y: list[int]
+    y_center: int
+    v_off: list[int]
+    r_off: list[int]
+    b_len: int
+    gap: int
+    a_len: int
+    x0: int
+    row_x: list[list[int]]  # row_x[i][j-1] = x of v'_{i,j}
+    snakes: list[tuple[int, int, str, list[Point]]]  # (gap, column, kind, corner path)
+    overhang: int
+
+
+def _plan_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: bool,
+                extra_spacing: int) -> _Plan:
+    """Frame and snake routes for one row spacing; raises LayoutError when the
+    router runs out of levels."""
     nv = vc.graph.vertex_count
     ne = len(vc.graph.edges)
     m_val = cons.M
@@ -345,11 +381,63 @@ def _layout_holey(vc_raw: VCInstance, directed: bool, demo: bool,
         run = budget
         a_len = cons.a
 
+    x0 = tree_depth + a_len + 2 * m_val + gap  # column of the v'_{i,1}
+    # a cell is its b-chain (plus the junction arc when directed), followed
+    # by a rainbow unless the row vertex covers the column edge
+    row_x: list[list[int]] = [[]]
+    for i in range(1, nv + 1):
+        xs = [x0]
+        for bare in incident[i - 1]:
+            xs.append(xs[-1] + b_len + directed + (0 if bare else 2 * m_val + gap))
+        row_x.append(xs)
+
+    # snake-chains between consecutive rows, one (or one pair) per column
+    snakes: list[tuple[int, int, str, list[Point]]] = []
+    overhang = x0
+    base_drop = 8 if directed else 4
+    for i in range(1, nv):
+        router = _SnakeRouter(row_y[i], row_y[i + 1], run, c,
+                              max_drop=max(base_drop, (c - 1) // 2))
+        tracks = []
+        for j in range(1, ne + 2):
+            sx = row_x[i][j - 1]
+            tx = row_x[i + 1][j - 1]
+            tracks.append((sx, "down", j, tx))
+            if directed:
+                # up-snakes attach right of the row vertex (the X2 junction),
+                # except at the last column where they use the W1 junction
+                # just before it
+                shift = 1 if j <= ne else -1
+                tracks.append((sx + shift, "up", j, tx + shift))
+        tracks.sort()
+        for sx, kind, j, tx in tracks:
+            pts = router.route(sx, tx)
+            if kind == "up":
+                pts = list(reversed(pts))  # arc runs bottom -> top
+            snakes.append((i, j, kind, pts))
+        overhang = max(overhang, router.frontier or x0)
+
+    return _Plan(budget, incident, row_y, leaf_y, y_center, v_off, r_off, b_len, gap,
+                 a_len, x0, row_x, snakes, overhang)
+
+
+def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: bool,
+               plan: _Plan) -> ReductionArtifact:
+    """Emit every chain of a planned layout, s side to t side."""
+    nv = vc.graph.vertex_count
+    ne = len(vc.graph.edges)
+    m_val = cons.M
+    budget = plan.budget
+    tree_depth = nv.bit_length() - 1
+    row_y, leaf_y, y_center = plan.row_y, plan.leaf_y, plan.y_center
+    v_off, r_off = plan.v_off, plan.r_off
+    b_len, gap, a_len, x0 = plan.b_len, plan.gap, plan.a_len, plan.x0
+    y1 = row_y[1]
+
     bld = _Builder(DIRECTED if directed else UNDIRECTED)
     rainbows: list[RainbowTrace] = []
 
     leaf_x = tree_depth
-    x0 = leaf_x + a_len + 2 * m_val + gap  # column of the v'_{i,1}
 
     # --- s and its fan-out tree (chains run root -> leaf, top child first)
     s_id = bld.vertex((0, y_center))
@@ -398,7 +486,7 @@ def _layout_holey(vc_raw: VCInstance, directed: bool, demo: bool,
         row_junctions: list[int] = []
         row_cells: list[CellTrace] = []
         for j in range(1, ne + 1):
-            bare = incident[i - 1][j - 1]
+            bare = plan.incident[i - 1][j - 1]
             pre: list[int] = []
             post: list[int] = []
             if directed:
@@ -417,6 +505,7 @@ def _layout_holey(vc_raw: VCInstance, directed: bool, demo: bool,
             if directed and j == ne:
                 post.append(bld.chain([(x, y), (x + 1, y)]))
                 x += 1
+            assert x == plan.row_x[i][j]
             row_ids.append(bld.vertex((x, y)))
             row_cells.append(CellTrace(bare, pre, post, rb))
         rows.append(row_ids)
@@ -424,39 +513,16 @@ def _layout_holey(vc_raw: VCInstance, directed: bool, demo: bool,
             junctions.append(row_junctions)
         cells.append(row_cells)
 
-    # --- snake-chains between consecutive rows, one (or one pair) per column
-    snakes: list[SnakeTrace] = []
-    overhang = x0
-    base_drop = 8 if directed else 4
-    for i in range(1, nv):
-        router = _SnakeRouter(row_y[i], row_y[i + 1], run, c,
-                              max_drop=max(base_drop, (c - 1) // 2))
-        tracks = []
-        for j in range(1, ne + 2):
-            sx = bld.coords[rows[i][j - 1]][0]
-            tx = bld.coords[rows[i + 1][j - 1]][0]
-            tracks.append((sx, "down", j, tx))
-            if directed:
-                # up-snakes attach right of the row vertex (the X2 junction),
-                # except at the last column where they use the W1 junction
-                # just before it
-                shift = 1 if j <= ne else -1
-                tracks.append((sx + shift, "up", j, tx + shift))
-        tracks.sort()
-        for sx, kind, j, tx in tracks:
-            pts = router.route(sx, tx)
-            if kind == "up":
-                pts = list(reversed(pts))  # arc runs bottom -> top
-            snakes.append(SnakeTrace(i, j, "both" if not directed else kind,
-                                     bld.chain(pts)))
-        overhang = max(overhang, router.frontier or x0)
+    # --- snake-chains between consecutive rows, as planned
+    snakes = [SnakeTrace(i, j, "both" if not directed else kind, bld.chain(pts))
+              for i, j, kind, pts in plan.snakes]
 
     # --- t side: per-row rainbows absorb width differences and snake overhang
-    row_end_x = [0] + [bld.coords[rows[i][ne]][0] for i in range(1, nv + 1)]
+    row_end_x = [0] + [plan.row_x[i][ne] for i in range(1, nv + 1)]
     leaf_x_out = max(
         max(row_end_x[i] + 2 * m_val + gap + (a_len - v_off[i])
             for i in range(1, nv + 1)),
-        overhang + nv + 4,
+        plan.overhang + nv + 4,
     )
     row_rainbow_out: list[Optional[int]] = [None] * (nv + 1)
     a_chain_out: list[Optional[int]] = [None] * (nv + 1)
@@ -464,8 +530,7 @@ def _layout_holey(vc_raw: VCInstance, directed: bool, demo: bool,
         y = row_y[i]
         end_x = leaf_x_out - (a_len - v_off[i])
         gap_i = end_x - row_end_x[i] - 2 * m_val
-        if gap_i < gap:
-            raise LayoutError("t-side rainbow would be too short")
+        assert gap_i >= gap  # leaf_x_out leaves every row at least gap
         row_rainbow_out[i] = _emit_rainbow(
             bld, row_end_x[i], y, gap_i, m_val, f"t-row {i}", rainbows
         )

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from minshared import cli
 from minshared.cli import RenderSpec, main, render_embedding
 from minshared.core import parse_instance, parse_solution, serialize_instance, verify_solution
 from minshared.grid import GridInstance, materialize_grid
@@ -52,6 +53,16 @@ class TestSolve:
         with pytest.raises(SystemExit) as e:
             main(["solve", cycle_file, "--method", "bogus"])
         assert e.value.code == 2
+
+    def test_internal_error_exit_four(self, cycle_file, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_solve", broken)
+        assert main(["solve", cycle_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert captured.out == ""
 
 
 class TestVerify:

@@ -348,3 +348,134 @@ class TestGridEmbedding:
         e = SuperEdge(0, 1, 1, ((0, 0), (1, 0)))
         g = Graph(UNDIRECTED, 2, (e, e), coords)
         assert not check_grid_embedding(g).answer
+
+
+def _lattice_reference(g):
+    """Independent embedding check on unit points: every chain is expanded to
+    its lattice points.  Accept iff no unit edge occurs twice and every point
+    held twice, or held by a declared vertex, is a declared vertex at which
+    each chain holding it ends."""
+    vertex_at = {}
+    for v, pt in g.coords.items():
+        if pt in vertex_at:
+            return False
+        vertex_at[pt] = v
+    unit_edges = set()
+    held = {}  # point -> for each visit, whether it is an end of its chain
+    for e in g.edges:
+        pts = list(e.expand_points())
+        if pts[0] != g.coords[e.tail] or pts[-1] != g.coords[e.head]:
+            return False
+        for a, b in zip(pts, pts[1:]):
+            if frozenset((a, b)) in unit_edges:
+                return False
+            unit_edges.add(frozenset((a, b)))
+        for i, pt in enumerate(pts):
+            held.setdefault(pt, []).append(i in (0, len(pts) - 1))
+    for pt, at_end in held.items():
+        if pt in vertex_at:
+            if not all(at_end):
+                return False
+        elif len(at_end) > 1:
+            return False
+    return True
+
+
+def _waypoints_of(points):
+    """Corner points of a lattice walk: runs in one direction are merged."""
+    out = list(points[:2])
+    for a, b, p in zip(points, points[1:], points[2:]):
+        if (b[0] - a[0], b[1] - a[1]) == (p[0] - b[0], p[1] - b[1]):
+            out[-1] = p
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+@st.composite
+def polyline_graphs(draw, size=4):
+    """A valid layout (chains along a random subgraph of a size x size grid
+    drawn at twice the scale, split at declared vertices) plus random-walk
+    chains and a stray vertex on the full lattice, which bring crossings,
+    collinear overlaps, touches away from vertices, self-intersections and
+    vertices inside runs."""
+    units = draw(st.sets(st.sampled_from(
+        [((x, y), (x + 2, y)) for x in range(0, 2 * size - 2, 2) for y in range(0, 2 * size, 2)]
+        + [((x, y), (x, y + 2)) for x in range(0, 2 * size, 2) for y in range(0, 2 * size - 2, 2)]),
+        max_size=2 * size * size))
+    adj = {}
+    for a, b in sorted(units):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    declared = {p for p in adj if len(adj[p]) != 2}
+    declared |= {p for p in sorted(adj) if len(adj[p]) == 2 and draw(st.booleans())}
+    while True:  # split the layout into chains; declare more points on loops
+        used, walks, loop_point = set(), [], None
+        for start in sorted(declared) + sorted(adj):
+            if loop_point is not None:
+                break
+            if start not in declared:
+                if any(frozenset((start, b)) not in used for b in adj[start]):
+                    loop_point = start  # an undeclared cycle
+                continue
+            for nxt in adj.get(start, ()):
+                if frozenset((start, nxt)) in used:
+                    continue
+                walk = [start, nxt]
+                used.add(frozenset((start, nxt)))
+                while walk[-1] not in declared:
+                    cur = walk[-1]
+                    walk.append(next(b for b in adj[cur] if frozenset((cur, b)) not in used))
+                    used.add(frozenset((cur, walk[-1])))
+                if walk[-1] == start:
+                    loop_point = walk[1]
+                    break
+                walks.append(walk)
+        if loop_point is None:
+            break
+        declared.add(loop_point)
+    for _ in range(draw(st.integers(0, 2))):  # random-walk chains, turning or not at each run
+        x, y = draw(st.integers(-1, 2 * size - 1)), draw(st.integers(-1, 2 * size - 1))
+        stride = draw(st.sampled_from((1, 2)))
+        dx, dy = draw(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))))
+        walk = [(x, y)]
+        for turn in draw(st.lists(st.sampled_from((0, 1, -1)), min_size=1, max_size=8)):
+            dx, dy = (-turn * dy, turn * dx) if turn else (dx, dy)
+            for _ in range(stride):
+                walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+        if walk[0] != walk[-1]:
+            walks.append(walk)
+            declared |= {walk[0], walk[-1]}
+    for _ in range(draw(st.integers(0, 1))):  # a stray vertex
+        declared.add((draw(st.integers(0, 2 * size - 2)), draw(st.integers(0, 2 * size - 2))))
+    ids = {pt: v for v, pt in enumerate(sorted(declared))}
+    edges = tuple(SuperEdge(ids[w[0]], ids[w[-1]],
+                            sum(abs(a[0] - b[0]) + abs(a[1] - b[1]) for a, b in zip(w, w[1:])),
+                            _waypoints_of(w)) for w in walks)
+    return Graph(UNDIRECTED, len(ids), edges, {v: pt for pt, v in ids.items()})
+
+
+class TestGridEmbeddingReference:
+    @given(polyline_graphs())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_lattice_reference(self, g):
+        assert check_grid_embedding(g).answer == _lattice_reference(g)
+
+    @pytest.mark.parametrize("corner", [
+        ((0, 1), (0, 0), (1, 0)), ((0, 1), (0, 0), (-1, 0)),
+        ((0, -1), (0, 0), (1, 0)), ((0, -1), (0, 0), (-1, 0)),
+    ])
+    def test_vertex_on_a_bend_rejected(self, corner):
+        a, bend, b = corner
+        bent = SuperEdge(0, 1, 2, corner)
+        g = Graph(UNDIRECTED, 3, (bent,), {0: a, 1: b, 2: bend})
+        v = check_grid_embedding(g)
+        assert not v.answer and "passes through vertex 2" in v.reason
+        assert not _lattice_reference(g)
+
+    def test_chain_crossing_itself_rejected(self):
+        loop = ((0, 0), (2, 0), (2, 1), (1, 1), (1, -1))
+        g = Graph(UNDIRECTED, 2, (SuperEdge(0, 1, 6, loop),), {0: (0, 0), 1: (1, -1)})
+        v = check_grid_embedding(g)
+        assert not v.answer and "self-intersects at (1, 0)" in v.reason
+        assert not _lattice_reference(g)

@@ -1,7 +1,10 @@
 import graphlib
+import hashlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minshared.core import (
     DIRECTED,
@@ -11,10 +14,13 @@ from minshared.core import (
     UNDIRECTED,
     check_grid_embedding,
     expand_chains,
+    serialize_instance,
     verify_solution,
 )
+from minshared import reductions
 from minshared.reductions import (
     CompositionReport,
+    LayoutError,
     SMALL_P,
     TRIVIAL_NO,
     TRIVIAL_YES,
@@ -204,6 +210,121 @@ class TestManhattan:
             for fn in (vc_to_holey_grid, vc_to_manhattan_dag):
                 art = fn(vc)
                 assert check_grid_embedding(art.instance.graph).answer
+
+
+# sha1 of the instance text without polylines plus the trace sidecar, as the
+# compilers emitted them before the snake routes were planned ahead of layout;
+# the row spacing each compile settles on is noted as (holey, Manhattan)
+COMPILED_DIGESTS = {
+    # paper example, k=2: spacing (0, 0)
+    ("paper", False, False): "bd45df77b418dcc59e0407b51b2777ad5c974d3a",
+    ("paper", False, True): "9c18861d0b0b7a8505c02085f84bd104b706143e",
+    ("paper", True, False): "2e0b01b8716f22dbc368dc5a812d44cd215197bc",
+    ("paper", True, True): "5828861ab0c69f290ce588e36d76035d122e8cd6",
+    # gen_vc_deg3(3, 6, 6), k=2: spacing (0, 0)
+    ((3, 6, 6, 2), False, False): "0dd64be8b30c430b359405a881373ea8f1f9238a",
+    ((3, 6, 6, 2), False, True): "147a2513fb07e944ea026ac6735231a284b194f3",
+    ((3, 6, 6, 2), True, False): "b077270fe6210fbcbe6f569a0af92b2b9c302d77",
+    ((3, 6, 6, 2), True, True): "e934a0dca175695e50bfeee12476ab0d217ecfba",
+    # gen_vc_deg3(2, 6, 6), k=2: spacing (8, 24)
+    ((2, 6, 6, 2), False, False): "fafd7635858afb03e90bb50d7379e2eebc6e755e",
+    ((2, 6, 6, 2), False, True): "2181a92df60423d5fc02c938cc3f59172c434985",
+    ((2, 6, 6, 2), True, False): "88f2cce3d075d936f0fad48de33fabad161d52dc",
+    ((2, 6, 6, 2), True, True): "a3ae43511055df32d7b28b3baf68c804deb8201a",
+    # gen_vc_deg3(5, 8, 10), k=4: spacing (24, 56)
+    ((5, 8, 10, 4), False, False): "9382ca9625461d093693be2f8cee81cdc5dbd9d2",
+    ((5, 8, 10, 4), False, True): "0d7a1e20486c6d6261b60f9500ede367789d57ec",
+    ((5, 8, 10, 4), True, False): "a1ec3db2dc5a3c2bc48ec61064feba3f288b9872",
+    ((5, 8, 10, 4), True, True): "816ca090c61231bc2997cd156d275d6622ad5be4",
+}
+
+
+def _digest_source(name):
+    if name == "paper":
+        return paper_vc(2)
+    seed, n, m, k = name
+    return replace(gen_vc_deg3(seed, n, m), k=k)
+
+
+class _RescanRouter:
+    """The snake router as first written, rescanning every earlier run on
+    each track: the reference for the incremental one."""
+
+    def __init__(self, y_top, y_bottom, run, c, max_drop):
+        self.y_top, self.y_bottom, self.run = y_top, y_bottom, run
+        self.max_drop, self.max_level = max_drop, c - 1
+        self.right_runs, self.left_runs, self.frontier = [], [], None
+
+    def route(self, sx, tx):
+        drop = self.max_drop
+        for level, x1, x2 in self.right_runs:
+            if x1 <= sx <= x2:
+                drop = min(drop, level - 1)
+        if drop < 1:
+            raise LayoutError("snake drop level exhausted")
+        elbow = max(sx + self.run, tx + 1,
+                    self.frontier + 1 if self.frontier is not None else sx)
+        level = self.max_drop
+        for lvl, _, x_elbow in self.left_runs:
+            if x_elbow >= tx:
+                level = max(level, lvl)
+        level += 1
+        if level > self.max_level:
+            raise LayoutError("snake return level exhausted")
+        self.right_runs.append((drop, sx, elbow))
+        self.left_runs.append((level, tx, elbow))
+        self.frontier = elbow
+        return [(sx, self.y_top), (sx, self.y_top - drop), (elbow, self.y_top - drop),
+                (elbow, self.y_top - level), (tx, self.y_top - level), (tx, self.y_bottom)]
+
+
+def _routes(router, tracks):
+    out = []
+    for sx, tx in tracks:
+        try:
+            out.append(router.route(sx, tx))
+        except LayoutError as exc:
+            out.append(str(exc))
+            break
+    return out
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("key", sorted(COMPILED_DIGESTS, key=repr))
+    def test_artifacts_byte_identical(self, key):
+        name, directed, demo = key
+        compiler = vc_to_manhattan_dag if directed else vc_to_holey_grid
+        art = compiler(_digest_source(name), demo=demo)
+        text = serialize_instance(art.instance, include_polylines=False) + serialize_trace(art)
+        assert hashlib.sha1(text.encode()).hexdigest() == COMPILED_DIGESTS[key]
+
+    @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
+    def test_chains_laid_once(self, compiler, monkeypatch):
+        calls = []
+        chain = reductions._Builder.chain
+
+        def counted(self, points):
+            calls.append(None)
+            return chain(self, points)
+
+        monkeypatch.setattr(reductions._Builder, "chain", counted)
+        # spacing 8 (holey) and 24 (Manhattan): earlier spacings fail to route
+        art = compiler(_digest_source((2, 6, 6, 2)))
+        assert len(calls) == len(art.instance.graph.edges)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_router_matches_rescans(self, data):
+        c = data.draw(st.integers(3, 16))
+        args = (100, 0, data.draw(st.integers(1, 12)), c, data.draw(st.integers(1, c)))
+        steps = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                   min_size=1, max_size=30))
+        tracks, sx, tx = [], 0, 0
+        for dsx, dtx in steps:
+            sx, tx = sx + dsx, tx + dtx
+            tracks.append((sx, tx))
+        assert _routes(reductions._SnakeRouter(*args), tracks) == \
+            _routes(_RescanRouter(*args), tracks)
 
 
 class TestMalformed:

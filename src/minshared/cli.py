@@ -56,7 +56,6 @@ POLYLINE_FILE_LIMIT = 1_000_000
 @dataclass(frozen=True)
 class RenderSpec:
     scale: int = 12
-    edges: bool = True
     chains_collapsed: bool = False
     labels: bool = False
     highlight_solution: bool = True
@@ -102,14 +101,13 @@ def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
         '.s{stroke:#c1161b;stroke-width:3;fill:none}'
         '.v{fill:#222}.lbl{font-size:10px;fill:#333}</style>',
     ]
-    if spec.edges:
-        for eid, e in enumerate(g.edges):
-            pts = e.polyline
-            if spec.chains_collapsed and e.length > 1:
-                pts = (pts[0], pts[-1])
-            cls = "s" if eid in shared else ("u" if eid in used else "e")
-            coords = " ".join(f"{x},{y}" for x, y in (pt(p) for p in pts))
-            out.append(f'<polyline class="{cls}" points="{coords}"/>')
+    for eid, e in enumerate(g.edges):
+        pts = e.polyline
+        if spec.chains_collapsed and e.length > 1:
+            pts = (pts[0], pts[-1])
+        cls = "s" if eid in shared else ("u" if eid in used else "e")
+        coords = " ".join(f"{x},{y}" for x, y in (pt(p) for p in pts))
+        out.append(f'<polyline class="{cls}" points="{coords}"/>')
     for vid in sorted(g.coords):
         x, y = pt(g.coords[vid])
         r = 3 if vid in (inst.s, inst.t) else 1

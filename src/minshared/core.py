@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterator, Optional, Sequence
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
@@ -32,69 +32,89 @@ class SuperEdge:
     """A chain of `length` unit edges between two declared vertices.
 
     `polyline`, when present, is the axis-aligned waypoint list of the chain's
-    embedding: endpoints plus bend points.  Consecutive waypoints differ in
-    exactly one coordinate and the L1 lengths of the runs sum to `length`.
+    embedding, kept in normal form: endpoints plus bend points, where a bend
+    is any change of direction, a reversal included.  Construction drops
+    repeated points and merges consecutive runs that go the same way, and
+    measures `length` from the runs; a declared length must match it.
     (Waypoints rather than all length+1 lattice points: gadget chains can have
     ~1e5 unit edges, but only a handful of bends.)
     """
 
     tail: int
     head: int
-    length: int = 1
-    polyline: Optional[tuple[Point, ...]] = None
+    length: Optional[int] = None  # when omitted: measured from the polyline, else 1
+    polyline: Optional[tuple[Point, ...]] = None  # any point sequence; stored as a tuple
 
     def __post_init__(self):
         if self.tail == self.head:
             raise ValueError("self-loops are not allowed")
-        if self.length < 1:
-            raise ValueError("chain length must be >= 1")
-        if self.polyline is not None:
-            pts = self.polyline
+        pts = self.polyline
+        if pts is not None:
             if len(pts) < 2:
                 raise ValueError("polyline needs at least two waypoints")
+            out = [pts[0]]
+            x, y = pts[0]
             total = 0
-            for a, b in zip(pts, pts[1:]):
-                dx, dy = b[0] - a[0], b[1] - a[1]
-                if (dx == 0) == (dy == 0):
-                    raise ValueError("polyline runs must be axis-aligned and nonzero")
-                total += abs(dx) + abs(dy)
-            if total != self.length:
-                raise ValueError(
-                    f"polyline length {total} does not match chain length {self.length}"
-                )
+            last = 0  # direction of the last run: +-1 along x, +-2 along y
+            for p in pts[1:]:
+                bx, by = p
+                if by == y:
+                    if bx == x:
+                        continue
+                    d = bx - x
+                    step = 1 if d > 0 else -1
+                elif bx == x:
+                    d = by - y
+                    step = 2 if d > 0 else -2
+                else:
+                    raise ValueError("polyline runs must be axis-aligned")
+                total += d if d > 0 else -d
+                if step == last:
+                    out[-1] = p
+                else:
+                    out.append(p)
+                    last = step
+                x, y = bx, by
+            if self.length != total:
+                if self.length is not None:
+                    raise ValueError(
+                        f"polyline length {total} does not match chain length {self.length}"
+                    )
+                object.__setattr__(self, "length", total)
+            if len(out) != len(pts) or type(pts) is not tuple:
+                object.__setattr__(self, "polyline", tuple(out))
+        elif self.length is None:
+            object.__setattr__(self, "length", 1)
+        if self.length < 1:
+            raise ValueError("chain length must be >= 1")
 
     def expand_points(self) -> Iterator[Point]:
         """All length+1 lattice points of the embedded chain, in order."""
-        pts = self.polyline
-        if pts is None:
+        if self.polyline is None:
             raise ValueError("edge has no polyline")
-        x, y = pts[0]
-        yield (x, y)
-        for bx, by in pts[1:]:
-            sx = (bx > x) - (bx < x)
-            sy = (by > y) - (by < y)
-            while (x, y) != (bx, by):
-                x, y = x + sx, y + sy
-                yield (x, y)
+        return lattice_points(self.polyline)
 
     def other(self, v: int) -> int:
         return self.head if v == self.tail else self.tail
 
 
-def compress_polyline(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Drop collinear intermediate points, keeping endpoints and bends."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("polyline needs at least two points")
-    out = [pts[0]]
-    for p in pts[1:]:
-        if len(out) >= 2:
-            a, b = out[-2], out[-1]
-            if (a[0] == b[0] == p[0]) or (a[1] == b[1] == p[1]):
-                out[-1] = p
-                continue
-        out.append(p)
-    return tuple(out)
+def lattice_points(corners: Sequence[Point]) -> Iterator[Point]:
+    """Every lattice point of the walk through `corners`, in order.
+
+    Each run is walked in unit steps, x first, then y; a run of length zero
+    adds no point.
+    """
+    x, y = corners[0]
+    yield (x, y)
+    for bx, by in corners[1:]:
+        sx = 1 if bx > x else -1
+        while x != bx:
+            x += sx
+            yield (x, y)
+        sy = 1 if by > y else -1
+        while y != by:
+            y += sy
+            yield (x, y)
 
 
 @dataclass(frozen=True)
@@ -107,9 +127,11 @@ class Graph:
     def __post_init__(self):
         if self.mode not in (UNDIRECTED, DIRECTED):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.vertex_count < 0:
+            raise ValueError("vertex count must be non-negative")
         for e in self.edges:
             if not (0 <= e.tail < self.vertex_count and 0 <= e.head < self.vertex_count):
-                raise ValueError(f"edge endpoint out of range: {e.tail},{e.head}")
+                raise ValueError(f"unknown vertex in edge {e.tail} {e.head}")
         if self.coords is not None:
             for v in self.coords:
                 if not 0 <= v < self.vertex_count:
@@ -132,15 +154,6 @@ class Graph:
             inc[e.tail].append((i, e.head, True))
             inc[e.head].append((i, e.tail, False))
         return tuple(map(tuple, inc))
-
-    def adjacency(self) -> list[list[int]]:
-        """adj[v] = sorted edge ids leaving v (both directions if undirected)."""
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, e in enumerate(self.edges):
-            adj[e.tail].append(i)
-            if not self.directed:
-                adj[e.head].append(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -273,13 +286,11 @@ class Expansion:
     """Unit-edge view of a compressed graph plus the back-mapping.
 
     Vertices 0..n-1 are the original ones; interior chain vertices are fresh.
-    unit edge j belongs to super-edge owner[j] at offset[j] (0-based from the
-    super-edge's tail).
+    unit edge j belongs to super-edge owner[j].
     """
 
     graph: Graph
     owner: tuple[int, ...]
-    offset: tuple[int, ...]
     runs: tuple[tuple[int, ...], ...]  # super-edge id -> its unit edge ids, tail-to-head
 
     def expand_instance(self, inst: Instance) -> Instance:
@@ -327,36 +338,24 @@ def expand_chains(g: Graph) -> Expansion:
     """Replace every length-L super-edge by L unit edges via fresh vertices."""
     edges: list[SuperEdge] = []
     owner: list[int] = []
-    offset: list[int] = []
     runs: list[tuple[int, ...]] = []
+    coords = None if g.coords is None else dict(g.coords)
     nxt = g.vertex_count
     for sid, e in enumerate(g.edges):
         pts = list(e.expand_points()) if e.polyline is not None else None
-        chain_vertices = [e.tail]
-        for _ in range(e.length - 1):
-            chain_vertices.append(nxt)
-            nxt += 1
-        chain_vertices.append(e.head)
+        chain_vertices = [e.tail, *range(nxt, nxt + e.length - 1), e.head]
+        if pts is not None and coords is not None:
+            coords.update(zip(chain_vertices[1:-1], pts[1:-1]))
+        nxt += e.length - 1
         run = []
         for j in range(e.length):
             poly = (pts[j], pts[j + 1]) if pts is not None else None
             run.append(len(edges))
             owner.append(sid)
-            offset.append(j)
             edges.append(SuperEdge(chain_vertices[j], chain_vertices[j + 1], 1, poly))
         runs.append(tuple(run))
-    coords = None
-    if g.coords is not None:
-        coords = dict(g.coords)
-        nxt2 = g.vertex_count
-        for e in g.edges:
-            if e.polyline is not None:
-                pts = list(e.expand_points())
-                for j in range(1, e.length):
-                    coords[nxt2 + j - 1] = pts[j]
-            nxt2 += e.length - 1
     expanded = Graph(g.mode, nxt, tuple(edges), coords)
-    return Expansion(expanded, tuple(owner), tuple(offset), tuple(runs))
+    return Expansion(expanded, tuple(owner), tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +393,17 @@ def shortest_path(g: Graph, u: int, v: int) -> Optional[PathSeq]:
     dist = {u: 0}
     parent: dict[int, tuple[int, int, bool]] = {}
     heap = [(0, u)]
-    adj = g.adjacency()
+    edges, inc, directed = g.edges, g.incidence, g.directed
     while heap:
         d, x = heapq.heappop(heap)
         if x == v:
             break
         if d > dist[x]:
             continue
-        for eid in adj[x]:
-            e = g.edges[eid]
-            fwd = e.tail == x
-            y = e.head if fwd else e.tail
-            nd = d + e.length
+        for eid, y, fwd in inc[x]:
+            if directed and not fwd:
+                continue
+            nd = d + edges[eid].length
             if nd < dist.get(y, math.inf):
                 dist[y] = nd
                 parent[y] = (x, eid, fwd)
@@ -589,18 +587,13 @@ def parse_instance(text: str) -> Instance:
             elif kw == "chain":
                 u, v, length = int(parts[1]), int(parts[2]), int(parts[3])
                 rest = parts[4:]
-                poly = None
-                if rest:
-                    if len(rest) != 2 * (length + 1):
-                        raise FormatError(
-                            f"line {ln}: chain polyline needs {2 * (length + 1)} numbers"
-                        )
-                    pts = [(int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)]
-                    for a, b in zip(pts, pts[1:]):
-                        if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                            raise FormatError(f"line {ln}: polyline step is not an L1 unit step")
-                    poly = compress_polyline(pts)
-                edges.append(SuperEdge(u, v, length, poly))
+                if rest and len(rest) != 2 * (length + 1):
+                    raise FormatError(f"line {ln}: chain polyline needs {2 * (length + 1)} numbers")
+                pts = [(int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)]
+                for a, b in zip(pts, pts[1:]):
+                    if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
+                        raise FormatError(f"line {ln}: polyline step is not an L1 unit step")
+                edges.append(SuperEdge(u, v, length, pts or None))
             else:
                 raise FormatError(f"line {ln}: unknown keyword {kw!r}")
         except (IndexError, ValueError) as exc:
@@ -613,14 +606,8 @@ def parse_instance(text: str) -> Instance:
     for name, val in (("mode", mode), ("vertices", nvert), ("s", s), ("t", t), ("p", p), ("k", k)):
         if val is None:
             raise FormatError(f"missing '{name}' line")
-    if p is not None and p < 1:
-        raise FormatError("zero p")
-    for e in edges:
-        if not (0 <= e.tail < nvert and 0 <= e.head < nvert):
-            raise FormatError(f"unknown vertex in edge {e.tail} {e.head}")
-    graph = Graph(mode, nvert, tuple(edges), coords or None)
     try:
-        return Instance(graph, s, t, p, k)
+        return Instance(Graph(mode, nvert, tuple(edges), coords or None), s, t, p, k)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -653,7 +640,10 @@ def parse_solution(text: str) -> Solution:
         raise FormatError("missing 'msesol 1' header")
     if len(lines) < 2 or not lines[1].startswith("paths "):
         raise FormatError("missing 'paths' line")
-    want = int(lines[1].split()[1])
+    try:
+        want = int(lines[1].split()[1])
+    except ValueError as exc:
+        raise FormatError(f"line 2: {exc}") from None
     paths = []
     step_re = re.compile(r"^(\d+)([+-]?)$")
     for ln, line in enumerate(lines[2:], 3):

@@ -174,19 +174,13 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
         raise ValueError(f"flow value {fr.value} below requested count {count}")
     g = inst.graph
     flow = list(fr.arc_flow)
-    out_arcs: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for eid, e in enumerate(g.edges):
-        out_arcs[e.tail].append(eid)
-        if not g.directed:
-            out_arcs[e.head].append(eid)
 
-    def next_arc(u: int) -> tuple[int, bool]:
-        for eid in out_arcs[u]:
-            e = g.edges[eid]
-            if e.tail == u and flow[eid] > 0:
-                return eid, True
-            if not g.directed and e.head == u and flow[eid] < 0:
-                return eid, False
+    def next_arc(u: int) -> tuple[int, int, bool]:
+        for eid, v, fwd in g.incidence[u]:
+            if fwd and flow[eid] > 0:
+                return eid, v, True
+            if not fwd and not g.directed and flow[eid] < 0:
+                return eid, v, False
         raise AssertionError(f"flow conservation broken at vertex {u}")
 
     paths = []
@@ -194,10 +188,9 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
         steps: list[tuple[int, bool]] = []
         walk = [inst.s]
         while walk[-1] != inst.t:
-            eid, fwd = next_arc(walk[-1])
+            eid, v, fwd = next_arc(walk[-1])
             flow[eid] += -1 if fwd else 1
-            e = g.edges[eid]
             steps.append((eid, fwd))
-            walk.append(e.head if fwd else e.tail)
+            walk.append(v)
         paths.append(PathSeq(tuple(steps[i - 1] for i in loop_erase(walk)[1:])))
     return paths

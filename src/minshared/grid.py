@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, loop_erase,
-                   verify_solution)
+from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, lattice_points,
+                   loop_erase, verify_solution)
 from .solver import solve_fpt_branching
 
 Point = tuple[int, int]
@@ -227,23 +227,10 @@ def _path_points(gi: GridInstance, path: PathSeq) -> list[Point]:
     return pts
 
 
-def _staircase(a: Point, b: Point) -> list[Point]:
-    """Monotone a-b lattice path: x first, then y."""
-    pts = [a]
-    x, y = a
-    sx = 1 if b[0] > x else -1
-    while x != b[0]:
-        x += sx
-        pts.append((x, y))
-    sy = 1 if b[1] > y else -1
-    while y != b[1]:
-        y += sy
-        pts.append((x, y))
-    return pts
-
-
 def _trivial_witness(gi: GridInstance) -> Solution:
-    return Solution((_points_to_pathseq(gi, _staircase(gi.s, gi.t)),) * gi.p)
+    """p copies of the monotone s-t path that runs along x first, then y."""
+    corners = (gi.s, (gi.t[0], gi.s[1]), gi.t)
+    return Solution((_points_to_pathseq(gi, list(lattice_points(corners))),) * gi.p)
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +372,6 @@ class GridWitness(Solution):
     reason: Optional[str] = None
 
 
-def _seg(pts: list[Point], to: Point):
-    """Extend pts by a straight axis-aligned run to `to` (may be empty)."""
-    x, y = pts[-1]
-    if (x, y) == to:
-        return
-    if x != to[0] and y != to[1]:
-        raise _BadFragment(f"bent run {pts[-1]} -> {to}")
-    sx = (to[0] > x) - (to[0] < x)
-    sy = (to[1] > y) - (to[1] < y)
-    while (x, y) != to:
-        x, y = x + sx, y + sy
-        pts.append((x, y))
-
-
 def _check_bounds(pts: list[Point], n: int, m: int):
     for x, y in pts:
         if not (0 <= x < n and 0 <= y < m):
@@ -434,23 +407,18 @@ def _up_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
 
     frags: dict[int, list[Point]] = {}
     for j in taken:
-        pts = [q]
         if j in swing_of:
             target = swing_of[j]
-            _seg(pts, (j, qy))
-            _seg(pts, (j, m - 1 - j))
-            _seg(pts, (target, m - 1 - j))
-            _seg(pts, (target, m - 1 - target))
+            corners = [q, (j, qy), (j, m - 1 - j), (target, m - 1 - j),
+                       (target, m - 1 - target)]
             endpoint = target
         elif j < qx:
-            _seg(pts, (qx, qy + j))
-            _seg(pts, (j, qy + j))
-            _seg(pts, (j, m - 1 - j))
+            corners = [q, (qx, qy + j), (j, qy + j), (j, m - 1 - j)]
             endpoint = j
         else:
-            _seg(pts, (j, qy))
-            _seg(pts, (j, m - 1 - j))
+            corners = [q, (j, qy), (j, m - 1 - j)]
             endpoint = j
+        pts = list(lattice_points(corners))
         _check_bounds(pts, n, m)
         frags[endpoint] = pts
     return [frags[j] for j in range(count)]

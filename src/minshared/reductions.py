@@ -33,7 +33,6 @@ from .core import (
     Solution,
     SuperEdge,
     distance,
-    expand_chains,
 )
 from .vc import VCInstance, is_cover, pad_to_power_of_two
 
@@ -163,23 +162,6 @@ class CompositionReport:
 # ---------------------------------------------------------------------------
 # layout builder
 
-def _waypoints(points: list[Point]) -> tuple[Point, ...]:
-    """Drop zero-length runs and merge collinear ones."""
-    out: list[Point] = [points[0]]
-    for p in points[1:]:
-        if p == out[-1]:
-            continue
-        if len(out) >= 2:
-            a, b = out[-2], out[-1]
-            if (a[0] == b[0] == p[0] and (p[1] > b[1]) == (b[1] > a[1])) or (
-                a[1] == b[1] == p[1] and (p[0] > b[0]) == (b[0] > a[0])
-            ):
-                out[-1] = p
-                continue
-        out.append(p)
-    return tuple(out)
-
-
 class _Builder:
     def __init__(self, mode: str):
         self.mode = mode
@@ -197,13 +179,9 @@ class _Builder:
 
     def chain(self, points: list[Point]) -> int:
         """Chain along the given corner path; arcs run first point -> last."""
-        pts = _waypoints(points)
-        tail = self.vertex(pts[0])
-        head = self.vertex(pts[-1])
-        eid = len(self.edges)
-        length = sum(abs(a[0] - b[0]) + abs(a[1] - b[1]) for a, b in zip(pts, pts[1:]))
-        self.edges.append(SuperEdge(tail, head, length, pts))
-        return eid
+        self.edges.append(SuperEdge(self.vertex(points[0]), self.vertex(points[-1]),
+                                    polyline=points))
+        return len(self.edges) - 1
 
     def graph(self) -> Graph:
         return Graph(self.mode, len(self.coords), tuple(self.edges), dict(self.coords))
@@ -809,17 +787,14 @@ def diameter(g: Graph) -> int:
     as a single hop.  Coincides with the plain diameter on unit-edge graphs,
     and is the metric under which the composition's diameter accounting
     closes (the subdivided tree connectors are length-homogeneous)."""
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in g.edges:
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
+    inc = g.incidence
     best = 0
     for src in range(g.vertex_count):
         dist = {src: 0}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for v in adj[u]:
+            for _, v, _ in inc[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)

@@ -42,18 +42,15 @@ def enumerate_simple_paths(g: Graph, s: int, t: int, limit: Optional[int] = None
     """
     if s == t:
         return [PathSeq(())]
-    adj = g.adjacency()
+    inc, directed = g.incidence, g.directed
     paths: list[PathSeq] = []
     steps: list[tuple[int, bool]] = []
     on_path = {s}
-    frames = [(s, iter(adj[s]))]  # (vertex, its unexplored edge ids)
+    frames = [(s, iter(inc[s]))]  # (vertex, its unexplored incidences)
     while frames:
         u, pending = frames[-1]
-        for eid in pending:
-            e = g.edges[eid]
-            fwd = e.tail == u
-            v = e.head if fwd else e.tail
-            if v in on_path:
+        for eid, v, fwd in pending:
+            if v in on_path or (directed and not fwd):
                 continue
             if v == t:
                 paths.append(PathSeq(tuple(steps) + ((eid, fwd),)))
@@ -62,7 +59,7 @@ def enumerate_simple_paths(g: Graph, s: int, t: int, limit: Optional[int] = None
                 continue
             on_path.add(v)
             steps.append((eid, fwd))
-            frames.append((v, iter(adj[v])))
+            frames.append((v, iter(inc[v])))
             break
         else:
             frames.pop()

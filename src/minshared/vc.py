@@ -153,11 +153,10 @@ def parse_vc(text: str) -> VCInstance:
         raise FormatError("missing 'vc 1' header")
     if n is None or k is None:
         raise FormatError("missing 'vertices' or 'k' line")
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"unknown vertex in edge {u} {v}")
-    graph = Graph(UNDIRECTED, n, tuple(SuperEdge(u, v) for u, v in pairs))
-    return VCInstance(graph, k)
+    try:
+        return VCInstance(Graph(UNDIRECTED, n, tuple(SuperEdge(u, v) for u, v in pairs)), k)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def serialize_vc(vc: VCInstance) -> str:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minshared.core import (
@@ -16,6 +16,7 @@ from minshared.core import (
     check_grid_embedding,
     distance,
     expand_chains,
+    lattice_points,
     loop_erase,
     parse_instance,
     parse_solution,
@@ -23,6 +24,8 @@ from minshared.core import (
     serialize_solution,
     verify_solution,
 )
+
+from minshared.vc import parse_vc
 
 from helpers import cycle4, graph_from_edges, grid_graph, grid_vertex, path_graph
 
@@ -36,17 +39,7 @@ k 0
 edge 0 1
 """
 
-
-class TestParse:
-    def test_minimal_file(self):
-        inst = parse_instance(MINIMAL)
-        assert inst.graph.vertex_count == 2
-        assert len(inst.graph.edges) == 1
-        assert inst.graph.edges[0].length == 1
-        assert (inst.s, inst.t, inst.p, inst.k) == (0, 1, 1, 0)
-
-    def test_round_trip_identity(self):
-        text = """mse 1
+ROUND_TRIP_MSE = """mse 1
         mode directed
         vertices 5
         s 0
@@ -59,7 +52,18 @@ class TestParse:
         chain 1 4 3
         chain 0 4 4 0 0 1 0 2 0 3 0 3 1
         """
-        one = parse_instance(text)
+
+
+class TestParse:
+    def test_minimal_file(self):
+        inst = parse_instance(MINIMAL)
+        assert inst.graph.vertex_count == 2
+        assert len(inst.graph.edges) == 1
+        assert inst.graph.edges[0].length == 1
+        assert (inst.s, inst.t, inst.p, inst.k) == (0, 1, 1, 0)
+
+    def test_round_trip_identity(self):
+        one = parse_instance(ROUND_TRIP_MSE)
         again = parse_instance(serialize_instance(one))
         assert again == one
         assert serialize_instance(again) == serialize_instance(one)
@@ -157,6 +161,13 @@ class TestExpand:
         assert exp.graph.vertex_count == 4  # 2 fresh interior vertices
         assert len(exp.graph.edges) == 3
         assert exp.runs[0] == (0, 1, 2)
+
+    def test_polyline_chain_points_become_coords(self):
+        bent = SuperEdge(0, 1, polyline=((0, 0), (2, 0), (2, 1)))
+        exp = expand_chains(Graph(UNDIRECTED, 2, (bent,), {0: (0, 0), 1: (2, 1)}))
+        assert exp.graph.coords == {0: (0, 0), 1: (2, 1), 2: (1, 0), 3: (2, 0)}
+        assert [e.polyline for e in exp.graph.edges] == [
+            ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (2, 1))]
 
     def test_shared_count_invariant_under_expansion(self):
         # two parallel chains plus a unit edge detour
@@ -479,3 +490,124 @@ class TestGridEmbeddingReference:
         v = check_grid_embedding(g)
         assert not v.answer and "self-intersects at (1, 0)" in v.reason
         assert not _lattice_reference(g)
+
+
+@st.composite
+def corner_walks(draw):
+    """(corner list, its unit-step walk): runs of 0-3 steps in random axis
+    directions, so repeated points, straight continuations and reversals all
+    occur; the walk is expanded here, independently of core."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))),
+                                   st.integers(0, 3)), min_size=1, max_size=8))
+    corners = [(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))]
+    walk = [corners[0]]
+    for (dx, dy), steps in runs:
+        for _ in range(steps):
+            walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+        corners.append(walk[-1])
+    return corners, walk
+
+
+class TestPolylineNormalForm:
+    @given(corner_walks())
+    @settings(max_examples=300, deadline=None)
+    def test_normal_form_matches_reference(self, cw):
+        corners, walk = cw
+        assume(len(walk) > 1)  # a chain needs at least one unit edge
+        assert list(lattice_points(corners)) == walk
+        for given_pts in (corners, walk):
+            e = SuperEdge(0, 1, polyline=given_pts)
+            assert e.polyline == _waypoints_of(walk)
+            assert e.length == len(walk) - 1
+            assert list(e.expand_points()) == walk
+
+    def test_collinear_waypoint_accepted(self):
+        e = SuperEdge(0, 1, 3, ((0, 0), (2, 0), (3, 0)))
+        assert e.polyline == ((0, 0), (3, 0))
+        g = Graph(UNDIRECTED, 2, (e,), {0: (0, 0), 1: (3, 0)})
+        assert check_grid_embedding(g).answer
+
+    def test_length_measured_when_omitted(self):
+        e = SuperEdge(0, 1, polyline=[(0, 0), (0, 4), (0, 4), (2, 4)])
+        assert (e.length, e.polyline) == (6, ((0, 0), (0, 4), (2, 4)))
+        assert SuperEdge(0, 1).length == 1
+
+    def test_diagonal_run_rejected(self):
+        with pytest.raises(ValueError, match="axis-aligned"):
+            SuperEdge(0, 1, polyline=((0, 0), (1, 0), (2, 1)))
+
+    def test_declared_length_must_match(self):
+        with pytest.raises(ValueError, match="polyline length 3 does not match chain length 2"):
+            SuperEdge(0, 1, 2, ((0, 0), (3, 0)))
+
+    def test_zero_length_polyline_rejected(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            SuperEdge(0, 1, polyline=((1, 1), (1, 1)))
+
+    def test_reversing_chain_parses_then_fails_embedding(self):
+        text = MINIMAL.replace("edge 0 1", "coord 0 0 0\ncoord 1 0 1\nchain 0 1 3 0 0 0 1 0 2 0 1")
+        graph = parse_instance(text).graph
+        assert (graph.edges[0].length, graph.edges[0].polyline) == (3, ((0, 0), (0, 2), (0, 1)))
+        v = check_grid_embedding(graph)
+        assert not v.answer and "overlap" in v.reason
+
+
+VALID_TEXTS = (
+    (parse_instance, MINIMAL),
+    (parse_instance, ROUND_TRIP_MSE),
+    (parse_solution, "msesol 1\npaths 2\npath 0+ 2-\npath 1+\n"),
+    (parse_vc, "vc 1\nvertices 4\nk 2\nedge 0 1\nedge 1 2\nedge 2 3\n"),
+)
+TOKEN_POOL = ("-3", "-1", "0", "1", "2", "3", "7", "x", "1.5", "mse", "msesol", "vc",
+              "mode", "directed", "vertices", "edge", "chain", "coord", "path", "paths",
+              "k", "p", "s", "t", "0+", "1-", "#")
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid mse/msesol/vc text with 1-4 tokens or lines dropped,
+    duplicated or altered."""
+    parser, text = draw(st.sampled_from(VALID_TEXTS))
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "dup", "alter", "drop-line", "dup-line")))
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "dup-line":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if kind == "drop":
+                del lines[i][j]
+            elif kind == "dup":
+                lines[i].insert(j, lines[i][j])
+            else:
+                lines[i][j] = draw(st.sampled_from(TOKEN_POOL))
+        if not lines:
+            break
+    return parser, "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestParserFuzz:
+    @given(mutated_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_parsers_return_or_raise_format_error(self, case):
+        parser, text = case
+        try:
+            parser(text)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize("parser, text", [
+        (parse_instance, MINIMAL.replace("mode undirected", "mode foo")),
+        (parse_instance, MINIMAL + "coord 5 0 0\n"),
+        (parse_solution, "msesol 1\npaths x\n"),
+        (parse_vc, "vc 1\nvertices 2\nk -1\n"),
+        (parse_vc, "vc 1\nvertices 2\nk 1\nedge 0 0\n"),
+        (parse_vc, "vc 1\nvertices -3\nk 0\n"),
+    ], ids=["unknown-mode", "coord-of-unknown-vertex", "path-count-not-int", "negative-k",
+            "self-loop", "negative-vertex-count"])
+    def test_known_bad_inputs(self, parser, text):
+        with pytest.raises(FormatError):
+            parser(text)

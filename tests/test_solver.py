@@ -59,7 +59,10 @@ class TestExhaustive:
 
     def test_path_order_is_edge_id_dfs(self):
         g = grid_graph(3, 3)
-        adj = g.adjacency()
+        adj = [[] for _ in range(g.vertex_count)]
+        for eid, e in enumerate(g.edges):
+            adj[e.tail].append(eid)
+            adj[e.head].append(eid)
         want = []
 
         def dfs(u, steps, seen):

@@ -47,7 +47,6 @@ from .solver import (
 from .vc import VCInstance, gen_vc_deg3, parse_vc, serialize_vc, vc_decide
 
 EXPAND_LIMIT = 1_000_000
-POLYLINE_FILE_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +224,7 @@ def _cmd_reduce(args) -> int:
                   f"unit edges (limit {EXPAND_LIMIT}); use --demo", file=sys.stderr)
             return 3
         inst = expand_chains(inst.graph).expand_instance(inst)
-    include_poly = inst.graph.unit_size() <= POLYLINE_FILE_LIMIT
-    _write(args.out, serialize_instance(inst, include_polylines=include_poly))
+    _write(args.out, serialize_instance(inst))
     if args.trace:
         _write(args.trace, serialize_trace(art))
     embed = check_grid_embedding(art.instance.graph)

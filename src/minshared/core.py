@@ -19,6 +19,8 @@ from typing import Hashable, Iterator, Optional, Sequence
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
+# serialize_instance writes chain waypoints only up to this many unit edges
+POLYLINE_FILE_LIMIT = 1_000_000
 
 Point = tuple[int, int]
 
@@ -613,8 +615,12 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(inst: Instance, include_polylines: bool = True) -> str:
-    """Canonical text form; parse(serialize(x)) == x."""
+    """Canonical text form; parse(serialize(x)) == x up to
+    POLYLINE_FILE_LIMIT unit edges.  A larger graph, or include_polylines
+    off, is written without chain points (each chain lists every lattice
+    point it passes, so the file grows with the unit size)."""
     g = inst.graph
+    include_polylines = include_polylines and g.unit_size() <= POLYLINE_FILE_LIMIT
     out = ["mse 1", f"mode {g.mode}", f"vertices {g.vertex_count}",
            f"s {inst.s}", f"t {inst.t}", f"p {inst.p}", f"k {inst.k}"]
     if g.coords:

@@ -10,8 +10,11 @@ A grid instance is classified against the path count p:
 * p-narrow (neither): delegated to the generic branching solver and flagged.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
-transpose x swapping s and t); canonicalize picks the representative the
-criteria are stated for.
+transpose x swapping s and t), and decide_grid reads them in the instance's
+own frame: the degenerate band test is frame-free, and each terminal's rim
+distance is measured from the corner away from the other terminal.  Only the
+p-large witness construction runs on the canonical variant (canonicalize),
+and its paths are mapped back.
 """
 
 from __future__ import annotations
@@ -53,29 +56,6 @@ class GridInstance:
 
     def dist(self) -> int:
         return abs(self.s[0] - self.t[0]) + abs(self.s[1] - self.t[1])
-
-
-@dataclass(frozen=True)
-class RimProfile:
-    rho_x: int
-    rho_y: int
-    rho_dual_x: int
-    rho_dual_y: int
-    deg: int
-
-    @property
-    def rho(self) -> int:
-        return self.rho_x + self.rho_y
-
-    @property
-    def rho_dual(self) -> int:
-        return self.rho_dual_x + self.rho_dual_y
-
-
-def rim_profile(n: int, m: int, v: Point) -> RimProfile:
-    x, y = v
-    deg = (x > 0) + (x < n - 1) + (y > 0) + (y < m - 1)
-    return RimProfile(x, y, n - 1 - x, m - 1 - y, deg)
 
 
 def classify(gi: GridInstance) -> str:
@@ -136,9 +116,8 @@ def _is_canonical(gi: GridInstance) -> bool:
     s, t = gi.s, gi.t
     if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
         return False
-    ps = rim_profile(gi.n, gi.m, s)
-    pt = rim_profile(gi.n, gi.m, t)
-    return 2 * (ps.rho + 2) - ps.deg <= 2 * (pt.rho_dual + 2) - pt.deg
+    (threshold_s, _), (threshold_t, _) = _sides(gi)
+    return threshold_s <= threshold_t
 
 
 def canonicalize(gi: GridInstance) -> tuple[GridInstance, GridSymmetry]:
@@ -246,7 +225,8 @@ def decide_small(gi: GridInstance) -> Verdict:
 
 
 def degenerate_alignment(gi: GridInstance) -> bool:
-    """True when s and t nearly share a row or column (canonical frame).
+    """True when s and t nearly share a row or column.  The test is
+    frame-free: no grid symmetry changes |dx| or |dy|.
 
     Inside this band the fragment construction behind the p-large criterion
     loses its separation argument (the terminals' local fans collide with the
@@ -256,9 +236,42 @@ def degenerate_alignment(gi: GridInstance) -> bool:
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
 
+def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(threshold, cost) of the p-large closed form for s and for t.
+
+    rho is a terminal's L1 distance to the grid corner behind it, on the side
+    away from the other terminal: on an axis where s[i] <= t[i], s counts
+    from the low rim and t from the high rim, which is the canonical frame.
+    Up to threshold = 2(rho+2) - deg the degree argument costs
+    ceil((p-deg)/2), clamped at 0; beyond it part B of the construction is
+    active and the rectangle cuts cost p-(rho+2).
+    """
+    sides = []
+    for q, s_side in ((gi.s, True), (gi.t, False)):
+        rho = 0
+        for i, size in enumerate((gi.n, gi.m)):
+            low = (gi.s[i] <= gi.t[i]) == s_side
+            rho += q[i] if low else size - 1 - q[i]
+        deg = (q[0] > 0) + (q[0] < gi.n - 1) + (q[1] > 0) + (q[1] < gi.m - 1)
+        threshold = 2 * (rho + 2) - deg
+        if gi.p <= threshold:
+            cost = max(0, -(-(gi.p - deg) // 2))
+        else:
+            cost = gi.p - (rho + 2)
+        sides.append((threshold, cost))
+    return sides[0], sides[1]
+
+
+def _criteria(gi: GridInstance) -> tuple[int, int]:
+    """(case id, k_min) in gi's own frame: the case is 1 plus the number of
+    sides over their threshold, k_min the sum of the two side costs."""
+    sides = _sides(gi)
+    return 1 + sum(gi.p > threshold for threshold, _ in sides), sum(c for _, c in sides)
+
+
 def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     """(case id, minimum budget for a non-trivial solution) on a canonical
-    p-large instance.  Negative intermediate terms clamp to zero.
+    p-large instance.
 
     The closed form is the fragment construction's budget; it is exact
     whenever s and t are at least two rows and two columns apart (see
@@ -267,21 +280,13 @@ def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
         raise ValueError("criteria_p_large needs a p-large instance")
     if not _is_canonical(gi):
         raise ValueError("criteria_p_large needs a canonical instance")
-    ps = rim_profile(gi.n, gi.m, gi.s)
-    pt = rim_profile(gi.n, gi.m, gi.t)
-    p = gi.p
-    half_s = max(0, -(-(p - ps.deg) // 2))  # ceil((p - deg s)/2), clamped
-    half_t = max(0, -(-(p - pt.deg) // 2))
-    if p <= 2 * (ps.rho + 2) - ps.deg:
-        return 1, half_s + half_t
-    if p <= 2 * (pt.rho_dual + 2) - pt.deg:
-        return 2, max(0, p - (ps.rho + 2)) + half_t
-    return 3, max(0, p - (ps.rho + 2)) + max(0, p - (pt.rho_dual + 2))
+    return _criteria(gi)
 
 
 def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     """Full grid decision: closed-form for p-small/p-large, solver fallback
-    for p-narrow."""
+    for p-narrow.  Decisions read the instance as given; only a non-trivial
+    p-large witness is built on the canonical variant and mapped back."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
@@ -291,23 +296,22 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
         if want_witness and verdict.answer:
             verdict = replace(verdict, witness=_trivial_witness(gi))
         return verdict
-    if cls == P_LARGE:
-        canon, sym = canonicalize(gi)
-        if not degenerate_alignment(canon):
-            case_id, k_min = criteria_p_large(canon)
-            trivial = gi.dist() <= gi.k
-            nontrivial = gi.k >= k_min
-            if not (trivial or nontrivial):
-                return Verdict(False, method="criteria", certificate=(case_id, k_min))
-            witness = shared = reason = None
-            if want_witness and nontrivial:
-                sol = build_witness_p_large(canon)
-                witness = map_solution(sol, canon, sym, gi)
-                shared, reason = sol.shared, sol.reason
-            elif want_witness:
-                witness, shared = _trivial_witness(gi), gi.dist()
-            return Verdict(True, shared_count=shared, witness=witness, method="criteria",
-                           certificate=(case_id, k_min), reason=reason)
+    if cls == P_LARGE and not degenerate_alignment(gi):
+        case_id, k_min = _criteria(gi)
+        trivial = gi.dist() <= gi.k
+        nontrivial = gi.k >= k_min
+        if not (trivial or nontrivial):
+            return Verdict(False, method="criteria", certificate=(case_id, k_min))
+        witness = shared = reason = None
+        if want_witness and nontrivial:
+            canon, sym = canonicalize(gi)
+            sol = build_witness_p_large(canon)
+            witness = map_solution(sol, canon, sym, gi)
+            shared, reason = sol.shared, sol.reason
+        elif want_witness:
+            witness, shared = _trivial_witness(gi), gi.dist()
+        return Verdict(True, shared_count=shared, witness=witness, method="criteria",
+                       certificate=(case_id, k_min), reason=reason)
     rep = solve_fpt_branching(materialize_grid(gi))
     return Verdict(rep.answer, witness=rep.witness if want_witness else None,
                    shared_count=rep.shared_count, method="fallback")
@@ -332,28 +336,20 @@ def grid_cut_lower_bound(gi: GridInstance) -> int:
     """A certified lower bound on the minimum number of shared edges.
 
     Row/column cuts give dist(s, t) whenever the crossed dimension is below p;
-    on p-large grids the degree argument gives ceil((p-deg)/2) per side and
-    the rectangle cut family gives p-2-rho once part B of the construction is
-    active (p > 2(rho+2)-deg).  The trivial solution caps everything at dist.
+    on p-large grids the per-side costs of _sides (degree argument, then the
+    rectangle cut family) sum to k_min.  The trivial solution caps
+    everything at dist.
     """
     if not _is_canonical(gi):
         raise ValueError("grid_cut_lower_bound needs a canonical instance")
     if gi.p == 1:
         return 0
     dist = gi.dist()
+    if classify(gi) == P_LARGE:
+        return min(dist, _criteria(gi)[1])
     dx = abs(gi.s[0] - gi.t[0])
     dy = abs(gi.s[1] - gi.t[1])
-    rowcol = (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0)
-    sides = 0
-    if classify(gi) == P_LARGE:
-        ps = rim_profile(gi.n, gi.m, gi.s)
-        pt = rim_profile(gi.n, gi.m, gi.t)
-        for rho, deg in ((ps.rho, ps.deg), (pt.rho_dual, pt.deg)):
-            side = max(0, -(-(gi.p - deg) // 2))
-            if gi.p > 2 * (rho + 2) - deg:
-                side = max(side, gi.p - 2 - rho)
-            sides += side
-    return min(dist, max(rowcol, sides))
+    return min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0))
 
 
 # ---------------------------------------------------------------------------

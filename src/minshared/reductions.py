@@ -92,8 +92,6 @@ def reduction_constants(vc: VCInstance) -> ReductionConstants:
 @dataclass
 class RainbowTrace:
     location: str
-    left_terminal: int
-    right_terminal: int
     left_stub: list[int]   # M unit edges from the left terminal inward
     right_stub: list[int]  # M unit edges from the innermost attach to the right terminal
     bands: list[int]       # M band chains, innermost first
@@ -121,7 +119,6 @@ class CellTrace:
 @dataclass
 class HoleyTrace:
     rows: list[list[int]]                  # rows[i][j-1] = id of v'_{i,j}
-    junctions: Optional[list[list[int]]]   # directed only: X2 id per row/column
     cells: list[list[CellTrace]]
     rainbows: list[RainbowTrace]
     row_rainbow_in: list[Optional[int]]    # s-side rainbow index per row
@@ -202,10 +199,7 @@ def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
         bld.chain([(x_right - m_val + i, y), (x_right - m_val + i + 1, y)])
         for i in range(m_val)
     ]
-    rainbows.append(
-        RainbowTrace(location, bld.vertex((x_left, y)), bld.vertex((x_right, y)),
-                     left_stub, right_stub, bands)
-    )
+    rainbows.append(RainbowTrace(location, left_stub, right_stub, bands))
     return len(rainbows) - 1
 
 
@@ -455,13 +449,11 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
 
     # --- meta-grid rows
     rows: list[list[int]] = [[]]
-    junctions: Optional[list[list[int]]] = [[]] if directed else None
     cells: list[list[CellTrace]] = [[]]
     for i in range(1, nv + 1):
         y = row_y[i]
         x = x0
         row_ids = [bld.vertex((x, y))]
-        row_junctions: list[int] = []
         row_cells: list[CellTrace] = []
         for j in range(1, ne + 1):
             bare = plan.incident[i - 1][j - 1]
@@ -469,7 +461,6 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
             post: list[int] = []
             if directed:
                 pre.append(bld.chain([(x, y), (x + 1, y)]))
-                row_junctions.append(bld.vertex((x + 1, y)))
                 x += 1
                 body = b_len - 1 if j == ne else b_len
             else:
@@ -487,8 +478,6 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
             row_ids.append(bld.vertex((x, y)))
             row_cells.append(CellTrace(bare, pre, post, rb))
         rows.append(row_ids)
-        if directed:
-            junctions.append(row_junctions)
         cells.append(row_cells)
 
     # --- snake-chains between consecutive rows, as planned
@@ -547,7 +536,7 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
     graph = bld.graph()
     inst = Instance(graph, s_id, t_id, cons.p, budget)
     trace = HoleyTrace(
-        rows=rows, junctions=junctions, cells=cells, rainbows=rainbows,
+        rows=rows, cells=cells, rainbows=rainbows,
         row_rainbow_in=row_rainbow_in, row_rainbow_out=row_rainbow_out,
         a_chain_in=a_chain_in, a_chain_out=a_chain_out,
         branch_in=branch_in, branch_out=branch_out, snakes=snakes,

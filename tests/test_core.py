@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import minshared.core as core
 from minshared.core import (
     DIRECTED,
     UNDIRECTED,
@@ -67,6 +68,13 @@ class TestParse:
         again = parse_instance(serialize_instance(one))
         assert again == one
         assert serialize_instance(again) == serialize_instance(one)
+
+    def test_polylines_dropped_beyond_file_limit(self, monkeypatch):
+        bent = SuperEdge(0, 1, polyline=((0, 0), (2, 0), (2, 1)))
+        inst = Instance(Graph(UNDIRECTED, 2, (bent,), {0: (0, 0), 1: (2, 1)}), 0, 1, 1, 0)
+        assert "chain 0 1 3 0 0 1 0 2 0 2 1\n" in serialize_instance(inst)
+        monkeypatch.setattr(core, "POLYLINE_FILE_LIMIT", 2)
+        assert "chain 0 1 3\n" in serialize_instance(inst)
 
     def test_unknown_vertex(self):
         bad = MINIMAL.replace("edge 0 1", "edge 0 99").replace("vertices 2", "vertices 4")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from minshared.grid import (
     P_LARGE,
     P_NARROW,
     P_SMALL,
+    _criteria,
     _up_family,
     all_symmetries,
     build_witness_p_large,
@@ -25,7 +27,6 @@ from minshared.grid import (
     grid_cut_lower_bound,
     map_solution,
     materialize_grid,
-    rim_profile,
 )
 from minshared.solver import solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
@@ -40,19 +41,6 @@ class TestClassify:
 
     def test_narrow(self):
         assert classify(GridInstance(2, 5, (0, 0), (1, 4), 3, 0)) == P_NARROW
-
-
-class TestRim:
-    def test_profile(self):
-        prof = rim_profile(5, 4, (0, 2))
-        assert (prof.rho_x, prof.rho_y) == (0, 2)
-        assert (prof.rho_dual_x, prof.rho_dual_y) == (4, 1)
-        assert prof.deg == 3
-        assert prof.rho == 2 and prof.rho_dual == 5
-
-    def test_corner_degree(self):
-        assert rim_profile(3, 3, (0, 0)).deg == 2
-        assert rim_profile(3, 3, (1, 1)).deg == 4
 
 
 class TestCanonicalize:
@@ -72,9 +60,11 @@ class TestCanonicalize:
         # rho(s) > rho'(t): the canonical variant exchanges the two sides
         gi = GridInstance(6, 6, (3, 3), (5, 5), 4, 2)
         canon, _ = canonicalize(gi)
-        ps = rim_profile(canon.n, canon.m, canon.s)
-        pt = rim_profile(canon.n, canon.m, canon.t)
-        assert 2 * (ps.rho + 2) - ps.deg <= 2 * (pt.rho_dual + 2) - pt.deg
+        (sx, sy), (tx, ty), n, m = canon.s, canon.t, canon.n, canon.m
+        deg_s = (sx > 0) + (sx < n - 1) + (sy > 0) + (sy < m - 1)
+        deg_t = (tx > 0) + (tx < n - 1) + (ty > 0) + (ty < m - 1)
+        rho_s, rho_t = sx + sy, (n - 1 - tx) + (m - 1 - ty)
+        assert 2 * (rho_s + 2) - deg_s <= 2 * (rho_t + 2) - deg_t
 
     def test_every_instance_has_canonical_variant(self):
         for n in range(2, 6):
@@ -295,6 +285,53 @@ class TestMaterializeCalls:
         assert calls[0] == 1
         check = verify_solution(materialize_grid(gi), v.witness)
         assert v.answer and check.answer and check.shared_count == v.shared_count
+
+
+class TestOwnFrame:
+    def test_every_variant_matches_canonical_criteria_and_bound(self):
+        checked = 0
+        for n in range(3, 7):
+            for m in range(3, 7):
+                pts = [(x, y) for x in range(n) for y in range(m)]
+                for s, t in itertools.permutations(pts, 2):
+                    for p in range(1, min(n, m) + 1):
+                        gi = GridInstance(n, m, s, t, p, 0)
+                        if degenerate_alignment(gi):
+                            continue
+                        canon, _ = canonicalize(gi)
+                        expected = criteria_p_large(canon)
+                        assert min(gi.dist(), expected[1]) == grid_cut_lower_bound(canon)
+                        for sym in all_symmetries(gi):
+                            assert _criteria(sym.apply(gi)) == expected, (gi, sym)
+                        checked += 1
+        assert checked > 1000
+
+    @pytest.fixture
+    def canon_calls(self, monkeypatch):
+        count = [0]
+        original = grid_module.canonicalize
+
+        def counting(gi):
+            count[0] += 1
+            return original(gi)
+
+        monkeypatch.setattr(grid_module, "canonicalize", counting)
+        return count
+
+    def test_decision_never_canonicalises(self, canon_calls):
+        assert decide_grid(GridInstance(100, 100, (80, 70), (20, 30), 40, 36)).answer
+        assert not decide_grid(GridInstance(100, 100, (80, 70), (20, 30), 40, 35)).answer
+        assert canon_calls[0] == 0
+
+    def test_no_below_k_min_never_canonicalises(self, canon_calls):
+        v = decide_grid(GridInstance(9, 9, (8, 0), (0, 8), 5, 5), want_witness=True)
+        assert not v.answer and v.witness is None
+        assert canon_calls[0] == 0
+
+    def test_nontrivial_witness_canonicalises_once(self, canon_calls):
+        v = decide_grid(GridInstance(5, 5, (4, 4), (0, 0), 5, 6), want_witness=True)
+        assert v.answer and v.shared_count == 6 and v.witness is not None
+        assert canon_calls[0] == 1
 
 
 class TestFragments:

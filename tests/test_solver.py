@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minshared.core import (
     DIRECTED,
@@ -177,6 +179,33 @@ class TestOracleAgreement:
                 if solve_fpt_branching(Instance(g, 0, 2, p, k)).answer:
                     assert solve_fpt_branching(Instance(g, 0, 2, p, k + 1)).answer
                     assert solve_fpt_branching(Instance(g, 0, 2, p - 1, k)).answer
+
+
+@st.composite
+def small_instances(draw):
+    """Undirected or directed multigraphs with chains, small enough that no
+    solver guard fires: <= 5 vertices, <= 7 super-edges of length 1-3."""
+    n = draw(st.integers(2, 5))
+    edges = []
+    for _ in range(draw(st.integers(1, 7))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 2))
+        edges.append(SuperEdge(u, v + (v >= u), draw(st.integers(1, 3))))
+    g = Graph(draw(st.sampled_from([UNDIRECTED, DIRECTED])), n, tuple(edges))
+    s, t = draw(st.permutations(range(n)))[:2]
+    return Instance(g, s, t, draw(st.integers(1, 3)), draw(st.integers(0, 4)))
+
+
+class TestSolverAgreementProperty:
+    @given(small_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_three_solvers_agree_and_witnesses_verify(self, inst):
+        verdicts = [solver(inst) for solver in ALL_SOLVERS]
+        assert len({v.answer for v in verdicts}) == 1, verdicts
+        for v in verdicts:
+            if v.answer:
+                check = verify_solution(inst, v.witness)
+                assert check.answer and check.shared_count <= inst.k
 
 
 def _hexagon_digraph():

@@ -252,7 +252,10 @@ def verify_solution(inst: Instance, sol: Solution) -> Verdict:
     as it can be computed.
     """
     g = inst.graph
-    shared = sol.shared_count(g)
+    ids = sol.shared_edge_ids()  # sorted; an unknown one leaves the count unknown
+    shared = None
+    if not ids or (ids[0] >= 0 and ids[-1] < len(g.edges)):
+        shared = sum(g.edges[e].length for e in ids)
     if len(sol.paths) != inst.p:
         return Verdict(False, shared, reason=f"expected {inst.p} paths, got {len(sol.paths)}")
     for idx, path in enumerate(sol.paths):
@@ -385,12 +388,13 @@ def loop_erase(vertices: Sequence[Hashable]) -> list[int]:
     return kept
 
 
-def shortest_path(g: Graph, u: int, v: int) -> Optional[PathSeq]:
-    """A chain-length-weighted shortest u-v path, or None if v is unreachable.
+def shortest_path(g: Graph, u: int, v: int, limit: float = math.inf) -> Optional[PathSeq]:
+    """A chain-length-weighted shortest u-v path, or None if v is unreachable
+    or farther than `limit`.
 
     Dijkstra, relaxing each vertex's edges in edge-id order with strict
     improvement only, so ties go to the lowest edge id; it stops once v is
-    popped.
+    popped, or once the popped distance exceeds `limit`.
     """
     dist = {u: 0}
     parent: dict[int, tuple[int, int, bool]] = {}
@@ -398,6 +402,8 @@ def shortest_path(g: Graph, u: int, v: int) -> Optional[PathSeq]:
     edges, inc, directed = g.edges, g.incidence, g.directed
     while heap:
         d, x = heapq.heappop(heap)
+        if d > limit:
+            return None
         if x == v:
             break
         if d > dist[x]:

@@ -15,22 +15,36 @@ same as on the unit-edge expansion.
 
 Undirected edges are realised as anti-parallel arc pairs with a single signed
 net-flow variable per super-edge, so cancellation is automatic and a
-non-boosted edge carries at most one total unit.  Capacities only ever rise
-under boosting, so a flow found for a boost set is feasible for every
-superset and can seed the next search (`start=`).  Everything is
+non-boosted edge carries at most one total unit.  Everything is
 deterministic: ties break by lowest edge id.
+
+Capacities only ever rise under boosting, so a flow found for a boost set is
+feasible for every superset and can seed the next search (`start=`).  A
+`FlowResult` below the ceiling also keeps what its last, failing residual
+search saw: the BFS parent of every source-side vertex and the blocked edges
+leaving that side.  Boosting more edges under the same ceiling changes the
+residual graph only on the newly boosted edges, so a start like that is
+resumed rather than searched again: the BFS continues from the source-side
+ends of the new edges, and the cut is the old and new blocked edges whose far
+end stays unreached.  The source side of a maximum flow is the same for every
+maximum flow, so a resumed search finds the same min cut as a cold one.
+`FlowResult` is frozen, so a flow cannot change after the search that saw it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .core import Instance, PathSeq, loop_erase
 # not used here: kept importable under this name because tracing tools wrap
 # minshared.flow.expand_chains
 from .core import expand_chains  # noqa: F401
+
+# par[v] of a residual search: (parent vertex, edge id, forward), None if unreached
+Parents = list[Optional[tuple[int, int, bool]]]
 
 
 @dataclass(frozen=True)
@@ -45,11 +59,16 @@ class BoostedCaps:
             raise ValueError("ceiling must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowResult:
     value: int
-    arc_flow: list[int]  # signed net flow per super-edge, tail to head
+    arc_flow: tuple[int, ...]  # signed net flow per super-edge, tail to head
     min_cut: Optional[frozenset[int]] = None  # super-edge ids; set when value < ceiling
+    # below the ceiling, (instance, caps, parents, blocked edges) of the failing
+    # search: the blocked edges are (edge id, unreached far end) of every cut
+    # edge.  Set by max_flow_boosted alone, so hand-built and replace()d
+    # results have none.
+    _side: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 class _Net:
@@ -58,6 +77,7 @@ class _Net:
     def __init__(self, inst: Instance, caps: BoostedCaps, flow: list[int]):
         g = inst.graph
         self.directed = g.directed
+        self.edges = g.edges
         self.adj = g.incidence
         self.cap = [1] * len(g.edges)
         for eid in caps.boosted:
@@ -71,17 +91,40 @@ class _Net:
             return self.flow[eid]
         return self.cap[eid] + self.flow[eid]
 
-    def search(self, s: int, t: int) -> dict[int, tuple[int, int, bool]]:
-        """BFS tree of the residual graph from s, neighbours scanned in
-        edge-id order: vertex -> (parent, edge id, forward).  It stops once t
-        is reached; otherwise its keys are everything reachable from s."""
-        cap, flow, directed = self.cap, self.flow, self.directed
-        tree = {s: (s, -1, True)}
-        q = deque([s])
-        while q and t not in tree:
-            u = q.popleft()
-            for eid, v, fwd in self.adj[u]:
-                if v in tree:
+    def fresh(self, s: int) -> tuple[Parents, deque, list[tuple[int, int]]]:
+        """Search state for a BFS from s: parents, queue, blocked edges."""
+        par: Parents = [None] * len(self.adj)
+        par[s] = (s, -1, True)
+        return par, deque([s]), []
+
+    def reopen(self, par: Parents, blocked: list[tuple[int, int]],
+               new: frozenset[int]) -> tuple[Parents, deque, list[tuple[int, int]]]:
+        """Search state that resumes a failing search made on this network's
+        flow under a subset of its boosts: only the `new` boosted edges can
+        lead out of that search's source side, so the far ends they now
+        reach are the queue."""
+        par, queue = list(par), deque()
+        for eid in sorted(new):
+            e = self.edges[eid]
+            for u, v, fwd in ((e.tail, e.head, True), (e.head, e.tail, False)):
+                if par[u] is not None and par[v] is None and self.residual(eid, fwd) > 0:
+                    par[v] = (u, eid, fwd)
+                    queue.append(v)
+        return par, queue, blocked
+
+    def search(self, par: Parents, queue: deque, t: int, blocked: list[tuple[int, int]]) -> bool:
+        """Continue a BFS of the residual graph, neighbours scanned in edge-id
+        order, from the reached vertices in `queue`.  It returns True once t
+        is reached.  Otherwise every vertex reachable from the first search's
+        root has its parent in `par`, and `blocked` has gained (edge id, far
+        end) for every cut-direction arc without room that it met towards an
+        unreached vertex."""
+        cap, flow, directed, adj = self.cap, self.flow, self.directed, self.adj
+        popleft, append, record = queue.popleft, queue.append, blocked.append
+        while queue:
+            u = popleft()
+            for eid, v, fwd in adj[u]:
+                if par[v] is not None:
                     continue
                 # self.residual(eid, fwd) > 0, inlined: this is the hot loop
                 if fwd:
@@ -89,36 +132,64 @@ class _Net:
                 else:
                     room = flow[eid] if directed else cap[eid] + flow[eid]
                 if room > 0:
-                    tree[v] = (u, eid, fwd)
-                    q.append(v)
-        return tree
+                    par[v] = (u, eid, fwd)
+                    if v == t:
+                        return True
+                    append(v)
+                elif fwd or not directed:
+                    record((eid, v))
+        return False
 
-    def augment(self, tree: dict[int, tuple[int, int, bool]], s: int, t: int, limit: int) -> int:
+    def augment(self, par: Parents, s: int, t: int, limit: int) -> int:
         """Push the bottleneck (at most `limit`) along the tree path to t."""
         amount = limit
         v = t
         while v != s:
-            v, eid, fwd = tree[v]
+            v, eid, fwd = par[v]
             amount = min(amount, self.residual(eid, fwd))
         v = t
         while v != s:
-            v, eid, fwd = tree[v]
+            v, eid, fwd = par[v]
             self.flow[eid] += amount if fwd else -amount
         return amount
 
 
+def _resumable(inst: Instance, caps: BoostedCaps, start: Optional[FlowResult]
+               ) -> Optional[tuple[Parents, list[tuple[int, int]], frozenset[int]]]:
+    """The parents and blocked edges of `start`'s failing search, and the
+    newly boosted edges, if this call can resume that search: the same
+    instance and ceiling, and at least its boosts."""
+    if start is None or start._side is None:
+        return None
+    side_inst, side_caps, par, blocked = start._side
+    if (side_inst is not inst or side_caps.ceiling != caps.ceiling
+            or not side_caps.boosted <= caps.boosted):
+        return None
+    return par, blocked, caps.boosted - side_caps.boosted
+
+
 def _check_start(inst: Instance, caps: BoostedCaps, start: FlowResult):
     """Raise ValueError unless `start` fits the capacities of `caps`."""
-    if len(start.arc_flow) != len(inst.graph.edges):
+    flow = start.arc_flow
+    if len(flow) != len(inst.graph.edges):
         raise ValueError("start flow has the wrong number of edges")
     if start.value > caps.ceiling:
         raise ValueError(f"start flow value {start.value} exceeds the ceiling {caps.ceiling}")
     low = 0 if inst.graph.directed else -1
-    # only boosted edges may carry more than one unit, so test those alone
-    for eid in [eid for eid, f in enumerate(start.arc_flow) if f > 1 or f < low]:
-        f, c = start.arc_flow[eid], caps.ceiling if eid in caps.boosted else 1
-        if not low * c <= f <= c:
-            raise ValueError(f"start flow {f} on edge {eid} exceeds its capacity {c}")
+    if not flow or (max(flow) <= 1 and min(flow) >= low):
+        return
+    # only boosted edges may carry more than one unit: test those alone, then
+    # every other edge at once with the boosted ones blanked out
+    for eid in sorted(caps.boosted):
+        if not low * caps.ceiling <= flow[eid] <= caps.ceiling:
+            raise ValueError(f"start flow {flow[eid]} on edge {eid} exceeds its "
+                             f"capacity {caps.ceiling}")
+    rest = list(flow)
+    for eid in caps.boosted:
+        rest[eid] = 0
+    for f in (max(rest), min(rest)):
+        if not low <= f <= 1:
+            raise ValueError(f"start flow {f} on edge {rest.index(f)} exceeds its capacity 1")
 
 
 def max_flow_boosted(inst: Instance, caps: BoostedCaps,
@@ -127,28 +198,37 @@ def max_flow_boosted(inst: Instance, caps: BoostedCaps,
 
     `start`, a flow on the same instance (typically the result for a subset
     of caps.boosted), seeds the augmentation; it must fit the capacities of
-    `caps` or ValueError is raised.
+    `caps` or ValueError is raised.  A below-ceiling start computed on this
+    instance under a subset of caps.boosted and the same ceiling resumes its
+    failing search from the newly boosted edges; any other start is
+    searched from s.
     """
     g = inst.graph
+    s, t, ceiling = inst.s, inst.t, caps.ceiling
+    side = _resumable(inst, caps, start)
     if start is None:
-        result = FlowResult(0, [0] * len(g.edges))
+        value, flow = 0, [0] * len(g.edges)
     else:
-        _check_start(inst, caps, start)
-        result = FlowResult(start.value, list(start.arc_flow))
-    net = _Net(inst, caps, result.arc_flow)
-    while result.value < caps.ceiling:
-        tree = net.search(inst.s, inst.t)
-        if inst.t in tree:
-            result.value += net.augment(tree, inst.s, inst.t, caps.ceiling - result.value)
+        if side is None:
+            _check_start(inst, caps, start)
+        value, flow = start.value, list(start.arc_flow)
+    net = _Net(inst, caps, flow)
+    par, queue, old_blocked = net.fresh(s) if side is None else net.reopen(*side)
+    while value < ceiling:
+        blocked: list[tuple[int, int]] = []
+        if par[t] is not None or net.search(par, queue, t, blocked):
+            value += net.augment(par, s, t, ceiling - value)
+            par, queue, old_blocked = net.fresh(s)
             continue
         # no augmenting path: the search reached exactly the source side, and
-        # the cut is every edge leaving it (in either direction if undirected)
-        cut = frozenset(eid for u in tree for eid, v, fwd in net.adj[u]
-                        if v not in tree and (fwd or not g.directed))
+        # the cut is every blocked edge whose far end it never reached
+        blocked = [b for b in chain(old_blocked, blocked) if par[b[1]] is None]
+        cut = frozenset(eid for eid, _ in blocked)
         assert caps.boosted.isdisjoint(cut), "boosted edge in a < ceiling cut"
-        result.min_cut = cut
-        break
-    return result
+        result = FlowResult(value, tuple(flow), cut)
+        object.__setattr__(result, "_side", (inst, caps, par, blocked))
+        return result
+    return FlowResult(value, tuple(flow))
 
 
 def min_cut_boosted(inst: Instance, caps: BoostedCaps) -> frozenset[int]:

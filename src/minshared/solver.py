@@ -11,14 +11,16 @@ Three routes to the same answer, used to cross-check each other:
 
 Each branching child is warm-started from its parent's flow: boosting only
 raises capacities, so that flow stays feasible and the child needs at most
-p - value new augmentations instead of p.
+p - value new augmentations instead of p.  The child also resumes the
+parent's last, failing residual search from the one edge it boosts instead
+of searching the whole graph again (see `flow`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (Graph, Instance, PathSeq, Solution, Verdict, distance, loop_erase,
                    shortest_path, verify_solution)
@@ -106,11 +108,11 @@ def solve_exhaustive_paths(inst: Instance) -> Verdict:
 
 def _trivial_verdict(inst: Instance, method: str) -> Optional[Verdict]:
     """The trivial solution (p identical shortest paths) when dist(s,t) <= k."""
-    g = inst.graph
-    if distance(g, inst.s, inst.t) > inst.k:
+    path = shortest_path(inst.graph, inst.s, inst.t, limit=inst.k)
+    if path is None:
         return None
-    witness = Solution((shortest_path(g, inst.s, inst.t),) * inst.p)
-    return Verdict(True, witness.shared_count(g), witness, method=method,
+    witness = Solution((path,) * inst.p)
+    return Verdict(True, witness.shared_count(inst.graph), witness, method=method,
                    shared_set=frozenset(witness.shared_edge_ids()))
 
 
@@ -163,6 +165,8 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
     branching is complete; boosting a chain charges its full length against
     the budget, and cut edges longer than the remaining budget are pruned.
     Identical boost sets reached along different branch orders are memoised.
+    The depth-first search keeps an explicit stack, so the number of boosts
+    along a branch is not bounded by the interpreter's recursion limit.
     """
     g = inst.graph
     trivial = _trivial_verdict(inst, "branching")
@@ -171,33 +175,31 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
 
     lengths = [e.length for e in g.edges]
     nodes = 0
-    memo: dict[frozenset[int], bool] = {}
-
-    def rec(boosts: frozenset[int], budget: int,
-            start: Optional[FlowResult]) -> Optional[tuple[Solution, frozenset[int]]]:
-        nonlocal nodes
+    dead: set[frozenset[int]] = set()  # boost sets whose whole subtree failed
+    # one frame per node on the current branch: (boosts, budget, its flow,
+    # the cut edges not yet branched on, in ascending id order)
+    frames: list[tuple[frozenset[int], int, FlowResult, Iterator[int]]] = []
+    node: Optional[tuple[frozenset[int], int, Optional[FlowResult]]] = (frozenset(), inst.k, None)
+    while node is not None:
+        boosts, budget, start = node
         nodes += 1
-        if boosts in memo:
-            return None  # known dead end
-        caps = BoostedCaps(boosts, inst.p)
-        fr = max_flow_boosted(inst, caps, start=start)
-        if fr.value >= inst.p:
-            return Solution(tuple(decompose_to_paths(inst, fr, inst.p))), boosts
-        if budget > 0:
-            for eid in sorted(fr.min_cut):
-                if lengths[eid] <= budget:
-                    got = rec(boosts | {eid}, budget - lengths[eid], fr)
-                    if got is not None:
-                        return got
-        memo[boosts] = False
-        return None
-
-    got = rec(frozenset(), inst.k, None)
-    if got is None:
-        return Verdict(False, method="branching", nodes_explored=nodes)
-    witness, boosts = got
-    return Verdict(True, witness.shared_count(g), witness, method="branching",
-                   shared_set=boosts, nodes_explored=nodes)
+        if boosts not in dead:
+            fr = max_flow_boosted(inst, BoostedCaps(boosts, inst.p), start=start)
+            if fr.value >= inst.p:
+                witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+                return Verdict(True, witness.shared_count(g), witness, method="branching",
+                               shared_set=boosts, nodes_explored=nodes)
+            frames.append((boosts, budget, fr, iter(sorted(fr.min_cut) if budget > 0 else ())))
+        node = None
+        while frames and node is None:
+            boosts, budget, fr, pending = frames[-1]
+            eid = next((e for e in pending if lengths[e] <= budget), None)
+            if eid is None:
+                dead.add(boosts)
+                frames.pop()
+            else:
+                node = (boosts | {eid}, budget - lengths[eid], fr)
+    return Verdict(False, method="branching", nodes_explored=nodes)
 
 
 def extract_witness(report: Verdict, inst: Instance) -> Solution:

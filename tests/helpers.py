@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from hypothesis import strategies as st
+
 from minshared.core import DIRECTED, UNDIRECTED, Graph, Instance, SuperEdge
 
 
@@ -194,3 +196,32 @@ def st_orbit_pairs(n, pairs):
 
 def make_instance(graph, s, t, p, k):
     return Instance(graph, s, t, p, k)
+
+
+TOKEN_POOL = ("-3", "-1", "0", "1", "2", "3", "7", "x", "1.5", "mse", "msesol", "vc",
+              "mode", "directed", "vertices", "edge", "chain", "coord", "path", "paths",
+              "k", "p", "s", "t", "0+", "1-", "#")
+
+
+def mutate_text(draw, text):
+    """`text` with 1-4 tokens or lines dropped, duplicated or altered, for a
+    Hypothesis `draw`."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "dup", "alter", "drop-line", "dup-line")))
+        if kind == "drop-line":
+            del lines[i]
+        elif kind == "dup-line":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if kind == "drop":
+                del lines[i][j]
+            elif kind == "dup":
+                lines[i].insert(j, lines[i][j])
+            else:
+                lines[i][j] = draw(st.sampled_from(TOKEN_POOL))
+        if not lines:
+            break
+    return "\n".join(" ".join(line) for line in lines) + "\n"

@@ -1,15 +1,23 @@
+import contextlib
+import io
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minshared import cli
 from minshared.cli import RenderSpec, main, render_embedding
-from minshared.core import parse_instance, parse_solution, serialize_instance, verify_solution
+from minshared.core import (parse_instance, parse_solution, serialize_instance,
+                            serialize_solution, verify_solution)
 from minshared.grid import GridInstance, materialize_grid
 from minshared.vc import serialize_vc, gen_vc_deg3, VCInstance
 
-from helpers import cycle4, grid_graph
+from helpers import cycle4, grid_graph, mutate_text
 from minshared.core import Instance
+from minshared.solver import solve_fpt_branching
 
 
 @pytest.fixture
@@ -285,3 +293,63 @@ class TestNormalize:
         for p in out_sol.paths:
             used.update(p.edge_ids())
         assert not ({6, 7} <= used)
+
+
+# an undirected and a directed instance; their witnesses share 2 and 3 unit
+# edges, so budgets of 0-4 put `verify` on both sides of its answer
+CLI_INSTANCES = (
+    Instance(cycle4(), 0, 2, 3, 2),
+    parse_instance("mse 1\nmode directed\nvertices 4\ns 0\nt 3\np 2\nk 3\n"
+                   "edge 0 1\nchain 1 3 3\nedge 0 2\nedge 2 1\nchain 2 3 2\n"),
+)
+CLI_WITNESSES = tuple(serialize_solution(solve_fpt_branching(inst).witness)
+                      for inst in CLI_INSTANCES)
+
+
+@st.composite
+def cli_runs(draw):
+    """The arguments and input files of one `solve`, `verify` or
+    `grid-decide` run: budgets on both sides of the answer, and files or
+    arguments that are sometimes mutated or out of range."""
+    command = draw(st.sampled_from(("solve", "verify", "grid-decide")))
+    if command == "grid-decide":
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        args = [n, m, draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)),
+                draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)),
+                draw(st.integers(1, 8)), draw(st.integers(0, 5))]
+        if draw(st.integers(0, 4)) == 0:
+            args[draw(st.integers(0, 7))] = draw(st.sampled_from((-1, 0, 7, "x")))
+        return [command] + [str(a) for a in args], {}
+    which = draw(st.integers(0, len(CLI_INSTANCES) - 1))
+    inst = serialize_instance(replace(CLI_INSTANCES[which], k=draw(st.integers(0, 4))))
+    files = {"i.mse": mutate_text(draw, inst) if draw(st.booleans()) else inst}
+    if command == "solve":
+        method = draw(st.sampled_from(("exhaustive", "enum", "fpt")))
+        return [command, "i.mse", "--method", method], files
+    sol = CLI_WITNESSES[which]
+    files["w.msesol"] = mutate_text(draw, sol) if draw(st.booleans()) else sol
+    return [command, "i.mse", "w.msesol"], files
+
+
+class TestExitCodes:
+    @given(cli_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_matches_answer(self, run):
+        # 0 and 1 are answers and say so on stdout; 2 (usage) and 3 (limit)
+        # print none; 4 (internal error) never happens
+        argv, files = run
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = [os.path.join(tmp, a) if a in files else a for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        answers = [line for line in out.getvalue().splitlines() if line.startswith("answer ")]
+        assert code in (0, 1, 2, 3), (argv, files)
+        want = {0: ["answer yes"], 1: ["answer no"]}.get(code, [])
+        assert answers == want, (argv, files, code)

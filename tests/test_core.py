@@ -28,7 +28,7 @@ from minshared.core import (
 
 from minshared.vc import parse_vc
 
-from helpers import cycle4, graph_from_edges, grid_graph, grid_vertex, path_graph
+from helpers import cycle4, graph_from_edges, grid_graph, grid_vertex, mutate_text, path_graph
 
 MINIMAL = """mse 1
 mode undirected
@@ -105,6 +105,14 @@ class TestVerify:
         path = PathSeq(tuple((i, True) for i in range(4)))
         v = verify_solution(inst, Solution((path,) * 3))
         assert v.answer and v.shared_count == 4
+
+    def test_unknown_shared_edge_rejected(self):
+        # a shared edge id beyond the graph is a rejection, not an IndexError
+        inst = Instance(path_graph(3), 0, 2, 2, 4)
+        path = PathSeq(((0, True), (2, True)))
+        v = verify_solution(inst, Solution((path, path)))
+        assert not v.answer and v.shared_count is None
+        assert v.reason == "path 0: unknown edge 2"
 
     def test_cycle_multiset(self):
         # 4-cycle, s=v0, t=v2, paths {top, top, bottom} -> shared 2
@@ -245,6 +253,14 @@ class TestDistance:
         g = graph_from_edges(3, [(0, 1), (1, 2)], DIRECTED)
         assert distance(g, 0, 2) == 2
         assert math.isinf(distance(g, 2, 0))
+
+    def test_limit_stops_beyond_budget(self):
+        # a path no longer than the limit is the unbounded one; a farther
+        # target is not reached
+        g = Graph(UNDIRECTED, 3, (SuperEdge(0, 1, 4), SuperEdge(1, 2, 3), SuperEdge(0, 2, 9)))
+        assert core.shortest_path(g, 0, 2, limit=7) == core.shortest_path(g, 0, 2)
+        assert core.shortest_path(g, 0, 2, limit=6) is None
+        assert core.shortest_path(g, 0, 1, limit=4).steps == ((0, True),)
 
     @given(st.integers(2, 4), st.integers(2, 4))
     @settings(max_examples=20, deadline=None)
@@ -566,9 +582,6 @@ VALID_TEXTS = (
     (parse_solution, "msesol 1\npaths 2\npath 0+ 2-\npath 1+\n"),
     (parse_vc, "vc 1\nvertices 4\nk 2\nedge 0 1\nedge 1 2\nedge 2 3\n"),
 )
-TOKEN_POOL = ("-3", "-1", "0", "1", "2", "3", "7", "x", "1.5", "mse", "msesol", "vc",
-              "mode", "directed", "vertices", "edge", "chain", "coord", "path", "paths",
-              "k", "p", "s", "t", "0+", "1-", "#")
 
 
 @st.composite
@@ -576,25 +589,7 @@ def mutated_texts(draw):
     """A valid mse/msesol/vc text with 1-4 tokens or lines dropped,
     duplicated or altered."""
     parser, text = draw(st.sampled_from(VALID_TEXTS))
-    lines = [line.split() for line in text.splitlines()]
-    for _ in range(draw(st.integers(1, 4))):
-        i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(("drop", "dup", "alter", "drop-line", "dup-line")))
-        if kind == "drop-line":
-            del lines[i]
-        elif kind == "dup-line":
-            lines.insert(i, list(lines[i]))
-        elif lines[i]:
-            j = draw(st.integers(0, len(lines[i]) - 1))
-            if kind == "drop":
-                del lines[i][j]
-            elif kind == "dup":
-                lines[i].insert(j, lines[i][j])
-            else:
-                lines[i][j] = draw(st.sampled_from(TOKEN_POOL))
-        if not lines:
-            break
-    return parser, "\n".join(" ".join(line) for line in lines) + "\n"
+    return parser, mutate_text(draw, text)
 
 
 class TestParserFuzz:

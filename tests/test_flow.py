@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from minshared.core import (
     expand_chains,
     verify_solution,
 )
+import minshared.flow as flow
 from minshared.flow import BoostedCaps, decompose_to_paths, max_flow_boosted, min_cut_boosted
 from minshared.reductions import synthesize_holey_witness, vc_to_holey_grid, vc_to_manhattan_dag
 from minshared.vc import VCInstance
@@ -287,6 +288,100 @@ class TestWarmStart:
         start = max_flow_boosted(inst, boosted([], 2))
         with pytest.raises(ValueError):
             max_flow_boosted(inst, boosted([], 1), start=start)
+
+
+def fits(inst, caps, fr):
+    """Reference start check: the value is within the ceiling and every edge
+    carries at most its capacity, in each direction it may be used."""
+    low = 0 if inst.graph.directed else -1
+    cap = [caps.ceiling if eid in caps.boosted else 1 for eid in range(len(inst.graph.edges))]
+    return fr.value <= caps.ceiling and all(low * c <= f <= c for f, c in zip(fr.arc_flow, cap))
+
+
+def assert_is_cold(inst, caps, got):
+    """`got` has the value and min cut of a cold search, and decomposes into
+    verified paths whose shared edges are boosted."""
+    cold = max_flow_boosted(inst, caps)
+    assert (got.value, got.min_cut) == (cold.value, cold.min_cut)
+    if got.value:
+        sol = Solution(tuple(decompose_to_paths(inst, got, got.value)))
+        assert verify_solution(replace(inst, p=got.value), sol).answer
+        assert set(sol.shared_edge_ids()) <= caps.boosted
+
+
+class TestResumedSearch:
+    @pytest.mark.parametrize("mode", [UNDIRECTED, DIRECTED])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_chained_starts(self, mode, data):
+        # grandparent -> parent -> child; each step grows the boost set by
+        # one or more edges, or draws an unrelated set, or changes the
+        # ceiling.  A start that fits must give the cold answer whether it is
+        # resumed (below its ceiling, same ceiling, subset of boosts) or not.
+        g = data.draw(graphs(mode))
+        if not g.edges:
+            return
+        ids = range(len(g.edges))
+        ceiling = data.draw(st.integers(1, 4))
+        boosts = draw_boosts(data, g)
+        inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
+        fr = max_flow_boosted(inst, BoostedCaps(boosts, ceiling))
+        for _ in range(2):
+            step = data.draw(st.sampled_from(("grow", "grow", "unrelated", "ceiling")))
+            if step == "grow":
+                fresh = [eid for eid in ids if eid not in boosts]
+                if fresh:
+                    boosts = boosts | data.draw(st.sets(st.sampled_from(fresh), min_size=1,
+                                                        max_size=2))
+            elif step == "unrelated":
+                boosts = draw_boosts(data, g)
+            else:
+                ceiling = data.draw(st.integers(1, 4))
+            caps = BoostedCaps(boosts, ceiling)
+            if not fits(inst, caps, fr):
+                with pytest.raises(ValueError):
+                    max_flow_boosted(inst, caps, start=fr)
+                return
+            fr = max_flow_boosted(inst, caps, start=fr)
+            assert_is_cold(inst, caps, fr)
+
+    @staticmethod
+    def first_queues(monkeypatch):
+        """The queue every residual search starts from, in call order."""
+        seen = []
+        search = flow._Net.search
+
+        def spy(net, par, queue, t, blocked):
+            seen.append(list(queue))
+            return search(net, par, queue, t, blocked)
+
+        monkeypatch.setattr(flow._Net, "search", spy)
+        return seen
+
+    def test_child_resumes_past_the_old_source_side(self, monkeypatch):
+        # on a path the cut is one bridge; the child that boosts it searches
+        # on from the bridge's far end, while every start it cannot resume
+        # is searched from s
+        inst = Instance(path_graph(5), 0, 4, 2, 0)
+        root = max_flow_boosted(inst, boosted([], 2))
+        assert (root.value, root.min_cut) == (1, {0})
+        seen = self.first_queues(monkeypatch)
+        child = max_flow_boosted(inst, boosted([0], 2), start=root)
+        assert seen == [[1]] and child.min_cut == {1}
+        for caps, start in ((boosted([0], 3), root), (boosted([0], 2), replace(root)),
+                            (boosted([1], 2), child)):
+            seen.clear()
+            max_flow_boosted(inst, caps, start=start)
+            assert seen[0] == [0], caps
+
+    def test_result_is_frozen(self):
+        fr = max_flow_boosted(Instance(cycle4(), 0, 2, 3, 0), boosted([], 3))
+        with pytest.raises(FrozenInstanceError):
+            fr.value = 3
+        with pytest.raises(FrozenInstanceError):
+            fr.min_cut = frozenset()
+        with pytest.raises(TypeError):
+            fr.arc_flow[0] = 0
 
 
 class TestCompiledCertificate:

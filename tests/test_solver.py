@@ -16,6 +16,7 @@ from minshared.core import (
     SuperEdge,
     verify_solution,
 )
+import minshared.solver as solver
 from minshared.solver import (
     GuardExceeded,
     enumerate_simple_paths,
@@ -125,6 +126,42 @@ class TestBranching:
         rep = solve_fpt_branching(Instance(g, s, t, 5, 6))
         assert rep.answer
         assert verify_solution(Instance(g, s, t, 5, 6), rep.witness).answer
+
+    def test_trivial_yes_runs_one_bounded_dijkstra(self, monkeypatch):
+        calls = []
+        shortest_path = solver.shortest_path
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return shortest_path(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "shortest_path", counted)
+        monkeypatch.setattr(solver, "distance", None)  # must not be called
+        assert solve_fpt_branching(Instance(path_graph(3), 0, 2, 4, 2)).answer
+        assert not solve_fpt_branching(Instance(path_graph(3), 0, 2, 4, 1)).answer
+        assert calls == [{"limit": 2}, {"limit": 1}]
+
+    # (grid n, m, s, t, p, k) -> (answer, nodes, shared set), recorded from the
+    # recursive search this explicit stack replaced: same child order, memo
+    # and node count
+    @pytest.mark.parametrize("case, want", [
+        ((4, 4, (0, 0), (3, 3), 4, 3), (False, 19, None)),
+        ((4, 6, (0, 0), (3, 5), 4, 3), (False, 19, None)),
+        ((5, 5, (0, 1), (4, 3), 4, 2), (True, 7, [2, 33])),
+        ((4, 6, (1, 0), (2, 5), 4, 2), (True, 7, [11, 21])),
+    ])
+    def test_search_tree_pinned(self, case, want):
+        n, m, (sx, sy), (tx, ty), p, k = case
+        rep = solve_fpt_branching(Instance(grid_graph(n, m), grid_vertex(m, sx, sy),
+                                           grid_vertex(m, tx, ty), p, k))
+        shared = sorted(rep.shared_set) if rep.answer else None
+        assert (rep.answer, rep.nodes_explored, shared) == want
+
+    def test_deep_search_without_recursion(self):
+        # every edge of the path is a bridge, so each level boosts one more
+        # and the search runs 1,100 boosts deep before the budget runs out
+        rep = solve_fpt_branching(Instance(path_graph(1200), 0, 1199, 2, 1100))
+        assert not rep.answer and rep.nodes_explored == 1101
 
     def test_node_bound_on_unit_graphs(self):
         g = cycle4()

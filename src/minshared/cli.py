@@ -2,9 +2,10 @@
 compilation, composition, normalisation and figure emission.
 
 Exit codes: 0 success (or answer yes), 1 answer no / rejected, 2 usage error,
-3 guard or layout limit.  Verdicts are machine readable: `answer yes|no`,
-`shared <int>`, `method <name>` lines on stdout.  All randomness is seeded
-(`--seed`); outputs never depend on wall clock or environment.
+3 guard or layout limit, 4 internal error (a bug, never an answer).  Verdicts
+are machine readable: `answer yes|no`, `shared <int>`, `method <name>` and
+`reason <text>` lines on stdout.  All randomness is seeded (`--seed`);
+outputs never depend on wall clock or environment.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (
     serialize_solution,
     verify_solution,
 )
-from .grid import GridInstance, decide_grid
+from .grid import GridInstance, decide_grid, materialize_grid
 from .reductions import (
     LayoutError,
     classify_malformed,
@@ -200,8 +201,6 @@ def _cmd_grid_decide(args) -> int:
 
 
 def _cmd_grid_witness(args) -> int:
-    from .grid import materialize_grid
-
     gi = _grid_from_args(args)
     verdict = decide_grid(gi, want_witness=True)
     _print_verdict(verdict)

@@ -1,34 +1,37 @@
-"""Max-flow with a boosted edge set, min cuts and path decomposition.
+"""Max-flow capped at p with a boosted edge set, and path decomposition.
 
-Boosting an edge to capacity `ceiling` (= p) is the flow-side stand-in for
-declaring it shared: a flow of value p under boosted capacities decomposes
-into p paths whose shared edges all lie in the boosted set, and conversely
-the indicator vectors of any p-path solution sum to such a flow.
+Boosting an edge to capacity p is the flow-side stand-in for declaring it
+shared: a flow of value p under boosted capacities decomposes into p paths
+whose shared edges all lie in the boosted set, and conversely the indicator
+vectors of any p-path solution sum to such a flow.  So the one question
+asked here is: with this edge set boosted to p, does the flow reach p, and
+if not, which min cut stops it?  `max_flow_boosted` answers it.
 
 The residual network runs on the super-edges of the compressed graph; chains
 are never expanded.  A chain's interior vertices have degree 2, so flow
 conservation makes every unit edge of a chain carry the same flow: a chain
 of L unit edges of capacity 1 carries exactly what one capacity-1 edge does,
-and a boosted chain exactly what one capacity-`ceiling` edge does.  Flow
-values, and therefore the residual reachable set and every min cut, are the
-same as on the unit-edge expansion.
+and a boosted chain exactly what one capacity-p edge does.  Flow values, and
+therefore the residual reachable set and every min cut, are the same as on
+the unit-edge expansion.
 
 Undirected edges are realised as anti-parallel arc pairs with a single signed
 net-flow variable per super-edge, so cancellation is automatic and a
 non-boosted edge carries at most one total unit.  Everything is
 deterministic: ties break by lowest edge id.
 
-Capacities only ever rise under boosting, so a flow found for a boost set is
-feasible for every superset and can seed the next search (`start=`).  A
-`FlowResult` below the ceiling also keeps what its last, failing residual
-search saw: the BFS parent of every source-side vertex and the blocked edges
-leaving that side.  Boosting more edges under the same ceiling changes the
-residual graph only on the newly boosted edges, so a start like that is
-resumed rather than searched again: the BFS continues from the source-side
-ends of the new edges, and the cut is the old and new blocked edges whose far
-end stays unreached.  The source side of a maximum flow is the same for every
+A search is started cold, from the zero flow, or resumed from its parent: a
+below-p result this function returned for the same instance under a subset
+of the boosts.  Capacities only rise under boosting, so the parent's flow
+stays feasible, and the residual graph changes only on the newly boosted
+edges.  The parent's result keeps what its last, failing residual search
+saw: the BFS parent of every source-side vertex and the blocked edges
+leaving that side.  The child's BFS continues from the source-side ends of
+the new edges, and its cut is the old and new blocked edges whose far end
+stays unreached.  The source side of a maximum flow is the same for every
 maximum flow, so a resumed search finds the same min cut as a cold one.
-`FlowResult` is frozen, so a flow cannot change after the search that saw it.
+Every other start raises ValueError.  `FlowResult` is frozen, so a flow
+cannot change after the search that saw it.
 """
 
 from __future__ import annotations
@@ -48,40 +51,28 @@ Parents = list[Optional[tuple[int, int, bool]]]
 
 
 @dataclass(frozen=True)
-class BoostedCaps:
-    """Capacity ceiling for boosted super-edges, 1 per super-edge otherwise."""
-
-    boosted: frozenset[int]
-    ceiling: int
-
-    def __post_init__(self):
-        if self.ceiling < 1:
-            raise ValueError("ceiling must be positive")
-
-
-@dataclass(frozen=True)
 class FlowResult:
     value: int
     arc_flow: tuple[int, ...]  # signed net flow per super-edge, tail to head
-    min_cut: Optional[frozenset[int]] = None  # super-edge ids; set when value < ceiling
-    # below the ceiling, (instance, caps, parents, blocked edges) of the failing
-    # search: the blocked edges are (edge id, unreached far end) of every cut
-    # edge.  Set by max_flow_boosted alone, so hand-built and replace()d
-    # results have none.
+    min_cut: Optional[frozenset[int]] = None  # super-edge ids; set when value < p
+    # below p, (instance, boosted, parents, blocked edges) of the failing
+    # search, which a child under more boosts resumes: the blocked edges are
+    # (edge id, unreached far end) of every cut edge.  Set by max_flow_boosted
+    # alone, so hand-built and replace()d results have none.
     _side: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 class _Net:
     """Residual network over the super-edges."""
 
-    def __init__(self, inst: Instance, caps: BoostedCaps, flow: list[int]):
+    def __init__(self, inst: Instance, boosted: frozenset[int], flow: list[int]):
         g = inst.graph
         self.directed = g.directed
         self.edges = g.edges
         self.adj = g.incidence
         self.cap = [1] * len(g.edges)
-        for eid in caps.boosted:
-            self.cap[eid] = caps.ceiling
+        for eid in boosted:
+            self.cap[eid] = inst.p
         self.flow = flow
 
     def residual(self, eid: int, fwd: bool) -> int:
@@ -97,12 +88,11 @@ class _Net:
         par[s] = (s, -1, True)
         return par, deque([s]), []
 
-    def reopen(self, par: Parents, blocked: list[tuple[int, int]],
-               new: frozenset[int]) -> tuple[Parents, deque, list[tuple[int, int]]]:
-        """Search state that resumes a failing search made on this network's
-        flow under a subset of its boosts: only the `new` boosted edges can
-        lead out of that search's source side, so the far ends they now
-        reach are the queue."""
+    def reopen(self, par: Parents, new: frozenset[int]) -> tuple[Parents, deque]:
+        """Parents and queue that resume a failing search made on this
+        network's flow under a subset of its boosts: only the `new` boosted
+        edges can lead out of that search's source side, so the far ends they
+        now reach are the queue."""
         par, queue = list(par), deque()
         for eid in sorted(new):
             e = self.edges[eid]
@@ -110,7 +100,7 @@ class _Net:
                 if par[u] is not None and par[v] is None and self.residual(eid, fwd) > 0:
                     par[v] = (u, eid, fwd)
                     queue.append(v)
-        return par, queue, blocked
+        return par, queue
 
     def search(self, par: Parents, queue: deque, t: int, blocked: list[tuple[int, int]]) -> bool:
         """Continue a BFS of the residual graph, neighbours scanned in edge-id
@@ -154,92 +144,43 @@ class _Net:
         return amount
 
 
-def _resumable(inst: Instance, caps: BoostedCaps, start: Optional[FlowResult]
-               ) -> Optional[tuple[Parents, list[tuple[int, int]], frozenset[int]]]:
-    """The parents and blocked edges of `start`'s failing search, and the
-    newly boosted edges, if this call can resume that search: the same
-    instance and ceiling, and at least its boosts."""
-    if start is None or start._side is None:
-        return None
-    side_inst, side_caps, par, blocked = start._side
-    if (side_inst is not inst or side_caps.ceiling != caps.ceiling
-            or not side_caps.boosted <= caps.boosted):
-        return None
-    return par, blocked, caps.boosted - side_caps.boosted
-
-
-def _check_start(inst: Instance, caps: BoostedCaps, start: FlowResult):
-    """Raise ValueError unless `start` fits the capacities of `caps`."""
-    flow = start.arc_flow
-    if len(flow) != len(inst.graph.edges):
-        raise ValueError("start flow has the wrong number of edges")
-    if start.value > caps.ceiling:
-        raise ValueError(f"start flow value {start.value} exceeds the ceiling {caps.ceiling}")
-    low = 0 if inst.graph.directed else -1
-    if not flow or (max(flow) <= 1 and min(flow) >= low):
-        return
-    # only boosted edges may carry more than one unit: test those alone, then
-    # every other edge at once with the boosted ones blanked out
-    for eid in sorted(caps.boosted):
-        if not low * caps.ceiling <= flow[eid] <= caps.ceiling:
-            raise ValueError(f"start flow {flow[eid]} on edge {eid} exceeds its "
-                             f"capacity {caps.ceiling}")
-    rest = list(flow)
-    for eid in caps.boosted:
-        rest[eid] = 0
-    for f in (max(rest), min(rest)):
-        if not low <= f <= 1:
-            raise ValueError(f"start flow {f} on edge {rest.index(f)} exceeds its capacity 1")
-
-
-def max_flow_boosted(inst: Instance, caps: BoostedCaps,
+def max_flow_boosted(inst: Instance, boosted: frozenset[int],
                      start: Optional[FlowResult] = None) -> FlowResult:
-    """Max s-t flow under boosted capacities, capped at caps.ceiling.
+    """Max s-t flow with the `boosted` super-edges at capacity inst.p and
+    every other one at 1, capped at inst.p.
 
-    `start`, a flow on the same instance (typically the result for a subset
-    of caps.boosted), seeds the augmentation; it must fit the capacities of
-    `caps` or ValueError is raised.  A below-ceiling start computed on this
-    instance under a subset of caps.boosted and the same ceiling resumes its
-    failing search from the newly boosted edges; any other start is
-    searched from s.
+    Without `start` the search begins from the zero flow.  `start` may only
+    be a below-p result of this function for the same `inst` object under a
+    subset of `boosted`; its failing search is resumed from the newly boosted
+    edges.  Any other start raises ValueError.
     """
-    g = inst.graph
-    s, t, ceiling = inst.s, inst.t, caps.ceiling
-    side = _resumable(inst, caps, start)
+    s, t, p = inst.s, inst.t, inst.p
     if start is None:
-        value, flow = 0, [0] * len(g.edges)
+        value, net = 0, _Net(inst, boosted, [0] * len(inst.graph.edges))
+        par, queue, old_blocked = net.fresh(s)
     else:
-        if side is None:
-            _check_start(inst, caps, start)
-        value, flow = start.value, list(start.arc_flow)
-    net = _Net(inst, caps, flow)
-    par, queue, old_blocked = net.fresh(s) if side is None else net.reopen(*side)
-    while value < ceiling:
+        side = start._side
+        if side is None or side[0] is not inst or not side[1] <= boosted:
+            raise ValueError("a start must be a below-p flow of this instance "
+                             "under a subset of the boosts")
+        _, old_boosts, old_par, old_blocked = side
+        value, net = start.value, _Net(inst, boosted, list(start.arc_flow))
+        par, queue = net.reopen(old_par, boosted - old_boosts)
+    while value < p:
         blocked: list[tuple[int, int]] = []
         if par[t] is not None or net.search(par, queue, t, blocked):
-            value += net.augment(par, s, t, ceiling - value)
+            value += net.augment(par, s, t, p - value)
             par, queue, old_blocked = net.fresh(s)
             continue
         # no augmenting path: the search reached exactly the source side, and
         # the cut is every blocked edge whose far end it never reached
         blocked = [b for b in chain(old_blocked, blocked) if par[b[1]] is None]
         cut = frozenset(eid for eid, _ in blocked)
-        assert caps.boosted.isdisjoint(cut), "boosted edge in a < ceiling cut"
-        result = FlowResult(value, tuple(flow), cut)
-        object.__setattr__(result, "_side", (inst, caps, par, blocked))
+        assert boosted.isdisjoint(cut), "boosted edge in a < p cut"
+        result = FlowResult(value, tuple(net.flow), cut)
+        object.__setattr__(result, "_side", (inst, boosted, par, blocked))
         return result
-    return FlowResult(value, tuple(flow))
-
-
-def min_cut_boosted(inst: Instance, caps: BoostedCaps) -> frozenset[int]:
-    """A cut of capacity < ceiling made of non-boosted super-edges.
-
-    Only defined when the boosted max flow is below the ceiling.
-    """
-    fr = max_flow_boosted(inst, caps)
-    if fr.value >= caps.ceiling:
-        raise ValueError("no small cut: flow reaches the ceiling")
-    return fr.min_cut
+    return FlowResult(value, tuple(net.flow))
 
 
 def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathSeq]:

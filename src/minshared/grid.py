@@ -220,7 +220,7 @@ def decide_small(gi: GridInstance) -> Verdict:
     if classify(gi) != P_SMALL:
         raise ValueError("decide_small needs a p-small instance")
     if gi.dist() <= gi.k:
-        return Verdict(True, shared_count=gi.dist() if gi.p >= 2 else 0, method="small")
+        return Verdict(True, shared_count=gi.dist(), method="small")
     return Verdict(False, method="small")
 
 
@@ -285,8 +285,10 @@ def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
 
 def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     """Full grid decision: closed-form for p-small/p-large, solver fallback
-    for p-narrow.  Decisions read the instance as given; only a non-trivial
-    p-large witness is built on the canonical variant and mapped back."""
+    for p-narrow and the degenerate band.  A fallback verdict says which of
+    the two fired in its `reason` and carries the solver's `nodes_explored`.
+    Decisions read the instance as given; only a non-trivial p-large witness
+    is built on the canonical variant and mapped back."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
@@ -313,8 +315,10 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
         return Verdict(True, shared_count=shared, witness=witness, method="criteria",
                        certificate=(case_id, k_min), reason=reason)
     rep = solve_fpt_branching(materialize_grid(gi))
+    reason = "fallback: p-narrow" if cls == P_NARROW else "fallback: degenerate alignment"
     return Verdict(rep.answer, witness=rep.witness if want_witness else None,
-                   shared_count=rep.shared_count, method="fallback")
+                   shared_count=rep.shared_count, method="fallback", reason=reason,
+                   nodes_explored=rep.nodes_explored)
 
 
 def map_solution(sol: Solution, canon: GridInstance, sym: GridSymmetry,

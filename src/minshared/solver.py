@@ -9,11 +9,14 @@ Three routes to the same answer, used to cross-check each other:
 * solve_fpt_branching - branch on the edges of a < p cut, boosting one per
   child; the search tree has at most (p-1)^k nodes on unit-edge graphs.
 
-Each branching child is warm-started from its parent's flow: boosting only
-raises capacities, so that flow stays feasible and the child needs at most
-p - value new augmentations instead of p.  The child also resumes the
+Every flow here is `flow.max_flow_boosted` on the instance itself: the
+candidate shared set boosted to p, capped at p.  The enumeration oracle
+starts each flow cold.  Each branching child starts from its parent's
+below-p result, the only start the flow layer accepts: boosting only raises
+capacities, so that flow stays feasible and the child needs at most
+p - value new augmentations instead of p, and the child resumes the
 parent's last, failing residual search from the one edge it boosts instead
-of searching the whole graph again (see `flow`).
+of searching the whole graph again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterator, Optional
 
 from .core import (Graph, Instance, PathSeq, Solution, Verdict, distance, loop_erase,
                    shortest_path, verify_solution)
-from .flow import BoostedCaps, FlowResult, decompose_to_paths, max_flow_boosted
+from .flow import FlowResult, decompose_to_paths, max_flow_boosted
 
 
 class GuardExceeded(RuntimeError):
@@ -149,8 +152,7 @@ def solve_enum_oracle(inst: Instance) -> Verdict:
     nodes = 0
     for sub in _subsets_within_budget(g, inst.k):
         nodes += 1
-        caps = BoostedCaps(sub, inst.p)
-        fr = max_flow_boosted(inst, caps)
+        fr = max_flow_boosted(inst, sub)
         if fr.value >= inst.p:
             witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
             return Verdict(True, witness.shared_count(g), witness, method="enum",
@@ -184,7 +186,7 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
         boosts, budget, start = node
         nodes += 1
         if boosts not in dead:
-            fr = max_flow_boosted(inst, BoostedCaps(boosts, inst.p), start=start)
+            fr = max_flow_boosted(inst, boosts, start=start)
             if fr.value >= inst.p:
                 witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
                 return Verdict(True, witness.shared_count(g), witness, method="branching",

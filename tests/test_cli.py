@@ -96,6 +96,16 @@ class TestGrid:
     def test_decide_no(self, capsys):
         assert main(["grid-decide", "3", "3", "0", "0", "2", "2", "4", "3"]) == 1
 
+    @pytest.mark.parametrize("args, code, lines", [
+        (["2", "5", "0", "0", "1", "4", "3", "2"], 1,
+         ["answer no", "method fallback", "reason fallback: p-narrow"]),
+        (["4", "4", "0", "0", "3", "1", "3", "1"], 0,
+         ["answer yes", "shared 1", "method fallback", "reason fallback: degenerate alignment"]),
+    ])
+    def test_decide_fallback_reason(self, capsys, args, code, lines):
+        assert main(["grid-decide", *args]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_witness_fallback_reason(self, tmp_path, capsys):
         code = main(["grid-witness", "5", "5", "0", "0", "2", "2", "3", "1",
                      "--out", str(tmp_path / "w.msesol")])

@@ -15,7 +15,7 @@ from minshared.core import (
     verify_solution,
 )
 import minshared.flow as flow
-from minshared.flow import BoostedCaps, decompose_to_paths, max_flow_boosted, min_cut_boosted
+from minshared.flow import decompose_to_paths, max_flow_boosted
 from minshared.reductions import synthesize_holey_witness, vc_to_holey_grid, vc_to_manhattan_dag
 from minshared.vc import VCInstance
 
@@ -40,7 +40,9 @@ graphs = st.composite(random_multigraph)
 
 
 def boosted(ids, ceiling):
-    return BoostedCaps(frozenset(ids), ceiling)
+    """The boost set `ids`.  `ceiling` is the cap the call site reads; the
+    flow takes it from the instance's p."""
+    return frozenset(ids)
 
 
 class TestMaxFlow:
@@ -80,7 +82,7 @@ class TestMinCut:
     def test_cycle_cut(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 0)
-        cut = min_cut_boosted(inst, boosted([], 3))
+        cut = max_flow_boosted(inst, boosted([], 3)).min_cut
         assert len(cut) == 2
         # removing the cut disconnects t
         from minshared.core import Graph, distance
@@ -92,25 +94,26 @@ class TestMinCut:
     def test_bridge_cut(self):
         g = path_graph(3)
         inst = Instance(g, 0, 2, 2, 0)
-        cut = min_cut_boosted(inst, boosted([], 2))
+        cut = max_flow_boosted(inst, boosted([], 2)).min_cut
         assert len(cut) == 1 and cut <= {0, 1}
 
     def test_grid_corner_cut(self):
         g = grid_graph(3, 3)
         inst = Instance(g, grid_vertex(3, 0, 0), grid_vertex(3, 2, 2), 4, 0)
-        cut = min_cut_boosted(inst, boosted([], 4))
+        cut = max_flow_boosted(inst, boosted([], 4)).min_cut
         assert len(cut) <= 3
 
     def test_cut_requires_small_flow(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 2, 0)
-        with pytest.raises(ValueError):
-            min_cut_boosted(inst, boosted([], 2))
+        # a flow that reaches p has no cut below p
+        fr = max_flow_boosted(inst, boosted([], 2))
+        assert fr.value == 2 and fr.min_cut is None
 
     def test_cut_avoids_boosted(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 4, 0)
-        cut = min_cut_boosted(inst, boosted([0], 4))
+        cut = max_flow_boosted(inst, boosted([0], 4)).min_cut
         assert 0 not in cut
 
 
@@ -139,7 +142,7 @@ class TestDecompose:
         g = grid_graph(4, 4)
         s, t = grid_vertex(4, 1, 1), grid_vertex(4, 2, 2)
         inst = Instance(g, s, t, 3, 0)
-        fr = max_flow_boosted(inst, boosted([], 5))
+        fr = max_flow_boosted(replace(inst, p=5), boosted([], 5))
         assert fr.value == 4
         paths = decompose_to_paths(inst, fr, 3)
         v = verify_solution(inst, Solution(tuple(paths)))
@@ -150,7 +153,7 @@ class TestDecompose:
         # a 3-path subset decomposition must still verify
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 8)
-        fr = max_flow_boosted(inst, boosted([0, 1], 5))
+        fr = max_flow_boosted(replace(inst, p=5), boosted([0, 1], 5))
         assert fr.value == 5
         paths = decompose_to_paths(inst, fr, 3)
         sol = Solution(tuple(paths))
@@ -196,7 +199,7 @@ class TestDecomposeProperty:
             data.draw(st.integers(0, len(g.edges) - 1)) for _ in range(boost_count)
         )
         inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
-        fr = max_flow_boosted(inst, BoostedCaps(boosts, ceiling))
+        fr = max_flow_boosted(inst, boosts)
         if fr.value == 0:
             return
         count = data.draw(st.integers(1, fr.value))
@@ -214,7 +217,7 @@ class TestDecomposeProperty:
         from minshared.core import distance
 
         inst = Instance(g, 0, g.vertex_count - 1, 3, 0)
-        fr = max_flow_boosted(inst, BoostedCaps(frozenset(), 3))
+        fr = max_flow_boosted(inst, frozenset())
         if fr.value >= 3:
             return
         cut = fr.min_cut
@@ -242,8 +245,8 @@ class TestCompressedNetwork:
         inst = Instance(g, 0, g.vertex_count - 1, ceiling, 0)
         exp = expand_chains(g)
         units = frozenset(u for sid in boosts for u in exp.runs[sid])
-        fr = max_flow_boosted(inst, BoostedCaps(boosts, ceiling))
-        unit_fr = max_flow_boosted(exp.expand_instance(inst), BoostedCaps(units, ceiling))
+        fr = max_flow_boosted(inst, boosts)
+        unit_fr = max_flow_boosted(exp.expand_instance(inst), units)
         assert fr.value == unit_fr.value
         if unit_fr.min_cut is None:
             assert fr.min_cut is None
@@ -263,10 +266,14 @@ class TestWarmStart:
         boosts = draw_boosts(data, g)
         subset = frozenset(b for b in sorted(boosts) if data.draw(st.booleans()))
         inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
-        parent = max_flow_boosted(inst, BoostedCaps(subset, ceiling))
-        caps = BoostedCaps(boosts, ceiling)
-        warm = max_flow_boosted(inst, caps, start=parent)
-        cold = max_flow_boosted(inst, caps)
+        parent = max_flow_boosted(inst, subset)
+        if parent.min_cut is None:
+            # a parent at p has no failing search to resume
+            with pytest.raises(ValueError):
+                max_flow_boosted(inst, boosts, start=parent)
+            return
+        warm = max_flow_boosted(inst, boosts, start=parent)
+        cold = max_flow_boosted(inst, boosts)
         assert (warm.value, warm.min_cut) == (cold.value, cold.min_cut)
         if warm.value:
             paths = decompose_to_paths(inst, warm, warm.value)
@@ -290,23 +297,15 @@ class TestWarmStart:
             max_flow_boosted(inst, boosted([], 1), start=start)
 
 
-def fits(inst, caps, fr):
-    """Reference start check: the value is within the ceiling and every edge
-    carries at most its capacity, in each direction it may be used."""
-    low = 0 if inst.graph.directed else -1
-    cap = [caps.ceiling if eid in caps.boosted else 1 for eid in range(len(inst.graph.edges))]
-    return fr.value <= caps.ceiling and all(low * c <= f <= c for f, c in zip(fr.arc_flow, cap))
-
-
-def assert_is_cold(inst, caps, got):
+def assert_is_cold(inst, boosts, got):
     """`got` has the value and min cut of a cold search, and decomposes into
     verified paths whose shared edges are boosted."""
-    cold = max_flow_boosted(inst, caps)
+    cold = max_flow_boosted(inst, boosts)
     assert (got.value, got.min_cut) == (cold.value, cold.min_cut)
     if got.value:
         sol = Solution(tuple(decompose_to_paths(inst, got, got.value)))
         assert verify_solution(replace(inst, p=got.value), sol).answer
-        assert set(sol.shared_edge_ids()) <= caps.boosted
+        assert set(sol.shared_edge_ids()) <= boosts
 
 
 class TestResumedSearch:
@@ -314,36 +313,39 @@ class TestResumedSearch:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_chained_starts(self, mode, data):
-        # grandparent -> parent -> child; each step grows the boost set by
-        # one or more edges, or draws an unrelated set, or changes the
-        # ceiling.  A start that fits must give the cold answer whether it is
-        # resumed (below its ceiling, same ceiling, subset of boosts) or not.
+        # grandparent -> parent -> child.  A step that grows the boost set by
+        # one or more edges from a below-p result must give the cold answer.
+        # A step to a boost set that drops an edge, or to another p (a new
+        # instance), must raise ValueError, and so must any step from a
+        # result at p.
         g = data.draw(graphs(mode))
         if not g.edges:
             return
         ids = range(len(g.edges))
-        ceiling = data.draw(st.integers(1, 4))
         boosts = draw_boosts(data, g)
-        inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
-        fr = max_flow_boosted(inst, BoostedCaps(boosts, ceiling))
+        inst = Instance(g, 0, g.vertex_count - 1, data.draw(st.integers(1, 4)), 10**6)
+        fr = max_flow_boosted(inst, boosts)
         for _ in range(2):
-            step = data.draw(st.sampled_from(("grow", "grow", "unrelated", "ceiling")))
+            steps = ("grow", "grow", "ceiling") + (("unrelated",) if boosts else ())
+            step = data.draw(st.sampled_from(steps))
+            child_inst, child_boosts = inst, boosts
             if step == "grow":
                 fresh = [eid for eid in ids if eid not in boosts]
                 if fresh:
-                    boosts = boosts | data.draw(st.sets(st.sampled_from(fresh), min_size=1,
-                                                        max_size=2))
+                    child_boosts = boosts | data.draw(st.sets(st.sampled_from(fresh), min_size=1,
+                                                              max_size=2))
             elif step == "unrelated":
-                boosts = draw_boosts(data, g)
+                dropped = data.draw(st.sampled_from(sorted(boosts)))
+                child_boosts = draw_boosts(data, g) - {dropped}
             else:
-                ceiling = data.draw(st.integers(1, 4))
-            caps = BoostedCaps(boosts, ceiling)
-            if not fits(inst, caps, fr):
+                child_inst = replace(inst, p=data.draw(st.integers(1, 4)))
+            if step != "grow" or fr.min_cut is None:
                 with pytest.raises(ValueError):
-                    max_flow_boosted(inst, caps, start=fr)
+                    max_flow_boosted(child_inst, child_boosts, start=fr)
                 return
-            fr = max_flow_boosted(inst, caps, start=fr)
-            assert_is_cold(inst, caps, fr)
+            boosts = child_boosts
+            fr = max_flow_boosted(inst, boosts, start=fr)
+            assert_is_cold(inst, boosts, fr)
 
     @staticmethod
     def first_queues(monkeypatch):
@@ -361,18 +363,21 @@ class TestResumedSearch:
     def test_child_resumes_past_the_old_source_side(self, monkeypatch):
         # on a path the cut is one bridge; the child that boosts it searches
         # on from the bridge's far end, while every start it cannot resume
-        # is searched from s
+        # raises before any search
         inst = Instance(path_graph(5), 0, 4, 2, 0)
         root = max_flow_boosted(inst, boosted([], 2))
         assert (root.value, root.min_cut) == (1, {0})
         seen = self.first_queues(monkeypatch)
         child = max_flow_boosted(inst, boosted([0], 2), start=root)
         assert seen == [[1]] and child.min_cut == {1}
-        for caps, start in ((boosted([0], 3), root), (boosted([0], 2), replace(root)),
-                            (boosted([1], 2), child)):
+        # another p, an equal but distinct instance, a replace()d start and
+        # a start under boosts that are not a subset
+        for other, ids, start in ((replace(inst, p=3), [0], root), (replace(inst), [0], root),
+                                  (inst, [0], replace(root)), (inst, [1], child)):
             seen.clear()
-            max_flow_boosted(inst, caps, start=start)
-            assert seen[0] == [0], caps
+            with pytest.raises(ValueError):
+                max_flow_boosted(other, boosted(ids, other.p), start=start)
+            assert seen == [], ids
 
     def test_result_is_frozen(self):
         fr = max_flow_boosted(Instance(cycle4(), 0, 2, 3, 0), boosted([], 3))
@@ -394,7 +399,7 @@ class TestCompiledCertificate:
         assert inst.graph.unit_size() > 10**8
         witness = synthesize_holey_witness(art, {0, 2})
         shared = frozenset(witness.shared_edge_ids())
-        fr = max_flow_boosted(inst, BoostedCaps(shared, inst.p))
+        fr = max_flow_boosted(inst, shared)
         assert fr.value == inst.p
         sol = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
         assert verify_solution(inst, sol).answer

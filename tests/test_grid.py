@@ -132,6 +132,20 @@ class TestDecideGrid:
         assert v.method == "fallback"
         assert v.answer == solve_enum_oracle(materialize_grid(gi)).answer
 
+    @pytest.mark.parametrize("gi, reason", [
+        (GridInstance(2, 5, (0, 0), (1, 4), 3, 2), "fallback: p-narrow"),
+        (GridInstance(3, 5, (0, 0), (2, 4), 4, 4), "fallback: p-narrow"),
+        (GridInstance(4, 4, (0, 0), (3, 1), 3, 1), "fallback: degenerate alignment"),
+    ])
+    def test_fallback_says_why_and_how_hard(self, gi, reason):
+        v = decide_grid(gi, want_witness=True)
+        rep = solve_fpt_branching(materialize_grid(gi))
+        assert (v.method, v.reason) == ("fallback", reason)
+        assert (v.answer, v.nodes_explored) == (rep.answer, rep.nodes_explored)
+        assert v.nodes_explored > 1
+        if v.answer:
+            assert verify_solution(materialize_grid(gi), v.witness).answer
+
     def test_p_one_always_yes(self):
         v = decide_grid(GridInstance(4, 4, (0, 0), (3, 3), 1, 0), want_witness=True)
         assert v.answer and v.witness is not None

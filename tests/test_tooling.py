@@ -1,10 +1,16 @@
 """The benchmark's tracer (bench/tracing.py) wraps package functions by the
 module attribute names their callers use, so renaming or deleting one of
-them breaks `bench/run.py --trace 1`.  This test catches that here."""
+them breaks `bench/run.py --trace 1`; and each wrapper must pass every
+argument through, `start=` of the branching solver's flow calls included.
+These tests catch both here."""
 
 import os
 
 import minshared.core as C
+import minshared.solver as S
+from minshared.core import Instance
+
+from helpers import grid_graph, grid_vertex
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
 
@@ -25,3 +31,36 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert C.parse_instance is original
     assert [span[0] for span in tracer.spans] == ["core.parse"]
+
+
+def test_tracer_times_a_branching_search(monkeypatch):
+    # the flow wrapper must pass the parent's result through as `start=`:
+    # every flow call but the root's resumes one, so a wrapper that dropped
+    # it would cold-start the children, and one that broke it would raise
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    inst = Instance(grid_graph(5, 5), grid_vertex(5, 0, 1), grid_vertex(5, 4, 3), 4, 2)
+    untraced = S.solve_fpt_branching(inst)
+    flow_calls = []
+    original = S.max_flow_boosted
+
+    def counted(*args, **kwargs):
+        flow_calls.append(kwargs.get("start"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(S, "max_flow_boosted", counted)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rep = S.solve_fpt_branching(inst)
+    finally:
+        tracer.uninstall()
+    assert S.max_flow_boosted is counted
+    assert (rep.answer, rep.nodes_explored, rep.shared_set) == (
+        untraced.answer, untraced.nodes_explored, untraced.shared_set)
+    assert len(rep.shared_set) == 2  # the answer takes two levels of branching
+    spans = [span[0] for span in tracer.spans]
+    assert spans.count("flow.max_flow") == len(flow_calls) > 1
+    assert flow_calls[0] is None and all(start is not None for start in flow_calls[1:])
+    assert tracer.counts["solver.nodes"] == rep.nodes_explored > 1

@@ -33,8 +33,6 @@ from .reductions import (
     classify_malformed,
     or_compose,
     serialize_trace,
-    synthesize_holey_witness,
-    undirected_to_directed,
     vc_to_holey_grid,
     vc_to_manhattan_dag,
 )

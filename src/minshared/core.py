@@ -314,30 +314,6 @@ class Expansion:
     def expand_solution(self, sol: Solution) -> Solution:
         return Solution(tuple(self.expand_path(p) for p in sol.paths))
 
-    def compress_path(self, path: PathSeq) -> PathSeq:
-        """Inverse of expand_path; unit steps must cover whole chains."""
-        steps: list[tuple[int, bool]] = []
-        i = 0
-        seq = path.steps
-        while i < len(seq):
-            uid, fwd = seq[i]
-            sup = self.owner[uid]
-            run = self.runs[sup]
-            ell = len(run)
-            chunk = seq[i : i + ell]
-            if fwd:
-                want = tuple((u, True) for u in run)
-            else:
-                want = tuple((u, False) for u in reversed(run))
-            if tuple(chunk) != want:
-                raise ValueError(f"unit steps at {i} do not traverse chain {sup} atomically")
-            steps.append((sup, fwd))
-            i += ell
-        return PathSeq(tuple(steps))
-
-    def compress_solution(self, sol: Solution) -> Solution:
-        return Solution(tuple(self.compress_path(p) for p in sol.paths))
-
 
 def expand_chains(g: Graph) -> Expansion:
     """Replace every length-L super-edge by L unit edges via fresh vertices."""

@@ -10,11 +10,11 @@ A grid instance is classified against the path count p:
 * p-narrow (neither): delegated to the generic branching solver and flagged.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
-transpose x swapping s and t), and decide_grid reads them in the instance's
-own frame: the degenerate band test is frame-free, and each terminal's rim
-distance is measured from the corner away from the other terminal.  Only the
-p-large witness construction runs on the canonical variant (canonicalize),
-and its paths are mapped back.
+transpose x swapping s and t), and every public entry point takes an instance
+in its own frame: the degenerate band test is frame-free, and each terminal's
+rim distance is measured from the corner away from the other terminal.  Only
+the p-large witness builder works on the canonical variant (canonicalize)
+internally, and it returns paths in the caller's frame.
 """
 
 from __future__ import annotations
@@ -112,21 +112,17 @@ def all_symmetries(gi: GridInstance):
         yield GridSymmetry(gi.n, gi.m, fx, fy, tr, sw)
 
 
-def _is_canonical(gi: GridInstance) -> bool:
-    s, t = gi.s, gi.t
-    if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
-        return False
-    (threshold_s, _), (threshold_t, _) = _sides(gi)
-    return threshold_s <= threshold_t
-
-
 def canonicalize(gi: GridInstance) -> tuple[GridInstance, GridSymmetry]:
     """A variant with s left/below t, rho_x(s) <= rho_y(s), and the s side no
     harder than the t side; always exists among the 16."""
     best = None
     for sym in all_symmetries(gi):
         cand = sym.apply(gi)
-        if not _is_canonical(cand):
+        s, t = cand.s, cand.t
+        if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
+            continue
+        (threshold_s, _), (threshold_t, _) = _sides(cand)
+        if threshold_s > threshold_t:
             continue
         key = (cand.n, cand.m, cand.s, cand.t, sym.flip_x, sym.flip_y, sym.transpose, sym.swap)
         if best is None or key < best[0]:
@@ -147,7 +143,7 @@ def materialize_grid(gi: GridInstance) -> Instance:
     """The n x m grid as an Instance with canonical coords and polylines.
 
     Edges are numbered per point (x major, then y), right edge then up edge;
-    edge_id and edge_ends give that numbering in closed form.
+    edge_id gives that numbering in closed form.
     """
     edges = []
     coords = {}
@@ -180,30 +176,8 @@ def edge_id(n: int, m: int, a: Point, b: Point) -> tuple[int, bool]:
     return x * (2 * m - 1) + y * (1 + r) + up * r, fwd
 
 
-def edge_ends(n: int, m: int, eid: int) -> tuple[Point, Point]:
-    """(tail, head) points of edge `eid`; the inverse of edge_id."""
-    x = min(eid // (2 * m - 1), n - 1)
-    y, up = eid - x * (2 * m - 1), 1
-    if x + 1 < n:
-        y, up = divmod(y, 2)
-    return (x, y), ((x, y + 1) if up else (x + 1, y))
-
-
 def _points_to_pathseq(gi: GridInstance, pts: list[Point]) -> PathSeq:
     return PathSeq(tuple(edge_id(gi.n, gi.m, a, b) for a, b in zip(pts, pts[1:])))
-
-
-def _path_points(gi: GridInstance, path: PathSeq) -> list[Point]:
-    """The lattice points a path on gi's grid visits from gi.s."""
-    pts = [gi.s]
-    for eid, fwd in path.steps:
-        a, b = edge_ends(gi.n, gi.m, eid)
-        if not fwd:
-            a, b = b, a
-        if a != pts[-1]:
-            raise ValueError(f"step on edge {eid} does not chain (at point {pts[-1]})")
-        pts.append(b)
-    return pts
 
 
 def _trivial_witness(gi: GridInstance) -> Solution:
@@ -262,33 +236,25 @@ def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
     return sides[0], sides[1]
 
 
-def _criteria(gi: GridInstance) -> tuple[int, int]:
-    """(case id, k_min) in gi's own frame: the case is 1 plus the number of
-    sides over their threshold, k_min the sum of the two side costs."""
-    sides = _sides(gi)
-    return 1 + sum(gi.p > threshold for threshold, _ in sides), sum(c for _, c in sides)
-
-
 def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
-    """(case id, minimum budget for a non-trivial solution) on a canonical
-    p-large instance.
+    """(case id, minimum budget for a non-trivial solution) on a p-large
+    instance in any frame: the case is 1 plus the number of sides over their
+    _sides threshold, the budget the sum of the two side costs.
 
     The closed form is the fragment construction's budget; it is exact
     whenever s and t are at least two rows and two columns apart (see
     degenerate_alignment)."""
     if classify(gi) != P_LARGE:
         raise ValueError("criteria_p_large needs a p-large instance")
-    if not _is_canonical(gi):
-        raise ValueError("criteria_p_large needs a canonical instance")
-    return _criteria(gi)
+    sides = _sides(gi)
+    return 1 + sum(gi.p > threshold for threshold, _ in sides), sum(c for _, c in sides)
 
 
 def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     """Full grid decision: closed-form for p-small/p-large, solver fallback
     for p-narrow and the degenerate band.  A fallback verdict says which of
     the two fired in its `reason` and carries the solver's `nodes_explored`.
-    Decisions read the instance as given; only a non-trivial p-large witness
-    is built on the canonical variant and mapped back."""
+    Decisions and witnesses are in the instance's own frame."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
@@ -299,17 +265,15 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
             verdict = replace(verdict, witness=_trivial_witness(gi))
         return verdict
     if cls == P_LARGE and not degenerate_alignment(gi):
-        case_id, k_min = _criteria(gi)
+        case_id, k_min = criteria_p_large(gi)
         trivial = gi.dist() <= gi.k
         nontrivial = gi.k >= k_min
         if not (trivial or nontrivial):
             return Verdict(False, method="criteria", certificate=(case_id, k_min))
         witness = shared = reason = None
         if want_witness and nontrivial:
-            canon, sym = canonicalize(gi)
-            sol = build_witness_p_large(canon)
-            witness = map_solution(sol, canon, sym, gi)
-            shared, reason = sol.shared, sol.reason
+            sol = build_witness_p_large(gi)
+            witness, shared, reason = Solution(sol.paths), sol.shared, sol.reason
         elif want_witness:
             witness, shared = _trivial_witness(gi), gi.dist()
         return Verdict(True, shared_count=shared, witness=witness, method="criteria",
@@ -321,36 +285,23 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
                    nodes_explored=rep.nodes_explored)
 
 
-def map_solution(sol: Solution, canon: GridInstance, sym: GridSymmetry,
-                 original: GridInstance) -> Solution:
-    """Carry a witness on the canonical grid back to the original instance."""
-    paths = []
-    for path in sol.paths:
-        back = [sym.inverse(q) for q in _path_points(canon, path)]
-        if sym.swap:
-            back.reverse()
-        paths.append(_points_to_pathseq(original, back))
-    return Solution(tuple(paths))
-
-
 # ---------------------------------------------------------------------------
 # cut-based lower bound
 
 def grid_cut_lower_bound(gi: GridInstance) -> int:
-    """A certified lower bound on the minimum number of shared edges.
+    """A certified lower bound on the minimum number of shared edges, for an
+    instance in any frame.
 
     Row/column cuts give dist(s, t) whenever the crossed dimension is below p;
     on p-large grids the per-side costs of _sides (degree argument, then the
     rectangle cut family) sum to k_min.  The trivial solution caps
     everything at dist.
     """
-    if not _is_canonical(gi):
-        raise ValueError("grid_cut_lower_bound needs a canonical instance")
     if gi.p == 1:
         return 0
     dist = gi.dist()
     if classify(gi) == P_LARGE:
-        return min(dist, _criteria(gi)[1])
+        return min(dist, criteria_p_large(gi)[1])
     dx = abs(gi.s[0] - gi.t[0])
     dy = abs(gi.s[1] - gi.t[1])
     return min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0))
@@ -457,28 +408,28 @@ def _candidate(gi: GridInstance, u: int, r: int) -> Optional[Solution]:
 
 
 def build_witness_p_large(gi: GridInstance) -> GridWitness:
-    """A non-trivial p-path witness on a canonical p-large instance, optimal
-    at the criterion threshold.
+    """A non-trivial p-path witness on a p-large instance in any frame,
+    optimal at the criterion threshold; its paths are in gi's frame.
 
-    Tries every split of p into u up-going and r right-going fragments, builds
-    the paired fragments for each, and keeps the verifier-best solution.  On
-    small grids with s or t squeezed against a rim the textbook fragment
-    shapes can collide head-on (the mirrored frame loses its orientation); the
-    exact branching solver then supplies the witness instead, and the
-    returned witness's `reason` says so.  The grid is materialised once, for
-    the verifier and the solver.
+    The fragments are built on the canonical variant: every split of p into
+    u up-going and r right-going fragments is tried, and the verifier-best
+    solution kept.  On small grids with s or t squeezed against a rim the
+    textbook fragment shapes can collide head-on (the mirrored frame loses
+    its orientation); the exact branching solver on the canonical grid then
+    supplies the witness instead, and the returned witness's `reason` says
+    so.  The canonical grid is materialised once, for the verifier and the
+    solver, and each final path is mapped back once through its coords.
     """
-    if classify(gi) != P_LARGE or not _is_canonical(gi):
-        raise ValueError("needs a canonical p-large instance")
-    case_id, k_min = criteria_p_large(gi)
+    _, k_min = criteria_p_large(gi)
     if gi.k < k_min:
         raise ValueError("only the trivial solution exists at this budget")
-    inst = materialize_grid(gi)
+    canon, sym = canonicalize(gi)
+    inst = materialize_grid(canon)
     relaxed = replace(inst, k=inst.graph.unit_size())
     best = None
     best_shared = None
-    for u in range(gi.p + 1):
-        sol = _candidate(gi, u, gi.p - u)
+    for u in range(canon.p + 1):
+        sol = _candidate(canon, u, canon.p - u)
         if sol is None:
             continue
         verdict = verify_solution(relaxed, sol)
@@ -492,11 +443,19 @@ def build_witness_p_large(gi: GridInstance) -> GridWitness:
                   f"fallback: the best fragment candidate shares {best_shared} > k={gi.k}")
         rep = solve_fpt_branching(inst)
         if not rep.answer:
-            # only reachable in the degenerate-alignment band, where the
-            # closed-form threshold undershoots the true one
+            # the closed-form threshold undershoots the true one: in the
+            # degenerate-alignment band, and on some rim instances with
+            # |dx| = 2 (e.g. GridInstance(7, 7, (0, 3), (2, 6), 7, 4))
             raise ValueError(f"no non-trivial witness within k={gi.k} for {gi}")
         best, best_shared = rep.witness, rep.shared_count
         reason += "; witness from the exact branching solver"
     if best_shared > gi.k:
         raise AssertionError(f"witness shares {best_shared} > k={gi.k} on {gi}")
-    return GridWitness(best.paths, best_shared, reason)
+    coords = inst.graph.coords
+    paths = []
+    for path in best.paths:
+        pts = [sym.inverse(coords[v]) for v in path.vertices(inst.graph, inst.s)]
+        if sym.swap:
+            pts.reverse()
+        paths.append(_points_to_pathseq(gi, pts))
+    return GridWitness(tuple(paths), best_shared, reason)

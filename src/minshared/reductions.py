@@ -266,8 +266,8 @@ def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionA
     stretches the gaps between rows only when the snake router runs out of
     levels (row spacing is purely geometric and enters no budget constant;
     misaligned wide/narrow row pairs can need more return corridors than
-    c - 1).  The snake routes of each spacing are planned on coordinates
-    alone, so the chains are laid once, for the first spacing that routes."""
+    c - 1).  Each spacing plans its snake routes on coordinates alone before
+    any chain is laid, so a spacing that fails lays nothing."""
     vc = pad_to_power_of_two(vc_raw)
     if max(vc.degrees(), default=0) > 3:
         raise ValueError("compiler requires maximum degree three")
@@ -275,38 +275,17 @@ def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionA
     last: Optional[LayoutError] = None
     for extra in (0, 8, 24, 56, 120, 248):
         try:
-            plan = _plan_holey(vc, cons, directed, demo, extra)
+            return _lay_holey(vc, cons, directed, demo, extra)
         except LayoutError as exc:
             last = exc
-            continue
-        return _lay_holey(vc, cons, directed, demo, plan)
     raise LayoutError(f"snake routing failed even with stretched rows: {last}")
 
 
-@dataclass
-class _Plan:
-    """The coordinates one row spacing fixes, and the snake routes it admits."""
-
-    budget: int
-    incident: list[list[bool]]
-    row_y: list[int]
-    leaf_y: list[int]
-    y_center: int
-    v_off: list[int]
-    r_off: list[int]
-    b_len: int
-    gap: int
-    a_len: int
-    x0: int
-    row_x: list[list[int]]  # row_x[i][j-1] = x of v'_{i,j}
-    snakes: list[tuple[int, int, str, list[Point]]]  # (gap, column, kind, corner path)
-    overhang: int
-
-
-def _plan_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: bool,
-                extra_spacing: int) -> _Plan:
-    """Frame and snake routes for one row spacing; raises LayoutError when the
-    router runs out of levels."""
+def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: bool,
+               extra_spacing: int) -> ReductionArtifact:
+    """The layout for one row spacing.  The frame and every snake route are
+    fixed first, so that LayoutError (the router ran out of levels) is raised
+    before any chain is laid; then every chain is emitted, s side to t side."""
     nv = vc.graph.vertex_count
     ne = len(vc.graph.edges)
     m_val = cons.M
@@ -364,7 +343,7 @@ def _plan_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: 
         row_x.append(xs)
 
     # snake-chains between consecutive rows, one (or one pair) per column
-    snakes: list[tuple[int, int, str, list[Point]]] = []
+    snake_routes: list[tuple[int, int, str, list[Point]]] = []
     overhang = x0
     base_drop = 8 if directed else 4
     for i in range(1, nv):
@@ -386,25 +365,8 @@ def _plan_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: 
             pts = router.route(sx, tx)
             if kind == "up":
                 pts = list(reversed(pts))  # arc runs bottom -> top
-            snakes.append((i, j, kind, pts))
+            snake_routes.append((i, j, kind, pts))
         overhang = max(overhang, router.frontier or x0)
-
-    return _Plan(budget, incident, row_y, leaf_y, y_center, v_off, r_off, b_len, gap,
-                 a_len, x0, row_x, snakes, overhang)
-
-
-def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: bool,
-               plan: _Plan) -> ReductionArtifact:
-    """Emit every chain of a planned layout, s side to t side."""
-    nv = vc.graph.vertex_count
-    ne = len(vc.graph.edges)
-    m_val = cons.M
-    budget = plan.budget
-    tree_depth = nv.bit_length() - 1
-    row_y, leaf_y, y_center = plan.row_y, plan.leaf_y, plan.y_center
-    v_off, r_off = plan.v_off, plan.r_off
-    b_len, gap, a_len, x0 = plan.b_len, plan.gap, plan.a_len, plan.x0
-    y1 = row_y[1]
 
     bld = _Builder(DIRECTED if directed else UNDIRECTED)
     rainbows: list[RainbowTrace] = []
@@ -456,7 +418,7 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
         row_ids = [bld.vertex((x, y))]
         row_cells: list[CellTrace] = []
         for j in range(1, ne + 1):
-            bare = plan.incident[i - 1][j - 1]
+            bare = incident[i - 1][j - 1]
             pre: list[int] = []
             post: list[int] = []
             if directed:
@@ -474,22 +436,22 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
             if directed and j == ne:
                 post.append(bld.chain([(x, y), (x + 1, y)]))
                 x += 1
-            assert x == plan.row_x[i][j]
+            assert x == row_x[i][j]
             row_ids.append(bld.vertex((x, y)))
             row_cells.append(CellTrace(bare, pre, post, rb))
         rows.append(row_ids)
         cells.append(row_cells)
 
-    # --- snake-chains between consecutive rows, as planned
+    # --- snake-chains between consecutive rows, as routed above
     snakes = [SnakeTrace(i, j, "both" if not directed else kind, bld.chain(pts))
-              for i, j, kind, pts in plan.snakes]
+              for i, j, kind, pts in snake_routes]
 
     # --- t side: per-row rainbows absorb width differences and snake overhang
-    row_end_x = [0] + [plan.row_x[i][ne] for i in range(1, nv + 1)]
+    row_end_x = [0] + [row_x[i][ne] for i in range(1, nv + 1)]
     leaf_x_out = max(
         max(row_end_x[i] + 2 * m_val + gap + (a_len - v_off[i])
             for i in range(1, nv + 1)),
-        plan.overhang + nv + 4,
+        overhang + nv + 4,
     )
     row_rainbow_out: list[Optional[int]] = [None] * (nv + 1)
     a_chain_out: list[Optional[int]] = [None] * (nv + 1)

@@ -204,17 +204,6 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
     return Verdict(False, method="branching", nodes_explored=nodes)
 
 
-def extract_witness(report: Verdict, inst: Instance) -> Solution:
-    """The verified witness of a yes-report."""
-    if not report.answer:
-        raise ValueError("no witness: the report answer is no")
-    assert report.witness is not None
-    verdict = verify_solution(inst, report.witness)
-    if not verdict.answer:
-        raise AssertionError(f"stored witness failed verification: {verdict.reason}")
-    return report.witness
-
-
 # ---------------------------------------------------------------------------
 # anti-parallel normalisation (directed instances)
 

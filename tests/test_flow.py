@@ -39,9 +39,8 @@ def random_multigraph(draw, mode=UNDIRECTED):
 graphs = st.composite(random_multigraph)
 
 
-def boosted(ids, ceiling):
-    """The boost set `ids`.  `ceiling` is the cap the call site reads; the
-    flow takes it from the instance's p."""
+def boosted(ids):
+    """The boost set `ids`; every flow is capped at the instance's p."""
     return frozenset(ids)
 
 
@@ -49,40 +48,40 @@ class TestMaxFlow:
     def test_two_by_two_grid(self):
         g = grid_graph(2, 2)
         inst = Instance(g, grid_vertex(2, 0, 0), grid_vertex(2, 1, 1), 2, 0)
-        fr = max_flow_boosted(inst, boosted([], 2))
+        fr = max_flow_boosted(inst, boosted([]))
         assert fr.value == 2
 
     def test_cycle_boost_two(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 0)
         expected = min(3, brute_force_max_flow(g, 0, 2, {0: 3, 1: 3}))
-        fr = max_flow_boosted(inst, boosted([0, 1], 3))
+        fr = max_flow_boosted(inst, boosted([0, 1]))
         assert fr.value == expected == 3
 
     def test_cycle_boost_one(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 0)
         expected = brute_force_max_flow(g, 0, 2, {0: 3})
-        fr = max_flow_boosted(inst, boosted([0], 3))
+        fr = max_flow_boosted(inst, boosted([0]))
         assert fr.value == expected == 2
 
     def test_value_capped_at_ceiling(self):
         g = grid_graph(3, 3)
         inst = Instance(g, grid_vertex(3, 0, 0), grid_vertex(3, 2, 2), 1, 0)
-        assert max_flow_boosted(inst, boosted([], 1)).value == 1
+        assert max_flow_boosted(inst, boosted([])).value == 1
 
     def test_directed_cycle(self):
         g = cycle4("directed")
         inst = Instance(g, 0, 2, 2, 0)
         # arcs 0->1->2 and 3: 3->0 is unusable from s
-        assert max_flow_boosted(inst, boosted([], 2)).value == 1
+        assert max_flow_boosted(inst, boosted([])).value == 1
 
 
 class TestMinCut:
     def test_cycle_cut(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 0)
-        cut = max_flow_boosted(inst, boosted([], 3)).min_cut
+        cut = max_flow_boosted(inst, boosted([])).min_cut
         assert len(cut) == 2
         # removing the cut disconnects t
         from minshared.core import Graph, distance
@@ -94,26 +93,26 @@ class TestMinCut:
     def test_bridge_cut(self):
         g = path_graph(3)
         inst = Instance(g, 0, 2, 2, 0)
-        cut = max_flow_boosted(inst, boosted([], 2)).min_cut
+        cut = max_flow_boosted(inst, boosted([])).min_cut
         assert len(cut) == 1 and cut <= {0, 1}
 
     def test_grid_corner_cut(self):
         g = grid_graph(3, 3)
         inst = Instance(g, grid_vertex(3, 0, 0), grid_vertex(3, 2, 2), 4, 0)
-        cut = max_flow_boosted(inst, boosted([], 4)).min_cut
+        cut = max_flow_boosted(inst, boosted([])).min_cut
         assert len(cut) <= 3
 
     def test_cut_requires_small_flow(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 2, 0)
         # a flow that reaches p has no cut below p
-        fr = max_flow_boosted(inst, boosted([], 2))
+        fr = max_flow_boosted(inst, boosted([]))
         assert fr.value == 2 and fr.min_cut is None
 
     def test_cut_avoids_boosted(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 4, 0)
-        cut = max_flow_boosted(inst, boosted([0], 4)).min_cut
+        cut = max_flow_boosted(inst, boosted([0])).min_cut
         assert 0 not in cut
 
 
@@ -122,7 +121,7 @@ class TestDecompose:
         g = grid_graph(2, 2)
         s, t = grid_vertex(2, 0, 0), grid_vertex(2, 1, 1)
         inst = Instance(g, s, t, 2, 0)
-        fr = max_flow_boosted(inst, boosted([], 2))
+        fr = max_flow_boosted(inst, boosted([]))
         paths = decompose_to_paths(inst, fr, 2)
         v = verify_solution(inst, Solution(tuple(paths)))
         assert v.answer and v.shared_count == 0
@@ -130,7 +129,7 @@ class TestDecompose:
     def test_boosted_shared_edges_within_boost_set(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 4)
-        fr = max_flow_boosted(inst, boosted([0, 1], 3))
+        fr = max_flow_boosted(inst, boosted([0, 1]))
         paths = decompose_to_paths(inst, fr, 3)
         sol = Solution(tuple(paths))
         v = verify_solution(inst, sol)
@@ -142,7 +141,7 @@ class TestDecompose:
         g = grid_graph(4, 4)
         s, t = grid_vertex(4, 1, 1), grid_vertex(4, 2, 2)
         inst = Instance(g, s, t, 3, 0)
-        fr = max_flow_boosted(replace(inst, p=5), boosted([], 5))
+        fr = max_flow_boosted(replace(inst, p=5), boosted([]))
         assert fr.value == 4
         paths = decompose_to_paths(inst, fr, 3)
         v = verify_solution(inst, Solution(tuple(paths)))
@@ -153,7 +152,7 @@ class TestDecompose:
         # a 3-path subset decomposition must still verify
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 8)
-        fr = max_flow_boosted(replace(inst, p=5), boosted([0, 1], 5))
+        fr = max_flow_boosted(replace(inst, p=5), boosted([0, 1]))
         assert fr.value == 5
         paths = decompose_to_paths(inst, fr, 3)
         sol = Solution(tuple(paths))
@@ -164,7 +163,7 @@ class TestDecompose:
     def test_insufficient_flow(self):
         g = path_graph(3)
         inst = Instance(g, 0, 2, 2, 0)
-        fr = max_flow_boosted(inst, boosted([], 2))
+        fr = max_flow_boosted(inst, boosted([]))
         with pytest.raises(ValueError):
             decompose_to_paths(inst, fr, 2)
 
@@ -178,7 +177,7 @@ class TestAgainstBruteForce:
             for ids in itertools.combinations(range(4), r):
                 for ceiling in (2, 3):
                     inst = Instance(g, 0, 2, ceiling, 0)
-                    got = max_flow_boosted(inst, boosted(ids, ceiling)).value
+                    got = max_flow_boosted(inst, boosted(ids)).value
                     want = min(
                         ceiling,
                         brute_force_max_flow(g, 0, 2, {i: ceiling for i in ids}),
@@ -281,20 +280,22 @@ class TestWarmStart:
             assert verify_solution(replace(inst, p=warm.value), sol).answer
             assert set(sol.shared_edge_ids()) <= boosts
 
-    def test_start_over_capacity_rejected(self):
+    def test_boosted_start_at_p_raises(self):
         # the flow with edges 0 and 1 boosted puts 2 units on each of them
+        # and reaches p, so it has no failing search to resume
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 0)
-        start = max_flow_boosted(inst, boosted([0, 1], 3))
+        start = max_flow_boosted(inst, boosted([0, 1]))
         assert start.value == 3
         with pytest.raises(ValueError):
-            max_flow_boosted(inst, boosted([0], 3), start=start)
+            max_flow_boosted(inst, boosted([0]), start=start)
 
-    def test_start_above_ceiling_rejected(self):
+    def test_unboosted_start_at_p_raises(self):
         inst = Instance(cycle4(), 0, 2, 2, 0)
-        start = max_flow_boosted(inst, boosted([], 2))
+        start = max_flow_boosted(inst, boosted([]))
+        assert start.value == 2
         with pytest.raises(ValueError):
-            max_flow_boosted(inst, boosted([], 1), start=start)
+            max_flow_boosted(inst, boosted([]), start=start)
 
 
 def assert_is_cold(inst, boosts, got):
@@ -365,10 +366,10 @@ class TestResumedSearch:
         # on from the bridge's far end, while every start it cannot resume
         # raises before any search
         inst = Instance(path_graph(5), 0, 4, 2, 0)
-        root = max_flow_boosted(inst, boosted([], 2))
+        root = max_flow_boosted(inst, boosted([]))
         assert (root.value, root.min_cut) == (1, {0})
         seen = self.first_queues(monkeypatch)
-        child = max_flow_boosted(inst, boosted([0], 2), start=root)
+        child = max_flow_boosted(inst, boosted([0]), start=root)
         assert seen == [[1]] and child.min_cut == {1}
         # another p, an equal but distinct instance, a replace()d start and
         # a start under boosts that are not a subset
@@ -376,11 +377,11 @@ class TestResumedSearch:
                                   (inst, [0], replace(root)), (inst, [1], child)):
             seen.clear()
             with pytest.raises(ValueError):
-                max_flow_boosted(other, boosted(ids, other.p), start=start)
+                max_flow_boosted(other, boosted(ids), start=start)
             assert seen == [], ids
 
     def test_result_is_frozen(self):
-        fr = max_flow_boosted(Instance(cycle4(), 0, 2, 3, 0), boosted([], 3))
+        fr = max_flow_boosted(Instance(cycle4(), 0, 2, 3, 0), boosted([]))
         with pytest.raises(FrozenInstanceError):
             fr.value = 3
         with pytest.raises(FrozenInstanceError):

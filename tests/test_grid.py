@@ -12,7 +12,6 @@ from minshared.grid import (
     P_LARGE,
     P_NARROW,
     P_SMALL,
-    _criteria,
     _up_family,
     all_symmetries,
     build_witness_p_large,
@@ -22,10 +21,8 @@ from minshared.grid import (
     decide_grid,
     decide_small,
     degenerate_alignment,
-    edge_ends,
     edge_id,
     grid_cut_lower_bound,
-    map_solution,
     materialize_grid,
 )
 from minshared.solver import solve_enum_oracle, solve_fpt_branching
@@ -113,9 +110,13 @@ class TestCriteria:
         gi, _ = canonicalize(GridInstance(5, 5, (0, 0), (4, 4), 5, 0))
         assert criteria_p_large(gi) == (3, 6)
 
-    def test_rejects_non_canonical(self):
-        with pytest.raises(ValueError):
-            criteria_p_large(GridInstance(5, 5, (3, 3), (1, 1), 4, 0))
+    def test_rejects_non_p_large(self):
+        for gi in (GridInstance(3, 3, (0, 0), (2, 2), 4, 0),   # p-small
+                   GridInstance(2, 5, (0, 0), (1, 4), 3, 0)):  # p-narrow
+            with pytest.raises(ValueError, match="needs a p-large instance"):
+                criteria_p_large(gi)
+            with pytest.raises(ValueError, match="needs a p-large instance"):
+                build_witness_p_large(gi)
 
 
 class TestDecideGrid:
@@ -252,7 +253,6 @@ class TestEdgeIds:
                 g = materialize_grid(gi).graph
                 for eid, e in enumerate(g.edges):
                     a, b = g.coords[e.tail], g.coords[e.head]
-                    assert edge_ends(n, m, eid) == (a, b)
                     assert edge_id(n, m, a, b) == (eid, True)
                     assert edge_id(n, m, b, a) == (eid, False)
 
@@ -314,9 +314,11 @@ class TestOwnFrame:
                             continue
                         canon, _ = canonicalize(gi)
                         expected = criteria_p_large(canon)
-                        assert min(gi.dist(), expected[1]) == grid_cut_lower_bound(canon)
+                        bound = min(gi.dist(), expected[1])
                         for sym in all_symmetries(gi):
-                            assert _criteria(sym.apply(gi)) == expected, (gi, sym)
+                            variant = sym.apply(gi)
+                            assert criteria_p_large(variant) == expected, (gi, sym)
+                            assert grid_cut_lower_bound(variant) == bound, (gi, sym)
                         checked += 1
         assert checked > 1000
 
@@ -346,6 +348,22 @@ class TestOwnFrame:
         v = decide_grid(GridInstance(5, 5, (4, 4), (0, 0), 5, 6), want_witness=True)
         assert v.answer and v.shared_count == 6 and v.witness is not None
         assert canon_calls[0] == 1
+
+
+class TestWitnessOwnFrame:
+    @pytest.mark.parametrize("gi", [
+        GridInstance(5, 5, (0, 0), (4, 4), 5, 6),  # fragment witness
+        GridInstance(5, 5, (0, 0), (2, 2), 3, 1),  # exact-solver fallback
+    ])
+    def test_every_variant_verifies_in_its_own_frame(self, gi):
+        base = build_witness_p_large(gi)
+        for sym in all_symmetries(gi):
+            variant = sym.apply(gi)
+            sol = build_witness_p_large(variant)
+            check = verify_solution(materialize_grid(variant), sol)
+            assert check.answer, (variant, check.reason)
+            assert (check.shared_count, sol.shared, sol.reason) == (
+                base.shared, base.shared, base.reason), variant
 
 
 class TestFragments:

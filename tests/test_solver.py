@@ -20,7 +20,6 @@ import minshared.solver as solver
 from minshared.solver import (
     GuardExceeded,
     enumerate_simple_paths,
-    extract_witness,
     normalize_antiparallel,
     solve_enum_oracle,
     solve_exhaustive_paths,
@@ -172,18 +171,6 @@ class TestBranching:
 
 
 class TestWitness:
-    def test_extract_checks(self):
-        inst = Instance(cycle4(), 0, 2, 3, 2)
-        rep = solve_fpt_branching(inst)
-        sol = extract_witness(rep, inst)
-        assert verify_solution(inst, sol).answer
-
-    def test_extract_refuses_no(self):
-        inst = Instance(cycle4(), 0, 2, 3, 1)
-        rep = solve_fpt_branching(inst)
-        with pytest.raises(ValueError):
-            extract_witness(rep, inst)
-
     def test_every_yes_has_verified_witness(self):
         g = cycle4()
         for p in (1, 2, 3):

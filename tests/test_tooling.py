@@ -2,8 +2,11 @@
 module attribute names their callers use, so renaming or deleting one of
 them breaks `bench/run.py --trace 1`; and each wrapper must pass every
 argument through, `start=` of the branching solver's flow calls included.
-These tests catch both here."""
+These tests catch both here, and a static check keeps every import of the
+package in use."""
 
+import ast
+import glob
 import os
 
 import minshared.core as C
@@ -13,6 +16,7 @@ from minshared.core import Instance
 from helpers import grid_graph, grid_vertex
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "minshared")
 
 MINIMAL = "mse 1\nmode undirected\nvertices 2\ns 0\nt 1\np 1\nk 0\nedge 0 1\n"
 
@@ -64,3 +68,34 @@ def test_tracer_times_a_branching_search(monkeypatch):
     assert spans.count("flow.max_flow") == len(flow_calls) > 1
     assert flow_calls[0] is None and all(start is not None for start in flow_calls[1:])
     assert tracer.counts["solver.nodes"] == rep.nodes_explored > 1
+
+
+def _unused_imports(path):
+    """(line, name) of every name the module at `path` imports but neither
+    reads, exports in __all__, nor marks `# noqa: F401` on the import line."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, name))
+    return unused
+
+
+def test_every_package_import_is_used():
+    found = {os.path.basename(path): _unused_imports(path)
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))}
+    assert len(found) > 5
+    assert {module: names for module, names in found.items() if names} == {}

@@ -114,6 +114,18 @@ class TestGrid:
         assert lines[:3] == ["answer yes", "shared 1", "method criteria"]
         assert lines[3].startswith("reason fallback: ")
 
+    def test_witness_closed_form_undershoot_is_internal_error(self, tmp_path, capsys):
+        # a valid instance on which the closed form promises k_min = 4 but the
+        # exact solver finds no non-trivial witness: a program fault, exit 4
+        out = tmp_path / "w.msesol"
+        code = main(["grid-witness", "7", "7", "0", "3", "2", "6", "7", "4",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err.startswith(
+            "internal error: AssertionError: no non-trivial witness within k=4")
+        assert captured.out == "" and not out.exists()
+
     def test_witness(self, tmp_path, capsys):
         out = tmp_path / "w.msesol"
         inst_out = tmp_path / "g.mse"

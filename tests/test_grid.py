@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,12 @@ from minshared.grid import (
 )
 from minshared.solver import solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
+
+# one case-1 instance per p-large witness route
+LINE = GridInstance(24, 26, (8, 7), (10, 14), 7, 4)  # boosted line
+LINE_SHORT_FRAGMENTS = GridInstance(5, 5, (0, 2), (2, 4), 5, 2)  # line short, fragments
+LINE_SHORT_SOLVER = GridInstance(5, 8, (0, 2), (2, 5), 5, 2)  # line short, exact solver
+ROUTES = (LINE, LINE_SHORT_FRAGMENTS, LINE_SHORT_SOLVER)
 
 
 class TestClassify:
@@ -293,6 +300,7 @@ class TestMaterializeCalls:
     @pytest.mark.parametrize("gi", [
         GridInstance(5, 5, (4, 4), (0, 0), 5, 6),  # fragment witness
         GridInstance(5, 5, (0, 0), (2, 2), 3, 1),  # exact-solver fallback
+        *ROUTES,
     ])
     def test_once_for_nontrivial_p_large_witness(self, calls, gi):
         v = decide_grid(gi, want_witness=True)
@@ -354,6 +362,7 @@ class TestWitnessOwnFrame:
     @pytest.mark.parametrize("gi", [
         GridInstance(5, 5, (0, 0), (4, 4), 5, 6),  # fragment witness
         GridInstance(5, 5, (0, 0), (2, 2), 3, 1),  # exact-solver fallback
+        *ROUTES,
     ])
     def test_every_variant_verifies_in_its_own_frame(self, gi):
         base = build_witness_p_large(gi)
@@ -386,3 +395,107 @@ class TestWitnessFallback:
     def test_fragment_witness_has_no_reason(self):
         v = decide_grid(GridInstance(5, 5, (0, 0), (4, 4), 5, 6), want_witness=True)
         assert v.answer and v.reason is None and v.shared_count == 6
+
+
+def _case1_at_k_min(gi):
+    """gi at k = k_min when it is a non-degenerate case-1 instance with
+    k_min < dist, else None."""
+    if gi.p < 2 or classify(gi) != P_LARGE or degenerate_alignment(gi):
+        return None
+    case_id, k_min = criteria_p_large(gi)
+    if case_id != 1 or k_min >= gi.dist():
+        return None
+    return replace(gi, k=k_min)
+
+
+def _interior_canonical_case1(size):
+    """Every canonical case-1 instance up to size x size at k_min < dist with
+    both terminals at least 2 from every rim."""
+    for n in range(5, size + 1):
+        for m in range(5, size + 1):
+            inner = [(x, y) for x in range(2, n - 2) for y in range(2, m - 2)]
+            for s, t in itertools.permutations(inner, 2):
+                if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
+                    continue
+                for p in range(2, min(n, m) + 1):
+                    gi = _case1_at_k_min(GridInstance(n, m, s, t, p, 0))
+                    if gi is not None and canonicalize(gi)[0] == gi:
+                        yield gi
+
+
+def _seeded_far_from_rim(seed, count):
+    """`count` case-1 instances at k_min < dist on 6-50-sided grids with
+    both terminals at least max(2, ceil(p/2)) from every rim."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(6, 50), rng.randint(6, 50)
+        p = rng.randint(2, min(n, m))
+        r = max(2, -(-p // 2))
+        if 2 * r >= min(n, m):
+            continue
+        s = (rng.randint(r, n - 1 - r), rng.randint(r, m - 1 - r))
+        t = (rng.randint(r, n - 1 - r), rng.randint(r, m - 1 - r))
+        gi = None if s == t else _case1_at_k_min(GridInstance(n, m, s, t, p, 0))
+        if gi is not None:
+            out.append(gi)
+    return out
+
+
+class TestBoostedLine:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Call counts of the fragment candidates and the exact solver."""
+        calls = {"_candidate": 0, "solve_fpt_branching": 0}
+        for name in calls:
+            original = getattr(grid_module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(grid_module, name, counting)
+        return calls
+
+    @staticmethod
+    def check_line_witness(gi):
+        w = build_witness_p_large(gi)
+        check = verify_solution(materialize_grid(gi), w)
+        assert check.answer, (gi, check.reason)
+        assert (w.reason, w.shared, check.shared_count) == (None, gi.k, gi.k), gi
+
+    def test_every_interior_case1_instance_up_to_9x9(self, spies):
+        instances = list(_interior_canonical_case1(9))
+        assert len(instances) == 209
+        for gi in instances:
+            self.check_line_witness(gi)
+        assert spies == {"_candidate": 0, "solve_fpt_branching": 0}
+
+    def test_seeded_sample_far_from_rim(self, spies):
+        for gi in _seeded_far_from_rim(11, 120):
+            self.check_line_witness(gi)
+        assert spies == {"_candidate": 0, "solve_fpt_branching": 0}
+
+    @pytest.mark.parametrize("gi", [
+        GridInstance(100, 100, (20, 30), (80, 70), 40, 36),
+        GridInstance(100, 100, (20, 30), (80, 70), 65, 62),
+    ])
+    def test_large_grids_need_no_search(self, spies, gi):
+        assert criteria_p_large(gi) == (1, gi.k)
+        self.check_line_witness(gi)
+        assert spies == {"_candidate": 0, "solve_fpt_branching": 0}
+
+    @pytest.mark.parametrize("gi, candidates, solver", [
+        (LINE, 0, 0),
+        # on these two only the line along the longer axis (x on a tie) reaches p
+        (GridInstance(5, 7, (0, 2), (3, 4), 5, 2), 0, 0),
+        (GridInstance(5, 6, (0, 2), (2, 4), 5, 2), 0, 0),
+        (LINE_SHORT_FRAGMENTS, LINE_SHORT_FRAGMENTS.p + 1, 0),
+        (LINE_SHORT_SOLVER, LINE_SHORT_SOLVER.p + 1, 1),
+    ])
+    def test_routes(self, spies, gi, candidates, solver):
+        w = build_witness_p_large(gi)
+        assert spies == {"_candidate": candidates, "solve_fpt_branching": solver}
+        assert (w.reason is None) == (solver == 0)
+        check = verify_solution(materialize_grid(gi), w)
+        assert check.answer and check.shared_count == w.shared == gi.k

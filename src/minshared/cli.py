@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .core import (
+    POLYLINE_FILE_LIMIT,
     FormatError,
     Instance,
     Solution,
@@ -44,8 +45,6 @@ from .solver import (
     normalize_antiparallel,
 )
 from .vc import VCInstance, gen_vc_deg3, parse_vc, serialize_vc, vc_decide
-
-EXPAND_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +215,9 @@ def _cmd_reduce(args) -> int:
     art = compiler(vc, demo=args.demo)
     inst = art.instance
     if args.expand:
-        if inst.graph.unit_size() > EXPAND_LIMIT:
+        if inst.graph.unit_size() > POLYLINE_FILE_LIMIT:
             print(f"error: expanded graph would have {inst.graph.unit_size()} "
-                  f"unit edges (limit {EXPAND_LIMIT}); use --demo", file=sys.stderr)
+                  f"unit edges (limit {POLYLINE_FILE_LIMIT}); use --demo", file=sys.stderr)
             return 3
         inst = expand_chains(inst.graph).expand_instance(inst)
     _write(args.out, serialize_instance(inst))

@@ -19,7 +19,8 @@ from typing import Hashable, Iterator, Optional, Sequence
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
-# serialize_instance writes chain waypoints only up to this many unit edges
+# serialize_instance writes chain waypoints only up to this many unit edges,
+# and the CLI's reduce --expand writes no larger file
 POLYLINE_FILE_LIMIT = 1_000_000
 
 Point = tuple[int, int]

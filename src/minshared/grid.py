@@ -6,18 +6,18 @@ A grid instance is classified against the path count p:
   than p, so only the trivial solution exists; yes iff dist(s, t) <= k.
 * p-large (p <= min(n, m)): a non-trivial solution exists iff an arithmetic
   criterion on p, k and the rim distances of s and t holds.  The witness
-  builder has three routes, tried in order: in case 1, one max-flow with the
-  criterion's own shared edges boosted (a short line at s and one at t);
-  then path fragments fanned out of s and mirrored into t; then the exact
-  branching solver, labelled as a fallback.
+  builder has two routes, tried in order: a max-flow with the criterion's
+  own shared edges boosted (a short line at s and one at t, each along
+  either axis first), then the exact branching solver, labelled as a
+  fallback.
 * p-narrow (neither): delegated to the generic branching solver and flagged.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
 in its own frame: the degenerate band test is frame-free, and each terminal's
-rim distance is measured from the corner away from the other terminal.  Only
-the p-large witness builder works on the canonical variant (canonicalize)
-internally, and it returns paths in the caller's frame.
+rim distance is measured from the corner away from the other terminal.
+canonicalize picks one representative of the 16 variants; nothing in the
+decision or witness path needs it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, lattice_points,
-                   loop_erase, verify_solution)
+                   verify_solution)
 from .flow import decompose_to_paths, max_flow_boosted
 from .solver import solve_fpt_branching
 
@@ -94,14 +94,6 @@ class GridSymmetry:
         if self.flip_y:
             y = self.m - 1 - y
         return (y, x) if self.transpose else (x, y)
-
-    def inverse(self, pt: Point) -> Point:
-        x, y = (pt[1], pt[0]) if self.transpose else pt
-        if self.flip_x:
-            x = self.n - 1 - x
-        if self.flip_y:
-            y = self.m - 1 - y
-        return (x, y)
 
     def apply(self, gi: GridInstance) -> GridInstance:
         n2, m2 = (self.m, self.n) if self.transpose else (self.n, self.m)
@@ -199,10 +191,8 @@ def degenerate_alignment(gi: GridInstance) -> bool:
     """True when s and t nearly share a row or column.  The test is
     frame-free: no grid symmetry changes |dx| or |dy|.
 
-    Inside this band the fragment construction behind the p-large criterion
-    loses its separation argument (the terminals' local fans collide with the
-    opposite comb) and the closed form can be off by one, so the decision is
-    delegated to the exact solver there.
+    Inside this band the p-large closed form can be off by one, so the
+    decision is delegated to the exact solver there.
     """
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
@@ -238,9 +228,10 @@ def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     instance in any frame: the case is 1 plus the number of sides over their
     _sides threshold, the budget the sum of the two side costs.
 
-    The closed form is the fragment construction's budget; it is exact
-    whenever s and t are at least two rows and two columns apart (see
-    degenerate_alignment)."""
+    The budget is grid_cut_lower_bound's cut bound, and the boosted lines
+    of build_witness_p_large meet it; outside the band of
+    degenerate_alignment it is exact except on a few rim instances, where
+    the optimum lies above it."""
     if classify(gi) != P_LARGE:
         raise ValueError("criteria_p_large needs a p-large instance")
     sides = _sides(gi)
@@ -307,10 +298,6 @@ def grid_cut_lower_bound(gi: GridInstance) -> int:
 # ---------------------------------------------------------------------------
 # the p-large witness construction
 
-class _BadFragment(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class GridWitness(Solution):
     """A witness from build_witness_p_large, with the shared count its
@@ -320,167 +307,52 @@ class GridWitness(Solution):
     reason: Optional[str] = None
 
 
-def _check_bounds(pts: list[Point], n: int, m: int):
-    for x, y in pts:
-        if not (0 <= x < n and 0 <= y < m):
-            raise _BadFragment(f"point {x, y} outside grid")
-
-
-def _family_order(primary: int, secondary: int, count: int) -> list[int]:
-    """Index order in which one fragment family is grown: the two rim-parallel
-    starters, part A fill-ins, then part B; at least `count` indices."""
-    order = dict.fromkeys([0, primary, *range(primary + 1, primary + secondary),
-                           *range(1, primary)])
-    nxt = primary + secondary
-    while len(order) < count:
-        order[nxt] = None
-        nxt += 1
-    return list(order)
-
-
-def _up_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
-    """`count` up-going fragments from q ending at (j, m-1-j), j=0..count-1.
-
-    Shapes follow the construction order: low indices leave via the up/left
-    edges, high indices launch rightwards; indices beyond count-1 are swung
-    back over their own pairing row to fill the gaps without new sharing.
-    """
-    qx, qy = q
-    order = _family_order(qx, qy, count)
-    taken = order[:count]
-    extras = sorted((j for j in taken if j >= count), reverse=True)
-    gaps = sorted((j for j in range(count) if j not in taken), reverse=True)
-    assert len(extras) == len(gaps)
-    swing_of = dict(zip(extras, gaps))
-
-    frags: dict[int, list[Point]] = {}
-    for j in taken:
-        if j in swing_of:
-            target = swing_of[j]
-            corners = [q, (j, qy), (j, m - 1 - j), (target, m - 1 - j),
-                       (target, m - 1 - target)]
-            endpoint = target
-        elif j < qx:
-            corners = [q, (qx, qy + j), (j, qy + j), (j, m - 1 - j)]
-            endpoint = j
-        else:
-            corners = [q, (j, qy), (j, m - 1 - j)]
-            endpoint = j
-        pts = list(lattice_points(corners))
-        _check_bounds(pts, n, m)
-        frags[endpoint] = pts
-    return [frags[j] for j in range(count)]
-
-
-def _right_family(q: Point, n: int, m: int, count: int) -> list[list[Point]]:
-    """`count` right-going fragments from q ending at (n-1-i, i): the up-going
-    family of the transposed grid, transposed back."""
-    ups = _up_family((q[1], q[0]), m, n, count)
-    return [[(y, x) for x, y in frag] for frag in ups]
-
-
-def _mirror(pts: list[Point], n: int, m: int) -> list[Point]:
-    return [(n - 1 - x, m - 1 - y) for x, y in pts]
-
-
-def _candidate(gi: GridInstance, u: int, r: int) -> Optional[Solution]:
-    n, m = gi.n, gi.m
-    t_star = (n - 1 - gi.t[0], m - 1 - gi.t[1])
-    try:
-        ups = _up_family(gi.s, n, m, u)
-        rights = _right_family(gi.s, n, m, r)
-        downs = [_mirror(f, n, m) for f in _up_family(t_star, n, m, r)]
-        lefts = [_mirror(f, n, m) for f in _right_family(t_star, n, m, u)]
-    except _BadFragment:
-        return None
-    paths = []
-    for a, b in itertools.chain(zip(ups, lefts), zip(rights, downs)):
-        assert a[-1] == b[-1], "fragment endpoints must pair up"
-        walk = a + list(reversed(b))[1:]
-        pts = [walk[i] for i in loop_erase(walk)]
-        if pts[0] != gi.s or pts[-1] != gi.t:
-            return None
-        paths.append(_points_to_pathseq(gi, pts))
-    return Solution(tuple(paths))
-
-
-def _line_boosts(gi: GridInstance) -> frozenset[int]:
-    """The shared set that case 1's degree argument charges for: the first
-    cost_s unit edges of the L-shaped shortest path from s to t, and the
-    first cost_t of the one from t to s, each along the longer axis first
-    (x on a tie).  Every edge of such a line gives its terminal two more
-    exits.  Edge ids are materialize_grid(gi)'s."""
+def _line_boosts(gi: GridInstance, s_x_first: bool, t_x_first: bool) -> frozenset[int]:
+    """The shared set that the closed form charges for: the first cost_s
+    unit edges of an L-shaped shortest path from s to t, and the first
+    cost_t of one from t to s, each along x first when its flag says so.
+    Edge ids are materialize_grid(gi)'s."""
     (_, cost_s), (_, cost_t) = _sides(gi)
-    x_first = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
     boosts = set()
-    for a, b, cost in ((gi.s, gi.t, cost_s), (gi.t, gi.s, cost_t)):
+    for a, b, cost, x_first in ((gi.s, gi.t, cost_s, s_x_first), (gi.t, gi.s, cost_t, t_x_first)):
         corner = (b[0], a[1]) if x_first else (a[0], b[1])
         pts = list(itertools.islice(lattice_points((a, corner, b)), cost + 1))
         boosts.update(edge_id(gi.n, gi.m, u, v)[0] for u, v in zip(pts, pts[1:]))
     return frozenset(boosts)
 
 
-def _line_candidate(gi: GridInstance, inst: Instance) -> Optional[Solution]:
-    """p paths whose shared edges all lie in _line_boosts(gi), from one
-    boosted max-flow on inst = materialize_grid(gi); None when it falls
-    short of p."""
-    fr = max_flow_boosted(inst, _line_boosts(gi))
-    if fr.value < gi.p:
-        return None
-    return Solution(tuple(decompose_to_paths(inst, fr, gi.p)))
-
-
-def _verifier_best(relaxed: Instance, candidates) -> tuple[Optional[Solution], Optional[int]]:
-    """The verified candidate that shares least (the first on a tie) and its
-    shared count; (None, None) when none verifies.  None candidates are
-    skipped."""
-    best = best_shared = None
-    for sol in candidates:
-        if sol is None:
-            continue
-        verdict = verify_solution(relaxed, sol)
-        if verdict.answer and (best is None or verdict.shared_count < best_shared):
-            best, best_shared = sol, verdict.shared_count
-    return best, best_shared
-
-
 def build_witness_p_large(gi: GridInstance) -> GridWitness:
     """A non-trivial p-path witness on a p-large instance in any frame,
     optimal at the criterion threshold; its paths are in gi's frame.
 
-    Everything runs on the canonical variant, in three routes:
+    Everything runs on materialize_grid(gi), in two routes:
 
-    1. boosted line (case 1 only): one max-flow with _line_boosts, the
-       criterion's own shared set, boosted to p.  When it reaches p its
-       paths share only boosted edges, so at most k_min.
-    2. fragments: every split of p into u up-going and r right-going
-       fragments is tried, and the verifier-best solution kept.
-    3. exact solver: on small grids with s or t squeezed against a rim the
-       textbook fragment shapes can collide head-on (the mirrored frame
-       loses its orientation); the exact branching solver on the canonical
-       grid then supplies the witness, and the returned witness's `reason`
-       says so.
+    1. boosted lines: one max-flow per axis choice with _line_boosts, the
+       criterion's own shared set, boosted to p; each terminal's line runs
+       along the longer axis first (x on a tie) or the shorter one, tried
+       as (longer, longer), (longer, shorter), (shorter, longer),
+       (shorter, shorter).  The first flow that reaches p is decomposed;
+       its paths share only boosted edges, so at most k_min.
+    2. exact solver: when no line reaches p (a few instances with a
+       terminal on the rim), the exact branching solver supplies the
+       witness, and the returned witness's `reason` says so.
 
-    Each route runs only when the one before it has no witness within k.
-    The canonical grid is materialised once, for the flow, the verifier and
-    the solver, and each final path is mapped back once through its coords.
+    The choice set is closed under the 16 grid symmetries, so every frame
+    of an instance takes the same route and shares as much.
     """
-    case_id, k_min = criteria_p_large(gi)
+    _, k_min = criteria_p_large(gi)
     if gi.k < k_min:
         raise ValueError("only the trivial solution exists at this budget")
-    canon, sym = canonicalize(gi)
-    inst = materialize_grid(canon)
-    relaxed = replace(inst, k=inst.graph.unit_size())
-    best, best_shared = None, None
-    if case_id == 1:
-        best, best_shared = _verifier_best(relaxed, [_line_candidate(canon, inst)])
-    if best is None or best_shared > gi.k:
-        best, best_shared = _verifier_best(
-            relaxed, (_candidate(canon, u, canon.p - u) for u in range(canon.p + 1)))
+    inst = materialize_grid(gi)
+    longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
     reason = None
-    if best is None or best_shared > gi.k:
-        reason = ("fallback: no fragment candidate verifies" if best is None else
-                  f"fallback: the best fragment candidate shares {best_shared} > k={gi.k}")
+    for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
+        fr = max_flow_boosted(inst, _line_boosts(gi, s_longer == longer_x, t_longer == longer_x))
+        if fr.value >= gi.p:
+            sol = Solution(tuple(decompose_to_paths(inst, fr, gi.p)))
+            break
+    else:
+        reason = "fallback: no boosted line reaches p; witness from the exact branching solver"
         rep = solve_fpt_branching(inst)
         if not rep.answer:
             # a program fault, not a caller error: the closed-form threshold
@@ -488,15 +360,8 @@ def build_witness_p_large(gi: GridInstance) -> GridWitness:
             # (decide_grid never sends it here) and on some rim instances
             # with |dx| = 2 (e.g. GridInstance(7, 7, (0, 3), (2, 6), 7, 4))
             raise AssertionError(f"no non-trivial witness within k={gi.k} for {gi}")
-        best, best_shared = rep.witness, rep.shared_count
-        reason += "; witness from the exact branching solver"
-    if best_shared > gi.k:
-        raise AssertionError(f"witness shares {best_shared} > k={gi.k} on {gi}")
-    coords = inst.graph.coords
-    paths = []
-    for path in best.paths:
-        pts = [sym.inverse(coords[v]) for v in path.vertices(inst.graph, inst.s)]
-        if sym.swap:
-            pts.reverse()
-        paths.append(_points_to_pathseq(gi, pts))
-    return GridWitness(tuple(paths), best_shared, reason)
+        sol = rep.witness
+    check = verify_solution(inst, sol)
+    if not check.answer:
+        raise AssertionError(f"witness rejected on {gi}: {check.reason}")
+    return GridWitness(sol.paths, check.shared_count, reason)

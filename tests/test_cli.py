@@ -107,12 +107,12 @@ class TestGrid:
         assert capsys.readouterr().out.splitlines() == lines
 
     def test_witness_fallback_reason(self, tmp_path, capsys):
-        code = main(["grid-witness", "5", "5", "0", "0", "2", "2", "3", "1",
+        code = main(["grid-witness", "7", "7", "0", "2", "2", "6", "7", "5",
                      "--out", str(tmp_path / "w.msesol")])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert lines[:3] == ["answer yes", "shared 1", "method criteria"]
-        assert lines[3].startswith("reason fallback: ")
+        assert lines[:4] == ["answer yes", "shared 5", "method criteria", "reason fallback: "
+                             "no boosted line reaches p; witness from the exact branching solver"]
 
     def test_witness_closed_form_undershoot_is_internal_error(self, tmp_path, capsys):
         # a valid instance on which the closed form promises k_min = 4 but the

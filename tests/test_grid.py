@@ -13,7 +13,6 @@ from minshared.grid import (
     P_LARGE,
     P_NARROW,
     P_SMALL,
-    _up_family,
     all_symmetries,
     build_witness_p_large,
     canonicalize,
@@ -29,11 +28,14 @@ from minshared.grid import (
 from minshared.solver import solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
 
-# one case-1 instance per p-large witness route
-LINE = GridInstance(24, 26, (8, 7), (10, 14), 7, 4)  # boosted line
-LINE_SHORT_FRAGMENTS = GridInstance(5, 5, (0, 2), (2, 4), 5, 2)  # line short, fragments
-LINE_SHORT_SOLVER = GridInstance(5, 8, (0, 2), (2, 5), 5, 2)  # line short, exact solver
-ROUTES = (LINE, LINE_SHORT_FRAGMENTS, LINE_SHORT_SOLVER)
+# one instance per p-large witness route: the boosted line each flow tries
+LINE = GridInstance(24, 26, (8, 7), (10, 14), 7, 4)  # longer axis at both ends
+LINE_T_SHORTER = GridInstance(5, 5, (0, 2), (2, 4), 5, 2)  # second flow
+LINE_S_SHORTER_RIM = GridInstance(5, 8, (0, 2), (2, 5), 5, 2)  # third flow, s on the rim
+LINE_S_SHORTER = GridInstance(8, 8, (1, 3), (3, 6), 8, 4)  # third flow
+SOLVER = GridInstance(7, 7, (0, 2), (2, 6), 7, 5)  # no line reaches p: exact solver
+ROUTES = (LINE, LINE_T_SHORTER, LINE_S_SHORTER_RIM, LINE_S_SHORTER, SOLVER)
+SOLVER_REASON = "fallback: no boosted line reaches p; witness from the exact branching solver"
 
 
 class TestClassify:
@@ -298,8 +300,7 @@ class TestMaterializeCalls:
         assert calls[0] == 0
 
     @pytest.mark.parametrize("gi", [
-        GridInstance(5, 5, (4, 4), (0, 0), 5, 6),  # fragment witness
-        GridInstance(5, 5, (0, 0), (2, 2), 3, 1),  # exact-solver fallback
+        GridInstance(5, 5, (4, 4), (0, 0), 5, 6),  # case 3
         *ROUTES,
     ])
     def test_once_for_nontrivial_p_large_witness(self, calls, gi):
@@ -352,16 +353,15 @@ class TestOwnFrame:
         assert not v.answer and v.witness is None
         assert canon_calls[0] == 0
 
-    def test_nontrivial_witness_canonicalises_once(self, canon_calls):
+    def test_nontrivial_witness_never_canonicalises(self, canon_calls):
         v = decide_grid(GridInstance(5, 5, (4, 4), (0, 0), 5, 6), want_witness=True)
         assert v.answer and v.shared_count == 6 and v.witness is not None
-        assert canon_calls[0] == 1
+        assert canon_calls[0] == 0
 
 
 class TestWitnessOwnFrame:
     @pytest.mark.parametrize("gi", [
-        GridInstance(5, 5, (0, 0), (4, 4), 5, 6),  # fragment witness
-        GridInstance(5, 5, (0, 0), (2, 2), 3, 1),  # exact-solver fallback
+        GridInstance(5, 5, (0, 0), (4, 4), 5, 6),  # case 3
         *ROUTES,
     ])
     def test_every_variant_verifies_in_its_own_frame(self, gi):
@@ -375,22 +375,13 @@ class TestWitnessOwnFrame:
                 base.shared, base.shared, base.reason), variant
 
 
-class TestFragments:
-    def test_family_beyond_64(self):
-        frags = _up_family((20, 30), 100, 100, 70)
-        assert len(frags) == 70
-        assert [f[-1] for f in frags] == [(j, 99 - j) for j in range(70)]
-
-
 class TestWitnessFallback:
     def test_fallback_is_labelled(self):
-        gi = GridInstance(5, 5, (0, 0), (2, 2), 3, 1)
-        assert decide_grid(gi).reason is None
-        v = decide_grid(gi, want_witness=True)
-        assert v.method == "criteria"
-        assert v.reason.startswith("fallback: the best fragment candidate shares 2 > k=1")
-        check = verify_solution(materialize_grid(gi), v.witness)
-        assert check.answer and check.shared_count == v.shared_count == 1
+        assert decide_grid(SOLVER).reason is None
+        v = decide_grid(SOLVER, want_witness=True)
+        assert (v.method, v.reason) == ("criteria", SOLVER_REASON)
+        check = verify_solution(materialize_grid(SOLVER), v.witness)
+        assert check.answer and check.shared_count == v.shared_count == 5
 
     def test_fragment_witness_has_no_reason(self):
         v = decide_grid(GridInstance(5, 5, (0, 0), (4, 4), 5, 6), want_witness=True)
@@ -445,8 +436,8 @@ def _seeded_far_from_rim(seed, count):
 class TestBoostedLine:
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Call counts of the fragment candidates and the exact solver."""
-        calls = {"_candidate": 0, "solve_fpt_branching": 0}
+        """Call counts of the boosted flows and the exact solver."""
+        calls = {"max_flow_boosted": 0, "solve_fpt_branching": 0}
         for name in calls:
             original = getattr(grid_module, name)
 
@@ -469,12 +460,12 @@ class TestBoostedLine:
         assert len(instances) == 209
         for gi in instances:
             self.check_line_witness(gi)
-        assert spies == {"_candidate": 0, "solve_fpt_branching": 0}
+        assert spies == {"max_flow_boosted": len(instances), "solve_fpt_branching": 0}
 
     def test_seeded_sample_far_from_rim(self, spies):
         for gi in _seeded_far_from_rim(11, 120):
             self.check_line_witness(gi)
-        assert spies == {"_candidate": 0, "solve_fpt_branching": 0}
+        assert spies == {"max_flow_boosted": 120, "solve_fpt_branching": 0}
 
     @pytest.mark.parametrize("gi", [
         GridInstance(100, 100, (20, 30), (80, 70), 40, 36),
@@ -483,19 +474,91 @@ class TestBoostedLine:
     def test_large_grids_need_no_search(self, spies, gi):
         assert criteria_p_large(gi) == (1, gi.k)
         self.check_line_witness(gi)
-        assert spies == {"_candidate": 0, "solve_fpt_branching": 0}
+        assert spies == {"max_flow_boosted": 1, "solve_fpt_branching": 0}
 
-    @pytest.mark.parametrize("gi, candidates, solver", [
+    @pytest.mark.parametrize("gi, misses, solver", [
         (LINE, 0, 0),
-        # on these two only the line along the longer axis (x on a tie) reaches p
+        # on these two no line reaches p unless s's runs along the longer
+        # axis (x on a tie)
         (GridInstance(5, 7, (0, 2), (3, 4), 5, 2), 0, 0),
         (GridInstance(5, 6, (0, 2), (2, 4), 5, 2), 0, 0),
-        (LINE_SHORT_FRAGMENTS, LINE_SHORT_FRAGMENTS.p + 1, 0),
-        (LINE_SHORT_SOLVER, LINE_SHORT_SOLVER.p + 1, 1),
+        (LINE_T_SHORTER, 1, 0),
+        (LINE_S_SHORTER_RIM, 2, 0),
+        (LINE_S_SHORTER, 2, 0),
+        (SOLVER, 4, 1),
+        (GridInstance(12, 11, (8, 7), (2, 1), 9, 7), 0, 0),  # case 2
     ])
-    def test_routes(self, spies, gi, candidates, solver):
+    def test_routes(self, spies, gi, misses, solver):
+        """`misses` boosted flows fall short of p before one reaches it or,
+        after all four, the solver runs."""
         w = build_witness_p_large(gi)
-        assert spies == {"_candidate": candidates, "solve_fpt_branching": solver}
-        assert (w.reason is None) == (solver == 0)
+        flows = misses + (not solver)
+        assert spies == {"max_flow_boosted": flows, "solve_fpt_branching": solver}
+        assert w.reason == (SOLVER_REASON if solver else None)
         check = verify_solution(materialize_grid(gi), w)
         assert check.answer and check.shared_count == w.shared == gi.k
+
+
+def _canonical_at_k_min(size):
+    """Every canonical, non-degenerate p-large instance up to size x size
+    (either side may be the longer) at k = k_min < dist."""
+    for n in range(3, size + 1):
+        for m in range(3, size + 1):
+            pts = [(x, y) for x in range(n) for y in range(m)]
+            for s, t in itertools.permutations(pts, 2):
+                if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
+                    continue
+                for p in range(2, min(n, m) + 1):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    if degenerate_alignment(gi):
+                        continue
+                    k_min = criteria_p_large(gi)[1]
+                    gi = replace(gi, k=k_min)
+                    if k_min < gi.dist() and canonicalize(gi)[0] == gi:
+                        yield gi
+
+
+def _witness_outcome(gi):
+    """(route reason, shared count) of gi's verified witness; ("undershoot",
+    None) when the closed form promises a witness the solver cannot find."""
+    try:
+        w = build_witness_p_large(gi)
+    except AssertionError as exc:
+        assert str(exc).startswith(f"no non-trivial witness within k={gi.k}"), exc
+        return "undershoot", None
+    check = verify_solution(materialize_grid(gi), w)
+    assert check.answer and check.shared_count == w.shared, (gi, check.reason)
+    return w.reason, w.shared
+
+
+class TestWitnessSweep:
+    def test_every_frame_up_to_6x6_agrees(self):
+        instances = list(_canonical_at_k_min(6))
+        assert len(instances) == 444
+        for gi in instances:
+            base = _witness_outcome(gi)
+            assert base[0] is None, gi
+            for sym in all_symmetries(gi):
+                assert _witness_outcome(sym.apply(gi)) == base, (gi, sym)
+
+    def test_canonical_up_to_8x8_line_misses(self):
+        misses = {}
+        count = 0
+        for gi in _canonical_at_k_min(8):
+            reason, _ = _witness_outcome(gi)
+            count += 1
+            if reason is not None:
+                misses[gi.n, gi.m, gi.s, gi.t, gi.p, gi.k] = reason
+        assert count == 4104
+        assert misses == {
+            (7, 7, (0, 2), (2, 6), 7, 5): SOLVER_REASON,
+            (8, 7, (0, 2), (2, 6), 7, 5): SOLVER_REASON,
+            (7, 7, (0, 3), (2, 6), 7, 4): "undershoot",
+            (7, 8, (0, 2), (2, 7), 7, 5): "undershoot",
+            (7, 8, (0, 3), (2, 7), 7, 4): "undershoot",
+            (7, 8, (0, 4), (2, 7), 7, 4): "undershoot",
+            (8, 7, (0, 3), (2, 6), 7, 4): "undershoot",
+            (8, 8, (0, 2), (2, 7), 7, 5): "undershoot",
+            (8, 8, (0, 3), (2, 7), 7, 4): "undershoot",
+            (8, 8, (0, 4), (2, 7), 7, 4): "undershoot",
+        }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -416,14 +417,25 @@ def distance(g: Graph, u: int, v: int) -> float:
 def check_grid_embedding(g: Graph) -> Verdict:
     """Accept iff the expanded graph is a holey grid (subgraph of a bounded grid).
 
-    All expanded lattice points must be pairwise distinct except where distinct
-    super-edges legitimately meet at a declared shared endpoint, and every unit
-    step must be an axis-aligned L1 step (guaranteed by polyline validation).
+    Every expanded lattice point is held once, except a declared vertex at
+    which each chain holding it ends; every unit step is an axis-aligned L1
+    step (guaranteed by polyline validation).  No chain is expanded: three
+    passes over the S axis-parallel runs of the waypoint polylines cost
+    O(S log S), with no term for contacts.
 
-    Runs in O((S + I) log S) for S segments and I touching pairs: collinear
-    segments are compared with their neighbours on each sorted line, crossings
-    come from one x-ordered sweep over the active horizontals, and each
-    declared vertex is located on its row and column by bisection.
+    1. Bends: the inner waypoints must be pairwise distinct and off every
+       declared vertex.  Two runs then share an end only at the bend between
+       them or at a vertex where both chains end, and both are legal.
+    2. Runs: the runs of each axis, with every declared vertex as a run of
+       length zero, are sorted by line and start; each must start at or after
+       the end of the one before.  That rejects collinear overlaps and a
+       vertex inside a run.  A run ending inside a perpendicular one fails
+       here too: it ends at a vertex, or its chain turns there along the
+       other run or back onto itself.
+    3. Crossings: only runs of length >= 2 have inner points.  Taking the
+       verticals in x order, with the horizontals whose open x-range holds x
+       kept sorted by y, each vertical asks by bisection whether one of them
+       lies strictly inside its open y-range.
     """
     if g.coords is None or any(v not in g.coords for v in range(g.vertex_count)):
         raise ValueError("missing coordinates")
@@ -438,93 +450,75 @@ def check_grid_embedding(g: Graph) -> Verdict:
             return Verdict(False, reason=f"vertices {vertex_at[pt]} and {v} share point {pt}")
         vertex_at[pt] = v
 
-    ends: dict[int, tuple[Point, Point]] = {}
+    # (line, lo, hi, owner) per axis: a run owned by its edge, a vertex by itself
+    hs = [(y, x, x, v) for v, (x, y) in coord_of.items()]
+    vs = [(x, y, y, v) for v, (x, y) in coord_of.items()]
+    bends: list[Point] = []
     for eid, e in enumerate(g.edges):
         pts = e.polyline
         if pts[0] != coord_of[e.tail] or pts[-1] != coord_of[e.head]:
             return Verdict(False, reason=f"edge {eid} polyline does not start/end at its vertices")
-        ends[eid] = (pts[0], pts[-1])
-
-    def legal_meet(p: Point, e1: int, e2: int) -> bool:
-        return p in vertex_at and p in ends[e1] and p in ends[e2]
-
-    hsegs: dict[int, list[tuple[int, int, int, int]]] = {}
-    vsegs: dict[int, list[tuple[int, int, int, int]]] = {}
-    for eid, e in enumerate(g.edges):
-        pts = e.polyline
-        for si, (a, b) in enumerate(zip(pts, pts[1:])):
-            if a[1] == b[1]:
-                lo, hi = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
-                hsegs.setdefault(a[1], []).append((lo, hi, eid, si))
+        bends += pts[1:-1]
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+            if ay == by:
+                hs.append((ay, ax, bx, eid) if ax < bx else (ay, bx, ax, eid))
             else:
-                lo, hi = (a[1], b[1]) if a[1] < b[1] else (b[1], a[1])
-                vsegs.setdefault(a[0], []).append((lo, hi, eid, si))
+                vs.append((ax, ay, by, eid) if ay < by else (ax, by, ay, eid))
 
-    # collinear pairs: sort per line, compare neighbours
-    for table, make_pt in ((hsegs, lambda f, c: (c, f)), (vsegs, lambda f, c: (f, c))):
-        for fixed, segs in table.items():
-            segs.sort()
-            for (lo1, hi1, e1, s1), (lo2, hi2, e2, s2) in zip(segs, segs[1:]):
-                if lo2 < hi1:
-                    return Verdict(
-                        False,
-                        reason=f"edges {e1} and {e2} overlap along a line at {make_pt(fixed, lo2)}",
-                    )
-                if lo2 == hi1:
-                    p = make_pt(fixed, lo2)
-                    if e1 == e2:
-                        # same-axis segments of one polyline never touch legally
-                        return Verdict(False, reason=f"edge {e1} self-touches at {p}")
-                    if not legal_meet(p, e1, e2):
-                        return Verdict(False, reason=f"edges {e1},{e2} touch at non-vertex {p}")
+    bend_set = set(bends)
+    if len(bend_set) < len(bends) or not bend_set.isdisjoint(vertex_at):
+        seen: dict[Point, int] = {}
+        for eid, e in enumerate(g.edges):
+            for p in e.polyline[1:-1]:
+                if p in vertex_at:
+                    return Verdict(False, reason=f"edge {eid} passes through vertex {vertex_at[p]} at {p}")
+                if p in seen:
+                    if seen[p] == eid:
+                        return Verdict(False, reason=f"edge {eid} self-touches at {p}")
+                    return Verdict(False, reason=f"edges {seen[p]},{eid} touch at non-vertex {p}")
+                seen[p] = eid
 
-    # horizontal x vertical crossings: sweep x.  At each x the horizontals
-    # starting there join `active`, sorted by (y, xlo, xhi, eid, si), the
-    # verticals there take the active ones in their y-range, and then the
-    # horizontals ending there leave, so every vertical meets exactly the
-    # horizontals it touches.
-    starts: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    stops: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for y, segs in hsegs.items():
-        for xlo, xhi, eid, si in segs:
-            rec = (y, xlo, xhi, eid, si)
-            starts.setdefault(xlo, []).append(rec)
-            stops.setdefault(xhi, []).append(rec)
-    active: list[tuple[int, int, int, int, int]] = []
-    find = bisect.bisect_left
-    for x in sorted(starts.keys() | stops.keys() | vsegs.keys()):
-        for rec in starts.get(x, ()):
-            bisect.insort(active, rec)
-        for lo, hi, ev, sv in vsegs.get(x, ()):
-            for y, xlo, xhi, eh, sh in active[find(active, (lo,)):find(active, (hi + 1,))]:
-                p = (x, y)
-                if eh == ev:
-                    if sh - sv in (1, -1):
-                        continue  # consecutive runs of one polyline share their bend
-                    return Verdict(False, reason=f"edge {eh} self-intersects at {p}")
-                # crossing is legal only at a declared vertex shared by both
-                # edges, and only at segment endpoints (a vertex interior to a
-                # run would mean the run passes through another vertex's point)
-                if y in (lo, hi) and x in (xlo, xhi) and legal_meet(p, eh, ev):
-                    continue
-                return Verdict(False, reason=f"edges {eh},{ev} cross at {p}")
-        for rec in stops.get(x, ()):
-            del active[find(active, rec)]
+    for runs, at in ((hs, lambda line, c: (c, line)), (vs, lambda line, c: (line, c))):
+        runs.sort()
+        i = next((i for i, (a, b) in enumerate(zip(runs, runs[1:]), 1)
+                  if b[1] < a[2] and a[0] == b[0]), 0)
+        if i:
+            line, lo, hi, owner = runs[i]
+            held = runs[i - 1][3]
+            if lo == hi:
+                # vertex `owner` lies inside run `held`; a run starting there
+                # overlaps `held` too, and is reported first
+                if i + 1 == len(runs) or runs[i + 1][:2] != (line, lo):
+                    return Verdict(False, reason=f"edge {held} passes through vertex {owner} at {at(line, lo)}")
+                owner = runs[i + 1][3]
+            return Verdict(False, reason=f"edges {held} and {owner} overlap along a line at {at(line, lo)}")
 
-    # a vertex point may lie on a chain only at that chain's end, never
-    # inside a run or at a bend; the segments of each line are sorted and
-    # disjoint now, so only the last one starting before the point and the
-    # one starting at it can hold it
-    for pt, v in vertex_at.items():
-        for segs, c in ((vsegs.get(pt[0], ()), pt[1]), (hsegs.get(pt[1], ()), pt[0])):
-            i = find(segs, (c,))
-            if i:
-                _, hi, eid, _ = segs[i - 1]
-                if hi > c or (hi == c and pt not in ends[eid]):
-                    return Verdict(False, reason=f"edge {eid} passes through vertex {v} at {pt}")
-            if i < len(segs) and segs[i][0] == c and pt not in ends[segs[i][2]]:
-                return Verdict(False, reason=f"edge {segs[i][2]} passes through vertex {v} at {pt}")
-
+    # verticals in x order: first the horizontals starting before x join
+    # `active`, then those ending at or before x leave, so it holds the
+    # horizontals whose open x-range holds x.  Pass 2 leaves at most one of
+    # them per y, so `active` keeps bare y values, and the crossing
+    # horizontal is looked up only to name it.
+    long_h = [r for r in hs if r[2] - r[1] > 1]
+    joins = sorted(long_h, key=operator.itemgetter(1))
+    leaves = sorted(long_h, key=operator.itemgetter(2))
+    active: list[int] = []
+    j = k = 0
+    for x, lo, hi, ev in vs:
+        if hi - lo < 2:
+            continue
+        while j < len(joins) and joins[j][1] < x:
+            bisect.insort(active, joins[j][0])
+            j += 1
+        while k < len(leaves) and leaves[k][2] <= x:
+            del active[bisect.bisect_left(active, leaves[k][0])]
+            k += 1
+        i = bisect.bisect_right(active, lo)
+        if i < len(active) and active[i] < hi:
+            y = active[i]
+            eh = hs[bisect.bisect_left(hs, (y, x)) - 1][3]
+            if eh == ev:
+                return Verdict(False, reason=f"edge {eh} self-intersects at {(x, y)}")
+            return Verdict(False, reason=f"edges {eh},{ev} cross at {(x, y)}")
     return Verdict(True)
 
 

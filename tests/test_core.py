@@ -382,6 +382,35 @@ class TestGridEmbedding:
         g = Graph(UNDIRECTED, 2, (e, e), coords)
         assert not check_grid_embedding(g).answer
 
+    @pytest.mark.parametrize("points, chains, reason", [
+        # a chain ending inside another chain's run (a T-junction)
+        (((0, 0), (2, 0), (1, 2), (1, 0)), (((0, 0), (2, 0)), ((1, 2), (1, 0))),
+         "edge 0 passes through vertex 3 at (1, 0)"),
+        # a declared vertex strictly inside a horizontal run, then a vertical one
+        (((0, 0), (3, 0), (1, 0)), (((0, 0), (3, 0)),), "edge 0 passes through vertex 2 at (1, 0)"),
+        (((0, 0), (0, 3), (0, 2)), (((0, 0), (0, 3)),), "edge 0 passes through vertex 2 at (0, 2)"),
+        # two chains leaving one vertex in the same direction
+        (((0, 0), (2, 0), (1, 1)), (((0, 0), (2, 0)), ((0, 0), (1, 0), (1, 1))),
+         "edges 1 and 0 overlap along a line at (0, 0)"),
+        # a bend on another chain's end vertex
+        (((0, 0), (2, 0), (2, 2), (3, 0)), (((0, 0), (2, 0)), ((2, 2), (2, 0), (3, 0))),
+         "edge 1 passes through vertex 1 at (2, 0)"),
+        # a chain revisiting its own bend, and a bend shared by two chains
+        (((0, 0), (2, 0)), (((0, 0), (1, 0), (1, 1), (3, 1), (3, -1), (1, -1), (1, 0), (2, 0)),),
+         "edge 0 self-touches at (1, 0)"),
+        (((0, 0), (2, 2), (0, 2), (1, 2)), (((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)),
+                                            ((0, 2), (0, 1), (1, 1), (1, 2))),
+         "edges 0,1 touch at non-vertex (1, 1)"),
+    ], ids=["t-junction", "vertex-in-horizontal", "vertex-in-vertical", "same-direction",
+            "bend-on-end-vertex", "bend-revisited", "bend-shared"])
+    def test_rejection_class(self, points, chains, reason):
+        ids = {pt: v for v, pt in enumerate(points)}
+        edges = tuple(SuperEdge(ids[c[0]], ids[c[-1]], polyline=c) for c in chains)
+        g = Graph(UNDIRECTED, len(points), edges, dict(enumerate(points)))
+        v = check_grid_embedding(g)
+        assert not v.answer and reason in v.reason
+        assert not _lattice_reference(g)
+
 
 def _lattice_reference(g):
     """Independent embedding check on unit points: every chain is expanded to
@@ -492,6 +521,11 @@ class TestGridEmbeddingReference:
     @given(polyline_graphs())
     @settings(max_examples=600, deadline=None)
     def test_matches_lattice_reference(self, g):
+        assert check_grid_embedding(g).answer == _lattice_reference(g)
+
+    @given(polyline_graphs(size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lattice_reference_larger(self, g):
         assert check_grid_embedding(g).answer == _lattice_reference(g)
 
     @pytest.mark.parametrize("corner", [

@@ -1,5 +1,6 @@
 import graphlib
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -325,6 +326,41 @@ class TestCompileOnce:
             tracks.append((sx, tx))
         assert _routes(reductions._SnakeRouter(*args), tracks) == \
             _routes(_RescanRouter(*args), tracks)
+
+
+def _with_chain(graph, points):
+    """graph plus one chain along `points` between two new vertices."""
+    n = graph.vertex_count
+    chain = SuperEdge(n, n + 1, polyline=points)
+    return Graph(graph.mode, n + 2, graph.edges + (chain,),
+                 {**graph.coords, n: points[0], n + 1: points[-1]})
+
+
+class TestPerturbedLayouts:
+    @pytest.mark.parametrize("name", sorted({key[0] for key in COMPILED_DIGESTS}, key=repr), ids=str)
+    @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
+    def test_chain_into_a_run_rejected(self, name, compiler):
+        """A length-2 chain across the interior of a horizontal or a vertical
+        run of length >= 2, or a chain ending inside one, makes a point held
+        twice away from a vertex or a vertex inside a run."""
+        graph = compiler(_digest_source(name)).instance.graph
+        assert check_grid_embedding(graph).answer
+        rng = random.Random(repr((name, compiler.__name__)))
+        runs = [(a, b) for e in graph.edges for a, b in zip(e.polyline, e.polyline[1:])
+                if abs(a[0] - b[0]) + abs(a[1] - b[1]) >= 2]
+        for horizontal in (True, False):
+            along = [(a, b) for a, b in runs if (a[1] == b[1]) == horizontal]
+            for _ in range(5):
+                a, b = rng.choice(along)
+                d = rng.choice((-1, 1))
+                if horizontal:
+                    x, y = rng.randrange(min(a[0], b[0]) + 1, max(a[0], b[0])), a[1]
+                    crossing, ending = ((x, y - d), (x, y + d)), ((x, y + 2 * d), (x, y))
+                else:
+                    x, y = a[0], rng.randrange(min(a[1], b[1]) + 1, max(a[1], b[1]))
+                    crossing, ending = ((x - d, y), (x + d, y)), ((x + 2 * d, y), (x, y))
+                for points in (crossing, ending):
+                    assert not check_grid_embedding(_with_chain(graph, points)).answer
 
 
 class TestMalformed:

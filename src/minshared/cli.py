@@ -1,11 +1,12 @@
 """Command-line surface: solving, verification, grid decisions, gadget
 compilation, composition, normalisation and figure emission.
 
-Exit codes: 0 success (or answer yes), 1 answer no / rejected, 2 usage error,
-3 guard or layout limit, 4 internal error (a bug, never an answer).  Verdicts
-are machine readable: `answer yes|no`, `shared <int>`, `method <name>` and
-`reason <text>` lines on stdout.  All randomness is seeded (`--seed`);
-outputs never depend on wall clock or environment.
+Exit codes: 0 success (or answer yes), 1 answer no / rejected, 2 usage error
+(an unreadable or unwritable file included), 3 guard or layout limit, 4
+internal error (a bug, never an answer).  Verdicts are machine readable:
+`answer yes|no`, `shared <int>`, `method <name>` and `reason <text>` lines on
+stdout.  All randomness is seeded (`--seed`); outputs never depend on wall
+clock or environment.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, ValueError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GuardExceeded, LayoutError) as exc:

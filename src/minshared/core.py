@@ -228,7 +228,9 @@ class Verdict:
     """The one result type: of a verification, a grid decision or a solver.
 
     A solver sets `shared_count` on a yes, `shared_set` to the super-edges it
-    allowed to be shared, and `nodes_explored` to its search effort.
+    allowed to be shared, and `nodes_explored` to its search effort.  A grid
+    closed form sets `certificate` to its `(case id, k_min)`.  `reason` says
+    why a check rejected, or which fallback a grid decision or witness took.
     """
 
     answer: bool

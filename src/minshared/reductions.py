@@ -126,7 +126,7 @@ class HoleyTrace:
     a_chain_in: list[Optional[int]]
     a_chain_out: list[Optional[int]]
     branch_in: list[list[int]]             # tree chain ids root->leaf per row
-    branch_out: list[list[int]]            # tree chain ids leaf->root per row
+    branch_out: list[list[int]]            # tree chain ids root->leaf; arcs run leaf->root
     snakes: list[SnakeTrace]
     outer_s: int
     outer_t: int
@@ -203,62 +203,32 @@ def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
     return len(rainbows) - 1
 
 
-class _SnakeRouter:
-    """Greedy per-gap routing: drop as far as allowed, run right, drop below
-    every conflicting return run, run back over the target, descend.
+def _route_snakes(tracks: list[tuple[int, int]], y_top: int, y_bottom: int,
+                  run: int, c: int, max_drop: int) -> list[list[Point]]:
+    """Greedy routes for one gap's tracks (sx, tx), left to right: drop as far
+    as allowed, run right, drop below every conflicting return run, run back
+    over the target, descend.
 
     The drop zone holds max_drop levels (four in the undirected construction,
     eight in the directed one whose columns carry two tracks); return levels
-    beyond c-1 would collide with the next row's rainbows and raise.
-
-    Tracks come left to right (sx and tx never decrease) and every elbow lies
-    right of the one before, so the runs that still reach a new track are the
-    latest ones.  Each side keeps those runs' (elbow, level) in a monotone
-    queue: `over` the drop runs with rising levels, `under` the return runs
-    with falling levels, so the binding level is always at the front."""
-
-    def __init__(self, y_top: int, y_bottom: int, run: int, c: int, max_drop: int):
-        self.y_top = y_top
-        self.y_bottom = y_bottom
-        self.run = run
-        self.max_drop = max_drop
-        self.max_level = c - 1
-        self.over: deque[tuple[int, int]] = deque()
-        self.under: deque[tuple[int, int]] = deque()
-        self.last = (-math.inf, -math.inf)
-        self.frontier: Optional[int] = None
-
-    def route(self, sx: int, tx: int) -> list[Point]:
-        assert self.last[0] <= sx and self.last[1] <= tx, "tracks out of order"
-        self.last = (sx, tx)
-        over, under = self.over, self.under
-        while over and over[0][0] < sx:
-            over.popleft()
-        drop = min(self.max_drop, over[0][1] - 1) if over else self.max_drop
+    beyond c-1 would collide with the next row's rainbows and raise."""
+    drops: list[tuple[int, int, int]] = []  # (level, sx, elbow) per drop run
+    returns: list[tuple[int, int]] = []     # (level, elbow) per return run
+    routes = []
+    elbow = -math.inf  # every elbow lies right of the one before
+    for sx, tx in tracks:
+        drop = min([max_drop] + [lvl - 1 for lvl, x1, x2 in drops if x1 <= sx <= x2])
         if drop < 1:
             raise LayoutError("snake drop level exhausted")
-        elbow = max(sx + self.run, tx + 1,
-                    self.frontier + 1 if self.frontier is not None else sx)
-        while under and under[0][0] < tx:
-            under.popleft()
-        level = max(self.max_drop, under[0][1]) + 1 if under else self.max_drop + 1
-        if level > self.max_level:
+        elbow = max(sx + run, tx + 1, elbow + 1)
+        level = max([max_drop] + [lvl for lvl, x in returns if x >= tx]) + 1
+        if level > c - 1:
             raise LayoutError("snake return level exhausted")
-        while over and over[-1][1] >= drop:
-            over.pop()
-        over.append((elbow, drop))
-        while under and under[-1][1] <= level:
-            under.pop()
-        under.append((elbow, level))
-        self.frontier = elbow
-        return [
-            (sx, self.y_top),
-            (sx, self.y_top - drop),
-            (elbow, self.y_top - drop),
-            (elbow, self.y_top - level),
-            (tx, self.y_top - level),
-            (tx, self.y_bottom),
-        ]
+        drops.append((drop, sx, elbow))
+        returns.append((level, elbow))
+        routes.append([(sx, y_top), (sx, y_top - drop), (elbow, y_top - drop),
+                       (elbow, y_top - level), (tx, y_top - level), (tx, y_bottom)])
+    return routes
 
 
 def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionArtifact:
@@ -345,10 +315,8 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
     # snake-chains between consecutive rows, one (or one pair) per column
     snake_routes: list[tuple[int, int, str, list[Point]]] = []
     overhang = x0
-    base_drop = 8 if directed else 4
+    max_drop = max(8 if directed else 4, (c - 1) // 2)
     for i in range(1, nv):
-        router = _SnakeRouter(row_y[i], row_y[i + 1], run, c,
-                              max_drop=max(base_drop, (c - 1) // 2))
         tracks = []
         for j in range(1, ne + 2):
             sx = row_x[i][j - 1]
@@ -361,12 +329,12 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
                 shift = 1 if j <= ne else -1
                 tracks.append((sx + shift, "up", j, tx + shift))
         tracks.sort()
-        for sx, kind, j, tx in tracks:
-            pts = router.route(sx, tx)
-            if kind == "up":
-                pts = list(reversed(pts))  # arc runs bottom -> top
-            snake_routes.append((i, j, kind, pts))
-        overhang = max(overhang, router.frontier or x0)
+        routes = _route_snakes([(sx, tx) for sx, _, _, tx in tracks],
+                               row_y[i], row_y[i + 1], run, c, max_drop)
+        for (_, kind, j, _), pts in zip(tracks, routes):
+            # up arcs run bottom -> top
+            snake_routes.append((i, j, kind, pts[::-1] if kind == "up" else pts))
+        overhang = max(overhang, routes[-1][2][0])  # the last elbow
 
     bld = _Builder(DIRECTED if directed else UNDIRECTED)
     rainbows: list[RainbowTrace] = []
@@ -598,41 +566,22 @@ def synthesize_holey_witness(art: ReductionArtifact, cover) -> Solution:
             paths.append(_steps(graph, s, ids))
 
     snake = {(st.gap, st.column, st.direction): st.edge for st in tr.snakes}
-
-    def down_edge(gap, col):
-        return snake[(gap, col, "down" if directed else "both")]
-
-    def up_edge(gap, col):
-        return snake[(gap, col, "up" if directed else "both")]
-
-    def cross(cell: CellTrace, skip_junction: bool) -> list[int]:
-        assert cell.bare and cell.rainbow is None
-        pre = cell.pre_edges[1:] if skip_junction else cell.pre_edges
-        return pre + cell.post_edges
-
+    down, up = ("down", "up") if directed else ("both", "both")
     ids = [tr.outer_s]
     row = 1
     for j, e in enumerate(vc.graph.edges, start=1):
         target = min(v for v in (e.tail, e.head) if v in cover) + 1
-        if target > row:
-            for g in range(row, target):
-                ids.append(down_edge(g, j))
-            ids += cross(tr.cells[target][j - 1], skip_junction=False)
-        elif target < row:
-            if directed:
-                ids.append(tr.cells[row][j - 1].pre_edges[0])  # onto the junction
-                for g in range(row - 1, target - 1, -1):
-                    ids.append(up_edge(g, j))
-                ids += cross(tr.cells[target][j - 1], skip_junction=True)
-            else:
-                for g in range(row - 1, target - 1, -1):
-                    ids.append(up_edge(g, j))
-                ids += cross(tr.cells[target][j - 1], skip_junction=False)
-        else:
-            ids += cross(tr.cells[target][j - 1], skip_junction=False)
+        # a directed walk up leaves the row on its junction arc and enters
+        # the target cell past that cell's own one
+        junction = directed and target < row
+        if junction:
+            ids.append(tr.cells[row][j - 1].pre_edges[0])
+        ids += [snake[g, j, down] for g in range(row, target)]
+        ids += [snake[g, j, up] for g in range(row - 1, target - 1, -1)]
+        cell = tr.cells[target][j - 1]
+        ids += cell.pre_edges[junction:] + cell.post_edges
         row = target
-    for g in range(row, nv):
-        ids.append(down_edge(g, ne + 1))
+    ids += [snake[g, ne + 1, down] for g in range(row, nv)]
     ids.append(tr.outer_t)
     paths.append(_steps(graph, s, ids))
 

@@ -62,6 +62,10 @@ class TestSolve:
             main(["solve", cycle_file, "--method", "bogus"])
         assert e.value.code == 2
 
+    def test_directory_input_exit_two(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_internal_error_exit_four(self, cycle_file, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("boom")
@@ -189,6 +193,10 @@ class TestVcCommands:
         main(["gen-vc", "--seed", "7", "8", "10", "--k", "3", "--out", str(a)])
         main(["gen-vc", "--seed", "7", "8", "10", "--k", "3", "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_gen_vc_directory_out_exit_two(self, tmp_path, capsys):
+        assert main(["gen-vc", "--seed", "1", "4", "3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCompose:

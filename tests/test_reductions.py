@@ -4,8 +4,6 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minshared.core import (
     DIRECTED,
@@ -247,49 +245,6 @@ def _digest_source(name):
     return replace(gen_vc_deg3(seed, n, m), k=k)
 
 
-class _RescanRouter:
-    """The snake router as first written, rescanning every earlier run on
-    each track: the reference for the incremental one."""
-
-    def __init__(self, y_top, y_bottom, run, c, max_drop):
-        self.y_top, self.y_bottom, self.run = y_top, y_bottom, run
-        self.max_drop, self.max_level = max_drop, c - 1
-        self.right_runs, self.left_runs, self.frontier = [], [], None
-
-    def route(self, sx, tx):
-        drop = self.max_drop
-        for level, x1, x2 in self.right_runs:
-            if x1 <= sx <= x2:
-                drop = min(drop, level - 1)
-        if drop < 1:
-            raise LayoutError("snake drop level exhausted")
-        elbow = max(sx + self.run, tx + 1,
-                    self.frontier + 1 if self.frontier is not None else sx)
-        level = self.max_drop
-        for lvl, _, x_elbow in self.left_runs:
-            if x_elbow >= tx:
-                level = max(level, lvl)
-        level += 1
-        if level > self.max_level:
-            raise LayoutError("snake return level exhausted")
-        self.right_runs.append((drop, sx, elbow))
-        self.left_runs.append((level, tx, elbow))
-        self.frontier = elbow
-        return [(sx, self.y_top), (sx, self.y_top - drop), (elbow, self.y_top - drop),
-                (elbow, self.y_top - level), (tx, self.y_top - level), (tx, self.y_bottom)]
-
-
-def _routes(router, tracks):
-    out = []
-    for sx, tx in tracks:
-        try:
-            out.append(router.route(sx, tx))
-        except LayoutError as exc:
-            out.append(str(exc))
-            break
-    return out
-
-
 class TestCompileOnce:
     @pytest.mark.parametrize("key", sorted(COMPILED_DIGESTS, key=repr))
     def test_artifacts_byte_identical(self, key):
@@ -313,19 +268,26 @@ class TestCompileOnce:
         art = compiler(_digest_source((2, 6, 6, 2)))
         assert len(calls) == len(art.instance.graph.edges)
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_router_matches_rescans(self, data):
-        c = data.draw(st.integers(3, 16))
-        args = (100, 0, data.draw(st.integers(1, 12)), c, data.draw(st.integers(1, c)))
-        steps = data.draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
-                                   min_size=1, max_size=30))
-        tracks, sx, tx = [], 0, 0
-        for dsx, dtx in steps:
-            sx, tx = sx + dsx, tx + dtx
-            tracks.append((sx, tx))
-        assert _routes(reductions._SnakeRouter(*args), tracks) == \
-            _routes(_RescanRouter(*args), tracks)
+    def test_snake_routes(self):
+        # (sx, tx) tracks under y_top 100, y_bottom 0, run 5, c 8, max_drop 3:
+        # a track starting under an earlier drop run drops one level less,
+        # and one ending under an earlier return run returns one level lower
+        routes = reductions._route_snakes([(0, 2), (3, 4), (10, 30), (12, 31)],
+                                          100, 0, 5, 8, 3)
+        assert routes == [
+            [(0, 100), (0, 97), (5, 97), (5, 96), (2, 96), (2, 0)],
+            [(3, 100), (3, 98), (8, 98), (8, 95), (4, 95), (4, 0)],
+            [(10, 100), (10, 97), (31, 97), (31, 96), (30, 96), (30, 0)],
+            [(12, 100), (12, 98), (32, 98), (32, 95), (31, 95), (31, 0)],
+        ]
+
+    @pytest.mark.parametrize("c, max_drop, message", [
+        (10, 1, "snake drop level exhausted"),
+        (5, 3, "snake return level exhausted"),
+    ])
+    def test_snake_levels_exhausted(self, c, max_drop, message):
+        with pytest.raises(LayoutError, match=message):
+            reductions._route_snakes([(0, 0), (1, 1)], 100, 0, 5, c, max_drop)
 
 
 def _with_chain(graph, points):

@@ -2,8 +2,8 @@
 module attribute names their callers use, so renaming or deleting one of
 them breaks `bench/run.py --trace 1`; and each wrapper must pass every
 argument through, `start=` of the branching solver's flow calls included.
-These tests catch both here, and a static check keeps every import of the
-package in use."""
+These tests catch both here, and static checks keep every import of the
+package in use and every private module-level helper referenced."""
 
 import ast
 import glob
@@ -99,3 +99,33 @@ def test_every_package_import_is_used():
              for path in sorted(glob.glob(os.path.join(SRC, "*.py")))}
     assert len(found) > 5
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def _private_definitions():
+    """{(module, name): whether the package reads the name outside its own
+    definition} for every module-level private function or class; a read
+    inside the definition itself (recursion) does not count."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    reads = []  # (top-level statement, names it reads)
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            reads.append((stmt, names))
+    found = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                found[module, stmt.name] = any(
+                    stmt.name in names for other, names in reads if other is not stmt)
+    return found
+
+
+def test_every_private_helper_is_referenced():
+    found = _private_definitions()
+    assert len(found) > 20
+    assert sorted(key for key, referenced in found.items() if not referenced) == []

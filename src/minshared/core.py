@@ -4,7 +4,9 @@ Graphs are multigraphs whose edges are *super-edges*: a super-edge of length L
 stands for a chain of L unit edges through L-1 implicit interior vertices.
 Paths are stored as sequences of (edge id, forward flag) steps so parallel
 chains stay unambiguous.  All values are immutable after construction; every
-operation here is a pure function.
+operation here is a pure function.  `SuperEdge`, built about once per unit
+edge of a grid and once per chain of a compiled gadget, is a frozen, slotted
+dataclass validated and normalised once, in its own `__init__`.
 """
 
 from __future__ import annotations
@@ -31,15 +33,18 @@ class FormatError(ValueError):
     """Raised on malformed instance/solution/vc files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SuperEdge:
     """A chain of `length` unit edges between two declared vertices.
 
     `polyline`, when present, is the axis-aligned waypoint list of the chain's
     embedding, kept in normal form: endpoints plus bend points, where a bend
-    is any change of direction, a reversal included.  Construction drops
-    repeated points and merges consecutive runs that go the same way, and
-    measures `length` from the runs; a declared length must match it.
+    is any change of direction, a reversal included.  `__init__` validates
+    and normalises once: it drops repeated points, merges consecutive runs
+    that go the same way, measures `length` from the runs (a declared length
+    must match it) and sets each field once.  A two-point polyline is one run
+    and skips the loop.  The edge is a frozen, slotted value: no per-instance
+    `__dict__`, and `==`, `hash` and `repr` come from the dataclass.
     (Waypoints rather than all length+1 lattice points: gadget chains can have
     ~1e5 unit edges, but only a handful of bends.)
     """
@@ -49,48 +54,64 @@ class SuperEdge:
     length: Optional[int] = None  # when omitted: measured from the polyline, else 1
     polyline: Optional[tuple[Point, ...]] = None  # any point sequence; stored as a tuple
 
-    def __post_init__(self):
-        if self.tail == self.head:
+    def __init__(self, tail: int, head: int, length: Optional[int] = None,
+                 polyline: Optional[Sequence[Point]] = None):
+        if tail == head:
             raise ValueError("self-loops are not allowed")
-        pts = self.polyline
-        if pts is not None:
-            if len(pts) < 2:
-                raise ValueError("polyline needs at least two waypoints")
-            out = [pts[0]]
-            x, y = pts[0]
-            total = 0
-            last = 0  # direction of the last run: +-1 along x, +-2 along y
-            for p in pts[1:]:
-                bx, by = p
-                if by == y:
-                    if bx == x:
-                        continue
-                    d = bx - x
-                    step = 1 if d > 0 else -1
-                elif bx == x:
-                    d = by - y
-                    step = 2 if d > 0 else -2
+        if polyline is not None:
+            if len(polyline) == 2:
+                a, b = polyline  # one run: no loop
+                (ax, ay), (bx, by) = a, b
+                if ay == by:
+                    total = bx - ax
+                elif ax == bx:
+                    total = by - ay
                 else:
                     raise ValueError("polyline runs must be axis-aligned")
-                total += d if d > 0 else -d
-                if step == last:
-                    out[-1] = p
-                else:
-                    out.append(p)
-                    last = step
-                x, y = bx, by
-            if self.length != total:
-                if self.length is not None:
+                if total < 0:
+                    total = -total
+                polyline = (a, b)
+            elif len(polyline) < 2:
+                raise ValueError("polyline needs at least two waypoints")
+            else:
+                out = [polyline[0]]
+                x, y = polyline[0]
+                total = 0
+                last = 0  # direction of the last run: +-1 along x, +-2 along y
+                for p in polyline[1:]:
+                    bx, by = p
+                    if by == y:
+                        if bx == x:
+                            continue
+                        d = bx - x
+                        step = 1 if d > 0 else -1
+                    elif bx == x:
+                        d = by - y
+                        step = 2 if d > 0 else -2
+                    else:
+                        raise ValueError("polyline runs must be axis-aligned")
+                    total += d if d > 0 else -d
+                    if step == last:
+                        out[-1] = p
+                    else:
+                        out.append(p)
+                        last = step
+                    x, y = bx, by
+                polyline = tuple(out)
+            if length != total:
+                if length is not None:
                     raise ValueError(
-                        f"polyline length {total} does not match chain length {self.length}"
+                        f"polyline length {total} does not match chain length {length}"
                     )
-                object.__setattr__(self, "length", total)
-            if len(out) != len(pts) or type(pts) is not tuple:
-                object.__setattr__(self, "polyline", tuple(out))
-        elif self.length is None:
-            object.__setattr__(self, "length", 1)
-        if self.length < 1:
+                length = total
+        elif length is None:
+            length = 1
+        if length < 1:
             raise ValueError("chain length must be >= 1")
+        _set_tail(self, tail)
+        _set_head(self, head)
+        _set_length(self, length)
+        _set_polyline(self, polyline)
 
     def expand_points(self) -> Iterator[Point]:
         """All length+1 lattice points of the embedded chain, in order."""
@@ -100,6 +121,14 @@ class SuperEdge:
 
     def other(self, v: int) -> int:
         return self.head if v == self.tail else self.tail
+
+
+# the slots' own setters: the class is frozen, so __init__ sets each field
+# through these (cheaper than object.__setattr__, which looks the name up)
+_set_tail = SuperEdge.tail.__set__
+_set_head = SuperEdge.head.__set__
+_set_length = SuperEdge.length.__set__
+_set_polyline = SuperEdge.polyline.__set__
 
 
 def lattice_points(corners: Sequence[Point]) -> Iterator[Point]:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -53,6 +55,27 @@ ROUND_TRIP_MSE = """mse 1
         chain 1 4 3
         chain 0 4 4 0 0 1 0 2 0 3 0 3 1
         """
+
+# bends, a detour, a reversal (chain 2 3), a unit edge and a chain with no
+# polyline
+EXPAND_MSE = """mse 1
+mode undirected
+vertices 4
+s 0
+t 3
+p 2
+k 1
+coord 0 0 0
+coord 1 2 0
+coord 2 2 2
+coord 3 0 2
+chain 0 1 2 0 0 1 0 2 0
+chain 1 2 4 2 0 3 0 3 1 3 2 2 2
+chain 0 3 4 0 0 0 1 -1 1 -1 2 0 2
+chain 2 3 4 2 2 1 2 1 3 1 2 0 2
+edge 2 3
+chain 1 3 3
+"""
 
 
 class TestParse:
@@ -184,6 +207,13 @@ class TestExpand:
         assert exp.graph.coords == {0: (0, 0), 1: (2, 1), 2: (1, 0), 3: (2, 0)}
         assert [e.polyline for e in exp.graph.edges] == [
             ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (2, 1))]
+
+    def test_expanded_text_pinned(self):
+        # pins edge numbering, fresh vertex ids, coords and unit polylines of
+        # the expansion against changes to how edges are built
+        inst = parse_instance(EXPAND_MSE)
+        text = serialize_instance(expand_chains(inst.graph).expand_instance(inst))
+        assert hashlib.sha1(text.encode()).hexdigest() == "575b913123e1e098a3095692414c9768635b724f"
 
     def test_shared_count_invariant_under_expansion(self):
         # two parallel chains plus a unit edge detour
@@ -562,6 +592,91 @@ def corner_walks(draw):
             walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
         corners.append(walk[-1])
     return corners, walk
+
+
+def _reference_normal_form(points):
+    """(waypoints, length) of a point sequence, or None if a run is diagonal:
+    repeats dropped, consecutive runs the same way merged, reversals kept."""
+    out, total, last = [points[0]], 0, None
+    for a, b in zip(points, points[1:]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if dx and dy:
+            return None
+        if not (dx or dy):
+            continue
+        way = ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
+        total += abs(dx) + abs(dy)
+        if way == last:
+            out[-1] = b
+        else:
+            out.append(b)
+            last = way
+    return tuple(out), total
+
+
+@st.composite
+def point_sequences(draw, sizes):
+    """(points, declared length): each step is a zero, axis or diagonal move
+    of up to 3, the points a list or a tuple, and the length omitted, right
+    or drawn at random (mostly wrong)."""
+    steps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    axis = st.tuples(st.integers(-3, 3), st.just(0)) | st.tuples(st.just(0), st.integers(-3, 3))
+    points = [(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))]
+    for _ in range(draw(st.integers(*sizes)) - 1):
+        dx, dy = draw(axis | steps)
+        points.append((points[-1][0] + dx, points[-1][1] + dy))
+    ref = _reference_normal_form(points) if len(points) > 1 else None
+    right = st.just(ref[1]) if ref else st.nothing()
+    length = draw(st.none() | right | st.integers(-1, 12))
+    return draw(st.sampled_from((list, tuple)))(points), length
+
+
+class TestSuperEdgeConstruction:
+    @pytest.mark.parametrize("sizes", [(2, 2), (1, 6)], ids=["two-point", "general"])
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_normaliser(self, sizes, data):
+        points, length = data.draw(point_sequences(sizes))
+        ref = _reference_normal_form(points) if len(points) > 1 else None
+        want = None
+        if ref is not None:
+            waypoints, total = ref
+            if length in (None, total) and total >= 1:
+                want = (total, waypoints)
+        if want is None:
+            with pytest.raises(ValueError):
+                SuperEdge(0, 1, length, points)
+        else:
+            e = SuperEdge(0, 1, length, points)
+            assert (e.length, e.polyline) == want
+            assert type(e.polyline) is tuple
+
+
+class TestSuperEdgeValue:
+    def test_frozen(self):
+        e = SuperEdge(0, 1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.length = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.polyline = ((0, 0), (2, 0))
+
+    def test_slotted(self):
+        e = SuperEdge(0, 1, polyline=((0, 0), (1, 0)))
+        assert not hasattr(e, "__dict__")
+        assert "__slots__" in vars(SuperEdge)
+
+    def test_list_and_tuple_polylines_equal(self):
+        a = SuperEdge(0, 1, polyline=[(0, 0), (2, 0), (2, 1)])
+        b = SuperEdge(0, 1, 3, ((0, 0), (2, 0), (2, 1)))
+        assert a == b and hash(a) == hash(b)
+        assert a.polyline == ((0, 0), (2, 0), (2, 1))
+        assert repr(a) == "SuperEdge(tail=0, head=1, length=3, polyline=((0, 0), (2, 0), (2, 1)))"
+
+    def test_replace_revalidates(self):
+        e = SuperEdge(0, 1, polyline=((0, 0), (2, 0), (2, 1)))
+        with pytest.raises(ValueError, match="polyline length 3 does not match chain length 4"):
+            dataclasses.replace(e, length=e.length + 1)
+        assert dataclasses.replace(e, tail=2) == SuperEdge(2, 1, 3, e.polyline)
 
 
 class TestPolylineNormalForm:

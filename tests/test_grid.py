@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import minshared.grid as grid_module
-from minshared.core import verify_solution
+from minshared.core import serialize_instance, verify_solution
 from minshared.grid import (
     GridInstance,
     GridSymmetry,
@@ -230,6 +231,16 @@ class TestMaterialize:
     def test_embedding_check_passes(self):
         inst = materialize_grid(GridInstance(4, 3, (0, 0), (3, 2), 2, 0))
         assert check_grid_embedding(inst.graph).answer
+
+    @pytest.mark.parametrize("gi, digest", [
+        (GridInstance(6, 6, (1, 1), (4, 4), 3, 2), "774be363c19aa758c5fd008596c1d4be053413b7"),
+        (GridInstance(5, 8, (0, 2), (4, 6), 2, 1), "a6446d9642c1194c0ccfab102633cc238e4650de"),
+    ], ids=["square", "non-square"])
+    def test_text_pinned(self, gi, digest):
+        # pins edge numbering, coords and polylines against changes to how
+        # edges are built
+        text = serialize_instance(materialize_grid(gi))
+        assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
 class TestSymmetryInvariance:

@@ -258,7 +258,8 @@ class Verdict:
 
     A solver sets `shared_count` on a yes, `shared_set` to the super-edges it
     allowed to be shared, and `nodes_explored` to its search effort.  A grid
-    closed form sets `certificate` to its `(case id, k_min)`.  `reason` says
+    closed form sets `certificate` to its `(case id, k_min)`; a grid no by
+    `method` "cut-bound" sets it to the cut lower bound above k.  `reason` says
     why a check rejected, or which fallback a grid decision or witness took.
     """
 

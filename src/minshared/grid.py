@@ -1,6 +1,7 @@
 """Linear-time MSE decision on bounded grids, with constructive witnesses.
 
-A grid instance is classified against the path count p:
+A grid instance is classified against the path count p.  In every regime a
+budget below the certified cut bound (grid_cut_lower_bound) is a no.
 
 * p-small (p > max(n, m)): every row/column between s and t is a cut smaller
   than p, so only the trivial solution exists; yes iff dist(s, t) <= k.
@@ -10,7 +11,8 @@ A grid instance is classified against the path count p:
   own shared edges boosted (a short line at s and one at t, each along
   either axis first), then the exact branching solver, labelled as a
   fallback.
-* p-narrow (neither): delegated to the generic branching solver and flagged.
+* p-narrow (neither), and p-large in the degenerate band: at or above the
+  cut bound, the generic branching solver decides, labelled as a fallback.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
@@ -23,7 +25,7 @@ decision or witness path needs it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, lattice_points,
@@ -178,21 +180,13 @@ def _trivial_witness(gi: GridInstance) -> Solution:
 # ---------------------------------------------------------------------------
 # decisions
 
-def decide_small(gi: GridInstance) -> Verdict:
-    """Lemma for p-small grids: a solution exists iff dist(s, t) <= k."""
-    if classify(gi) != P_SMALL:
-        raise ValueError("decide_small needs a p-small instance")
-    if gi.dist() <= gi.k:
-        return Verdict(True, shared_count=gi.dist(), method="small")
-    return Verdict(False, method="small")
-
-
 def degenerate_alignment(gi: GridInstance) -> bool:
     """True when s and t nearly share a row or column.  The test is
     frame-free: no grid symmetry changes |dx| or |dy|.
 
-    Inside this band the p-large closed form can be off by one, so the
-    decision is delegated to the exact solver there.
+    Inside this band the p-large closed form can be off by one, so
+    decide_grid trusts only its cut bound there: below the bound the answer
+    is no, at or above it the exact solver decides.
     """
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
@@ -223,58 +217,32 @@ def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
     return sides[0], sides[1]
 
 
+def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]]]:
+    """(regime, cut bound, (case id, k_min) or None off p-large): the one
+    pass behind decide_grid, criteria_p_large and grid_cut_lower_bound."""
+    regime, dist = classify(gi), gi.dist()
+    if regime != P_LARGE:
+        dx, dy = abs(gi.s[0] - gi.t[0]), abs(gi.s[1] - gi.t[1])
+        return regime, min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0)), None
+    (threshold_s, cost_s), (threshold_t, cost_t) = _sides(gi)
+    k_min = cost_s + cost_t
+    return regime, min(dist, k_min), (1 + (gi.p > threshold_s) + (gi.p > threshold_t), k_min)
+
+
 def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     """(case id, minimum budget for a non-trivial solution) on a p-large
     instance in any frame: the case is 1 plus the number of sides over their
     _sides threshold, the budget the sum of the two side costs.
 
-    The budget is grid_cut_lower_bound's cut bound, and the boosted lines
-    of build_witness_p_large meet it; outside the band of
+    The budget, capped at dist, is grid_cut_lower_bound, and the boosted
+    lines of build_witness_p_large meet it; outside the band of
     degenerate_alignment it is exact except on a few rim instances, where
     the optimum lies above it."""
-    if classify(gi) != P_LARGE:
+    criteria = _bound_pass(gi)[2]
+    if criteria is None:
         raise ValueError("criteria_p_large needs a p-large instance")
-    sides = _sides(gi)
-    return 1 + sum(gi.p > threshold for threshold, _ in sides), sum(c for _, c in sides)
+    return criteria
 
-
-def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
-    """Full grid decision: closed-form for p-small/p-large, solver fallback
-    for p-narrow and the degenerate band.  A fallback verdict says which of
-    the two fired in its `reason` and carries the solver's `nodes_explored`.
-    Decisions and witnesses are in the instance's own frame."""
-    if gi.p == 1:
-        witness = _trivial_witness(gi) if want_witness else None
-        return Verdict(True, shared_count=0, witness=witness, method="single-path")
-    cls = classify(gi)
-    if cls == P_SMALL:
-        verdict = decide_small(gi)
-        if want_witness and verdict.answer:
-            verdict = replace(verdict, witness=_trivial_witness(gi))
-        return verdict
-    if cls == P_LARGE and not degenerate_alignment(gi):
-        case_id, k_min = criteria_p_large(gi)
-        trivial = gi.dist() <= gi.k
-        nontrivial = gi.k >= k_min
-        if not (trivial or nontrivial):
-            return Verdict(False, method="criteria", certificate=(case_id, k_min))
-        witness = shared = reason = None
-        if want_witness and nontrivial:
-            sol = build_witness_p_large(gi)
-            witness, shared, reason = Solution(sol.paths), sol.shared, sol.reason
-        elif want_witness:
-            witness, shared = _trivial_witness(gi), gi.dist()
-        return Verdict(True, shared_count=shared, witness=witness, method="criteria",
-                       certificate=(case_id, k_min), reason=reason)
-    rep = solve_fpt_branching(materialize_grid(gi))
-    reason = "fallback: p-narrow" if cls == P_NARROW else "fallback: degenerate alignment"
-    return Verdict(rep.answer, witness=rep.witness if want_witness else None,
-                   shared_count=rep.shared_count, method="fallback", reason=reason,
-                   nodes_explored=rep.nodes_explored)
-
-
-# ---------------------------------------------------------------------------
-# cut-based lower bound
 
 def grid_cut_lower_bound(gi: GridInstance) -> int:
     """A certified lower bound on the minimum number of shared edges, for an
@@ -285,14 +253,44 @@ def grid_cut_lower_bound(gi: GridInstance) -> int:
     rectangle cut family) sum to k_min.  The trivial solution caps
     everything at dist.
     """
+    return _bound_pass(gi)[1]
+
+
+def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
+    """Full grid decision in the instance's own frame, one table: p = 1 is
+    `single-path`; k below the cut bound is no (`small` or `criteria` where
+    a closed form holds, else `cut-bound` with the bound as certificate);
+    at or above it p-small and p-large outside the band answer yes by
+    closed form, and p-narrow and the band go to the exact solver, labelled
+    `fallback`, with the `reason` that fired and its `nodes_explored`."""
     if gi.p == 1:
-        return 0
-    dist = gi.dist()
-    if classify(gi) == P_LARGE:
-        return min(dist, criteria_p_large(gi)[1])
-    dx = abs(gi.s[0] - gi.t[0])
-    dy = abs(gi.s[1] - gi.t[1])
-    return min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0))
+        witness = _trivial_witness(gi) if want_witness else None
+        return Verdict(True, shared_count=0, witness=witness, method="single-path")
+    regime, bound, criteria = _bound_pass(gi)
+    method = {P_SMALL: "small", P_LARGE: "criteria"}.get(regime)
+    if method == "criteria" and degenerate_alignment(gi):
+        method = None  # the band: the closed form can be off by one
+    if gi.k < bound:
+        if method is None:
+            return Verdict(False, method="cut-bound", certificate=bound)
+        return Verdict(False, method=method, certificate=criteria)
+    if method == "small":
+        witness = _trivial_witness(gi) if want_witness else None
+        return Verdict(True, shared_count=gi.dist(), witness=witness, method=method)
+    if method == "criteria":
+        witness = shared = reason = None
+        if want_witness and gi.k >= criteria[1]:
+            sol = build_witness_p_large(gi)
+            witness, shared, reason = Solution(sol.paths), sol.shared, sol.reason
+        elif want_witness:
+            witness, shared = _trivial_witness(gi), gi.dist()
+        return Verdict(True, shared_count=shared, witness=witness, method=method,
+                       certificate=criteria, reason=reason)
+    rep = solve_fpt_branching(materialize_grid(gi))
+    reason = "fallback: p-narrow" if regime == P_NARROW else "fallback: degenerate alignment"
+    return Verdict(rep.answer, witness=rep.witness if want_witness else None,
+                   shared_count=rep.shared_count, method="fallback", reason=reason,
+                   nodes_explored=rep.nodes_explored)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minshared.grid as grid_module
 from minshared import cli
 from minshared.cli import RenderSpec, main, render_embedding
 from minshared.core import (parse_instance, parse_solution, serialize_instance,
@@ -101,14 +102,32 @@ class TestGrid:
         assert main(["grid-decide", "3", "3", "0", "0", "2", "2", "4", "3"]) == 1
 
     @pytest.mark.parametrize("args, code, lines", [
-        (["2", "5", "0", "0", "1", "4", "3", "2"], 1,
-         ["answer no", "method fallback", "reason fallback: p-narrow"]),
+        # k = 2 is below the cut bound 4: no without a search
+        (["2", "5", "0", "0", "1", "4", "3", "2"], 1, ["answer no", "method cut-bound"]),
         (["4", "4", "0", "0", "3", "1", "3", "1"], 0,
          ["answer yes", "shared 1", "method fallback", "reason fallback: degenerate alignment"]),
+        (["2", "5", "0", "0", "1", "4", "3", "4"], 0,
+         ["answer yes", "shared 4", "method fallback", "reason fallback: p-narrow"]),
+        (["4", "5", "0", "0", "0", "4", "4", "3"], 1,
+         ["answer no", "method fallback", "reason fallback: degenerate alignment"]),
     ])
     def test_decide_fallback_reason(self, capsys, args, code, lines):
         assert main(["grid-decide", *args]) == code
         assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("args", [
+        "8 12 1 1 6 10 10 6", "8 14 1 1 6 12 11 7", "10 16 1 1 7 14 12 8",
+        "12 18 1 1 9 16 14 9", "6 40 0 0 5 39 10 30", "40 40 5 5 6 34 20 15",
+    ])
+    def test_decide_below_cut_bound_needs_no_solver(self, monkeypatch, capsys, args):
+        # stubs, not wrappers: a regression fails at once instead of searching
+        calls = []
+        for name in ("solve_fpt_branching", "materialize_grid"):
+            monkeypatch.setattr(grid_module, name, lambda *a, _name=name: calls.append(_name))
+        assert main(["grid-decide", *args.split()]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "answer no" in out and "method cut-bound" in out
+        assert calls == []
 
     def test_witness_fallback_reason(self, tmp_path, capsys):
         code = main(["grid-witness", "7", "7", "0", "2", "2", "6", "7", "5",

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import minshared.grid as grid_module
-from minshared.core import serialize_instance, verify_solution
+from minshared.core import Verdict, serialize_instance, verify_solution
 from minshared.grid import (
     GridInstance,
     GridSymmetry,
@@ -20,7 +20,6 @@ from minshared.grid import (
     classify,
     criteria_p_large,
     decide_grid,
-    decide_small,
     degenerate_alignment,
     edge_id,
     grid_cut_lower_bound,
@@ -86,21 +85,19 @@ class TestCanonicalize:
 class TestDecideSmall:
     def test_yes_at_distance(self):
         gi = GridInstance(3, 3, (0, 0), (2, 2), 4, 4)
-        v = decide_small(gi)
-        assert v.answer
+        v = decide_grid(gi)
+        assert v.answer and v.method == "small"
         assert solve_enum_oracle(materialize_grid(gi)).answer
 
     def test_no_below_distance(self):
         gi = GridInstance(3, 3, (0, 0), (2, 2), 4, 3)
-        assert not decide_small(gi).answer
+        v = decide_grid(gi)
+        assert not v.answer and v.method == "small"
         assert not solve_enum_oracle(materialize_grid(gi)).answer
 
     def test_adjacent_any_p(self):
-        assert decide_small(GridInstance(2, 2, (0, 0), (0, 1), 9, 1)).answer
-
-    def test_wrong_class_rejected(self):
-        with pytest.raises(ValueError):
-            decide_small(GridInstance(5, 5, (0, 0), (4, 4), 3, 0))
+        v = decide_grid(GridInstance(2, 2, (0, 0), (0, 1), 9, 1))
+        assert v.answer and v.method == "small"
 
 
 class TestCriteria:
@@ -138,15 +135,24 @@ class TestDecideGrid:
         assert not decide_grid(GridInstance(3, 3, (0, 0), (2, 2), 4, 3)).answer
 
     def test_narrow_fallback_matches_oracle(self):
-        gi = GridInstance(2, 5, (0, 0), (1, 4), 3, 2)
+        gi = GridInstance(2, 5, (0, 0), (1, 4), 3, 4)  # k = cut bound
         v = decide_grid(gi)
         assert v.method == "fallback"
         assert v.answer == solve_enum_oracle(materialize_grid(gi)).answer
 
+    def test_narrow_below_bound_is_cut_bound_no(self):
+        gi = GridInstance(2, 5, (0, 0), (1, 4), 3, 2)
+        assert grid_cut_lower_bound(gi) == 4
+        assert decide_grid(gi, want_witness=True) == Verdict(False, method="cut-bound",
+                                                             certificate=4)
+        assert not solve_enum_oracle(materialize_grid(gi)).answer
+
     @pytest.mark.parametrize("gi, reason", [
-        (GridInstance(2, 5, (0, 0), (1, 4), 3, 2), "fallback: p-narrow"),
+        (GridInstance(2, 5, (0, 0), (1, 4), 3, 4), "fallback: p-narrow"),
         (GridInstance(3, 5, (0, 0), (2, 4), 4, 4), "fallback: p-narrow"),
         (GridInstance(4, 4, (0, 0), (3, 1), 3, 1), "fallback: degenerate alignment"),
+        # a no at the bound: the band optimum here is one above it
+        (GridInstance(4, 5, (0, 0), (0, 4), 4, 3), "fallback: degenerate alignment"),
     ])
     def test_fallback_says_why_and_how_hard(self, gi, reason):
         v = decide_grid(gi, want_witness=True)
@@ -216,6 +222,69 @@ class TestLowerBound:
                 if solve_fpt_branching(materialize_grid(replace(gi, k=k))).answer
             )
             assert lb <= opt
+
+
+def _below_bound_without_closed_form(size):
+    """Every canonical p-narrow or degenerate-band instance up to size x size
+    with p in 2..max(n, m) and cut bound >= 1, at k = bound - 1."""
+    seen = set()
+    for n in range(2, size + 1):
+        for m in range(2, size + 1):
+            pts = [(x, y) for x in range(n) for y in range(m)]
+            for s, t in itertools.permutations(pts, 2):
+                for p in range(2, max(n, m) + 1):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    regime = classify(gi)
+                    if regime == P_SMALL or (regime == P_LARGE and not degenerate_alignment(gi)):
+                        continue
+                    canon, _ = canonicalize(gi)
+                    bound = grid_cut_lower_bound(canon)
+                    if bound >= 1 and canon not in seen:
+                        seen.add(canon)
+                        yield replace(canon, k=bound - 1)
+
+
+def _count_calls(monkeypatch, *names):
+    """Counts the calls minshared.grid makes to each named module attribute."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(grid_module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(grid_module, name, counting)
+    return calls
+
+
+class TestCutBoundFirst:
+    def test_sound_and_solver_free_up_to_6x6(self, monkeypatch):
+        cases = list(_below_bound_without_closed_form(6))
+        assert len(cases) == 1218
+        calls = _count_calls(monkeypatch, "solve_fpt_branching", "materialize_grid")
+        for gi in cases:
+            v = decide_grid(gi)
+            assert (v.answer, v.method, v.certificate) == (False, "cut-bound", gi.k + 1), gi
+        assert calls == {"solve_fpt_branching": 0, "materialize_grid": 0}
+        for gi in cases:
+            assert not solve_fpt_branching(materialize_grid(gi)).answer, gi
+
+    @pytest.mark.parametrize("gi, regime", [
+        (GridInstance(3, 3, (0, 0), (2, 2), 4, 3), P_SMALL),
+        (GridInstance(3, 3, (0, 0), (2, 2), 4, 4), P_SMALL),
+        (GridInstance(100, 100, (20, 30), (80, 70), 40, 35), P_LARGE),
+        (GridInstance(100, 100, (20, 30), (80, 70), 40, 36), P_LARGE),
+        (GridInstance(4, 4, (0, 0), (3, 1), 3, 0), P_LARGE),  # the band
+        (GridInstance(4, 4, (0, 0), (3, 1), 3, 1), P_LARGE),
+        (GridInstance(2, 5, (0, 0), (1, 4), 3, 3), P_NARROW),
+        (GridInstance(2, 5, (0, 0), (1, 4), 3, 4), P_NARROW),
+    ])
+    def test_one_pass_per_decision(self, monkeypatch, gi, regime):
+        assert classify(gi) == regime
+        calls = _count_calls(monkeypatch, "classify", "_sides")
+        decide_grid(gi)
+        assert calls == {"classify": 1, "_sides": int(regime == P_LARGE)}
 
 
 class TestMaterialize:

@@ -557,68 +557,83 @@ def check_grid_embedding(g: Graph) -> Verdict:
 # ---------------------------------------------------------------------------
 # file formats
 
+def _read_records(text: str, header: str, rules: dict, into: dict,
+                  required: Sequence[str] = ()) -> dict:
+    """The one reader of the line-oriented file formats: files each record
+    of `text` into `into`, checks that each keyword of `required` filed a
+    value under its own name, and returns `into`.
+
+    `#` starts a comment; blank lines hold no record.  The first record must
+    be `header`.  `rules` maps the keyword that starts each later record to
+    (token count with the keyword, or None to leave it to the handler;
+    handler(into, tokens)).  An IndexError or ValueError, FormatError
+    included, leaves as FormatError("line N: ...") with N the file line.
+    """
+    expected = header.split()
+    ln = 0
+    try:
+        for ln, raw in enumerate(text.splitlines(), 1):
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            parts = raw.split()
+            if not parts:
+                continue
+            if expected:
+                if parts != expected:
+                    raise FormatError(f"expected '{header}' header")
+                expected = None
+                continue
+            try:
+                count, handle = rules[parts[0]]
+            except KeyError:
+                raise FormatError(f"unknown keyword {parts[0]!r}") from None
+            if count != len(parts) and count:
+                raise FormatError(f"'{parts[0]}' takes {count - 1} values, not {len(parts) - 1}")
+            handle(into, parts)
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"line {ln}: {exc}") from None
+    if expected:
+        raise FormatError(f"missing '{header}' header")
+    for name in required:
+        if name not in into:
+            raise FormatError(f"missing '{name}' line")
+    return into
+
+
+def _scalar(rec: dict, parts: list[str]) -> None:
+    rec[parts[0]] = parts[1] if parts[0] == "mode" else int(parts[1])
+
+
+def _chain(rec: dict, parts: list[str]) -> None:
+    u, v, length = int(parts[1]), int(parts[2]), int(parts[3])
+    pts = None
+    if len(parts) > 4:
+        if len(parts) != 4 + 2 * (length + 1):
+            raise FormatError(f"chain polyline needs {2 * (length + 1)} numbers")
+        pts = list(zip(map(int, parts[4::2]), map(int, parts[5::2])))
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+            if abs(ax - bx) + abs(ay - by) != 1:
+                raise FormatError("polyline step is not an L1 unit step")
+    rec["edges"].append(SuperEdge(u, v, length, pts))
+
+
+# the `mse 1` grammar for _read_records; a `vc 1` file uses part of it
+_SCALARS = ("mode", "vertices", "s", "t", "p", "k")
+_INSTANCE_RULES = {
+    **dict.fromkeys(_SCALARS, (2, _scalar)),
+    "coord": (4, lambda rec, t: rec["coords"].append((int(t[1]), (int(t[2]), int(t[3]))))),
+    "edge": (3, lambda rec, t: rec["edges"].append(SuperEdge(int(t[1]), int(t[2]), 1))),
+    "chain": (None, _chain),
+}
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-oriented `mse 1` instance format."""
-    mode = None
-    nvert = None
-    s = t = p = k = None
-    coords: dict[int, Point] = {}
-    edges: list[SuperEdge] = []
-
-    lines = text.splitlines()
-    header_seen = False
-    for ln, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not header_seen:
-            if parts != ["mse", "1"]:
-                raise FormatError(f"line {ln}: expected 'mse 1' header")
-            header_seen = True
-            continue
-        kw = parts[0]
-        try:
-            if kw == "mode":
-                mode = parts[1]
-            elif kw == "vertices":
-                nvert = int(parts[1])
-            elif kw == "s":
-                s = int(parts[1])
-            elif kw == "t":
-                t = int(parts[1])
-            elif kw == "p":
-                p = int(parts[1])
-            elif kw == "k":
-                k = int(parts[1])
-            elif kw == "coord":
-                coords[int(parts[1])] = (int(parts[2]), int(parts[3]))
-            elif kw == "edge":
-                edges.append(SuperEdge(int(parts[1]), int(parts[2]), 1))
-            elif kw == "chain":
-                u, v, length = int(parts[1]), int(parts[2]), int(parts[3])
-                rest = parts[4:]
-                if rest and len(rest) != 2 * (length + 1):
-                    raise FormatError(f"line {ln}: chain polyline needs {2 * (length + 1)} numbers")
-                pts = [(int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)]
-                for a, b in zip(pts, pts[1:]):
-                    if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                        raise FormatError(f"line {ln}: polyline step is not an L1 unit step")
-                edges.append(SuperEdge(u, v, length, pts or None))
-            else:
-                raise FormatError(f"line {ln}: unknown keyword {kw!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {ln}: {exc}") from None
-
-    if not header_seen:
-        raise FormatError("missing 'mse 1' header")
-    for name, val in (("mode", mode), ("vertices", nvert), ("s", s), ("t", t), ("p", p), ("k", k)):
-        if val is None:
-            raise FormatError(f"missing '{name}' line")
+    rec = _read_records(text, "mse 1", _INSTANCE_RULES, {"coords": [], "edges": []}, _SCALARS)
     try:
-        return Instance(Graph(mode, nvert, tuple(edges), coords or None), s, t, p, k)
+        graph = Graph(rec["mode"], rec["vertices"], tuple(rec["edges"]),
+                      dict(rec["coords"]) or None)
+        return Instance(graph, rec["s"], rec["t"], rec["p"], rec["k"])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -648,33 +663,35 @@ def serialize_instance(inst: Instance, include_polylines: bool = True) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_solution(text: str) -> Solution:
-    lines = [l.split("#", 1)[0].strip() for l in text.splitlines()]
-    lines = [l for l in lines if l]
-    if not lines or lines[0].split() != ["msesol", "1"]:
-        raise FormatError("missing 'msesol 1' header")
-    if len(lines) < 2 or not lines[1].startswith("paths "):
+_STEP = re.compile(r"^(\d+)([+-]?)$")
+
+
+def _paths(rec: dict, parts: list[str]) -> None:
+    if "paths" in rec:
+        raise FormatError("expected 'path'")
+    rec["paths"] = int(parts[1])
+
+
+def _path(rec: dict, parts: list[str]) -> None:
+    if "paths" not in rec:
         raise FormatError("missing 'paths' line")
-    try:
-        want = int(lines[1].split()[1])
-    except ValueError as exc:
-        raise FormatError(f"line 2: {exc}") from None
-    paths = []
-    step_re = re.compile(r"^(\d+)([+-]?)$")
-    for ln, line in enumerate(lines[2:], 3):
-        parts = line.split()
-        if parts[0] != "path":
-            raise FormatError(f"line {ln}: expected 'path'")
-        steps = []
-        for tok in parts[1:]:
-            m = step_re.match(tok)
-            if not m:
-                raise FormatError(f"line {ln}: bad step {tok!r}")
-            steps.append((int(m.group(1)), m.group(2) != "-"))
-        paths.append(PathSeq(tuple(steps)))
-    if len(paths) != want:
-        raise FormatError(f"expected {want} paths, found {len(paths)}")
-    return Solution(tuple(paths))
+    steps = []
+    for tok in parts[1:]:
+        m = _STEP.match(tok)
+        if not m:
+            raise FormatError(f"bad step {tok!r}")
+        steps.append((int(m.group(1)), m.group(2) != "-"))
+    rec["path"].append(PathSeq(tuple(steps)))
+
+
+def parse_solution(text: str) -> Solution:
+    """Parse the `msesol 1` solution format: a `paths` count, then a `path`
+    line of steps per path."""
+    rules = {"paths": (2, _paths), "path": (None, _path)}
+    rec = _read_records(text, "msesol 1", rules, {"path": []}, ("paths",))
+    if len(rec["path"]) != rec["paths"]:
+        raise FormatError(f"expected {rec['paths']} paths, found {len(rec['path'])}")
+    return Solution(tuple(rec["path"]))
 
 
 def serialize_solution(sol: Solution) -> str:

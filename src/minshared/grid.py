@@ -217,16 +217,20 @@ def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
     return sides[0], sides[1]
 
 
-def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]]]:
-    """(regime, cut bound, (case id, k_min) or None off p-large): the one
-    pass behind decide_grid, criteria_p_large and grid_cut_lower_bound."""
+def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]],
+                                           Optional[tuple[int, int]]]:
+    """(regime, cut bound, (case id, k_min) and (cost_s, cost_t), both None
+    off p-large): the one pass behind decide_grid, criteria_p_large,
+    grid_cut_lower_bound and build_witness_p_large."""
     regime, dist = classify(gi), gi.dist()
     if regime != P_LARGE:
         dx, dy = abs(gi.s[0] - gi.t[0]), abs(gi.s[1] - gi.t[1])
-        return regime, min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0)), None
+        bound = min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0))
+        return regime, bound, None, None
     (threshold_s, cost_s), (threshold_t, cost_t) = _sides(gi)
     k_min = cost_s + cost_t
-    return regime, min(dist, k_min), (1 + (gi.p > threshold_s) + (gi.p > threshold_t), k_min)
+    case_id = 1 + (gi.p > threshold_s) + (gi.p > threshold_t)
+    return regime, min(dist, k_min), (case_id, k_min), (cost_s, cost_t)
 
 
 def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
@@ -266,7 +270,7 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
-    regime, bound, criteria = _bound_pass(gi)
+    regime, bound, criteria, _ = _bound_pass(gi)
     method = {P_SMALL: "small", P_LARGE: "criteria"}.get(regime)
     if method == "criteria" and degenerate_alignment(gi):
         method = None  # the band: the closed form can be off by one
@@ -305,12 +309,13 @@ class GridWitness(Solution):
     reason: Optional[str] = None
 
 
-def _line_boosts(gi: GridInstance, s_x_first: bool, t_x_first: bool) -> frozenset[int]:
+def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
+                 t_x_first: bool) -> frozenset[int]:
     """The shared set that the closed form charges for: the first cost_s
     unit edges of an L-shaped shortest path from s to t, and the first
-    cost_t of one from t to s, each along x first when its flag says so.
-    Edge ids are materialize_grid(gi)'s."""
-    (_, cost_s), (_, cost_t) = _sides(gi)
+    cost_t of one from t to s, each along x first when its flag says so;
+    `costs` is _bound_pass's.  Edge ids are materialize_grid(gi)'s."""
+    cost_s, cost_t = costs
     boosts = set()
     for a, b, cost, x_first in ((gi.s, gi.t, cost_s, s_x_first), (gi.t, gi.s, cost_t, t_x_first)):
         corner = (b[0], a[1]) if x_first else (a[0], b[1])
@@ -338,14 +343,17 @@ def build_witness_p_large(gi: GridInstance) -> GridWitness:
     The choice set is closed under the 16 grid symmetries, so every frame
     of an instance takes the same route and shares as much.
     """
-    _, k_min = criteria_p_large(gi)
-    if gi.k < k_min:
+    _, _, criteria, costs = _bound_pass(gi)
+    if criteria is None:
+        raise ValueError("build_witness_p_large needs a p-large instance")
+    if gi.k < criteria[1]:
         raise ValueError("only the trivial solution exists at this budget")
     inst = materialize_grid(gi)
     longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
     reason = None
     for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
-        fr = max_flow_boosted(inst, _line_boosts(gi, s_longer == longer_x, t_longer == longer_x))
+        boosts = _line_boosts(gi, costs, s_longer == longer_x, t_longer == longer_x)
+        fr = max_flow_boosted(inst, boosts)
         if fr.value >= gi.p:
             sol = Solution(tuple(decompose_to_paths(inst, fr, gi.p)))
             break

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FormatError, Graph, SuperEdge, UNDIRECTED
+from .core import FormatError, Graph, SuperEdge, UNDIRECTED, _INSTANCE_RULES, _read_records
 
 MAX_VC_VERTICES = 24
 
@@ -121,40 +121,12 @@ def pad_to_power_of_two(vc: VCInstance) -> VCInstance:
 # file format -----------------------------------------------------------------
 
 def parse_vc(text: str) -> VCInstance:
-    """Parse the `vc 1` file format: vertices, k, then edge lines."""
-    n = None
-    k = None
-    pairs: list[tuple[int, int]] = []
-    header = False
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if not header:
-            if parts != ["vc", "1"]:
-                raise FormatError(f"line {ln}: expected 'vc 1' header")
-            header = True
-            continue
-        try:
-            if parts[0] == "vertices":
-                n = int(parts[1])
-            elif parts[0] == "k":
-                k = int(parts[1])
-            elif parts[0] == "edge":
-                pairs.append((int(parts[1]), int(parts[2])))
-            else:
-                raise FormatError(f"line {ln}: unknown keyword {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"line {ln}: {exc}") from None
-    if not header:
-        raise FormatError("missing 'vc 1' header")
-    if n is None or k is None:
-        raise FormatError("missing 'vertices' or 'k' line")
+    """Parse the `vc 1` file format: the `vertices`, `k` and `edge` lines of
+    the `mse 1` grammar under its own header."""
+    rules = {kw: _INSTANCE_RULES[kw] for kw in ("vertices", "k", "edge")}
+    rec = _read_records(text, "vc 1", rules, {"edges": []}, ("vertices", "k"))
     try:
-        return VCInstance(Graph(UNDIRECTED, n, tuple(SuperEdge(u, v) for u, v in pairs)), k)
+        return VCInstance(Graph(UNDIRECTED, rec["vertices"], tuple(rec["edges"])), rec["k"])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

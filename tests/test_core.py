@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -119,6 +120,11 @@ class TestParse:
     def test_solution_round_trip(self):
         sol = Solution((PathSeq(((0, True), (2, False))), PathSeq(((1, True),))))
         assert parse_solution(serialize_solution(sol)) == sol
+
+    def test_solution_error_names_file_line(self):
+        # blank and comment lines count: the bad step is on file line 7
+        with pytest.raises(FormatError, match="^line 7: bad step 'zz'$"):
+            parse_solution("msesol 1\n# c\n\npaths 1\n\n# x\npath 0+ zz\n")
 
 
 class TestVerify:
@@ -746,18 +752,31 @@ class TestParserFuzz:
         parser, text = case
         try:
             parser(text)
-        except FormatError:
-            pass
+        except FormatError as exc:
+            # a line number names a file line that holds a record
+            m = re.match(r"line (\d+):", str(exc))
+            if m:
+                lines = text.splitlines()
+                n = int(m.group(1))
+                assert 1 <= n <= len(lines), (text, exc)
+                assert lines[n - 1].split("#", 1)[0].strip(), (text, exc)
 
-    @pytest.mark.parametrize("parser, text", [
-        (parse_instance, MINIMAL.replace("mode undirected", "mode foo")),
-        (parse_instance, MINIMAL + "coord 5 0 0\n"),
-        (parse_solution, "msesol 1\npaths x\n"),
-        (parse_vc, "vc 1\nvertices 2\nk -1\n"),
-        (parse_vc, "vc 1\nvertices 2\nk 1\nedge 0 0\n"),
-        (parse_vc, "vc 1\nvertices -3\nk 0\n"),
+    @pytest.mark.parametrize("parser, text, match", [
+        (parse_instance, MINIMAL.replace("mode undirected", "mode foo"), None),
+        (parse_instance, MINIMAL + "coord 5 0 0\n", None),
+        (parse_solution, "msesol 1\npaths x\n", None),
+        (parse_vc, "vc 1\nvertices 2\nk -1\n", None),
+        (parse_vc, "vc 1\nvertices 2\nk 1\nedge 0 0\n", "^line 4: self-loops"),
+        (parse_vc, "vc 1\nvertices -3\nk 0\n", None),
+        # an extra token is an error, not dropped
+        (parse_instance, MINIMAL.replace("edge 0 1", "edge 0 1 5"), "^line 8: 'edge' takes 2"),
+        (parse_instance, MINIMAL + "coord 0 0 0 7\n", "^line 9: 'coord' takes 3"),
+        (parse_instance, MINIMAL.replace("s 0", "s 0 9"), "^line 4: 's' takes 1"),
+        (parse_solution, "msesol 1\npaths 1 7\npath 0+\n", "^line 2: 'paths' takes 1"),
+        (parse_vc, "vc 1\nvertices 2\nk 1\nedge 0 1 7\n", "^line 4: 'edge' takes 2"),
     ], ids=["unknown-mode", "coord-of-unknown-vertex", "path-count-not-int", "negative-k",
-            "self-loop", "negative-vertex-count"])
-    def test_known_bad_inputs(self, parser, text):
-        with pytest.raises(FormatError):
+            "self-loop", "negative-vertex-count", "edge-extra-token", "coord-extra-token",
+            "s-extra-token", "paths-extra-token", "vc-edge-extra-token"])
+    def test_known_bad_inputs(self, parser, text, match):
+        with pytest.raises(FormatError, match=match):
             parser(text)

@@ -286,6 +286,18 @@ class TestCutBoundFirst:
         decide_grid(gi)
         assert calls == {"classify": 1, "_sides": int(regime == P_LARGE)}
 
+    @pytest.mark.parametrize("gi", [GridInstance(5, 5, (0, 2), (2, 4), 5, 2),
+                                    GridInstance(8, 8, (1, 3), (3, 6), 8, 4)])
+    def test_witness_reuses_its_pass(self, monkeypatch, gi):
+        # the builder takes both side costs from its one _bound_pass, so a
+        # non-trivial witness costs one _sides call on top of the decision's
+        calls = _count_calls(monkeypatch, "_sides")
+        assert decide_grid(gi, want_witness=True).witness is not None
+        assert calls == {"_sides": 2}
+        calls["_sides"] = 0
+        build_witness_p_large(gi)
+        assert calls == {"_sides": 1}
+
 
 class TestMaterialize:
     def test_counts(self):

@@ -3,7 +3,8 @@ module attribute names their callers use, so renaming or deleting one of
 them breaks `bench/run.py --trace 1`; and each wrapper must pass every
 argument through, `start=` of the branching solver's flow calls included.
 These tests catch both here, and static checks keep every import of the
-package in use and every private module-level helper referenced."""
+package in use, every private module-level helper referenced and the file
+syntax in one reader."""
 
 import ast
 import glob
@@ -129,3 +130,30 @@ def test_every_private_helper_is_referenced():
     found = _private_definitions()
     assert len(found) > 20
     assert sorted(key for key, referenced in found.items() if not referenced) == []
+
+
+def _comment_strippers():
+    """(module, function) of every function in the package whose own body,
+    nested functions aside, holds the string "#": the mark of a parser
+    that strips comments."""
+    found = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+            elif isinstance(child, ast.Constant) and child.value == "#":
+                found.add((module, owner))
+            else:
+                visit(child, module, owner)
+
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()), os.path.basename(path), None)
+    return found
+
+
+def test_one_reader_strips_comments():
+    # the record syntax of the mse, msesol and vc formats lives in one
+    # reader; a parser with its own comment handling is a copy of it
+    assert _comment_strippers() == {("core.py", "_read_records")}

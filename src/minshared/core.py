@@ -605,6 +605,8 @@ def _scalar(rec: dict, parts: list[str]) -> None:
 
 
 def _chain(rec: dict, parts: list[str]) -> None:
+    if len(parts) < 4:
+        raise FormatError(f"'chain' needs at least 3 values, not {len(parts) - 1}")
     u, v, length = int(parts[1]), int(parts[2]), int(parts[3])
     pts = None
     if len(parts) > 4:

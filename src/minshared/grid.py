@@ -7,12 +7,12 @@ budget below the certified cut bound (grid_cut_lower_bound) is a no.
   than p, so only the trivial solution exists; yes iff dist(s, t) <= k.
 * p-large (p <= min(n, m)): a non-trivial solution exists iff an arithmetic
   criterion on p, k and the rim distances of s and t holds.  The witness
-  builder has two routes, tried in order: a max-flow with the criterion's
-  own shared edges boosted (a short line at s and one at t, each along
-  either axis first), then the exact branching solver, labelled as a
-  fallback.
+  builder runs max-flows with the criterion's own shared edges boosted (a
+  short line at s and one at t, each along either axis first); when no
+  line reaches p, the solver fallback decides.
 * p-narrow (neither), and p-large in the degenerate band: at or above the
-  cut bound, the generic branching solver decides, labelled as a fallback.
+  cut bound, the solver fallback decides: the one exact branching-solver
+  call of this module, labelled as a fallback, whose no is a completed search.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
@@ -25,7 +25,7 @@ decision or witness path needs it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, lattice_points,
@@ -265,8 +265,8 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     `single-path`; k below the cut bound is no (`small` or `criteria` where
     a closed form holds, else `cut-bound` with the bound as certificate);
     at or above it p-small and p-large outside the band answer yes by
-    closed form, and p-narrow and the band go to the exact solver, labelled
-    `fallback`, with the `reason` that fired and its `nodes_explored`."""
+    closed form (a p-large witness is build_witness_p_large's verdict), and
+    p-narrow and the band go to the solver fallback, with its `reason`."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
@@ -282,32 +282,25 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=gi.dist(), witness=witness, method=method)
     if method == "criteria":
-        witness = shared = reason = None
-        if want_witness and gi.k >= criteria[1]:
-            sol = build_witness_p_large(gi)
-            witness, shared, reason = Solution(sol.paths), sol.shared, sol.reason
-        elif want_witness:
-            witness, shared = _trivial_witness(gi), gi.dist()
-        return Verdict(True, shared_count=shared, witness=witness, method=method,
-                       certificate=criteria, reason=reason)
-    rep = solve_fpt_branching(materialize_grid(gi))
+        if not want_witness:
+            return Verdict(True, method=method, certificate=criteria)
+        if gi.k >= criteria[1]:
+            return build_witness_p_large(gi)
+        return Verdict(True, shared_count=gi.dist(), witness=_trivial_witness(gi),
+                       method=method, certificate=criteria)
     reason = "fallback: p-narrow" if regime == P_NARROW else "fallback: degenerate alignment"
-    return Verdict(rep.answer, witness=rep.witness if want_witness else None,
-                   shared_count=rep.shared_count, method="fallback", reason=reason,
-                   nodes_explored=rep.nodes_explored)
+    verdict = _solver_fallback(materialize_grid(gi), reason)
+    return verdict if want_witness else replace(verdict, witness=None)
+
+
+def _solver_fallback(inst: Instance, reason: str) -> Verdict:
+    """The grid layer's one exact-solver call: the branching solver's verdict
+    on the materialised grid, yes or no, labelled `fallback` with `reason`."""
+    return replace(solve_fpt_branching(inst), method="fallback", reason=reason)
 
 
 # ---------------------------------------------------------------------------
 # the p-large witness construction
-
-@dataclass(frozen=True)
-class GridWitness(Solution):
-    """A witness from build_witness_p_large, with the shared count its
-    verification measured and, when the exact solver supplied it, why."""
-
-    shared: int = 0
-    reason: Optional[str] = None
-
 
 def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
                  t_x_first: bool) -> frozenset[int]:
@@ -324,9 +317,10 @@ def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
     return frozenset(boosts)
 
 
-def build_witness_p_large(gi: GridInstance) -> GridWitness:
-    """A non-trivial p-path witness on a p-large instance in any frame,
-    optimal at the criterion threshold; its paths are in gi's frame.
+def build_witness_p_large(gi: GridInstance) -> Verdict:
+    """The decision, with a verified witness in gi's frame on a yes, of a
+    p-large instance in any frame at a budget of at least k_min; the witness
+    is optimal at the criterion threshold.
 
     Everything runs on materialize_grid(gi), in two routes:
 
@@ -335,10 +329,10 @@ def build_witness_p_large(gi: GridInstance) -> GridWitness:
        along the longer axis first (x on a tie) or the shorter one, tried
        as (longer, longer), (longer, shorter), (shorter, longer),
        (shorter, shorter).  The first flow that reaches p is decomposed;
-       its paths share only boosted edges, so at most k_min.
-    2. exact solver: when no line reaches p (a few instances with a
-       terminal on the rim), the exact branching solver supplies the
-       witness, and the returned witness's `reason` says so.
+       its paths share only boosted edges, so at most k_min.  The verdict
+       is `criteria`, certified by (case id, k_min).
+    2. when no line reaches p (a few instances with a terminal on the rim),
+       the solver fallback decides; its no marks a closed-form undershoot.
 
     The choice set is closed under the 16 grid symmetries, so every frame
     of an instance takes the same route and shares as much.
@@ -350,24 +344,18 @@ def build_witness_p_large(gi: GridInstance) -> GridWitness:
         raise ValueError("only the trivial solution exists at this budget")
     inst = materialize_grid(gi)
     longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
-    reason = None
     for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
         boosts = _line_boosts(gi, costs, s_longer == longer_x, t_longer == longer_x)
         fr = max_flow_boosted(inst, boosts)
         if fr.value >= gi.p:
-            sol = Solution(tuple(decompose_to_paths(inst, fr, gi.p)))
+            verdict = Verdict(True, witness=Solution(tuple(decompose_to_paths(inst, fr, gi.p))),
+                              method="criteria", certificate=criteria)
             break
     else:
-        reason = "fallback: no boosted line reaches p; witness from the exact branching solver"
-        rep = solve_fpt_branching(inst)
-        if not rep.answer:
-            # a program fault, not a caller error: the closed-form threshold
-            # undershoots the true one in the degenerate-alignment band
-            # (decide_grid never sends it here) and on some rim instances
-            # with |dx| = 2 (e.g. GridInstance(7, 7, (0, 3), (2, 6), 7, 4))
-            raise AssertionError(f"no non-trivial witness within k={gi.k} for {gi}")
-        sol = rep.witness
-    check = verify_solution(inst, sol)
-    if not check.answer:
-        raise AssertionError(f"witness rejected on {gi}: {check.reason}")
-    return GridWitness(sol.paths, check.shared_count, reason)
+        verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
+    if verdict.answer:
+        check = verify_solution(inst, verdict.witness)
+        if not check.answer:
+            raise AssertionError(f"witness rejected on {gi}: {check.reason}")
+        verdict = replace(verdict, shared_count=check.shared_count)
+    return verdict

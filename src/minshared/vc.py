@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import FormatError, Graph, SuperEdge, UNDIRECTED, _INSTANCE_RULES, _read_records
+from .solver import GuardExceeded
 
 MAX_VC_VERTICES = 24
 
@@ -56,7 +57,7 @@ def vc_decide(vc: VCInstance) -> CoverResult:
     """Exact decision by branching on an uncovered edge; first cover in
     lexicographic branch order wins."""
     if vc.graph.vertex_count > MAX_VC_VERTICES:
-        raise ValueError(f"exact search limited to {MAX_VC_VERTICES} vertices")
+        raise GuardExceeded(f"exact search limited to {MAX_VC_VERTICES} vertices")
     edges = vc.edge_pairs()
 
     def rec(chosen: set[int], budget: int) -> Optional[set[int]]:
@@ -82,10 +83,16 @@ def vc_decide(vc: VCInstance) -> CoverResult:
 def gen_vc_deg3(seed: int, n: int, m: int) -> VCInstance:
     """A seeded random simple graph with n vertices, m edges, max degree 3.
 
-    Deterministic for a fixed seed; raises when m exceeds the degree bound's
-    capacity floor(3n/2).  A shuffled greedy pass can dead-end near the
-    capacity limit, in which case the pass restarts with a derived seed.
+    Deterministic for a fixed seed; raises on a negative count and when m
+    exceeds the degree bound's capacity floor(3n/2).  A shuffled greedy pass
+    can dead-end near the capacity limit, in which case the pass restarts
+    with a derived seed.
     """
+    for name, count in (("vertex", n), ("edge", m)):
+        if count < 0:
+            raise ValueError(f"negative {name} count {count}")
+    if m == 0:
+        return VCInstance(Graph(UNDIRECTED, n, ()), 0)
     if m > 3 * n // 2:
         raise ValueError(f"cannot place {m} edges with max degree 3 on {n} vertices")
     all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

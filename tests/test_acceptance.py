@@ -243,7 +243,7 @@ def test_criterion_03_witness_tightness(grid_sweep):
         # smallest budget the non-trivial builder accepts that admits a witness
         k_eval = max(k_min, opt)
         if k_eval <= 8:
-            sol = build_witness_p_large(replace(canon, k=k_eval))
+            sol = build_witness_p_large(replace(canon, k=k_eval)).witness
             verdict = verify_solution(inst, sol)
             assert verdict.answer and verdict.shared_count <= k_eval, (key, verdict)
             if k_eval == opt:
@@ -251,7 +251,7 @@ def test_criterion_03_witness_tightness(grid_sweep):
                 assert verdict.shared_count == opt, (key, opt, verdict.shared_count)
             built += 1
             # at a looser budget the witness still verifies within it
-            sol8 = build_witness_p_large(replace(canon, k=8))
+            sol8 = build_witness_p_large(replace(canon, k=8)).witness
             v8 = verify_solution(inst, sol8)
             assert v8.answer and v8.shared_count <= 8
         if degenerate_alignment(canon):

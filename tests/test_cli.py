@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import minshared.grid as grid_module
 from minshared import cli
 from minshared.cli import RenderSpec, main, render_embedding
-from minshared.core import (parse_instance, parse_solution, serialize_instance,
-                            serialize_solution, verify_solution)
+from minshared.core import (UNDIRECTED, Graph, SuperEdge, parse_instance, parse_solution,
+                            serialize_instance, serialize_solution, verify_solution)
 from minshared.grid import GridInstance, materialize_grid
-from minshared.vc import serialize_vc, gen_vc_deg3, VCInstance
+from minshared.vc import serialize_vc, gen_vc_deg3, parse_vc, VCInstance
 
 from helpers import cycle4, grid_graph, mutate_text
 from minshared.core import Instance
@@ -130,24 +130,27 @@ class TestGrid:
         assert calls == []
 
     def test_witness_fallback_reason(self, tmp_path, capsys):
+        out, inst_out = tmp_path / "w.msesol", tmp_path / "g.mse"
         code = main(["grid-witness", "7", "7", "0", "2", "2", "6", "7", "5",
-                     "--out", str(tmp_path / "w.msesol")])
+                     "--out", str(out), "--instance-out", str(inst_out)])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert lines[:4] == ["answer yes", "shared 5", "method criteria", "reason fallback: "
-                             "no boosted line reaches p; witness from the exact branching solver"]
+        assert lines == ["answer yes", "shared 5", "method fallback",
+                         "reason fallback: no boosted line reaches p"]
+        assert main(["verify", str(inst_out), str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["answer yes", "shared 5"]
 
-    def test_witness_closed_form_undershoot_is_internal_error(self, tmp_path, capsys):
-        # a valid instance on which the closed form promises k_min = 4 but the
-        # exact solver finds no non-trivial witness: a program fault, exit 4
+    def test_witness_closed_form_undershoot_is_fallback_no(self, tmp_path, capsys):
+        # the closed form promises k_min = 4, but the exact solver completes
+        # its search without a witness: an answer no, not a crash
         out = tmp_path / "w.msesol"
         code = main(["grid-witness", "7", "7", "0", "3", "2", "6", "7", "4",
                      "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == 4
-        assert captured.err.startswith(
-            "internal error: AssertionError: no non-trivial witness within k=4")
-        assert captured.out == "" and not out.exists()
+        assert code == 1
+        assert captured.out.splitlines() == ["answer no", "method fallback",
+                                             "reason fallback: no boosted line reaches p"]
+        assert captured.err == "" and not out.exists()
 
     def test_witness(self, tmp_path, capsys):
         out = tmp_path / "w.msesol"
@@ -164,8 +167,6 @@ class TestGrid:
 class TestReduce:
     @pytest.fixture
     def vc_file(self, tmp_path):
-        from minshared.core import Graph, SuperEdge, UNDIRECTED
-
         edges = (SuperEdge(0, 1), SuperEdge(1, 2), SuperEdge(2, 3), SuperEdge(0, 2))
         vc = VCInstance(Graph(UNDIRECTED, 4, edges), 2)
         f = tmp_path / "in.vc"
@@ -212,6 +213,26 @@ class TestVcCommands:
         main(["gen-vc", "--seed", "7", "8", "10", "--k", "3", "--out", str(a)])
         main(["gen-vc", "--seed", "7", "8", "10", "--k", "3", "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_vc_solve_guard_exit_three(self, tmp_path, capsys):
+        f = tmp_path / "big.vc"
+        f.write_text(serialize_vc(VCInstance(Graph(UNDIRECTED, 25, (SuperEdge(0, 1),)), 1)))
+        assert main(["vc-solve", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "limit: exact search limited to 24 vertices\n"
+
+    def test_gen_vc_no_edges(self, tmp_path, capsys):
+        out = tmp_path / "e.vc"
+        assert main(["gen-vc", "--seed", "1", "4", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["vertices 4", "edges 0"]
+        assert parse_vc(out.read_text()) == VCInstance(Graph(UNDIRECTED, 4, ()), 0)
+
+    def test_gen_vc_negative_count_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "n.vc"
+        assert main(["gen-vc", "--seed", "1", "-3", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: negative vertex count -3\n"
+        assert not out.exists()
 
     def test_gen_vc_directory_out_exit_two(self, tmp_path, capsys):
         assert main(["gen-vc", "--seed", "1", "4", "3", "--out", str(tmp_path)]) == 2
@@ -289,7 +310,6 @@ class TestRender:
         assert a.read_bytes() == b.read_bytes()
 
     def test_demo_artifact_renders(self, tmp_path, capsys):
-        from minshared.core import Graph, SuperEdge, UNDIRECTED
         from minshared.reductions import vc_to_holey_grid
 
         edges = (SuperEdge(0, 1), SuperEdge(1, 2), SuperEdge(2, 3), SuperEdge(0, 2))

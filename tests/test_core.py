@@ -774,9 +774,12 @@ class TestParserFuzz:
         (parse_instance, MINIMAL.replace("s 0", "s 0 9"), "^line 4: 's' takes 1"),
         (parse_solution, "msesol 1\npaths 1 7\npath 0+\n", "^line 2: 'paths' takes 1"),
         (parse_vc, "vc 1\nvertices 2\nk 1\nedge 0 1 7\n", "^line 4: 'edge' takes 2"),
+        (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1"),
+         "^line 8: 'chain' needs at least 3 values, not 2$"),
     ], ids=["unknown-mode", "coord-of-unknown-vertex", "path-count-not-int", "negative-k",
             "self-loop", "negative-vertex-count", "edge-extra-token", "coord-extra-token",
-            "s-extra-token", "paths-extra-token", "vc-edge-extra-token"])
+            "s-extra-token", "paths-extra-token", "vc-edge-extra-token",
+            "chain-too-few-values"])
     def test_known_bad_inputs(self, parser, text, match):
         with pytest.raises(FormatError, match=match):
             parser(text)

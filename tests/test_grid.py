@@ -35,7 +35,7 @@ LINE_S_SHORTER_RIM = GridInstance(5, 8, (0, 2), (2, 5), 5, 2)  # third flow, s o
 LINE_S_SHORTER = GridInstance(8, 8, (1, 3), (3, 6), 8, 4)  # third flow
 SOLVER = GridInstance(7, 7, (0, 2), (2, 6), 7, 5)  # no line reaches p: exact solver
 ROUTES = (LINE, LINE_T_SHORTER, LINE_S_SHORTER_RIM, LINE_S_SHORTER, SOLVER)
-SOLVER_REASON = "fallback: no boosted line reaches p; witness from the exact branching solver"
+SOLVER_REASON = "fallback: no boosted line reaches p"
 
 
 class TestClassify:
@@ -178,19 +178,19 @@ class TestDecideGrid:
 class TestWitness:
     def test_disjoint_case1(self):
         gi = GridInstance(5, 5, (1, 1), (3, 3), 4, 0)
-        sol = build_witness_p_large(gi)
+        sol = build_witness_p_large(gi).witness
         v = verify_solution(materialize_grid(gi), sol)
         assert v.answer and v.shared_count == 0
 
     def test_case3_exact(self):
         gi = GridInstance(5, 5, (0, 0), (4, 4), 5, 6)
-        sol = build_witness_p_large(gi)
+        sol = build_witness_p_large(gi).witness
         v = verify_solution(materialize_grid(gi), sol)
         assert v.answer and v.shared_count == 6
 
     def test_case2_exact(self):
         gi = GridInstance(6, 6, (0, 0), (3, 3), 5, 4)
-        sol = build_witness_p_large(gi)
+        sol = build_witness_p_large(gi).witness
         v = verify_solution(materialize_grid(gi), sol)
         assert v.answer and v.shared_count == 4
 
@@ -461,19 +461,30 @@ class TestWitnessOwnFrame:
         for sym in all_symmetries(gi):
             variant = sym.apply(gi)
             sol = build_witness_p_large(variant)
-            check = verify_solution(materialize_grid(variant), sol)
+            check = verify_solution(materialize_grid(variant), sol.witness)
             assert check.answer, (variant, check.reason)
-            assert (check.shared_count, sol.shared, sol.reason) == (
-                base.shared, base.shared, base.reason), variant
+            assert (check.shared_count, sol.shared_count, sol.method, sol.reason) == (
+                base.shared_count, base.shared_count, base.method, base.reason), variant
 
 
 class TestWitnessFallback:
     def test_fallback_is_labelled(self):
         assert decide_grid(SOLVER).reason is None
         v = decide_grid(SOLVER, want_witness=True)
-        assert (v.method, v.reason) == ("criteria", SOLVER_REASON)
+        assert (v.method, v.reason) == ("fallback", SOLVER_REASON)
         check = verify_solution(materialize_grid(SOLVER), v.witness)
         assert check.answer and check.shared_count == v.shared_count == 5
+
+    def test_undershoot_is_a_fallback_no(self):
+        # the closed form promises k_min = 4, but the completed search finds
+        # no witness: the answer is the solver's no, not an error
+        gi = GridInstance(7, 7, (0, 3), (2, 6), 7, 4)
+        assert decide_grid(gi).answer
+        rep = solve_fpt_branching(materialize_grid(gi))
+        for v in (build_witness_p_large(gi), decide_grid(gi, want_witness=True)):
+            assert (v.answer, v.method, v.reason, v.witness) == (
+                False, "fallback", SOLVER_REASON, None)
+            assert v.nodes_explored == rep.nodes_explored > 1
 
     def test_fragment_witness_has_no_reason(self):
         v = decide_grid(GridInstance(5, 5, (0, 0), (4, 4), 5, 6), want_witness=True)
@@ -543,9 +554,9 @@ class TestBoostedLine:
     @staticmethod
     def check_line_witness(gi):
         w = build_witness_p_large(gi)
-        check = verify_solution(materialize_grid(gi), w)
+        check = verify_solution(materialize_grid(gi), w.witness)
         assert check.answer, (gi, check.reason)
-        assert (w.reason, w.shared, check.shared_count) == (None, gi.k, gi.k), gi
+        assert (w.reason, w.shared_count, check.shared_count) == (None, gi.k, gi.k), gi
 
     def test_every_interior_case1_instance_up_to_9x9(self, spies):
         instances = list(_interior_canonical_case1(9))
@@ -587,8 +598,8 @@ class TestBoostedLine:
         flows = misses + (not solver)
         assert spies == {"max_flow_boosted": flows, "solve_fpt_branching": solver}
         assert w.reason == (SOLVER_REASON if solver else None)
-        check = verify_solution(materialize_grid(gi), w)
-        assert check.answer and check.shared_count == w.shared == gi.k
+        check = verify_solution(materialize_grid(gi), w.witness)
+        assert check.answer and check.shared_count == w.shared_count == gi.k
 
 
 def _canonical_at_k_min(size):
@@ -611,16 +622,15 @@ def _canonical_at_k_min(size):
 
 
 def _witness_outcome(gi):
-    """(route reason, shared count) of gi's verified witness; ("undershoot",
-    None) when the closed form promises a witness the solver cannot find."""
-    try:
-        w = build_witness_p_large(gi)
-    except AssertionError as exc:
-        assert str(exc).startswith(f"no non-trivial witness within k={gi.k}"), exc
-        return "undershoot", None
-    check = verify_solution(materialize_grid(gi), w)
-    assert check.answer and check.shared_count == w.shared, (gi, check.reason)
-    return w.reason, w.shared
+    """(method, answer, shared count) of the builder's verdict on gi, its
+    witness verified on a yes; a fallback no marks a closed-form undershoot,
+    where the exact solver finds no witness within the k_min it promises."""
+    v = build_witness_p_large(gi)
+    if v.answer:
+        check = verify_solution(materialize_grid(gi), v.witness)
+        assert check.answer and check.shared_count == v.shared_count, (gi, check.reason)
+    assert v.reason == (SOLVER_REASON if v.method == "fallback" else None), gi
+    return v.method, v.answer, v.shared_count
 
 
 class TestWitnessSweep:
@@ -629,7 +639,7 @@ class TestWitnessSweep:
         assert len(instances) == 444
         for gi in instances:
             base = _witness_outcome(gi)
-            assert base[0] is None, gi
+            assert base[0] == "criteria", gi
             for sym in all_symmetries(gi):
                 assert _witness_outcome(sym.apply(gi)) == base, (gi, sym)
 
@@ -637,20 +647,20 @@ class TestWitnessSweep:
         misses = {}
         count = 0
         for gi in _canonical_at_k_min(8):
-            reason, _ = _witness_outcome(gi)
+            method, answer, _ = _witness_outcome(gi)
             count += 1
-            if reason is not None:
-                misses[gi.n, gi.m, gi.s, gi.t, gi.p, gi.k] = reason
+            if method != "criteria":
+                misses[gi.n, gi.m, gi.s, gi.t, gi.p, gi.k] = (method, answer)
         assert count == 4104
         assert misses == {
-            (7, 7, (0, 2), (2, 6), 7, 5): SOLVER_REASON,
-            (8, 7, (0, 2), (2, 6), 7, 5): SOLVER_REASON,
-            (7, 7, (0, 3), (2, 6), 7, 4): "undershoot",
-            (7, 8, (0, 2), (2, 7), 7, 5): "undershoot",
-            (7, 8, (0, 3), (2, 7), 7, 4): "undershoot",
-            (7, 8, (0, 4), (2, 7), 7, 4): "undershoot",
-            (8, 7, (0, 3), (2, 6), 7, 4): "undershoot",
-            (8, 8, (0, 2), (2, 7), 7, 5): "undershoot",
-            (8, 8, (0, 3), (2, 7), 7, 4): "undershoot",
-            (8, 8, (0, 4), (2, 7), 7, 4): "undershoot",
+            (7, 7, (0, 2), (2, 6), 7, 5): ("fallback", True),
+            (8, 7, (0, 2), (2, 6), 7, 5): ("fallback", True),
+            (7, 7, (0, 3), (2, 6), 7, 4): ("fallback", False),
+            (7, 8, (0, 2), (2, 7), 7, 5): ("fallback", False),
+            (7, 8, (0, 3), (2, 7), 7, 4): ("fallback", False),
+            (7, 8, (0, 4), (2, 7), 7, 4): ("fallback", False),
+            (8, 7, (0, 3), (2, 6), 7, 4): ("fallback", False),
+            (8, 8, (0, 2), (2, 7), 7, 5): ("fallback", False),
+            (8, 8, (0, 3), (2, 7), 7, 4): ("fallback", False),
+            (8, 8, (0, 4), (2, 7), 7, 4): ("fallback", False),
         }

@@ -157,3 +157,19 @@ def test_one_reader_strips_comments():
     # the record syntax of the mse, msesol and vc formats lives in one
     # reader; a parser with its own comment handling is a copy of it
     assert _comment_strippers() == {("core.py", "_read_records")}
+
+
+def test_grid_has_one_solver_call_and_one_result_type():
+    # the grid layer's exact-solver fallback lives in one helper, and every
+    # result is a Verdict: no subclass of it or of Solution carries extra fields
+    with open(os.path.join(SRC, "grid.py"), encoding="utf-8") as fh:
+        assert fh.read().count("solve_fpt_branching(") == 1
+    subclasses = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        subclasses += [(os.path.basename(path), node.name) for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef) and any(
+                           getattr(base, "id", None) in ("Solution", "Verdict")
+                           for base in node.bases)]
+    assert subclasses == []

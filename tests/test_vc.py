@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from minshared.core import Graph, SuperEdge, UNDIRECTED
+from minshared.solver import GuardExceeded
 from minshared.vc import (
     CoverResult,
     VCInstance,
@@ -53,7 +54,7 @@ class TestDecide:
                 assert vc_decide(vc).exists == brute_force_has_cover(vc), (seed, k)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardExceeded):
             vc_decide(VCInstance(Graph(UNDIRECTED, 30, ()), 1))
 
 
@@ -74,6 +75,17 @@ class TestGenerator:
     def test_infeasible(self):
         with pytest.raises(ValueError):
             gen_vc_deg3(0, 4, 7)
+
+    def test_no_edges_is_the_edgeless_graph(self):
+        assert gen_vc_deg3(1, 4, 0) == VCInstance(Graph(UNDIRECTED, 4, ()), 0)
+
+    @pytest.mark.parametrize("n, m, match", [
+        (-3, 0, "negative vertex count -3"),
+        (4, -1, "negative edge count -1"),
+    ])
+    def test_negative_count_is_named(self, n, m, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            gen_vc_deg3(1, n, m)
 
 
 class TestPadding:

@@ -65,22 +65,25 @@ class RenderSpec:
 
 def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
                      fmt: str = "svg") -> bytes:
-    """Deterministic SVG (needs the embedding) or DOT (plain graph) bytes."""
+    """Deterministic SVG (needs the embedding) or DOT (plain graph) bytes;
+    both mark the shared edges red unless spec turns highlighting off."""
+    shared = set(sol.shared_edge_ids()) if (sol and spec.highlight_solution) else set()
     if fmt == "dot":
-        return _render_dot(inst, sol).encode()
+        return _render_dot(inst, shared).encode()
     if fmt != "svg":
         raise ValueError(f"unknown format {fmt!r}")
     g = inst.graph
     if g.coords is None or any(e.polyline is None for e in g.edges):
         raise ValueError("missing embedding: SVG needs coords and polylines")
-    shared = set(sol.shared_edge_ids()) if (sol and spec.highlight_solution) else set()
     used = set()
     if sol:
         for path in sol.paths:
             used.update(path.edge_ids())
 
-    xs = [p[0] for e in g.edges for p in e.polyline]
-    ys = [p[1] for e in g.edges for p in e.polyline]
+    # vertices count too: an edgeless instance still draws its coords
+    points = [p for e in g.edges for p in e.polyline] + list(g.coords.values())
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     s = spec.scale
@@ -116,9 +119,8 @@ def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
     return ("\n".join(out) + "\n").encode()
 
 
-def _render_dot(inst: Instance, sol: Solution | None) -> str:
+def _render_dot(inst: Instance, shared: set[int]) -> str:
     g = inst.graph
-    shared = set(sol.shared_edge_ids()) if sol else set()
     kind = "digraph" if g.directed else "graph"
     arrow = "->" if g.directed else "--"
     lines = [f"{kind} mse {{"]
@@ -236,9 +238,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_compose(args) -> int:
     instances = [parse_instance(_read(path)) for path in args.instances]
-    if args.directed and not all(i.graph.directed for i in instances):
-        print("error: --directed requires directed input instances", file=sys.stderr)
-        return 2
     for path, inst in zip(args.instances, instances):
         cls = classify_malformed(inst)
         if cls != "WellFormed":
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="OR-compose well-formed instances")
     p.add_argument("instances", nargs="+")
     p.add_argument("--out", required=True)
-    p.add_argument("--directed", action="store_true")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("normalize", help="remove anti-parallel arc-pair usage")

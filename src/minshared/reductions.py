@@ -10,6 +10,11 @@ right, rainbows go up-right-down, and every vertical connector becomes a pair
 of opposed snake-chains attached through single right-directed junction arcs
 spliced into the row chains (which therefore have length b+1).
 
+The trace records each meta-row's s-t route while the row is laid: tree
+branch, a-chain, rainbows and row chains in path order, each rainbow kept
+whole so that synthesize_holey_witness picks a band per path when it walks
+the route (M paths through a cover row, one through any other row).
+
 All chains are emitted as super-edges with waypoint polylines, so full-scale
 artifacts stay around 1e3 super-edges even when the expanded graph has ~1e8
 unit edges.  A demo mode shrinks the length constants for rendering; demo
@@ -78,12 +83,20 @@ def reduction_constants(vc: VCInstance) -> ReductionConstants:
     a0 = -(-((nv - 1) * (m_val + c - 2) - 2 * log_v) // 2)  # ceil
     a = max(a0, ne**3, b * b)
     p = k * m_val + (nv - k) + 1
-    k_prime = k * (2 * a + b * ne) + trees + c_prime * (2 * m_val - 2)
+    k_prime, k_double_prime = _budgets(k, ne, m_val, trees, c_prime, a, b)
     return ReductionConstants(
         M=m_val, trees=trees, c=c, c_prime=c_prime, b=b, a0=a0, a=a, p=p,
         k_prime=k_prime, c_manhattan=20, b_prime=b + 1,
-        k_double_prime=k_prime + k * ne,
+        k_double_prime=k_double_prime,
     )
+
+
+def _budgets(k: int, ne: int, m_val: int, trees: int, c_prime: int,
+             a: int, b: int) -> tuple[int, int]:
+    """(k', k'') for a-chains of length a and row chains of length b; k''
+    adds the junction arc each directed row chain carries."""
+    k_prime = k * (2 * a + b * ne) + trees + c_prime * (2 * m_val - 2)
+    return k_prime, k_prime + k * ne
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +120,27 @@ class SnakeTrace:
 
 @dataclass
 class CellTrace:
-    """Baseline pieces of one meta-grid cell, in path order:
-    pre_edges, then the rainbow passage (if any), then post_edges."""
+    """Baseline pieces of one meta-grid cell: a row path passes the cell's
+    rainbow (if any) between pre_edges and post_edges, the validation path
+    takes them back to back."""
 
     bare: bool
     pre_edges: list[int]
     post_edges: list[int]
-    rainbow: Optional[int] = None  # index into HoleyTrace.rainbows
 
 
 @dataclass
 class HoleyTrace:
+    """What witness synthesis needs of a layout.  routes[i-1] is meta-row i's
+    s-t route in path order: its s-tree branch (root to leaf), a-chain and
+    s-row rainbow, each cell's pre edges, rainbow and post edges, then the
+    t-row rainbow, a-chain and t-tree branch (leaf to root).  A route entry
+    is an edge id, or a RainbowTrace whose band the path picks."""
+
     rows: list[list[int]]                  # rows[i][j-1] = id of v'_{i,j}
-    cells: list[list[CellTrace]]
+    cells: list[list[CellTrace]]           # cells[i][j-1]
+    routes: list[list[int | RainbowTrace]]
     rainbows: list[RainbowTrace]
-    row_rainbow_in: list[Optional[int]]    # s-side rainbow index per row
-    row_rainbow_out: list[Optional[int]]
-    a_chain_in: list[Optional[int]]
-    a_chain_out: list[Optional[int]]
-    branch_in: list[list[int]]             # tree chain ids root->leaf per row
-    branch_out: list[list[int]]            # tree chain ids root->leaf; arcs run leaf->root
     snakes: list[SnakeTrace]
     outer_s: int
     outer_t: int
@@ -185,7 +199,7 @@ class _Builder:
 
 
 def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
-                  location: str, rainbows: list[RainbowTrace]) -> int:
+                  location: str, rainbows: list[RainbowTrace]) -> RainbowTrace:
     """A rainbow whose baseline runs from (x_left, y) to (x_left+2M+gap, y).
     Bands go up, then right, then down; the shortest band has gap+2 edges."""
     x_right = x_left + 2 * m_val + gap
@@ -200,7 +214,7 @@ def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
         for i in range(m_val)
     ]
     rainbows.append(RainbowTrace(location, left_stub, right_stub, bands))
-    return len(rainbows) - 1
+    return rainbows[-1]
 
 
 def _route_snakes(tracks: list[tuple[int, int]], y_top: int, y_bottom: int,
@@ -288,10 +302,8 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
         a_len = max(v_off[i] + r_off[i] for i in range(1, nv + 1)) + 2
         # budget recomputed from the demo lengths so witnesses stay coherent;
         # demo artifacts are tagged and never sound as hardness instances
-        budget = vc.k * (2 * a_len + b_len * ne) + cons.trees \
-            + cons.c_prime * (2 * m_val - 2)
-        if directed:
-            budget += vc.k * ne
+        budget = _budgets(vc.k, ne, m_val, cons.trees, cons.c_prime,
+                          a_len, b_len)[directed]
     else:
         b_len = cons.b
         # the inner band gap only needs budget-1 (bands then exceed the
@@ -329,26 +341,23 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
                 shift = 1 if j <= ne else -1
                 tracks.append((sx + shift, "up", j, tx + shift))
         tracks.sort()
-        routes = _route_snakes([(sx, tx) for sx, _, _, tx in tracks],
-                               row_y[i], row_y[i + 1], run, c, max_drop)
-        for (_, kind, j, _), pts in zip(tracks, routes):
+        planned = _route_snakes([(sx, tx) for sx, _, _, tx in tracks],
+                                row_y[i], row_y[i + 1], run, c, max_drop)
+        for (_, kind, j, _), pts in zip(tracks, planned):
             # up arcs run bottom -> top
             snake_routes.append((i, j, kind, pts[::-1] if kind == "up" else pts))
-        overhang = max(overhang, routes[-1][2][0])  # the last elbow
+        overhang = max(overhang, planned[-1][2][0])  # the last elbow
 
     bld = _Builder(DIRECTED if directed else UNDIRECTED)
     rainbows: list[RainbowTrace] = []
-
+    routes: list[list[int | RainbowTrace]] = [[] for _ in range(nv)]
     leaf_x = tree_depth
 
-    # --- s and its fan-out tree (chains run root -> leaf, top child first)
-    s_id = bld.vertex((0, y_center))
-    branch_in: list[list[int]] = [[] for _ in range(nv + 1)]
-
-    def grow(x: int, y: int, level: int, leaves: list[int], prefix: list[int],
-             into_t: bool, store: list[list[int]]):
+    def grow(x: int, y: int, level: int, prefix: list[int], into_t: bool, leaves):
+        """Tree chains, top child first; each leaf's route takes its branch
+        in path order."""
         if level > tree_depth:
-            store[leaves.pop(0)] = prefix[:]
+            next(leaves).extend(prefix[::-1] if into_t else prefix)
             return
         off = 1 << (tree_depth - level)
         for dy in (off, -off):
@@ -358,56 +367,43 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
             else:
                 child = (x + 1, y + dy)
                 eid = bld.chain([(x, y), (x, y + dy), child])
-            grow(child[0], child[1], level + 1, leaves, prefix + [eid], into_t, store)
+            grow(child[0], child[1], level + 1, prefix + [eid], into_t, leaves)
 
-    grow(0, y_center, 1, list(range(1, nv + 1)), [], False, branch_in)
+    # --- s and its fan-out tree (chains run root -> leaf)
+    s_id = bld.vertex((0, y_center))
+    grow(0, y_center, 1, [], False, iter(routes))
 
     # --- s-side length-a chains and rainbows into the rows
-    a_chain_in: list[Optional[int]] = [None] * (nv + 1)
-    row_rainbow_in: list[Optional[int]] = [None] * (nv + 1)
-    for i in range(1, nv + 1):
+    for i, route in enumerate(routes, start=1):
         ly, ry = leaf_y[i], row_y[i]
         bend_x = leaf_x + r_off[i]
         end_x = leaf_x + a_len - v_off[i]
-        a_chain_in[i] = bld.chain(
-            [(leaf_x, ly), (bend_x, ly), (bend_x, ry), (end_x, ry)]
-        )
-        assert bld.edges[a_chain_in[i]].length == a_len
-        row_rainbow_in[i] = _emit_rainbow(
+        route.append(bld.chain([(leaf_x, ly), (bend_x, ly), (bend_x, ry), (end_x, ry)]))
+        assert bld.edges[route[-1]].length == a_len
+        route.append(_emit_rainbow(
             bld, end_x, ry, x0 - end_x - 2 * m_val, m_val, f"s-row {i}", rainbows
-        )
+        ))
 
-    # --- meta-grid rows
+    # --- meta-grid rows: cell j spans xs[j-1]..xs[j]; when directed it opens
+    # with the junction arc, and the last one closes with an arc of its own
     rows: list[list[int]] = [[]]
     cells: list[list[CellTrace]] = [[]]
-    for i in range(1, nv + 1):
+    for i, route in enumerate(routes, start=1):
         y = row_y[i]
-        x = x0
-        row_ids = [bld.vertex((x, y))]
+        xs = row_x[i]
         row_cells: list[CellTrace] = []
-        for j in range(1, ne + 1):
-            bare = incident[i - 1][j - 1]
-            pre: list[int] = []
-            post: list[int] = []
-            if directed:
-                pre.append(bld.chain([(x, y), (x + 1, y)]))
-                x += 1
-                body = b_len - 1 if j == ne else b_len
-            else:
-                body = b_len
-            pre.append(bld.chain([(x, y), (x + body, y)]))
-            x += body
-            rb = None
+        for j, bare in enumerate(incident[i - 1], start=1):
+            lo, hi = xs[j - 1] + directed, xs[j] - (directed and j == ne)
+            mid = hi if bare else hi - 2 * m_val - gap
+            pre = [bld.chain([(xs[j - 1], y), (lo, y)])] if directed else []
+            pre.append(bld.chain([(lo, y), (mid, y)]))
+            route += pre
             if not bare:
-                rb = _emit_rainbow(bld, x, y, gap, m_val, f"cell {i} {j}", rainbows)
-                x += 2 * m_val + gap
-            if directed and j == ne:
-                post.append(bld.chain([(x, y), (x + 1, y)]))
-                x += 1
-            assert x == row_x[i][j]
-            row_ids.append(bld.vertex((x, y)))
-            row_cells.append(CellTrace(bare, pre, post, rb))
-        rows.append(row_ids)
+                route.append(_emit_rainbow(bld, mid, y, gap, m_val, f"cell {i} {j}", rainbows))
+            post = [bld.chain([(hi, y), (xs[j], y)])] if hi < xs[j] else []
+            route += post
+            row_cells.append(CellTrace(bare, pre, post))
+        rows.append([bld.vertex((x, y)) for x in xs])
         cells.append(row_cells)
 
     # --- snake-chains between consecutive rows, as routed above
@@ -415,33 +411,29 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
               for i, j, kind, pts in snake_routes]
 
     # --- t side: per-row rainbows absorb width differences and snake overhang
-    row_end_x = [0] + [row_x[i][ne] for i in range(1, nv + 1)]
     leaf_x_out = max(
-        max(row_end_x[i] + 2 * m_val + gap + (a_len - v_off[i])
+        max(row_x[i][-1] + 2 * m_val + gap + (a_len - v_off[i])
             for i in range(1, nv + 1)),
         overhang + nv + 4,
     )
-    row_rainbow_out: list[Optional[int]] = [None] * (nv + 1)
-    a_chain_out: list[Optional[int]] = [None] * (nv + 1)
-    for i in range(1, nv + 1):
+    for i, route in enumerate(routes, start=1):
         y = row_y[i]
         end_x = leaf_x_out - (a_len - v_off[i])
-        gap_i = end_x - row_end_x[i] - 2 * m_val
+        gap_i = end_x - row_x[i][-1] - 2 * m_val
         assert gap_i >= gap  # leaf_x_out leaves every row at least gap
-        row_rainbow_out[i] = _emit_rainbow(
-            bld, row_end_x[i], y, gap_i, m_val, f"t-row {i}", rainbows
-        )
+        route.append(_emit_rainbow(
+            bld, row_x[i][-1], y, gap_i, m_val, f"t-row {i}", rainbows
+        ))
         bend_x = leaf_x_out - r_off[i]
-        a_chain_out[i] = bld.chain(
+        route.append(bld.chain(
             [(end_x, y), (bend_x, y), (bend_x, leaf_y[i]), (leaf_x_out, leaf_y[i])]
-        )
-        assert bld.edges[a_chain_out[i]].length == a_len
+        ))
+        assert bld.edges[route[-1]].length == a_len
 
     # --- t and its fan-in tree (chains run leaf -> root)
-    branch_out: list[list[int]] = [[] for _ in range(nv + 1)]
     t_root_x = leaf_x_out + tree_depth
     t_id = bld.vertex((t_root_x, y_center))
-    grow(t_root_x, y_center, 1, list(range(1, nv + 1)), [], True, branch_out)
+    grow(t_root_x, y_center, 1, [], True, iter(routes))
 
     # --- outer-grid chains: above everything into v'_{1,1}, below everything
     # from v'_{nv,ne+1} to t
@@ -452,8 +444,8 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
     y_below = row_y[nv] - 5
     outer_t = bld.chain(
         [
-            (row_end_x[nv], row_y[nv]),
-            (row_end_x[nv], y_below),
+            (row_x[nv][-1], row_y[nv]),
+            (row_x[nv][-1], y_below),
             (t_root_x + 1, y_below),
             (t_root_x + 1, y_center),
             (t_root_x, y_center),
@@ -465,13 +457,7 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
 
     graph = bld.graph()
     inst = Instance(graph, s_id, t_id, cons.p, budget)
-    trace = HoleyTrace(
-        rows=rows, cells=cells, rainbows=rainbows,
-        row_rainbow_in=row_rainbow_in, row_rainbow_out=row_rainbow_out,
-        a_chain_in=a_chain_in, a_chain_out=a_chain_out,
-        branch_in=branch_in, branch_out=branch_out, snakes=snakes,
-        outer_s=outer_s, outer_t=outer_t,
-    )
+    trace = HoleyTrace(rows, cells, routes, rainbows, snakes, outer_s, outer_t)
     return ReductionArtifact(inst, cons, trace, demo, vc)
 
 
@@ -550,19 +536,14 @@ def synthesize_holey_witness(art: ReductionArtifact, cover) -> Solution:
     directed = graph.directed
 
     paths = []
-    for i in range(1, nv + 1):
-        for q in range(m_val if (i - 1) in cover else 1):
-            ids: list[int] = list(tr.branch_in[i])
-            ids.append(tr.a_chain_in[i])
-            ids += _rainbow_passage(tr.rainbows[tr.row_rainbow_in[i]], q, m_val)
-            for cell in tr.cells[i]:
-                ids += cell.pre_edges
-                if cell.rainbow is not None:
-                    ids += _rainbow_passage(tr.rainbows[cell.rainbow], q, m_val)
-                ids += cell.post_edges
-            ids += _rainbow_passage(tr.rainbows[tr.row_rainbow_out[i]], q, m_val)
-            ids.append(tr.a_chain_out[i])
-            ids += list(reversed(tr.branch_out[i]))
+    for v, route in enumerate(tr.routes):
+        for q in range(m_val if v in cover else 1):
+            ids: list[int] = []
+            for piece in route:
+                if isinstance(piece, RainbowTrace):
+                    ids += _rainbow_passage(piece, q, m_val)
+                else:
+                    ids.append(piece)
             paths.append(_steps(graph, s, ids))
 
     snake = {(st.gap, st.column, st.direction): st.edge for st in tr.snakes}

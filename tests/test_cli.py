@@ -278,15 +278,23 @@ class TestCompose:
             f.write_text(serialize_instance(lifted))
             files.append(str(f))
         out = tmp_path / "comp.mse"
-        assert main(["compose", *files, "--directed", "--out", str(out)]) == 0
+        assert main(["compose", *files, "--out", str(out)]) == 0
         composed = parse_instance(out.read_text())
         assert composed.graph.directed
 
-    def test_directed_flag_rejects_undirected(self, tmp_path, capsys):
-        f = tmp_path / "u.mse"
-        f.write_text(serialize_instance(Instance(cycle4(), 0, 2, 3, 1)))
-        assert main(["compose", str(f), "--directed",
-                     "--out", str(tmp_path / "o.mse")]) == 2
+    def test_mixed_modes_rejected(self, tmp_path, capsys):
+        from minshared.reductions import undirected_to_directed
+
+        inst = Instance(cycle4(), 0, 2, 3, 1)
+        files = []
+        for idx, each in enumerate((inst, undirected_to_directed(inst))):
+            f = tmp_path / f"m{idx}.mse"
+            f.write_text(serialize_instance(each))
+            files.append(str(f))
+        out = tmp_path / "o.mse"
+        assert main(["compose", *files, "--out", str(out)]) == 2
+        assert "mixed graph modes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRender:
@@ -326,6 +334,29 @@ class TestRender:
         out = tmp_path / "c.dot"
         assert main(["render", str(f), "--format", "dot", "--out", str(out)]) == 0
         assert out.read_text().startswith("graph mse {")
+
+    def test_dot_honours_no_highlight(self, tmp_path, capsys):
+        w, g = tmp_path / "w.msesol", tmp_path / "g.mse"
+        assert main(["grid-witness", "3", "3", "0", "0", "2", "2", "3", "2",
+                     "--out", str(w), "--instance-out", str(g)]) == 0
+        dots = []
+        for flags in ([], ["--no-highlight"]):
+            out = tmp_path / "g.dot"
+            assert main(["render", str(g), "--solution", str(w), "--format", "dot",
+                         *flags, "--out", str(out)]) == 0
+            dots.append(out.read_text())
+        assert dots[0].count("color=red") == 2
+        assert "color=red" not in dots[1]
+
+    def test_edgeless_instance_draws_its_vertices(self, tmp_path, capsys):
+        f = tmp_path / "e.mse"
+        f.write_text("mse 1\nmode undirected\nvertices 2\ns 0\nt 1\np 1\nk 0\n"
+                     "coord 0 0 0\ncoord 1 3 1\n")
+        out = tmp_path / "e.svg"
+        assert main(["render", str(f), "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert svg.count("<circle") == 2 and "<polyline" not in svg
+        assert 'width="60" height="36"' in svg
 
     def test_highlight_solution(self, tmp_path, capsys):
         inst = self._grid_instance()

@@ -14,6 +14,7 @@ from minshared.core import (
     check_grid_embedding,
     expand_chains,
     serialize_instance,
+    serialize_solution,
     verify_solution,
 )
 from minshared import reductions
@@ -36,7 +37,7 @@ from minshared.reductions import (
     vc_to_manhattan_dag,
 )
 from minshared.solver import solve_enum_oracle, solve_exhaustive_paths, solve_fpt_branching
-from minshared.vc import VCInstance, gen_vc_deg3, pad_to_power_of_two
+from minshared.vc import VCInstance, gen_vc_deg3, pad_to_power_of_two, vc_decide
 
 from helpers import cycle4, graph_from_edges, path_graph
 
@@ -114,9 +115,12 @@ class TestHoleyGrid:
         for rb in art.trace.rainbows:
             for band in rb.bands:
                 assert g.edges[band].length > k_prime
-        for i in range(1, 5):
-            assert g.edges[art.trace.a_chain_in[i]].length == art.constants.a
-            assert g.edges[art.trace.a_chain_out[i]].length == art.constants.a
+        # each route leaves its depth-2 s-tree branch on an a-chain and
+        # enters its t-tree branch from one
+        assert len(art.trace.routes) == 4
+        for route in art.trace.routes:
+            assert g.edges[route[2]].length == art.constants.a
+            assert g.edges[route[-3]].length == art.constants.a
 
     def test_witness_accepted_within_budget(self):
         art = vc_to_holey_grid(paper_vc(2))
@@ -238,6 +242,31 @@ COMPILED_DIGESTS = {
 }
 
 
+# sha1 of serialize_solution(synthesize_holey_witness(art, cover)) for every
+# COMPILED_DIGESTS key, the cover being vc_decide's at the source's k.  The
+# gen_vc_deg3(2, 6, 6) and (3, 6, 6) sources have no cover of size 2, so their
+# keys pin the witness for the same graph at k=3 instead.  A witness names
+# edge ids only, so the demo artifact's equals the full one's.
+WITNESS_DIGESTS = {
+    ("paper", False, False): "00129820c9681e58b5fe0e50936cbd915aa38ccb",
+    ("paper", False, True): "00129820c9681e58b5fe0e50936cbd915aa38ccb",
+    ("paper", True, False): "ba16d36800fd6aa63929443cd19decb140c2b833",
+    ("paper", True, True): "ba16d36800fd6aa63929443cd19decb140c2b833",
+    ((2, 6, 6, 3), False, False): "9cd762f440269f970a830969a98827247ccd2c8f",
+    ((2, 6, 6, 3), False, True): "9cd762f440269f970a830969a98827247ccd2c8f",
+    ((2, 6, 6, 3), True, False): "5c5acadb19a07ddd4e6db257a5fc4758fd03b010",
+    ((2, 6, 6, 3), True, True): "5c5acadb19a07ddd4e6db257a5fc4758fd03b010",
+    ((3, 6, 6, 3), False, False): "4f40e29bead37db2c3a392a533afb4b4bdcff4c7",
+    ((3, 6, 6, 3), False, True): "4f40e29bead37db2c3a392a533afb4b4bdcff4c7",
+    ((3, 6, 6, 3), True, False): "a8de0c501354b3ccea036a1279f9ba5a9a288622",
+    ((3, 6, 6, 3), True, True): "a8de0c501354b3ccea036a1279f9ba5a9a288622",
+    ((5, 8, 10, 4), False, False): "ea14abf48bb550d46c1639b4c7f067b623fd7c9c",
+    ((5, 8, 10, 4), False, True): "ea14abf48bb550d46c1639b4c7f067b623fd7c9c",
+    ((5, 8, 10, 4), True, False): "57ee2af9c67fd67267744d5e57a60d048c81a153",
+    ((5, 8, 10, 4), True, True): "57ee2af9c67fd67267744d5e57a60d048c81a153",
+}
+
+
 def _digest_source(name):
     if name == "paper":
         return paper_vc(2)
@@ -253,6 +282,24 @@ class TestCompileOnce:
         art = compiler(_digest_source(name), demo=demo)
         text = serialize_instance(art.instance, include_polylines=False) + serialize_trace(art)
         assert hashlib.sha1(text.encode()).hexdigest() == COMPILED_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", sorted(WITNESS_DIGESTS, key=repr))
+    def test_witnesses_byte_identical(self, key):
+        name, directed, demo = key
+        compiler = vc_to_manhattan_dag if directed else vc_to_holey_grid
+        source = _digest_source(name)
+        art = compiler(source, demo=demo)
+        wit = synthesize_holey_witness(art, vc_decide(source).cover)
+        text = serialize_solution(wit)
+        assert hashlib.sha1(text.encode()).hexdigest() == WITNESS_DIGESTS[key]
+
+    @pytest.mark.parametrize("name", [(2, 6, 6, 2), (3, 6, 6, 2)], ids=str)
+    def test_no_cover_no_witness(self, name):
+        source = _digest_source(name)
+        assert not vc_decide(source).exists
+        cover = vc_decide(replace(source, k=3)).cover
+        with pytest.raises(ValueError, match="cover larger than k=2"):
+            synthesize_holey_witness(vc_to_holey_grid(source), cover)
 
     @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
     def test_chains_laid_once(self, compiler, monkeypatch):

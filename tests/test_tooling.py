@@ -9,15 +9,18 @@ syntax in one reader."""
 import ast
 import glob
 import os
+import shlex
 
 import minshared.core as C
 import minshared.solver as S
+from minshared.cli import build_parser
 from minshared.core import Instance
 
 from helpers import grid_graph, grid_vertex
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "minshared")
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 MINIMAL = "mse 1\nmode undirected\nvertices 2\ns 0\nt 1\np 1\nk 0\nedge 0 1\n"
 
@@ -173,3 +176,19 @@ def test_grid_has_one_solver_call_and_one_result_type():
                            getattr(base, "id", None) in ("Solution", "Verdict")
                            for base in node.bases)]
     assert subclasses == []
+
+
+def test_readme_cli_lines_parse():
+    # a flag deleted from the CLI must not linger in the README's examples;
+    # the lines are only parsed, never run
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("minshared ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            raise AssertionError(f"README line does not parse: {' '.join(argv)}") from None

@@ -219,7 +219,7 @@ def _cmd_reduce(args) -> int:
     inst = art.instance
     if args.expand:
         if inst.graph.unit_size() > POLYLINE_FILE_LIMIT:
-            print(f"error: expanded graph would have {inst.graph.unit_size()} "
+            print(f"limit: expanded graph would have {inst.graph.unit_size()} "
                   f"unit edges (limit {POLYLINE_FILE_LIMIT}); use --demo", file=sys.stderr)
             return 3
         inst = expand_chains(inst.graph).expand_instance(inst)
@@ -242,7 +242,7 @@ def _cmd_compose(args) -> int:
         cls = classify_malformed(inst)
         if cls != "WellFormed":
             print(f"error: {path} is malformed ({cls})", file=sys.stderr)
-            return 3
+            return 2
     report = or_compose(instances)
     _write(args.out, serialize_instance(report.instance))
     print(f"q {max(1, 1 << (report.p_prime - instances[0].p))}")

@@ -7,7 +7,10 @@ Three routes to the same answer, used to cross-check each other:
 * solve_enum_oracle - enumerate candidate shared sets S (super-edges, chain
   lengths charged fully) and test an s-t flow of value p with S boosted.
 * solve_fpt_branching - branch on the edges of a < p cut, boosting one per
-  child; the search tree has at most (p-1)^k nodes on unit-edge graphs.
+  child; the search tree has at most (p-1)^k nodes on unit-edge graphs.  A
+  node whose children would all be leaves (its budget minus its shortest
+  affordable cut edge is below the graph's shortest edge) is settled by one
+  flow with all those cut edges boosted at once.
 
 Every flow here is `flow.max_flow_boosted` on the instance itself: the
 candidate shared set boosted to p, capped at p.  The enumeration oracle
@@ -169,6 +172,15 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
     Identical boost sets reached along different branch orders are memoised.
     The depth-first search keeps an explicit stack, so the number of boosts
     along a branch is not bounded by the interpreter's recursion limit.
+
+    Last-boost rule: when even the shortest affordable cut edge leaves less
+    budget than the graph's shortest edge, no child can boost again, so each
+    child succeeds only if its own flow reaches p.  Boosting more edges never
+    lowers the max flow, so one flow with every affordable cut edge boosted
+    answers for all of them: below p, the node has no children.  Otherwise
+    the children run as usual, so the depth-first order, the answer, the
+    shared set and the witness are those of the search without the rule;
+    only the node count falls.
     """
     g = inst.graph
     trivial = _trivial_verdict(inst, "branching")
@@ -176,10 +188,11 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
         return trivial
 
     lengths = [e.length for e in g.edges]
+    shortest = min(lengths, default=0)
     nodes = 0
     dead: set[frozenset[int]] = set()  # boost sets whose whole subtree failed
     # one frame per node on the current branch: (boosts, budget, its flow,
-    # the cut edges not yet branched on, in ascending id order)
+    # the affordable cut edges not yet branched on, in ascending id order)
     frames: list[tuple[frozenset[int], int, FlowResult, Iterator[int]]] = []
     node: Optional[tuple[frozenset[int], int, Optional[FlowResult]]] = (frozenset(), inst.k, None)
     while node is not None:
@@ -191,11 +204,17 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
                 witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
                 return Verdict(True, witness.shared_count(g), witness, method="branching",
                                shared_set=boosts, nodes_explored=nodes)
-            frames.append((boosts, budget, fr, iter(sorted(fr.min_cut) if budget > 0 else ())))
+            cut = sorted(e for e in fr.min_cut if lengths[e] <= budget)
+            # every child's budget is below the shortest edge, so each child
+            # is a leaf: one flow with the whole cut boosted settles them all
+            if (cut and budget - min(lengths[e] for e in cut) < shortest
+                    and max_flow_boosted(inst, boosts.union(cut), start=fr).value < inst.p):
+                cut = []
+            frames.append((boosts, budget, fr, iter(cut)))
         node = None
         while frames and node is None:
             boosts, budget, fr, pending = frames[-1]
-            eid = next((e for e in pending if lengths[e] <= budget), None)
+            eid = next(pending, None)
             if eid is None:
                 dead.add(boosts)
                 frames.pop()

@@ -195,6 +195,8 @@ class TestReduce:
         code = main(["reduce", "vc2grid", vc_file, "--expand",
                      "--out", str(tmp_path / "x.mse")])
         assert code == 3
+        assert capsys.readouterr().err.startswith("limit: expanded graph would have ")
+        assert not (tmp_path / "x.mse").exists()
 
 
 class TestVcCommands:
@@ -264,7 +266,9 @@ class TestCompose:
 
         f = tmp_path / "triv.mse"
         f.write_text(serialize_instance(Instance(path_graph(3), 0, 2, 3, 3)))
-        assert main(["compose", str(f), "--out", str(tmp_path / "o.mse")]) == 3
+        assert main(["compose", str(f), "--out", str(tmp_path / "o.mse")]) == 2
+        assert capsys.readouterr().err == f"error: {f} is malformed (TrivialYes)\n"
+        assert not (tmp_path / "o.mse").exists()
 
     def test_directed_compose(self, tmp_path, capsys):
         from helpers import graph_from_edges

@@ -16,6 +16,7 @@ from minshared.core import (
     SuperEdge,
     verify_solution,
 )
+from minshared.flow import max_flow_boosted
 import minshared.solver as solver
 from minshared.solver import (
     GuardExceeded,
@@ -140,14 +141,15 @@ class TestBranching:
         assert not solve_fpt_branching(Instance(path_graph(3), 0, 2, 4, 1)).answer
         assert calls == [{"limit": 2}, {"limit": 1}]
 
-    # (grid n, m, s, t, p, k) -> (answer, nodes, shared set), recorded from the
-    # recursive search this explicit stack replaced: same child order, memo
-    # and node count
+    # (grid n, m, s, t, p, k) -> (answer, nodes, shared set).  The recursive
+    # search this explicit stack replaced explored 19, 19, 7 and 7 nodes for
+    # the same answers and shared sets; settling each node whose children are
+    # all leaves with one flow leaves 7, 7, 4 and 4
     @pytest.mark.parametrize("case, want", [
-        ((4, 4, (0, 0), (3, 3), 4, 3), (False, 19, None)),
-        ((4, 6, (0, 0), (3, 5), 4, 3), (False, 19, None)),
-        ((5, 5, (0, 1), (4, 3), 4, 2), (True, 7, [2, 33])),
-        ((4, 6, (1, 0), (2, 5), 4, 2), (True, 7, [11, 21])),
+        ((4, 4, (0, 0), (3, 3), 4, 3), (False, 7, None)),
+        ((4, 6, (0, 0), (3, 5), 4, 3), (False, 7, None)),
+        ((5, 5, (0, 1), (4, 3), 4, 2), (True, 4, [2, 33])),
+        ((4, 6, (1, 0), (2, 5), 4, 2), (True, 4, [11, 21])),
     ])
     def test_search_tree_pinned(self, case, want):
         n, m, (sx, sy), (tx, ty), p, k = case
@@ -157,10 +159,11 @@ class TestBranching:
         assert (rep.answer, rep.nodes_explored, shared) == want
 
     def test_deep_search_without_recursion(self):
-        # every edge of the path is a bridge, so each level boosts one more
-        # and the search runs 1,100 boosts deep before the budget runs out
+        # every edge of the path is a bridge, so each level boosts one more;
+        # the search runs 1,099 boosts deep, and one flow settles the last
+        # level, where the budget allows a single boost
         rep = solve_fpt_branching(Instance(path_graph(1200), 0, 1199, 2, 1100))
-        assert not rep.answer and rep.nodes_explored == 1101
+        assert not rep.answer and rep.nodes_explored == 1100
 
     def test_node_bound_on_unit_graphs(self):
         g = cycle4()
@@ -195,6 +198,53 @@ class TestOracleAgreement:
                 inst = Instance(g, 0, 2, p, k)
                 answers = {s(inst).answer for s in ALL_SOLVERS}
                 assert len(answers) == 1, (p, k, answers)
+
+    def test_leaf_rule_reads_the_shortest_cut_edge(self):
+        # s=0 -> a=1 over edges 0 (length 3) and 1 (length 2), a -> b=2 over
+        # edges 2 (length 1) and 3 (length 2), b -> t=3 over three unit edges.
+        # The root cut is {0, 1}: its lowest-id edge is not its shortest, and
+        # edge 2 outside it is shorter than both.  At k = 3 the only shared
+        # set is {1, 2}: after boosting edge 1 one unit of budget is left, so
+        # the root's children are not all leaves, and a flow with the whole
+        # root cut boosted stops at 2 < p on {2, 3}.
+        g = Graph(UNDIRECTED, 4, (
+            SuperEdge(0, 1, 3), SuperEdge(0, 1, 2), SuperEdge(1, 2, 1), SuperEdge(1, 2, 2),
+            SuperEdge(2, 3), SuperEdge(2, 3), SuperEdge(2, 3),
+        ))
+        assert sorted(max_flow_boosted(Instance(g, 0, 3, 3, 3), frozenset()).min_cut) == [0, 1]
+        dist = 4
+        for k in range(dist + 1):
+            inst = Instance(g, 0, 3, 3, k)
+            answers = [s(inst).answer for s in ALL_SOLVERS]
+            assert answers == [k >= 3] * 3, (k, answers)
+        assert solve_fpt_branching(Instance(g, 0, 3, 3, 3)).shared_set == {1, 2}
+
+    def test_edgeless_graph_is_no(self):
+        g = Graph(UNDIRECTED, 2, ())
+        for k in (0, 1, 2):
+            for s in ALL_SOLVERS:
+                assert not s(Instance(g, 0, 1, 2, k)).answer
+
+    def test_grid_sweep_against_enum_oracle(self):
+        # every grid with n <= m and n * m <= 12, s before t, p = 2..5 and
+        # k < dist: the branching search, with its one-flow settling of
+        # all-leaf children, must agree with the unpruned subset enumeration
+        decisions = 0
+        for n in range(2, 4):
+            for m in range(n, 12 // n + 1):
+                g = grid_graph(n, m)
+                points = [(x, y) for x in range(n) for y in range(m)]
+                for (sx, sy), (tx, ty) in itertools.combinations(points, 2):
+                    s, t = grid_vertex(m, sx, sy), grid_vertex(m, tx, ty)
+                    for p in range(2, 6):
+                        for k in range(abs(sx - tx) + abs(sy - ty)):
+                            inst = Instance(g, s, t, p, k)
+                            rep = solve_fpt_branching(inst)
+                            assert rep.answer == solve_enum_oracle(inst).answer, inst
+                            if rep.answer:
+                                assert verify_solution(inst, rep.witness).answer
+                            decisions += 1
+        assert decisions == 2384
 
     def test_monotonicity(self):
         g = cycle4()

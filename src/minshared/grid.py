@@ -18,8 +18,8 @@ Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
 in its own frame: the degenerate band test is frame-free, and each terminal's
 rim distance is measured from the corner away from the other terminal.
-canonicalize picks one representative of the 16 variants; nothing in the
-decision or witness path needs it.
+canonicalize picks one representative of the 16 variants; it serves the
+tests and bench/tracing.py, and no decision or witness path uses it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ Three routes to the same answer, used to cross-check each other:
 * solve_enum_oracle - enumerate candidate shared sets S (super-edges, chain
   lengths charged fully) and test an s-t flow of value p with S boosted.
 * solve_fpt_branching - branch on the edges of a < p cut, boosting one per
-  child; the search tree has at most (p-1)^k nodes on unit-edge graphs.  A
+  child; the search tree has at most (p-1)^k nodes on unit-edge graphs.
+  Child i bars the cut edges before it, so no boost set is reached twice.  A
   node whose children would all be leaves (its budget minus its shortest
   affordable cut edge is below the graph's shortest edge) is settled by one
   flow with all those cut edges boosted at once.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (Graph, Instance, PathSeq, Solution, Verdict, distance, loop_erase,
                    shortest_path, verify_solution)
@@ -150,7 +151,10 @@ def solve_enum_oracle(inst: Instance) -> Verdict:
         return trivial
     if math.isinf(distance(g, inst.s, inst.t)):
         return Verdict(False, method="enum")
-    if math.comb(len(g.edges), min(inst.k, len(g.edges))) > MAX_ENUM_SUBSETS:
+    # the subsets of every size up to k, summed only until the guard trips
+    n = len(g.edges)
+    if any(c > MAX_ENUM_SUBSETS for c in itertools.accumulate(
+            math.comb(n, i) for i in range(min(inst.k, n) + 1))):
         raise GuardExceeded("too many candidate shared sets")
     nodes = 0
     for sub in _subsets_within_budget(g, inst.k):
@@ -166,12 +170,14 @@ def solve_enum_oracle(inst: Instance) -> Verdict:
 def solve_fpt_branching(inst: Instance) -> Verdict:
     """Branch on the edges of a residual < p cut, boosting one per child.
 
-    A solution's shared set must hit every cut smaller than p, so the
-    branching is complete; boosting a chain charges its full length against
-    the budget, and cut edges longer than the remaining budget are pruned.
-    Identical boost sets reached along different branch orders are memoised.
-    The depth-first search keeps an explicit stack, so the number of boosts
-    along a branch is not bounded by the interpreter's recursion limit.
+    A solution's shared set must hit every cut smaller than p; boosting a
+    chain charges its full length against the budget, and cut edges longer
+    than the remaining budget are pruned.  Child i boosts cut[i] and bars
+    cut[:i]: a shared set lies in the child of the lowest-id cut edge it
+    holds, so the search stays complete, and a barred set holds an earlier
+    sibling's edge, whose subtree failed, so the first yes is unchanged and
+    no boost set is reached twice.  The pending nodes sit on one flat stack,
+    so a branch's depth is not bounded by the recursion limit.
 
     Last-boost rule: when even the shortest affordable cut edge leaves less
     budget than the graph's shortest edge, no child can boost again, so each
@@ -190,36 +196,25 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
     lengths = [e.length for e in g.edges]
     shortest = min(lengths, default=0)
     nodes = 0
-    dead: set[frozenset[int]] = set()  # boost sets whose whole subtree failed
-    # one frame per node on the current branch: (boosts, budget, its flow,
-    # the affordable cut edges not yet branched on, in ascending id order)
-    frames: list[tuple[frozenset[int], int, FlowResult, Iterator[int]]] = []
-    node: Optional[tuple[frozenset[int], int, Optional[FlowResult]]] = (frozenset(), inst.k, None)
-    while node is not None:
-        boosts, budget, start = node
+    # pending nodes, next on top: (boosts, budget, parent flow, barred edges)
+    stack: list[tuple[frozenset[int], int, Optional[FlowResult], frozenset[int]]] = [
+        (frozenset(), inst.k, None, frozenset())]
+    while stack:
+        boosts, budget, start, barred = stack.pop()
         nodes += 1
-        if boosts not in dead:
-            fr = max_flow_boosted(inst, boosts, start=start)
-            if fr.value >= inst.p:
-                witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
-                return Verdict(True, witness.shared_count(g), witness, method="branching",
-                               shared_set=boosts, nodes_explored=nodes)
-            cut = sorted(e for e in fr.min_cut if lengths[e] <= budget)
-            # every child's budget is below the shortest edge, so each child
-            # is a leaf: one flow with the whole cut boosted settles them all
-            if (cut and budget - min(lengths[e] for e in cut) < shortest
-                    and max_flow_boosted(inst, boosts.union(cut), start=fr).value < inst.p):
-                cut = []
-            frames.append((boosts, budget, fr, iter(cut)))
-        node = None
-        while frames and node is None:
-            boosts, budget, fr, pending = frames[-1]
-            eid = next(pending, None)
-            if eid is None:
-                dead.add(boosts)
-                frames.pop()
-            else:
-                node = (boosts | {eid}, budget - lengths[eid], fr)
+        fr = max_flow_boosted(inst, boosts, start=start)
+        if fr.value >= inst.p:
+            witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+            return Verdict(True, witness.shared_count(g), witness, method="branching",
+                           shared_set=boosts, nodes_explored=nodes)
+        cut = sorted(e for e in fr.min_cut if lengths[e] <= budget and e not in barred)
+        # every child's budget is below the shortest edge, so each child is
+        # a leaf: one flow with the whole cut boosted settles them all
+        if (cut and budget - min(lengths[e] for e in cut) < shortest
+                and max_flow_boosted(inst, boosts.union(cut), start=fr).value < inst.p):
+            cut = []
+        for i in reversed(range(len(cut))):
+            stack.append((boosts | {cut[i]}, budget - lengths[cut[i]], fr, barred.union(cut[:i])))
     return Verdict(False, method="branching", nodes_explored=nodes)
 
 

@@ -107,6 +107,13 @@ class TestEnumOracle:
         rep = solve_enum_oracle(Instance(g, 0, 2, 3, 2))
         assert frozenset(rep.witness.shared_edge_ids()) <= rep.shared_set
 
+    def test_guard_counts_every_size_up_to_k(self, monkeypatch):
+        # a 6-edge path at k = 5 has 63 subsets of size <= 5, but only 6 of
+        # size 5; the guard must count them all
+        monkeypatch.setattr(solver, "MAX_ENUM_SUBSETS", 10)
+        with pytest.raises(GuardExceeded):
+            solve_enum_oracle(Instance(path_graph(7), 0, 6, 2, 5))
+
 
 class TestBranching:
     def test_trivial_before_branching(self):
@@ -141,22 +148,31 @@ class TestBranching:
         assert not solve_fpt_branching(Instance(path_graph(3), 0, 2, 4, 1)).answer
         assert calls == [{"limit": 2}, {"limit": 1}]
 
-    # (grid n, m, s, t, p, k) -> (answer, nodes, shared set).  The recursive
-    # search this explicit stack replaced explored 19, 19, 7 and 7 nodes for
-    # the same answers and shared sets; settling each node whose children are
-    # all leaves with one flow leaves 7, 7, 4 and 4
+    # (grid n, m, s, t, p, k) -> (answer, nodes, flow calls, shared set).  A
+    # child bars its earlier siblings' cut edges, so no boost set is reached
+    # twice: each node runs one flow, plus one per all-leaf settlement
     @pytest.mark.parametrize("case, want", [
-        ((4, 4, (0, 0), (3, 3), 4, 3), (False, 7, None)),
-        ((4, 6, (0, 0), (3, 5), 4, 3), (False, 7, None)),
-        ((5, 5, (0, 1), (4, 3), 4, 2), (True, 4, [2, 33])),
-        ((4, 6, (1, 0), (2, 5), 4, 2), (True, 4, [11, 21])),
+        ((4, 4, (0, 0), (3, 3), 4, 3), (False, 7, 11, None)),
+        ((4, 6, (0, 0), (3, 5), 4, 3), (False, 7, 11, None)),
+        ((5, 5, (0, 1), (4, 3), 4, 2), (True, 4, 6, [2, 33])),
+        ((4, 6, (1, 0), (2, 5), 4, 2), (True, 4, 6, [11, 21])),
+        ((2, 5, (0, 4), (1, 0), 4, 4), (False, 12, 18, None)),
+        ((3, 4, (0, 0), (1, 3), 4, 3), (True, 10, 15, [1, 3, 12])),
     ])
-    def test_search_tree_pinned(self, case, want):
+    def test_search_tree_pinned(self, monkeypatch, case, want):
+        calls = []
+        flow = solver.max_flow_boosted
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "max_flow_boosted", counted)
         n, m, (sx, sy), (tx, ty), p, k = case
         rep = solve_fpt_branching(Instance(grid_graph(n, m), grid_vertex(m, sx, sy),
                                            grid_vertex(m, tx, ty), p, k))
         shared = sorted(rep.shared_set) if rep.answer else None
-        assert (rep.answer, rep.nodes_explored, shared) == want
+        assert (rep.answer, rep.nodes_explored, len(calls), shared) == want
 
     def test_deep_search_without_recursion(self):
         # every edge of the path is a bridge, so each level boosts one more;

@@ -169,6 +169,10 @@ class Graph:
             for v in self.coords:
                 if not 0 <= v < self.vertex_count:
                     raise ValueError(f"coordinate for unknown vertex {v}")
+            if not self.coords:
+                # an empty mapping places no vertex, like None, and a file
+                # cannot tell them apart: both read back as None
+                object.__setattr__(self, "coords", None)
 
     @property
     def directed(self) -> bool:
@@ -469,13 +473,13 @@ def check_grid_embedding(g: Graph) -> Verdict:
        kept sorted by y, each vertical asks by bisection whether one of them
        lies strictly inside its open y-range.
     """
-    if g.coords is None or any(v not in g.coords for v in range(g.vertex_count)):
+    coord_of = g.coords or {}  # a graph with no vertex has no coordinates
+    if any(v not in coord_of for v in range(g.vertex_count)):
         raise ValueError("missing coordinates")
     for eid, e in enumerate(g.edges):
         if e.polyline is None:
             raise ValueError(f"edge {eid} has no polyline")
 
-    coord_of = g.coords
     vertex_at: dict[Point, int] = {}
     for v, pt in coord_of.items():
         if pt in vertex_at:

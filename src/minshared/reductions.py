@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     DIRECTED,
@@ -217,6 +216,25 @@ def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
     return rainbows[-1]
 
 
+def _grow_tree(bld: _Builder, tree_depth: int, x: int, y: int, level: int,
+               prefix: list[int], into_t: bool, leaves) -> None:
+    """Tree chains below (x, y) at `level`, top child first; each leaf's route
+    (the next of `leaves`) takes its branch in path order.  Chains run root ->
+    leaf, or leaf -> root when into_t."""
+    if level > tree_depth:
+        next(leaves).extend(prefix[::-1] if into_t else prefix)
+        return
+    off = 1 << (tree_depth - level)
+    for dy in (off, -off):
+        if into_t:
+            child = (x - 1, y + dy)
+            eid = bld.chain([child, (x, y + dy), (x, y)])
+        else:
+            child = (x + 1, y + dy)
+            eid = bld.chain([(x, y), (x, y + dy), child])
+        _grow_tree(bld, tree_depth, child[0], child[1], level + 1, prefix + [eid], into_t, leaves)
+
+
 def _route_snakes(tracks: list[tuple[int, int]], y_top: int, y_bottom: int,
                   run: int, c: int, max_drop: int) -> list[list[Point]]:
     """Greedy routes for one gap's tracks (sx, tx), left to right: drop as far
@@ -256,12 +274,15 @@ def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionA
     if max(vc.degrees(), default=0) > 3:
         raise ValueError("compiler requires maximum degree three")
     cons = reduction_constants(vc)
-    last: Optional[LayoutError] = None
+    # keep the failure as text: the exception's traceback holds this frame,
+    # so keeping the exception here would tie both, and the failed attempt's
+    # frames, into a reference cycle
+    last = ""
     for extra in (0, 8, 24, 56, 120, 248):
         try:
             return _lay_holey(vc, cons, directed, demo, extra)
         except LayoutError as exc:
-            last = exc
+            last = str(exc)
     raise LayoutError(f"snake routing failed even with stretched rows: {last}")
 
 
@@ -353,25 +374,9 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
     routes: list[list[int | RainbowTrace]] = [[] for _ in range(nv)]
     leaf_x = tree_depth
 
-    def grow(x: int, y: int, level: int, prefix: list[int], into_t: bool, leaves):
-        """Tree chains, top child first; each leaf's route takes its branch
-        in path order."""
-        if level > tree_depth:
-            next(leaves).extend(prefix[::-1] if into_t else prefix)
-            return
-        off = 1 << (tree_depth - level)
-        for dy in (off, -off):
-            if into_t:
-                child = (x - 1, y + dy)
-                eid = bld.chain([child, (x, y + dy), (x, y)])
-            else:
-                child = (x + 1, y + dy)
-                eid = bld.chain([(x, y), (x, y + dy), child])
-            grow(child[0], child[1], level + 1, prefix + [eid], into_t, leaves)
-
     # --- s and its fan-out tree (chains run root -> leaf)
     s_id = bld.vertex((0, y_center))
-    grow(0, y_center, 1, [], False, iter(routes))
+    _grow_tree(bld, tree_depth, 0, y_center, 1, [], False, iter(routes))
 
     # --- s-side length-a chains and rainbows into the rows
     for i, route in enumerate(routes, start=1):
@@ -433,7 +438,7 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
     # --- t and its fan-in tree (chains run leaf -> root)
     t_root_x = leaf_x_out + tree_depth
     t_id = bld.vertex((t_root_x, y_center))
-    grow(t_root_x, y_center, 1, [], True, iter(routes))
+    _grow_tree(bld, tree_depth, t_root_x, y_center, 1, [], True, iter(routes))
 
     # --- outer-grid chains: above everything into v'_{1,1}, below everything
     # from v'_{nv,ne+1} to t

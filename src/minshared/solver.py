@@ -127,20 +127,21 @@ def _subsets_within_budget(g: Graph, budget: int):
     """Super-edge subsets with total expanded length <= budget, lazily, in
     ascending (size, lexicographic id) order."""
     lengths = [e.length for e in g.edges]
-    n = len(lengths)
+    for size in range(0, min(len(lengths), budget) + 1):
+        yield from _subsets_of_size(lengths, 0, budget, size, [])
 
-    def fixed_size(start: int, left: int, need: int, acc: list[int]):
-        if need == 0:
-            yield frozenset(acc)
-            return
-        for i in range(start, n - need + 1):
-            if lengths[i] <= left:
-                acc.append(i)
-                yield from fixed_size(i + 1, left - lengths[i], need - 1, acc)
-                acc.pop()
 
-    for size in range(0, min(n, budget) + 1):
-        yield from fixed_size(0, budget, size, [])
+def _subsets_of_size(lengths: list[int], start: int, left: int, need: int, acc: list[int]):
+    """acc plus `need` more ids from start on, of total length <= left, in
+    lexicographic order."""
+    if need == 0:
+        yield frozenset(acc)
+        return
+    for i in range(start, len(lengths) - need + 1):
+        if lengths[i] <= left:
+            acc.append(i)
+            yield from _subsets_of_size(lengths, i + 1, left - lengths[i], need - 1, acc)
+            acc.pop()
 
 
 def solve_enum_oracle(inst: Instance) -> Verdict:

@@ -58,26 +58,27 @@ def vc_decide(vc: VCInstance) -> CoverResult:
     lexicographic branch order wins."""
     if vc.graph.vertex_count > MAX_VC_VERTICES:
         raise GuardExceeded(f"exact search limited to {MAX_VC_VERTICES} vertices")
-    edges = vc.edge_pairs()
-
-    def rec(chosen: set[int], budget: int) -> Optional[set[int]]:
-        uncovered = next(((u, v) for u, v in edges if u not in chosen and v not in chosen), None)
-        if uncovered is None:
-            return set(chosen)
-        if budget == 0:
-            return None
-        u, v = uncovered
-        for pick in (u, v):
-            got = rec(chosen | {pick}, budget - 1)
-            if got is not None:
-                return got
-        return None
-
-    got = rec(set(), vc.k)
+    got = _cover_search(vc.edge_pairs(), set(), vc.k)
     if got is None:
         return CoverResult(False)
     assert is_cover(vc, got) and len(got) <= vc.k
     return CoverResult(True, frozenset(got))
+
+
+def _cover_search(edges: list[tuple[int, int]], chosen: set[int],
+                  budget: int) -> Optional[set[int]]:
+    """The first cover extending `chosen` by at most `budget` vertices:
+    branch on the first uncovered edge, its tail before its head."""
+    uncovered = next(((u, v) for u, v in edges if u not in chosen and v not in chosen), None)
+    if uncovered is None:
+        return chosen
+    if budget == 0:
+        return None
+    for pick in uncovered:
+        got = _cover_search(edges, chosen | {pick}, budget - 1)
+        if got is not None:
+            return got
+    return None
 
 
 def gen_vc_deg3(seed: int, n: int, m: int) -> VCInstance:

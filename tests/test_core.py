@@ -93,6 +93,12 @@ class TestParse:
         assert again == one
         assert serialize_instance(again) == serialize_instance(one)
 
+    def test_empty_coords_round_trip(self):
+        # a file cannot tell an empty coordinate map from none: both are None
+        inst = Instance(Graph(UNDIRECTED, 2, (SuperEdge(0, 1),), {}), 0, 1, 1, 0)
+        assert inst.graph.coords is None
+        assert parse_instance(serialize_instance(inst)) == inst
+
     def test_polylines_dropped_beyond_file_limit(self, monkeypatch):
         bent = SuperEdge(0, 1, polyline=((0, 0), (2, 0), (2, 1)))
         inst = Instance(Graph(UNDIRECTED, 2, (bent,), {0: (0, 0), 1: (2, 1)}), 0, 1, 1, 0)
@@ -454,7 +460,7 @@ def _lattice_reference(g):
     held twice, or held by a declared vertex, is a declared vertex at which
     each chain holding it ends."""
     vertex_at = {}
-    for v, pt in g.coords.items():
+    for v, pt in (g.coords or {}).items():
         if pt in vertex_at:
             return False
         vertex_at[pt] = v

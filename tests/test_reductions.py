@@ -336,6 +336,21 @@ class TestCompileOnce:
         with pytest.raises(LayoutError, match=message):
             reductions._route_snakes([(0, 0), (1, 1)], 100, 0, 5, c, max_drop)
 
+    @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
+    def test_every_spacing_exhausted(self, compiler, monkeypatch):
+        spacings = []
+
+        def exhausted(vc, cons, directed, demo, extra_spacing):
+            spacings.append(extra_spacing)
+            raise LayoutError("snake return level exhausted")
+
+        monkeypatch.setattr(reductions, "_lay_holey", exhausted)
+        with pytest.raises(LayoutError) as info:
+            compiler(paper_vc())
+        assert spacings == [0, 8, 24, 56, 120, 248]
+        assert str(info.value) == (
+            "snake routing failed even with stretched rows: snake return level exhausted")
+
 
 def _with_chain(graph, points):
     """graph plus one chain along `points` between two new vertices."""

@@ -3,8 +3,9 @@ module attribute names their callers use, so renaming or deleting one of
 them breaks `bench/run.py --trace 1`; and each wrapper must pass every
 argument through, `start=` of the branching solver's flow calls included.
 These tests catch both here, and static checks keep every import of the
-package in use, every private module-level helper referenced and the file
-syntax in one reader."""
+package in use, every private module-level helper referenced, the file
+syntax in one reader and the package free of the patterns that built
+reference cycles."""
 
 import ast
 import glob
@@ -160,6 +161,48 @@ def test_one_reader_strips_comments():
     # the record syntax of the mse, msesol and vc formats lives in one
     # reader; a parser with its own comment handling is a copy of it
     assert _comment_strippers() == {("core.py", "_read_records")}
+
+
+def _cycle_makers():
+    """(module, line, name) of every nested function that reads its own
+    name, and of every `except ... as name` handler that uses the exception
+    other than as text (an f-string, str or repr), its type or a re-raise.
+    The first calls itself through a closure cell that holds it; the second
+    may store the exception, whose traceback holds the handler's frame.
+    Either ties what the frames hold into a cycle that only the cyclic
+    collector frees."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and any(isinstance(node, ast.Name) and node.id == inner.name
+                                for node in ast.walk(inner)):
+                    found.append((module, inner.lineno, inner.name))
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+                continue
+            for node in (n for stmt in handler.body for n in ast.walk(stmt)):
+                if not (isinstance(node, ast.Name) and node.id == handler.name):
+                    continue
+                up = parent[node]
+                as_text = isinstance(up, ast.FormattedValue) or (
+                    isinstance(up, ast.Call) and getattr(up.func, "id", None) in ("str", "repr", "type"))
+                if not (as_text or isinstance(up, ast.Raise)):
+                    found.append((module, node.lineno, handler.name))
+    return found
+
+
+def test_no_reference_cycles_by_construction():
+    # tests/test_memory.py checks the entry points it runs; this covers the
+    # two patterns that made cycles in the package, wherever they appear
+    assert _cycle_makers() == []
 
 
 def test_grid_has_one_solver_call_and_one_result_type():

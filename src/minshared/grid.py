@@ -8,8 +8,10 @@ budget below the certified cut bound (grid_cut_lower_bound) is a no.
 * p-large (p <= min(n, m)): a non-trivial solution exists iff an arithmetic
   criterion on p, k and the rim distances of s and t holds.  The witness
   builder runs max-flows with the criterion's own shared edges boosted (a
-  short line at s and one at t, each along either axis first); when no
-  line reaches p, the solver fallback decides.
+  short line at s and one at t, each along either axis first) on a window
+  around s and t that keeps the closed form, so its cost grows with p and
+  |s - t|, not with n * m; when no line reaches p, the solver fallback
+  decides on the whole grid.
 * p-narrow (neither), and p-large in the degenerate band: at or above the
   cut bound, the solver fallback decides: the one exact branching-solver
   call of this module, labelled as a fallback, whose no is a completed search.
@@ -307,7 +309,8 @@ def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
     """The shared set that the closed form charges for: the first cost_s
     unit edges of an L-shaped shortest path from s to t, and the first
     cost_t of one from t to s, each along x first when its flag says so;
-    `costs` is _bound_pass's.  Edge ids are materialize_grid(gi)'s."""
+    `costs` is _bound_pass's.  Edge ids are materialize_grid(gi)'s, and
+    build_witness_p_large passes its window as gi."""
     cost_s, cost_t = costs
     boosts = set()
     for a, b, cost, x_first in ((gi.s, gi.t, cost_s, s_x_first), (gi.t, gi.s, cost_t, t_x_first)):
@@ -317,45 +320,95 @@ def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
     return frozenset(boosts)
 
 
+def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
+    """The sub-grid that build_witness_p_large's flows run on, in the frame
+    of its lowest point, and that point's coordinates in gi.
+
+    On each axis it spans s and t widened by r = ceil(p/2) + 1 and clipped
+    to the grid, then extended to at least min(size, p) points, so it stays
+    p-large.  A terminal is on the window's rim exactly when it is on the
+    grid's, so its degree is the same, and a rim distance rho that the
+    window shortens stays at least r, so p <= 2(rho + 2) - deg on both,
+    where _sides charges the degree cost and reads no rho.  The window
+    keeps gi's regime, case, k_min and costs.
+    """
+    r = -(-gi.p // 2) + 1
+    lo, size = [], []
+    for i, n in enumerate((gi.n, gi.m)):
+        a, b = sorted((gi.s[i], gi.t[i]))
+        low, high = max(0, a - r), min(n - 1, b + r)
+        width = min(n, gi.p)
+        high = min(n - 1, max(high, low + width - 1))
+        low = min(low, high - width + 1)
+        lo.append(low)
+        size.append(high - low + 1)
+    s, t = ((q[0] - lo[0], q[1] - lo[1]) for q in (gi.s, gi.t))
+    return GridInstance(size[0], size[1], s, t, gi.p, gi.k), (lo[0], lo[1])
+
+
+def _lift(gi: GridInstance, win: Instance, origin: Point, path: PathSeq) -> PathSeq:
+    """`path`, an s-t path of win = materialize_grid of a window of gi whose
+    lowest point is `origin`, in gi's edge ids."""
+    x0, y0 = origin
+    coords = win.graph.coords
+    return _points_to_pathseq(gi, [(coords[v][0] + x0, coords[v][1] + y0)
+                                   for v in path.vertices(win.graph, win.s)])
+
+
+def _checked(inst: Instance, sol: Solution, gi: GridInstance) -> Verdict:
+    """verify_solution's verdict on sol, which must accept it."""
+    check = verify_solution(inst, sol)
+    if not check.answer:
+        raise AssertionError(f"witness rejected on {gi}: {check.reason}")
+    return check
+
+
 def build_witness_p_large(gi: GridInstance) -> Verdict:
     """The decision, with a verified witness in gi's frame on a yes, of a
     p-large instance in any frame at a budget of at least k_min; the witness
     is optimal at the criterion threshold.
 
-    Everything runs on materialize_grid(gi), in two routes:
+    Two routes:
 
-    1. boosted lines: one max-flow per axis choice with _line_boosts, the
-       criterion's own shared set, boosted to p; each terminal's line runs
-       along the longer axis first (x on a tie) or the shorter one, tried
-       as (longer, longer), (longer, shorter), (shorter, longer),
-       (shorter, shorter).  The first flow that reaches p is decomposed;
-       its paths share only boosted edges, so at most k_min.  The verdict
-       is `criteria`, certified by (case id, k_min).
+    1. boosted lines, on _window(gi) alone: one max-flow per axis choice
+       with _line_boosts, the criterion's own shared set, boosted to p;
+       each terminal's line runs along the longer axis first (x on a tie)
+       or the shorter one, tried as (longer, longer), (longer, shorter),
+       (shorter, longer), (shorter, shorter).  The first flow that reaches
+       p is decomposed and verified on the window; its paths share only
+       boosted edges, so at most k_min, and they are lifted to gi's edge
+       ids.  The verdict is `criteria`, certified by (case id, k_min).
     2. when no line reaches p (a few instances with a terminal on the rim),
-       the solver fallback decides; its no marks a closed-form undershoot.
+       the solver fallback decides on the whole of materialize_grid(gi),
+       which is the window's when the window is all of gi; its no marks a
+       closed-form undershoot.
 
     The choice set is closed under the 16 grid symmetries, so every frame
     of an instance takes the same route and shares as much.
     """
-    _, _, criteria, costs = _bound_pass(gi)
+    closed_form = _bound_pass(gi)
+    _, _, criteria, costs = closed_form
     if criteria is None:
         raise ValueError("build_witness_p_large needs a p-large instance")
     if gi.k < criteria[1]:
         raise ValueError("only the trivial solution exists at this budget")
-    inst = materialize_grid(gi)
+    w, origin = _window(gi)
+    if _bound_pass(w) != closed_form:
+        raise AssertionError(f"window {w} of {gi} changes the closed form")
+    win = materialize_grid(w)
     longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
     for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
-        boosts = _line_boosts(gi, costs, s_longer == longer_x, t_longer == longer_x)
-        fr = max_flow_boosted(inst, boosts)
+        boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
+        fr = max_flow_boosted(win, boosts)
         if fr.value >= gi.p:
-            verdict = Verdict(True, witness=Solution(tuple(decompose_to_paths(inst, fr, gi.p))),
-                              method="criteria", certificate=criteria)
-            break
-    else:
-        verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
+            paths = tuple(decompose_to_paths(win, fr, gi.p))
+            check = _checked(win, Solution(paths), gi)
+            witness = Solution(tuple(_lift(gi, win, origin, q) for q in paths))
+            return Verdict(True, shared_count=check.shared_count, witness=witness,
+                           method="criteria", certificate=criteria)
+    inst = win if w == gi else materialize_grid(gi)
+    verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
     if verdict.answer:
-        check = verify_solution(inst, verdict.witness)
-        if not check.answer:
-            raise AssertionError(f"witness rejected on {gi}: {check.reason}")
-        verdict = replace(verdict, shared_count=check.shared_count)
+        verdict = replace(verdict, shared_count=_checked(inst, verdict.witness, gi).shared_count)
     return verdict
+

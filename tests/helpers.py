@@ -225,3 +225,32 @@ def mutate_text(draw, text):
         if not lines:
             break
     return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def full_grid_witness_p_large(gi):
+    """Reference for grid.build_witness_p_large: the same four boosted-line
+    flows and solver fallback, all run on materialize_grid(gi), the whole
+    grid."""
+    from dataclasses import replace
+
+    from minshared.core import Solution, Verdict, verify_solution
+    from minshared.flow import decompose_to_paths, max_flow_boosted
+    from minshared.grid import _bound_pass, _line_boosts, _solver_fallback, materialize_grid
+
+    _, _, criteria, costs = _bound_pass(gi)
+    inst = materialize_grid(gi)
+    longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
+    for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
+        fr = max_flow_boosted(inst, _line_boosts(gi, costs, s_longer == longer_x,
+                                                 t_longer == longer_x))
+        if fr.value >= gi.p:
+            verdict = Verdict(True, witness=Solution(tuple(decompose_to_paths(inst, fr, gi.p))),
+                              method="criteria", certificate=criteria)
+            break
+    else:
+        verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
+    if verdict.answer:
+        check = verify_solution(inst, verdict.witness)
+        assert check.answer, (gi, check.reason)
+        verdict = replace(verdict, shared_count=check.shared_count)
+    return verdict

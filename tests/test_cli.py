@@ -163,6 +163,16 @@ class TestGrid:
         v = verify_solution(inst, sol)
         assert v.answer and v.shared_count == 6
 
+    def test_witness_on_a_large_grid(self, tmp_path, capsys):
+        # only a window around s and t is built, so this runs in milliseconds
+        out = tmp_path / "w.msesol"
+        code = main(["grid-witness", "1000", "1000", "500", "500", "503", "506", "8", "4",
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "answer yes", "shared 4", "method criteria"]
+        assert len(parse_solution(out.read_text()).paths) == 8
+
 
 class TestReduce:
     @pytest.fixture

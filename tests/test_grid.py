@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import minshared.grid as grid_module
-from minshared.core import Verdict, serialize_instance, verify_solution
+from minshared.core import PathSeq, Verdict, serialize_instance, verify_solution
 from minshared.grid import (
     GridInstance,
     GridSymmetry,
@@ -25,6 +25,8 @@ from minshared.grid import (
     grid_cut_lower_bound,
     materialize_grid,
 )
+from minshared.grid import _bound_pass, _lift, _window
+from helpers import full_grid_witness_p_large
 from minshared.solver import solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
 
@@ -34,6 +36,7 @@ LINE_T_SHORTER = GridInstance(5, 5, (0, 2), (2, 4), 5, 2)  # second flow
 LINE_S_SHORTER_RIM = GridInstance(5, 8, (0, 2), (2, 5), 5, 2)  # third flow, s on the rim
 LINE_S_SHORTER = GridInstance(8, 8, (1, 3), (3, 6), 8, 4)  # third flow
 SOLVER = GridInstance(7, 7, (0, 2), (2, 6), 7, 5)  # no line reaches p: exact solver
+SOLVER_PAST_WINDOW = GridInstance(12, 7, (0, 2), (2, 6), 7, 5)  # the same, on a 8 x 7 window
 ROUTES = (LINE, LINE_T_SHORTER, LINE_S_SHORTER_RIM, LINE_S_SHORTER, SOLVER)
 SOLVER_REASON = "fallback: no boosted line reaches p"
 
@@ -289,14 +292,16 @@ class TestCutBoundFirst:
     @pytest.mark.parametrize("gi", [GridInstance(5, 5, (0, 2), (2, 4), 5, 2),
                                     GridInstance(8, 8, (1, 3), (3, 6), 8, 4)])
     def test_witness_reuses_its_pass(self, monkeypatch, gi):
-        # the builder takes both side costs from its one _bound_pass, so a
-        # non-trivial witness costs one _sides call on top of the decision's
+        # the builder takes both side costs from its one _bound_pass on gi
+        # and makes one more on its window, to check that the window keeps
+        # them, so a non-trivial witness costs two _sides calls on top of
+        # the decision's
         calls = _count_calls(monkeypatch, "_sides")
         assert decide_grid(gi, want_witness=True).witness is not None
-        assert calls == {"_sides": 2}
+        assert calls == {"_sides": 3}
         calls["_sides"] = 0
         build_witness_p_large(gi)
-        assert calls == {"_sides": 1}
+        assert calls == {"_sides": 2}
 
 
 class TestMaterialize:
@@ -357,30 +362,60 @@ class TestEdgeIds:
                     assert edge_id(n, m, a, b) == (eid, True)
                     assert edge_id(n, m, b, a) == (eid, False)
 
+    def test_window_steps_lift_to_grid_edges(self):
+        # every unit step of every sub-window of every grid up to 6x6, both
+        # ways, lands on the grid edge with the same endpoints
+        for n in range(1, 7):
+            for m in range(1, 7):
+                if n * m < 2:
+                    continue
+                gi = GridInstance(n, m, (0, 0), (n - 1, m - 1), 1, 0)
+                g = materialize_grid(gi).graph
+                for x0, y0 in itertools.product(range(n), range(m)):
+                    for w, h in itertools.product(range(1, n - x0 + 1), range(1, m - y0 + 1)):
+                        if w * h < 2:
+                            continue
+                        win = materialize_grid(GridInstance(w, h, (0, 0), (w - 1, h - 1), 1, 0))
+                        for eid, e in enumerate(win.graph.edges):
+                            for start, end, fwd in ((e.tail, e.head, True),
+                                                    (e.head, e.tail, False)):
+                                lifted = _lift(gi, replace(win, s=start, t=end), (x0, y0),
+                                               PathSeq(((eid, fwd),)))
+                                (gid, gfwd), = lifted.steps
+                                ge = g.edges[gid]
+                                ends = [g.coords[ge.tail], g.coords[ge.head]]
+                                if not gfwd:
+                                    ends.reverse()
+                                a, b = (win.graph.coords[v] for v in (e.tail, e.head))
+                                if not fwd:
+                                    a, b = b, a
+                                assert ends == [(a[0] + x0, a[1] + y0), (b[0] + x0, b[1] + y0)]
+
 
 class TestMaterializeCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
+        """The GridInstance of every materialize_grid call."""
+        made = []
         original = grid_module.materialize_grid
 
         def counting(gi):
-            count[0] += 1
+            made.append(gi)
             return original(gi)
 
         monkeypatch.setattr(grid_module, "materialize_grid", counting)
-        return count
+        return made
 
     @pytest.mark.parametrize("want_witness", [False, True])
     def test_none_for_p_small(self, calls, want_witness):
         v = decide_grid(GridInstance(120, 120, (3, 4), (90, 100), 130, 183), want_witness)
         assert v.answer and v.shared_count == 183
         assert (v.witness is not None) == want_witness
-        assert calls[0] == 0
+        assert calls == []
 
     def test_none_for_one_path(self, calls):
         assert decide_grid(GridInstance(6, 7, (5, 6), (0, 1), 1, 0), want_witness=True)
-        assert calls[0] == 0
+        assert calls == []
 
     def test_none_for_p_large_decision_and_trivial_witness(self, calls):
         gi = GridInstance(100, 100, (20, 30), (80, 70), 40, 36)
@@ -389,17 +424,35 @@ class TestMaterializeCalls:
         trivial = decide_grid(GridInstance(9, 9, (0, 0), (2, 3), 8, 5), want_witness=True)
         assert trivial.answer and trivial.shared_count == 5
         assert len(set(trivial.witness.paths)) == 1
-        assert calls[0] == 0
+        assert calls == []
 
     @pytest.mark.parametrize("gi", [
         GridInstance(5, 5, (4, 4), (0, 0), 5, 6),  # case 3
         *ROUTES,
+        SOLVER_PAST_WINDOW,
     ])
     def test_once_for_nontrivial_p_large_witness(self, calls, gi):
+        # the boosted lines materialise the window once; a line miss then
+        # materialises the whole grid for the solver fallback, unless the
+        # window is the whole grid, as on SOLVER
         v = decide_grid(gi, want_witness=True)
-        assert calls[0] == 1
+        window = _window(gi)[0]
+        assert calls == ([window, gi] if gi == SOLVER_PAST_WINDOW else [window])
+        # the other grids here are small enough to be their own window
+        assert (window != gi) == (gi in (LINE, SOLVER_PAST_WINDOW)), window
         check = verify_solution(materialize_grid(gi), v.witness)
         assert v.answer and check.answer and check.shared_count == v.shared_count
+
+    @pytest.mark.parametrize("gi", [
+        GridInstance(2000, 2000, (1000, 1000), (1003, 1006), 8, 4),
+        GridInstance(2000, 2000, (0, 1990), (9, 1998), 10, 7),  # near two rims
+    ])
+    def test_window_at_scale(self, calls, gi):
+        v = build_witness_p_large(gi)
+        dx, dy = abs(gi.t[0] - gi.s[0]), abs(gi.t[1] - gi.s[1])
+        (w,) = calls
+        assert w.n * w.m <= (dx + gi.p + 3) * (dy + gi.p + 3)
+        assert (v.answer, v.method, v.shared_count) == (True, "criteria", gi.k)
 
 
 class TestOwnFrame:
@@ -664,3 +717,56 @@ class TestWitnessSweep:
             (8, 8, (0, 3), (2, 7), 7, 4): ("fallback", False),
             (8, 8, (0, 4), (2, 7), 7, 4): ("fallback", False),
         }
+
+
+def _seeded_near_rim(seed, count):
+    """`count` non-degenerate p-large instances at k = k_min < dist on
+    10-45-sided grids with p up to 30, s within 2 of a rim in 40% of them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(10, 45), rng.randint(10, 45)
+        p = rng.randint(2, min(n, m, 30))
+        s = [rng.randrange(n), rng.randrange(m)]
+        if rng.random() < 0.4:
+            axis, d = rng.randrange(2), rng.randint(0, 2)
+            s[axis] = d if rng.random() < 0.5 else (n, m)[axis] - 1 - d
+        t = (rng.randrange(n), rng.randrange(m))
+        if tuple(s) == t:
+            continue
+        gi = GridInstance(n, m, tuple(s), t, p, 0)
+        if degenerate_alignment(gi):
+            continue
+        gi = replace(gi, k=criteria_p_large(gi)[1])
+        if gi.k < gi.dist():
+            out.append(gi)
+    return out
+
+
+class TestWindow:
+    """build_witness_p_large against its full-grid reference."""
+
+    @staticmethod
+    def assert_same(gi):
+        w, _ = _window(gi)
+        assert _bound_pass(w) == _bound_pass(gi), gi
+        a, b = build_witness_p_large(gi), full_grid_witness_p_large(gi)
+        assert (a.method, a.answer, a.shared_count, a.witness) == (
+            b.method, b.answer, b.shared_count, b.witness), gi
+        return a.method
+
+    def test_canonical_up_to_7x7(self):
+        methods = [self.assert_same(gi) for gi in _canonical_at_k_min(7)]
+        assert (len(methods), methods.count("fallback")) == (1477, 2)
+
+    def test_seeded_sample_near_rim(self, monkeypatch):
+        # both builders hand a line miss to the same solver fallback on the
+        # same whole grid, so a stub stands in for the solver: only the route
+        # is compared, and no exponential search runs on a 45x45 grid
+        solved = []
+        monkeypatch.setattr(grid_module, "solve_fpt_branching",
+                            lambda inst: solved.append(inst.graph.vertex_count) or Verdict(False))
+        fallbacks = [gi.n * gi.m for gi in _seeded_near_rim(23, 150)
+                     if self.assert_same(gi) == "fallback"]
+        # each builder falls back once per line miss, on the whole grid
+        assert fallbacks and solved == [size for size in fallbacks for _ in range(2)]

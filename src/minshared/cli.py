@@ -12,6 +12,7 @@ clock or environment.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass, replace
 
@@ -378,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # the package builds no reference cycles: cyclic collection only costs time
     try:
         return args.func(args)
     except (FormatError, OSError, ValueError) as exc:
@@ -389,6 +392,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug, never an answer: keep it off exit code 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

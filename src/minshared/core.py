@@ -16,9 +16,11 @@ import heapq
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
@@ -240,16 +242,8 @@ class PathSeq:
 class Solution:
     paths: tuple[PathSeq, ...]
 
-    def edge_usage(self) -> dict[int, int]:
-        """edge id -> number of paths using it (each path is simple, so 0/1 per path)."""
-        usage: dict[int, int] = {}
-        for p in self.paths:
-            for eid in set(p.edge_ids()):
-                usage[eid] = usage.get(eid, 0) + 1
-        return usage
-
     def shared_edge_ids(self) -> list[int]:
-        return sorted(e for e, n in self.edge_usage().items() if n >= 2)
+        return _shared_ids(set(p.edge_ids()) for p in self.paths)
 
     def shared_count(self, graph: Graph) -> int:
         """Total unit-edge length of edges appearing in >= 2 paths."""
@@ -283,6 +277,10 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # verification
 
+def _shared_ids(edge_sets: Iterable[set[int]]) -> list[int]:
+    return sorted(e for e, n in Counter(chain.from_iterable(edge_sets)).items() if n > 1)
+
+
 def verify_solution(inst: Instance, sol: Solution) -> Verdict:
     """Accept iff sol is exactly p valid simple s-t paths sharing <= k unit edges.
 
@@ -290,10 +288,11 @@ def verify_solution(inst: Instance, sol: Solution) -> Verdict:
     as it can be computed.
     """
     g = inst.graph
-    ids = sol.shared_edge_ids()  # sorted; an unknown one leaves the count unknown
-    shared = None
-    if not ids or (ids[0] >= 0 and ids[-1] < len(g.edges)):
-        shared = sum(g.edges[e].length for e in ids)
+    path_ids = [p.edge_ids() for p in sol.paths]
+    path_sets = [set(ids) for ids in path_ids]
+    ids = _shared_ids(path_sets)  # sorted; an unknown one leaves the count unknown
+    known = not ids or (ids[0] >= 0 and ids[-1] < len(g.edges))
+    shared = sum(g.edges[e].length for e in ids) if known else None
     if len(sol.paths) != inst.p:
         return Verdict(False, shared, reason=f"expected {inst.p} paths, got {len(sol.paths)}")
     for idx, path in enumerate(sol.paths):
@@ -313,8 +312,7 @@ def verify_solution(inst: Instance, sol: Solution) -> Verdict:
         if len(set(seq)) != len(seq):
             return Verdict(False, shared, reason=f"path {idx} repeats a vertex")
         # a simple path cannot use one chain twice either
-        ids = path.edge_ids()
-        if len(set(ids)) != len(ids):
+        if len(path_sets[idx]) != len(path_ids[idx]):
             return Verdict(False, shared, reason=f"path {idx} repeats an edge")
     if shared > inst.k:
         return Verdict(False, shared, reason=f"{shared} shared unit edges exceed k={inst.k}")
@@ -468,10 +466,10 @@ def check_grid_embedding(g: Graph) -> Verdict:
        vertex inside a run.  A run ending inside a perpendicular one fails
        here too: it ends at a vertex, or its chain turns there along the
        other run or back onto itself.
-    3. Crossings: only runs of length >= 2 have inner points.  Taking the
-       verticals in x order, with the horizontals whose open x-range holds x
-       kept sorted by y, each vertical asks by bisection whether one of them
-       lies strictly inside its open y-range.
+    3. Crossings: only runs of length >= 2 have inner points, so only those
+       are visited.  Taking the verticals in x order, with the horizontals
+       whose open x-range holds x kept sorted by y, each vertical asks by
+       bisection whether one of them lies strictly inside its open y-range.
     """
     coord_of = g.coords or {}  # a graph with no vertex has no coordinates
     if any(v not in coord_of for v in range(g.vertex_count)):
@@ -480,11 +478,10 @@ def check_grid_embedding(g: Graph) -> Verdict:
         if e.polyline is None:
             raise ValueError(f"edge {eid} has no polyline")
 
-    vertex_at: dict[Point, int] = {}
-    for v, pt in coord_of.items():
-        if pt in vertex_at:
-            return Verdict(False, reason=f"vertices {vertex_at[pt]} and {v} share point {pt}")
-        vertex_at[pt] = v
+    vertex_at = {pt: v for v, pt in reversed(coord_of.items())}  # first holder of each
+    if len(vertex_at) < len(coord_of):
+        v, pt = next((v, pt) for v, pt in coord_of.items() if vertex_at[pt] != v)
+        return Verdict(False, reason=f"vertices {vertex_at[pt]} and {v} share point {pt}")
 
     # (line, lo, hi, owner) per axis: a run owned by its edge, a vertex by itself
     hs = [(y, x, x, v) for v, (x, y) in coord_of.items()]
@@ -492,14 +489,17 @@ def check_grid_embedding(g: Graph) -> Verdict:
     bends: list[Point] = []
     for eid, e in enumerate(g.edges):
         pts = e.polyline
-        if pts[0] != coord_of[e.tail] or pts[-1] != coord_of[e.head]:
+        ax, ay = start = coord_of[e.tail]
+        if pts[0] != start or pts[-1] != coord_of[e.head]:
             return Verdict(False, reason=f"edge {eid} polyline does not start/end at its vertices")
         bends += pts[1:-1]
-        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        for bx, by in pts:  # in normal form only the first run, start to start, is empty
             if ay == by:
-                hs.append((ay, ax, bx, eid) if ax < bx else (ay, bx, ax, eid))
+                if ax != bx:
+                    hs.append((ay, ax, bx, eid) if ax < bx else (ay, bx, ax, eid))
             else:
                 vs.append((ax, ay, by, eid) if ay < by else (ax, by, ay, eid))
+            ax, ay = bx, by
 
     bend_set = set(bends)
     if len(bend_set) < len(bends) or not bend_set.isdisjoint(vertex_at):
@@ -539,9 +539,7 @@ def check_grid_embedding(g: Graph) -> Verdict:
     leaves = sorted(long_h, key=operator.itemgetter(2))
     active: list[int] = []
     j = k = 0
-    for x, lo, hi, ev in vs:
-        if hi - lo < 2:
-            continue
+    for x, lo, hi, ev in [r for r in vs if r[2] - r[1] > 1]:
         while j < len(joins) and joins[j][1] < x:
             bisect.insort(active, joins[j][0])
             j += 1
@@ -653,19 +651,12 @@ def serialize_instance(inst: Instance, include_polylines: bool = True) -> str:
     include_polylines = include_polylines and g.unit_size() <= POLYLINE_FILE_LIMIT
     out = ["mse 1", f"mode {g.mode}", f"vertices {g.vertex_count}",
            f"s {inst.s}", f"t {inst.t}", f"p {inst.p}", f"k {inst.k}"]
-    if g.coords:
-        for v in sorted(g.coords):
-            x, y = g.coords[v]
-            out.append(f"coord {v} {x} {y}")
-    for e in g.edges:
-        if e.length == 1 and e.polyline is None:
-            out.append(f"edge {e.tail} {e.head}")
-        else:
-            line = f"chain {e.tail} {e.head} {e.length}"
-            if include_polylines and e.polyline is not None:
-                coords = " ".join(f"{x} {y}" for x, y in e.expand_points())
-                line += " " + coords
-            out.append(line)
+    out += [f"coord {v} {x} {y}" for v, (x, y) in sorted((g.coords or {}).items())]
+    out += [f"edge {e.tail} {e.head}" if e.length == 1 and e.polyline is None
+            else f"chain {e.tail} {e.head} {e.length}" + (
+                "".join(f" {x} {y}" for x, y in e.expand_points())
+                if include_polylines and e.polyline else "")
+            for e in g.edges]
     return "\n".join(out) + "\n"
 
 

@@ -173,46 +173,49 @@ class CompositionReport:
 # layout builder
 
 class _Builder:
+    """One artifact's layout: `at` numbers each point when `vertex` first
+    meets it, and `lay` appends every chain to `edges`."""
+
     def __init__(self, mode: str):
         self.mode = mode
-        self.coords: dict[int, Point] = {}
         self.at: dict[Point, int] = {}
         self.edges: list[SuperEdge] = []
 
     def vertex(self, pt: Point) -> int:
-        if pt in self.at:
-            return self.at[pt]
-        vid = len(self.coords)
-        self.coords[vid] = pt
-        self.at[pt] = vid
-        return vid
+        return self.at.setdefault(pt, len(self.at))
+
+    def lay(self, tail: int, head: int, points: list[Point]) -> int:
+        """Chain along a corner path from tail's point to head's; arcs run tail -> head."""
+        self.edges.append(SuperEdge(tail, head, polyline=points))
+        return len(self.edges) - 1
 
     def chain(self, points: list[Point]) -> int:
         """Chain along the given corner path; arcs run first point -> last."""
-        self.edges.append(SuperEdge(self.vertex(points[0]), self.vertex(points[-1]),
-                                    polyline=points))
-        return len(self.edges) - 1
+        return self.lay(self.vertex(points[0]), self.vertex(points[-1]), points)
 
     def graph(self) -> Graph:
-        return Graph(self.mode, len(self.coords), tuple(self.edges), dict(self.coords))
+        return Graph(self.mode, len(self.at), tuple(self.edges), {v: p for p, v in self.at.items()})
 
 
 def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
                   location: str, rainbows: list[RainbowTrace]) -> RainbowTrace:
     """A rainbow whose baseline runs from (x_left, y) to (x_left+2M+gap, y).
-    Bands go up, then right, then down; the shortest band has gap+2 edges."""
+    Bands go up, then right, then down; the shortest band has gap+2 edges.
+    Both stub rows (M+1 points each, left row first) are numbered before the
+    M left stubs, M bands (innermost first) and M right stubs take ids in turn."""
     x_right = x_left + 2 * m_val + gap
-    left_stub = [bld.chain([(x_left + i, y), (x_left + i + 1, y)]) for i in range(m_val)]
-    bands = []
+    lp = [(x, y) for x in range(x_left, x_left + m_val + 1)]
+    rp = [(x, y) for x in range(x_right - m_val, x_right + 1)]
+    left, right = [bld.vertex(p) for p in lp], [bld.vertex(p) for p in rp]
+    ids = list(range(len(bld.edges), len(bld.edges) + 3 * m_val))
+    for u, v, a, b in zip(left, left[1:], lp, lp[1:]):
+        bld.lay(u, v, [a, b])
     for q in range(1, m_val + 1):
-        ax = x_left + m_val + 1 - q
-        bx = x_right - m_val - 1 + q
-        bands.append(bld.chain([(ax, y), (ax, y + q), (bx, y + q), (bx, y)]))
-    right_stub = [
-        bld.chain([(x_right - m_val + i, y), (x_right - m_val + i + 1, y)])
-        for i in range(m_val)
-    ]
-    rainbows.append(RainbowTrace(location, left_stub, right_stub, bands))
+        a, b = lp[-q], rp[q - 1]
+        bld.lay(left[-q], right[q - 1], [a, (a[0], y + q), (b[0], y + q), b])
+    for u, v, a, b in zip(right, right[1:], rp, rp[1:]):
+        bld.lay(u, v, [a, b])
+    rainbows.append(RainbowTrace(location, ids[:m_val], ids[2 * m_val:], ids[m_val:2 * m_val]))
     return rainbows[-1]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import tempfile
@@ -76,6 +77,30 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: boom\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("code", [0, 2, 4])
+    def test_cyclic_gc_held_off_then_restored(self, cycle_file, tmp_path, monkeypatch,
+                                              capsys, enabled, code):
+        seen = []
+        solve = cli._cmd_solve
+
+        def cmd(args):
+            seen.append(gc.isenabled())
+            if code == 4:
+                raise RuntimeError("boom")
+            return solve(args)
+
+        monkeypatch.setattr(cli, "_cmd_solve", cmd)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            # a directory is an unreadable instance: exit 2
+            assert main(["solve", str(tmp_path) if code == 2 else cycle_file]) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
 
 class TestVerify:

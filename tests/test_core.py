@@ -425,9 +425,13 @@ class TestGridEmbedding:
         assert not check_grid_embedding(g).answer
 
     @pytest.mark.parametrize("points, chains, reason", [
-        # a chain ending inside another chain's run (a T-junction)
+        # a chain ending inside another chain's run (a T-junction), or starting there
         (((0, 0), (2, 0), (1, 2), (1, 0)), (((0, 0), (2, 0)), ((1, 2), (1, 0))),
          "edge 0 passes through vertex 3 at (1, 0)"),
+        (((0, 0), (2, 0), (1, 2), (1, 0)), (((0, 0), (2, 0)), ((1, 0), (1, 2))),
+         "edge 0 passes through vertex 3 at (1, 0)"),
+        # two declared vertices on one point: the first holder is named first
+        (((0, 0), (1, 0), (0, 0)), (((0, 0), (1, 0)),), "vertices 0 and 2 share point (0, 0)"),
         # a declared vertex strictly inside a horizontal run, then a vertical one
         (((0, 0), (3, 0), (1, 0)), (((0, 0), (3, 0)),), "edge 0 passes through vertex 2 at (1, 0)"),
         (((0, 0), (0, 3), (0, 2)), (((0, 0), (0, 3)),), "edge 0 passes through vertex 2 at (0, 2)"),
@@ -443,7 +447,7 @@ class TestGridEmbedding:
         (((0, 0), (2, 2), (0, 2), (1, 2)), (((0, 0), (1, 0), (1, 1), (2, 1), (2, 2)),
                                             ((0, 2), (0, 1), (1, 1), (1, 2))),
          "edges 0,1 touch at non-vertex (1, 1)"),
-    ], ids=["t-junction", "vertex-in-horizontal", "vertex-in-vertical", "same-direction",
+    ], ids=["t-junction", "t-junction-from-stem", "shared-point", "vertex-in-horizontal", "vertex-in-vertical", "same-direction",
             "bend-on-end-vertex", "bend-revisited", "bend-shared"])
     def test_rejection_class(self, points, chains, reason):
         ids = {pt: v for v, pt in enumerate(points)}

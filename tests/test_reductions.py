@@ -303,14 +303,15 @@ class TestCompileOnce:
 
     @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
     def test_chains_laid_once(self, compiler, monkeypatch):
+        # every chain, a rainbow's included, is laid through _Builder.lay
         calls = []
-        chain = reductions._Builder.chain
+        lay = reductions._Builder.lay
 
-        def counted(self, points):
+        def counted(self, tail, head, points):
             calls.append(None)
-            return chain(self, points)
+            return lay(self, tail, head, points)
 
-        monkeypatch.setattr(reductions._Builder, "chain", counted)
+        monkeypatch.setattr(reductions._Builder, "lay", counted)
         # spacing 8 (holey) and 24 (Manhattan): earlier spacings fail to route
         art = compiler(_digest_source((2, 6, 6, 2)))
         assert len(calls) == len(art.instance.graph.edges)
@@ -366,9 +367,22 @@ class TestPerturbedLayouts:
     def test_chain_into_a_run_rejected(self, name, compiler):
         """A length-2 chain across the interior of a horizontal or a vertical
         run of length >= 2, or a chain ending inside one, makes a point held
-        twice away from a vertex or a vertex inside a run."""
-        graph = compiler(_digest_source(name)).instance.graph
+        twice away from a vertex or a vertex inside a run.  On the first
+        rainbow, a chain up from its empty baseline gap crosses every band's
+        top run, the innermost band's first, and a unit chain laid over a
+        stub overlaps it; both reasons are exact."""
+        art = compiler(_digest_source(name))
+        graph = art.instance.graph
         assert check_grid_embedding(graph).answer
+        rainbow, new = art.trace.rainbows[0], len(graph.edges)
+        x, y = graph.edges[rainbow.left_stub[0]].polyline[0]
+        gx, top = x + len(rainbow.bands) + 1, y + len(rainbow.bands) + 1
+        verdict = check_grid_embedding(_with_chain(graph, ((gx, y), (gx, top))))
+        assert verdict.reason == f"edges {rainbow.bands[0]},{new} cross at {(gx, y + 1)}"
+        stub = graph.edges[rainbow.left_stub[0]]
+        verdict = check_grid_embedding(replace(graph, edges=graph.edges + (stub,)))
+        assert verdict.reason == (
+            f"edges {rainbow.left_stub[0]} and {new} overlap along a line at {(x, y)}")
         rng = random.Random(repr((name, compiler.__name__)))
         runs = [(a, b) for e in graph.edges for a, b in zip(e.polyline, e.polyline[1:])
                 if abs(a[0] - b[0]) + abs(a[1] - b[1]) >= 2]

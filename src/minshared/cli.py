@@ -30,7 +30,7 @@ from .core import (
     serialize_solution,
     verify_solution,
 )
-from .grid import GridInstance, decide_grid, materialize_grid
+from .grid import GridInstance, decide_grid, embed_grid
 from .reductions import (
     LayoutError,
     classify_malformed,
@@ -204,12 +204,15 @@ def _cmd_grid_decide(args) -> int:
 def _cmd_grid_witness(args) -> int:
     gi = _grid_from_args(args)
     verdict = decide_grid(gi, want_witness=True)
+    # the instance file is built first, so a grid over MAX_GRID_POINTS stops
+    # the command before it prints or writes anything
+    inst = embed_grid(gi) if verdict.answer and args.instance_out else None
     _print_verdict(verdict)
     if not verdict.answer:
         return 1
     _write(args.out, serialize_solution(verdict.witness))
-    if args.instance_out:
-        _write(args.instance_out, serialize_instance(materialize_grid(gi)))
+    if inst is not None:
+        _write(args.instance_out, serialize_instance(inst))
     return 0
 
 

@@ -193,14 +193,14 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
     """
     if fr.value < count:
         raise ValueError(f"flow value {fr.value} below requested count {count}")
-    g = inst.graph
+    incidence, undirected = inst.graph.incidence, not inst.graph.directed
     flow = list(fr.arc_flow)
 
     def next_arc(u: int) -> tuple[int, int, bool]:
-        for eid, v, fwd in g.incidence[u]:
+        for eid, v, fwd in incidence[u]:
             if fwd and flow[eid] > 0:
                 return eid, v, True
-            if not fwd and not g.directed and flow[eid] < 0:
+            if not fwd and undirected and flow[eid] < 0:
                 return eid, v, False
         raise AssertionError(f"flow conservation broken at vertex {u}")
 

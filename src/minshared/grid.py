@@ -9,9 +9,9 @@ budget below the certified cut bound (grid_cut_lower_bound) is a no.
   criterion on p, k and the rim distances of s and t holds.  The witness
   builder runs max-flows with the criterion's own shared edges boosted (a
   short line at s and one at t, each along either axis first) on a window
-  around s and t that keeps the closed form, so its cost grows with p and
-  |s - t|, not with n * m; when no line reaches p, the solver fallback
-  decides on the whole grid.
+  around s and t that keeps the closed form, so its cost grows with the
+  area of the s-t box widened by about p/2 on each side, not with n * m;
+  when no line reaches p, the solver fallback decides on the whole grid.
 * p-narrow (neither), and p-large in the degenerate band: at or above the
   cut bound, the solver fallback decides: the one exact branching-solver
   call of this module, labelled as a fallback, whose no is a completed search.
@@ -22,6 +22,11 @@ in its own frame: the degenerate band test is frame-free, and each terminal's
 rim distance is measured from the corner away from the other terminal.
 canonicalize picks one representative of the 16 variants; it serves the
 tests and bench/tracing.py, and no decision or witness path uses it.
+
+Decisions run on bare grids (materialize_grid): no coords and no polylines,
+since the flows, the solver and verify_solution read only an edge's ends
+and length.  embed_grid adds the geometry for files and drawings.  Neither
+builds a grid of more than MAX_GRID_POINTS points.
 """
 
 from __future__ import annotations
@@ -33,9 +38,13 @@ from typing import Optional
 from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, lattice_points,
                    verify_solution)
 from .flow import decompose_to_paths, max_flow_boosted
-from .solver import solve_fpt_branching
+from .solver import GuardExceeded, solve_fpt_branching
 
 Point = tuple[int, int]
+
+# the most points materialize_grid builds: a witness on a 400 x 400 window
+# (160,000 points) peaks at 139 MB, so one at the limit stays near 1 GB
+MAX_GRID_POINTS = 1_000_000
 
 P_SMALL = "pSmall"
 P_LARGE = "pLarge"
@@ -136,25 +145,39 @@ def canonicalize(gi: GridInstance) -> tuple[GridInstance, GridSymmetry]:
 # materialisation
 
 def materialize_grid(gi: GridInstance) -> Instance:
-    """The n x m grid as an Instance with canonical coords and polylines.
+    """The n x m grid as a bare Instance: unit edges with no polyline and a
+    graph with no coords, which is all that the flows, the solver and
+    verify_solution read.
 
     Point (x, y) is vertex x * m + y; edges are numbered per point (x major,
     then y), right edge then up edge; edge_id gives that numbering in closed
-    form.
+    form.  A grid of more than MAX_GRID_POINTS points raises GuardExceeded
+    before anything is built.
     """
     n, m = gi.n, gi.m
+    size = n * m
+    if size > MAX_GRID_POINTS:
+        raise GuardExceeded(f"{n}x{m} grid has {size} points (limit {MAX_GRID_POINTS})")
     edges = []
-    coords = {}
-    for x in range(n):
-        for y in range(m):
-            v = x * m + y
-            coords[v] = (x, y)
-            if x + 1 < n:
-                edges.append(SuperEdge(v, v + m, 1, ((x, y), (x + 1, y))))
-            if y + 1 < m:
-                edges.append(SuperEdge(v, v + 1, 1, ((x, y), (x, y + 1))))
-    g = Graph("undirected", n * m, tuple(edges), coords)
+    for v in range(size):
+        if v + m < size:
+            edges.append(SuperEdge(v, v + m))
+        if (v + 1) % m:
+            edges.append(SuperEdge(v, v + 1))
+    g = Graph("undirected", size, tuple(edges))
     return Instance(g, gi.s[0] * m + gi.s[1], gi.t[0] * m + gi.t[1], gi.p, gi.k)
+
+
+def embed_grid(gi: GridInstance) -> Instance:
+    """materialize_grid(gi) with its geometry, for files and drawings: point
+    (x, y) = divmod(v, m) as each vertex's coords and a two-point polyline on
+    each edge, in the same vertex and edge numbering."""
+    inst = materialize_grid(gi)
+    g, m = inst.graph, gi.m
+    coords = {v: divmod(v, m) for v in range(g.vertex_count)}
+    edges = tuple(SuperEdge(e.tail, e.head, 1, (coords[e.tail], coords[e.head]))
+                  for e in g.edges)
+    return replace(inst, graph=Graph(g.mode, g.vertex_count, edges, coords))
 
 
 def edge_id(n: int, m: int, a: Point, b: Point) -> tuple[int, bool]:
@@ -330,7 +353,9 @@ def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
     grid's, so its degree is the same, and a rim distance rho that the
     window shortens stays at least r, so p <= 2(rho + 2) - deg on both,
     where _sides charges the degree cost and reads no rho.  The window
-    keeps gi's regime, case, k_min and costs.
+    keeps gi's regime, case, k_min and costs.  Its area, and so the cost of
+    the flows on it, is that of the s-t box widened by r on each side: at
+    most (|dx| + p + 4)(|dy| + p + 4) points, whatever n * m is.
     """
     r = -(-gi.p // 2) + 1
     lo, size = [], []
@@ -346,13 +371,17 @@ def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
     return GridInstance(size[0], size[1], s, t, gi.p, gi.k), (lo[0], lo[1])
 
 
-def _lift(gi: GridInstance, win: Instance, origin: Point, path: PathSeq) -> PathSeq:
-    """`path`, an s-t path of win = materialize_grid of a window of gi whose
-    lowest point is `origin`, in gi's edge ids."""
+def _lift(gi: GridInstance, w: GridInstance, win: Instance, origin: Point,
+          path: PathSeq) -> PathSeq:
+    """`path`, an s-t path of win = materialize_grid(w), in gi's edge ids:
+    w is a window of gi whose lowest point is `origin`, and window vertex v
+    is point divmod(v, w.m) of w."""
     x0, y0 = origin
-    coords = win.graph.coords
-    return _points_to_pathseq(gi, [(coords[v][0] + x0, coords[v][1] + y0)
-                                   for v in path.vertices(win.graph, win.s)])
+    pts = []
+    for v in path.vertices(win.graph, win.s):
+        x, y = divmod(v, w.m)
+        pts.append((x + x0, y + y0))
+    return _points_to_pathseq(gi, pts)
 
 
 def _checked(inst: Instance, sol: Solution, gi: GridInstance) -> Verdict:
@@ -403,7 +432,7 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
         if fr.value >= gi.p:
             paths = tuple(decompose_to_paths(win, fr, gi.p))
             check = _checked(win, Solution(paths), gi)
-            witness = Solution(tuple(_lift(gi, win, origin, q) for q in paths))
+            witness = Solution(tuple(_lift(gi, w, win, origin, q) for q in paths))
             return Verdict(True, shared_count=check.shared_count, witness=witness,
                            method="criteria", certificate=criteria)
     inst = win if w == gi else materialize_grid(gi)

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import os
 import tempfile
@@ -14,7 +15,7 @@ from minshared import cli
 from minshared.cli import RenderSpec, main, render_embedding
 from minshared.core import (UNDIRECTED, Graph, SuperEdge, parse_instance, parse_solution,
                             serialize_instance, serialize_solution, verify_solution)
-from minshared.grid import GridInstance, materialize_grid
+from minshared.grid import GridInstance, embed_grid, materialize_grid
 from minshared.vc import serialize_vc, gen_vc_deg3, parse_vc, VCInstance
 
 from helpers import cycle4, grid_graph, mutate_text
@@ -198,6 +199,48 @@ class TestGrid:
             "answer yes", "shared 4", "method criteria"]
         assert len(parse_solution(out.read_text()).paths) == 8
 
+    def test_witness_instance_file_pinned(self, tmp_path, capsys):
+        # the file --instance-out writes: vertex and edge numbering, coords
+        # and polylines of the embedded grid
+        out, inst_out = tmp_path / "w.msesol", tmp_path / "g.mse"
+        assert main(["grid-witness", "5", "5", "0", "0", "4", "4", "5", "6",
+                     "--out", str(out), "--instance-out", str(inst_out)]) == 0
+        digest = hashlib.sha1(inst_out.read_bytes()).hexdigest()
+        assert digest == "6a05690821f4e39bdec558daf9e87a387724b0d1"
+
+    @pytest.mark.parametrize("args", [
+        "grid-witness 20 20 0 0 19 19 3 2",  # the witness window is the whole grid
+        "grid-decide 5 30 0 0 4 29 6 40",  # p-narrow: the whole-grid solver fallback
+        "grid-witness 20 20 5 5 7 8 3 2 --instance-out {tmp}/g.mse",  # a 9 x 10 window
+    ])
+    def test_grid_over_the_guard_exits_three(self, monkeypatch, tmp_path, capsys, args):
+        monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 100)
+        argv = args.format(tmp=tmp_path).split()
+        if argv[0] == "grid-witness":
+            argv += ["--out", str(tmp_path / "w.msesol")]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limit: ") and "(limit 100)" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_under_the_guard_on_a_grid_over_it(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 100)
+        out = tmp_path / "w.msesol"
+        assert main(["grid-witness", "20", "20", "5", "5", "7", "8", "3", "2",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "answer yes", "shared 0", "method criteria"]
+
+    def test_decide_on_a_huge_grid_builds_none(self, monkeypatch, capsys):
+        def stub(gi):
+            raise AssertionError(f"built {gi}")
+
+        monkeypatch.setattr(grid_module, "materialize_grid", stub)
+        assert main(["grid-decide", "100000", "100000", "0", "0", "99999", "99999",
+                     "3", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["answer yes", "method criteria"]
+
 
 class TestReduce:
     @pytest.fixture
@@ -338,7 +381,7 @@ class TestCompose:
 
 class TestRender:
     def _grid_instance(self):
-        return materialize_grid(GridInstance(3, 3, (0, 0), (2, 2), 2, 0))
+        return embed_grid(GridInstance(3, 3, (0, 0), (2, 2), 2, 0))
 
     def test_grid_svg_segment_count(self, tmp_path, capsys):
         f = tmp_path / "g.mse"

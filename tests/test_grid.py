@@ -22,12 +22,13 @@ from minshared.grid import (
     decide_grid,
     degenerate_alignment,
     edge_id,
+    embed_grid,
     grid_cut_lower_bound,
     materialize_grid,
 )
 from minshared.grid import _bound_pass, _lift, _window
 from helpers import full_grid_witness_p_large
-from minshared.solver import solve_enum_oracle, solve_fpt_branching
+from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
 
 # one instance per p-large witness route: the boosted line each flow tries
@@ -315,8 +316,27 @@ class TestMaterialize:
         assert inst.graph.vertex_count == 2 and len(inst.graph.edges) == 1
 
     def test_embedding_check_passes(self):
-        inst = materialize_grid(GridInstance(4, 3, (0, 0), (3, 2), 2, 0))
+        inst = embed_grid(GridInstance(4, 3, (0, 0), (3, 2), 2, 0))
         assert check_grid_embedding(inst.graph).answer
+
+    def test_bare(self):
+        g = materialize_grid(GridInstance(4, 3, (0, 0), (3, 2), 2, 0)).graph
+        assert g.coords is None
+        assert all(e.polyline is None and e.length == 1 for e in g.edges)
+
+    def test_embedding_keeps_the_numbering(self):
+        for n in range(1, 7):
+            for m in range(1, 7):
+                if n * m < 2:
+                    continue
+                gi = GridInstance(n, m, (0, 0), (n - 1, m - 1), 2, 1)
+                bare, embedded = materialize_grid(gi), embed_grid(gi)
+                assert (embedded.s, embedded.t, embedded.p, embedded.k) == (
+                    bare.s, bare.t, bare.p, bare.k)
+                assert embedded.graph.vertex_count == bare.graph.vertex_count
+                assert [(e.tail, e.head) for e in embedded.graph.edges] == [
+                    (e.tail, e.head) for e in bare.graph.edges]
+                assert check_grid_embedding(embedded.graph).answer, (n, m)
 
     @pytest.mark.parametrize("gi, digest", [
         (GridInstance(6, 6, (1, 1), (4, 4), 3, 2), "774be363c19aa758c5fd008596c1d4be053413b7"),
@@ -325,8 +345,17 @@ class TestMaterialize:
     def test_text_pinned(self, gi, digest):
         # pins edge numbering, coords and polylines against changes to how
         # edges are built
-        text = serialize_instance(materialize_grid(gi))
+        text = serialize_instance(embed_grid(gi))
         assert hashlib.sha1(text.encode()).hexdigest() == digest
+
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 12)
+        assert materialize_grid(GridInstance(3, 4, (0, 0), (2, 3), 2, 0)).graph.vertex_count == 12
+        for gi in (GridInstance(13, 1, (0, 0), (12, 0), 2, 0),
+                   GridInstance(4, 4, (0, 0), (3, 3), 2, 0)):
+            for build in (materialize_grid, embed_grid):
+                with pytest.raises(GuardExceeded, match=r"has \d+ points \(limit 12\)"):
+                    build(gi)
 
 
 class TestSymmetryInvariance:
@@ -356,7 +385,7 @@ class TestEdgeIds:
                 if n * m < 2:
                     continue
                 gi = GridInstance(n, m, (0, 0), (n - 1, m - 1), 1, 0)
-                g = materialize_grid(gi).graph
+                g = embed_grid(gi).graph
                 for eid, e in enumerate(g.edges):
                     a, b = g.coords[e.tail], g.coords[e.head]
                     assert edge_id(n, m, a, b) == (eid, True)
@@ -370,23 +399,24 @@ class TestEdgeIds:
                 if n * m < 2:
                     continue
                 gi = GridInstance(n, m, (0, 0), (n - 1, m - 1), 1, 0)
-                g = materialize_grid(gi).graph
+                g = embed_grid(gi).graph
                 for x0, y0 in itertools.product(range(n), range(m)):
                     for w, h in itertools.product(range(1, n - x0 + 1), range(1, m - y0 + 1)):
                         if w * h < 2:
                             continue
-                        win = materialize_grid(GridInstance(w, h, (0, 0), (w - 1, h - 1), 1, 0))
+                        wgi = GridInstance(w, h, (0, 0), (w - 1, h - 1), 1, 0)
+                        win, coords = materialize_grid(wgi), embed_grid(wgi).graph.coords
                         for eid, e in enumerate(win.graph.edges):
                             for start, end, fwd in ((e.tail, e.head, True),
                                                     (e.head, e.tail, False)):
-                                lifted = _lift(gi, replace(win, s=start, t=end), (x0, y0),
+                                lifted = _lift(gi, wgi, replace(win, s=start, t=end), (x0, y0),
                                                PathSeq(((eid, fwd),)))
                                 (gid, gfwd), = lifted.steps
                                 ge = g.edges[gid]
                                 ends = [g.coords[ge.tail], g.coords[ge.head]]
                                 if not gfwd:
                                     ends.reverse()
-                                a, b = (win.graph.coords[v] for v in (e.tail, e.head))
+                                a, b = (coords[v] for v in (e.tail, e.head))
                                 if not fwd:
                                     a, b = b, a
                                 assert ends == [(a[0] + x0, a[1] + y0), (b[0] + x0, b[1] + y0)]

@@ -11,8 +11,10 @@ import ast
 import glob
 import os
 import shlex
+from dataclasses import replace
 
 import minshared.core as C
+import minshared.grid as G
 import minshared.solver as S
 from minshared.cli import build_parser
 from minshared.core import Instance
@@ -73,6 +75,40 @@ def test_tracer_times_a_branching_search(monkeypatch):
     assert spans.count("flow.max_flow") == len(flow_calls) > 1
     assert flow_calls[0] is None and all(start is not None for start in flow_calls[1:])
     assert tracer.counts["solver.nodes"] == rep.nodes_explored > 1
+
+
+def test_tracer_sees_the_witness_window(monkeypatch):
+    # the bench's grid.materialize.* metrics come from the span around
+    # minshared.grid.materialize_grid: a p-large witness builds one grid,
+    # its window, inside the witness span, and a decision below the cut
+    # bound builds none
+    monkeypatch.syspath_prepend(BENCH)
+    import tracing
+
+    gi = G.GridInstance(1000, 1000, (500, 500), (503, 506), 8, 4)
+    built = []
+    original = G.materialize_grid
+
+    def recorded(grid):
+        built.append(grid)
+        return original(grid)
+
+    monkeypatch.setattr(G, "materialize_grid", recorded)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        verdict = G.decide_grid(gi, want_witness=True)
+        witness_spans = len(tracer.spans)
+        below = G.decide_grid(replace(gi, k=3), want_witness=True)
+    finally:
+        tracer.uninstall()
+    assert G.materialize_grid is recorded
+    assert verdict.answer and verdict.method == "criteria" and not below.answer
+    assert built == [G._window(gi)[0]]
+    names = [span[0] for span in tracer.spans]
+    (idx,) = [i for i, name in enumerate(names) if name == "grid.materialize"]
+    assert idx < witness_spans and names[tracer.spans[idx][3]] == "grid.witness"
+    assert names[witness_spans:] == ["grid.decide.large"]
 
 
 def _unused_imports(path):

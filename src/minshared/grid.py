@@ -9,8 +9,9 @@ budget below the certified cut bound (grid_cut_lower_bound) is a no.
   criterion on p, k and the rim distances of s and t holds.  The witness
   builder runs max-flows with the criterion's own shared edges boosted (a
   short line at s and one at t, each along either axis first) on a window
-  around s and t that keeps the closed form, so its cost grows with the
-  area of the s-t box widened by about p/2 on each side, not with n * m;
+  around s and t that keeps the closed form: the s-t box widened behind
+  each terminal by about p/2 points over both axes, sized from the rim
+  distances the closed form reads, so its cost does not grow with n * m;
   when no line reaches p, the solver fallback decides on the whole grid.
 * p-narrow (neither), and p-large in the degenerate band: at or above the
   cut bound, the solver fallback decides: the one exact branching-solver
@@ -216,30 +217,36 @@ def degenerate_alignment(gi: GridInstance) -> bool:
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
 
-def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(threshold, cost) of the p-large closed form for s and for t.
+def _rims(gi: GridInstance) -> tuple[tuple[Point, int, int, int], tuple[Point, int, int, int]]:
+    """((d_x, d_y), deg, threshold, cost) of s and of t: the one source of
+    the rim distances that _sides prices and _window keeps.
 
-    rho is a terminal's L1 distance to the grid corner behind it, on the side
-    away from the other terminal: on an axis where s[i] <= t[i], s counts
-    from the low rim and t from the high rim, which is the canonical frame.
+    d_i is a terminal's distance along axis i to the rim behind it, away
+    from the other terminal: where s[i] <= t[i], s counts from the low rim
+    and t from the high rim, which is the canonical frame; rho = d_x + d_y,
+    and deg is the terminal's degree.
     Up to threshold = 2(rho+2) - deg the degree argument costs
     ceil((p-deg)/2), clamped at 0; beyond it part B of the construction is
     active and the rectangle cuts cost p-(rho+2).
     """
-    sides = []
-    for q, s_side in ((gi.s, True), (gi.t, False)):
-        rho = 0
-        for i, size in enumerate((gi.n, gi.m)):
-            low = (gi.s[i] <= gi.t[i]) == s_side
-            rho += q[i] if low else size - 1 - q[i]
-        deg = (q[0] > 0) + (q[0] < gi.n - 1) + (q[1] > 0) + (q[1] < gi.m - 1)
-        threshold = 2 * (rho + 2) - deg
+    out = []
+    for (x, y), s_side in ((gi.s, True), (gi.t, False)):
+        d_x = x if (gi.s[0] <= gi.t[0]) == s_side else gi.n - 1 - x
+        d_y = y if (gi.s[1] <= gi.t[1]) == s_side else gi.m - 1 - y
+        deg = (x > 0) + (x < gi.n - 1) + (y > 0) + (y < gi.m - 1)
+        threshold = 2 * (d_x + d_y + 2) - deg
         if gi.p <= threshold:
             cost = max(0, -(-(gi.p - deg) // 2))
         else:
-            cost = gi.p - (rho + 2)
-        sides.append((threshold, cost))
-    return sides[0], sides[1]
+            cost = gi.p - (d_x + d_y + 2)
+        out.append(((d_x, d_y), deg, threshold, cost))
+    return out[0], out[1]
+
+
+def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(threshold, cost) of the p-large closed form for s and for t."""
+    (_, _, threshold_s, cost_s), (_, _, threshold_t, cost_t) = _rims(gi)
+    return (threshold_s, cost_s), (threshold_t, cost_t)
 
 
 def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]],
@@ -347,21 +354,47 @@ def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
     """The sub-grid that build_witness_p_large's flows run on, in the frame
     of its lowest point, and that point's coordinates in gi.
 
-    On each axis it spans s and t widened by r = ceil(p/2) + 1 and clipped
-    to the grid, then extended to at least min(size, p) points, so it stays
-    p-large.  A terminal is on the window's rim exactly when it is on the
-    grid's, so its degree is the same, and a rim distance rho that the
-    window shortens stays at least r, so p <= 2(rho + 2) - deg on both,
-    where _sides charges the degree cost and reads no rho.  The window
-    keeps gi's regime, case, k_min and costs.  Its area, and so the cost of
-    the flows on it, is that of the s-t box widened by r on each side: at
-    most (|dx| + p + 4)(|dy| + p + 4) points, whatever n * m is.
+    Each side of the s-t box is widened by a margin behind the terminal on
+    that side, out of its rim distances (_rims).  A terminal in part B (p
+    over its threshold) keeps them whole: its rectangle cuts read rho.  Any
+    other keeps rho' = min(rho, ceil((p + deg)/2) - 1), one more than
+    p <= 2(rho' + 2) - deg needs, ceil-half along x and the rest along y
+    (x topped up when y runs short), and at least 1 along an axis where it
+    had 1, so its degree stays.  A window corner between one terminal's
+    margin along axis i and the other's along j bounds a rectangle around
+    the first terminal and its boosted line, whose cut stays over p when
+    the two sum to p - 1 - max(gap_j, cost), gap_j = |t[j] - s[j]|; the
+    other margin grows to that where its rim allows.  Each axis is then
+    extended to at least min(size, p) points, so the window stays p-large
+    and keeps gi's regime, case, k_min and costs.
+
+    No margin exceeds ceil(p/2) + 1, so the window has at most
+    (gap_x + p + 4)(gap_y + p + 4) points, whatever n * m is; with both
+    terminals at least ceil(p/2) + 1 from every rim, each keeps at most
+    ceil(p/2) + 2 margin points over both axes, not 2 ceil(p/2) + 2.
     """
-    r = -(-gi.p // 2) + 1
+    rims = _rims(gi)
+    margins = []  # margins[q][i]: points kept behind terminal q (s, t) along axis i
+    for behind, deg, threshold, _ in rims:
+        if gi.p > threshold:
+            margins.append(list(behind))
+            continue
+        rho = min(sum(behind), -(-(gi.p + deg) // 2) - 1)
+        ex = min(behind[0], -(-rho // 2))
+        ey = min(behind[1], rho - ex)
+        ex = min(behind[0], rho - ey)
+        margins.append([max(ex, min(behind[0], 1)), max(ey, min(behind[1], 1))])
+    gap = (abs(gi.t[0] - gi.s[0]), abs(gi.t[1] - gi.s[1]))
+    for q, (_, _, _, cost) in enumerate(rims):
+        o = 1 - q
+        for i, j in ((0, 1), (1, 0)):
+            need = gi.p - 1 - max(gap[j], cost) - margins[q][i]
+            margins[o][j] = max(margins[o][j], min(rims[o][0][j], need))
     lo, size = [], []
     for i, n in enumerate((gi.n, gi.m)):
-        a, b = sorted((gi.s[i], gi.t[i]))
-        low, high = max(0, a - r), min(n - 1, b + r)
+        s_low = gi.s[i] <= gi.t[i]  # the low side is behind s, as in _rims
+        low = min(gi.s[i], gi.t[i]) - margins[1 - s_low][i]
+        high = max(gi.s[i], gi.t[i]) + margins[s_low][i]
         width = min(n, gi.p)
         high = min(n - 1, max(high, low + width - 1))
         low = min(low, high - width + 1)

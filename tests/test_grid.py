@@ -27,7 +27,7 @@ from minshared.grid import (
     materialize_grid,
 )
 from minshared.grid import _bound_pass, _lift, _window
-from helpers import full_grid_witness_p_large
+from helpers import full_grid_witness_p_large, uniform_window
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
 
@@ -296,7 +296,7 @@ class TestCutBoundFirst:
         # the builder takes both side costs from its one _bound_pass on gi
         # and makes one more on its window, to check that the window keeps
         # them, so a non-trivial witness costs two _sides calls on top of
-        # the decision's
+        # the decision's; _window reads the rim distances from _rims
         calls = _count_calls(monkeypatch, "_sides")
         assert decide_grid(gi, want_witness=True).witness is not None
         assert calls == {"_sides": 3}
@@ -726,15 +726,31 @@ class TestWitnessSweep:
             for sym in all_symmetries(gi):
                 assert _witness_outcome(sym.apply(gi)) == base, (gi, sym)
 
-    def test_canonical_up_to_8x8_line_misses(self):
+    def test_canonical_up_to_8x8_line_misses(self, monkeypatch):
+        # where _window is smaller than the uniform window, a second build on
+        # the uniform one takes the same route: the same method, answer,
+        # shared count and number of boosted flows, so the same line first
+        flows = _count_calls(monkeypatch, "max_flow_boosted")
+        window = grid_module._window
+
+        def route(gi):
+            flows["max_flow_boosted"] = 0
+            return _witness_outcome(gi), flows["max_flow_boosted"]
+
         misses = {}
-        count = 0
+        count = differ = 0
         for gi in _canonical_at_k_min(8):
-            method, answer, _ = _witness_outcome(gi)
+            outcome = route(gi)
+            method, answer, _ = outcome[0]
             count += 1
             if method != "criteria":
                 misses[gi.n, gi.m, gi.s, gi.t, gi.p, gi.k] = (method, answer)
-        assert count == 4104
+            if window(gi) != uniform_window(gi):
+                differ += 1
+                monkeypatch.setattr(grid_module, "_window", uniform_window)
+                assert route(gi) == outcome, gi
+                monkeypatch.setattr(grid_module, "_window", window)
+        assert (count, differ) == (4104, 1776)
         assert misses == {
             (7, 7, (0, 2), (2, 6), 7, 5): ("fallback", True),
             (8, 7, (0, 2), (2, 6), 7, 5): ("fallback", True),
@@ -774,15 +790,20 @@ def _seeded_near_rim(seed, count):
 
 
 class TestWindow:
-    """build_witness_p_large against its full-grid reference."""
+    """build_witness_p_large against its full-grid reference, and _window on
+    its own."""
 
     @staticmethod
     def assert_same(gi):
+        # the window may route the flow differently from the whole grid, so
+        # each witness is verified on the grid instead of compared
         w, _ = _window(gi)
         assert _bound_pass(w) == _bound_pass(gi), gi
         a, b = build_witness_p_large(gi), full_grid_witness_p_large(gi)
-        assert (a.method, a.answer, a.shared_count, a.witness) == (
-            b.method, b.answer, b.shared_count, b.witness), gi
+        assert (a.method, a.answer, a.shared_count) == (b.method, b.answer, b.shared_count), gi
+        if a.answer:
+            check = verify_solution(materialize_grid(gi), a.witness)
+            assert check.answer and check.shared_count == a.shared_count, (gi, check.reason)
         return a.method
 
     def test_canonical_up_to_7x7(self):
@@ -800,3 +821,68 @@ class TestWindow:
                      if self.assert_same(gi) == "fallback"]
         # each builder falls back once per line miss, on the whole grid
         assert fallbacks and solved == [size for size in fallbacks for _ in range(2)]
+
+    @pytest.mark.parametrize("gi", [
+        GridInstance(53, 51, (23, 29), (0, 27), 18, 15),
+        GridInstance(14, 40, (7, 20), (1, 14), 14, 10),
+    ])
+    def test_corner_margins_keep_the_first_line(self, monkeypatch, gi):
+        # with each terminal's own margins alone, the window corner between
+        # s's margin along one axis and t's along the other cuts a
+        # terminal's first line at p - 1, so that line misses
+        def no_solver(inst):
+            raise AssertionError("no line reached p")
+
+        monkeypatch.setattr(grid_module, "solve_fpt_branching", no_solver)
+        flows = _count_calls(monkeypatch, "max_flow_boosted")
+        v = build_witness_p_large(gi)
+        assert flows == {"max_flow_boosted": 1}
+        check = verify_solution(materialize_grid(gi), v.witness)
+        assert check.answer and check.shared_count == v.shared_count == gi.k
+
+    def test_keeps_the_closed_form_and_degrees_within_its_bound(self):
+        # random p-large instances, sides up to 60 and p up to 30, with a
+        # terminal within 2 of a rim (or on it) half of the time
+        rng = random.Random(31)
+        interior = part_b = 0
+        for _ in range(3000):
+            n, m = rng.randint(2, 60), rng.randint(2, 60)
+            p = rng.randint(1, min(n, m, 30))
+            ends = []
+            for _ in range(2):
+                q = [rng.randrange(n), rng.randrange(m)]
+                if rng.random() < 0.5:
+                    axis, d = rng.randrange(2), rng.randint(0, 2)
+                    side = (n, m)[axis]
+                    q[axis] = min(d, side - 1) if rng.random() < 0.5 else max(0, side - 1 - d)
+                ends.append(tuple(q))
+            if ends[0] == ends[1]:
+                continue
+            gi = GridInstance(n, m, ends[0], ends[1], p, 0)
+            w, origin = _window(gi)
+            assert _bound_pass(w) == _bound_pass(gi), gi
+            part_b += _bound_pass(gi)[2][0] > 1
+            for q, wq in ((gi.s, w.s), (gi.t, w.t)):
+                assert (wq[0] + origin[0], wq[1] + origin[1]) == q
+                assert _degree(w, wq) == _degree(gi, q), (gi, w)
+            # the bound of _window's docstring: no margin over ceil(p/2) + 1
+            # on an axis that was not extended to p points; at most
+            # ceil(p/2) + 2 per terminal, both axes, away from the rims
+            r = -(-p // 2) + 1
+            gap = (abs(gi.t[0] - gi.s[0]), abs(gi.t[1] - gi.s[1]))
+            assert w.n * w.m <= (gap[0] + p + 4) * (gap[1] + p + 4), (gi, w)
+            margins = []
+            for i, size in enumerate((w.n, w.m)):
+                low = min(w.s[i], w.t[i])
+                margins += [low, size - 1 - low - gap[i]]
+                if size > min((n, m)[i], p):
+                    assert max(margins[-2:]) <= r, (gi, w)
+            if min(w.n, w.m) > p and all(r <= c <= side - 1 - r for q in (gi.s, gi.t)
+                                         for c, side in zip(q, (n, m))):
+                interior += 1
+                assert sum(margins) <= 2 * r + 2, (gi, w)
+        assert interior > 100 and part_b > 100, (interior, part_b)
+
+
+def _degree(gi, q):
+    return (q[0] > 0) + (q[0] < gi.n - 1) + (q[1] > 0) + (q[1] < gi.m - 1)

@@ -10,13 +10,14 @@ reference cycles."""
 import ast
 import glob
 import os
+import re
 import shlex
 from dataclasses import replace
 
 import minshared.core as C
 import minshared.grid as G
 import minshared.solver as S
-from minshared.cli import build_parser
+from minshared.cli import _grid_from_args, build_parser
 from minshared.core import Instance
 
 from helpers import grid_graph, grid_vertex
@@ -271,3 +272,17 @@ def test_readme_cli_lines_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             raise AssertionError(f"README line does not parse: {' '.join(argv)}") from None
+
+
+def test_readme_window_sizes_match_the_window():
+    # "`grid-witness N M SX SY TX TY P K` builds a W x H window": the figure
+    # is what grid._window gives for those arguments
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    quoted = re.findall(r"`grid-witness ([\d ]+)` builds an? (\d+) x (\d+) window", text)
+    assert quoted
+    for args, width, height in quoted:
+        # grid-decide reads the same eight numbers and needs no --out
+        w, _ = G._window(_grid_from_args(build_parser().parse_args(["grid-decide",
+                                                                     *args.split()])))
+        assert (w.n, w.m) == (int(width), int(height)), args

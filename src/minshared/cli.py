@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import (
-    POLYLINE_FILE_LIMIT,
     FormatError,
     Instance,
     Solution,
@@ -52,23 +51,14 @@ from .vc import VCInstance, gen_vc_deg3, parse_vc, serialize_vc, vc_decide
 # ---------------------------------------------------------------------------
 # rendering
 
-@dataclass(frozen=True)
-class RenderSpec:
-    scale: int = 12
-    chains_collapsed: bool = False
-    labels: bool = False
-    highlight_solution: bool = True
-
-    def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("scale must be at least 1")
-
-
-def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
-                     fmt: str = "svg") -> bytes:
+def render_embedding(inst: Instance, sol: Solution | None, fmt: str = "svg", *,
+                     scale: int = 12, chains_collapsed: bool = False,
+                     labels: bool = False, highlight_solution: bool = True) -> bytes:
     """Deterministic SVG (needs the embedding) or DOT (plain graph) bytes;
-    both mark the shared edges red unless spec turns highlighting off."""
-    shared = set(sol.shared_edge_ids()) if (sol and spec.highlight_solution) else set()
+    both mark the shared edges red unless highlight_solution is off."""
+    if scale < 1:
+        raise ValueError("scale must be at least 1")
+    shared = set(sol.shared_edge_ids()) if (sol and highlight_solution) else set()
     if fmt == "dot":
         return _render_dot(inst, shared).encode()
     if fmt != "svg":
@@ -87,8 +77,7 @@ def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
     ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    s = spec.scale
-    pad = s
+    s = pad = scale
 
     def pt(p):
         return (pad + (p[0] - x_lo) * s, pad + (y_hi - p[1]) * s)
@@ -105,7 +94,7 @@ def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
     ]
     for eid, e in enumerate(g.edges):
         pts = e.polyline
-        if spec.chains_collapsed and e.length > 1:
+        if chains_collapsed and e.length > 1:
             pts = (pts[0], pts[-1])
         cls = "s" if eid in shared else ("u" if eid in used else "e")
         coords = " ".join(f"{x},{y}" for x, y in (pt(p) for p in pts))
@@ -114,7 +103,7 @@ def render_embedding(inst: Instance, sol: Solution | None, spec: RenderSpec,
         x, y = pt(g.coords[vid])
         r = 3 if vid in (inst.s, inst.t) else 1
         out.append(f'<circle class="v" cx="{x}" cy="{y}" r="{r}"/>')
-        if spec.labels:
+        if labels:
             out.append(f'<text class="lbl" x="{x + 2}" y="{y - 2}">{vid}</text>')
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode()
@@ -216,15 +205,20 @@ def _cmd_grid_witness(args) -> int:
     return 0
 
 
+# reduce --expand writes every unit edge as its own line, so it refuses an
+# artifact of more unit edges than this (exit 3)
+MAX_EXPANDED_UNIT_EDGES = 1_000_000
+
+
 def _cmd_reduce(args) -> int:
     vc = parse_vc(_read(args.vcfile))
     compiler = vc_to_holey_grid if args.kind == "vc2grid" else vc_to_manhattan_dag
     art = compiler(vc, demo=args.demo)
     inst = art.instance
     if args.expand:
-        if inst.graph.unit_size() > POLYLINE_FILE_LIMIT:
+        if inst.graph.unit_size() > MAX_EXPANDED_UNIT_EDGES:
             print(f"limit: expanded graph would have {inst.graph.unit_size()} "
-                  f"unit edges (limit {POLYLINE_FILE_LIMIT}); use --demo", file=sys.stderr)
+                  f"unit edges (limit {MAX_EXPANDED_UNIT_EDGES}); use --demo", file=sys.stderr)
             return 3
         inst = expand_chains(inst.graph).expand_instance(inst)
     _write(args.out, serialize_instance(inst))
@@ -249,12 +243,12 @@ def _cmd_compose(args) -> int:
             return 2
     report = or_compose(instances)
     _write(args.out, serialize_instance(report.instance))
-    print(f"q {max(1, 1 << (report.p_prime - instances[0].p))}")
-    print(f"pPrime {report.p_prime}")
-    print(f"kPrime {report.k_prime}")
-    print(f"maxDegreeDelta {report.param_bounds.max_degree_delta}")
-    print(f"diameterBound {report.param_bounds.diameter_bound}")
-    print(f"treewidthBound {report.param_bounds.treewidth_bound}")
+    print(f"q {1 << (report.instance.p - instances[0].p)}")
+    print(f"pPrime {report.instance.p}")
+    print(f"kPrime {report.instance.k}")
+    print(f"maxDegreeDelta {report.max_degree_delta}")
+    print(f"diameterBound {report.diameter_bound}")
+    print(f"treewidthBound {report.treewidth_bound}")
     return 0
 
 
@@ -288,13 +282,9 @@ def _cmd_gen_vc(args) -> int:
 def _cmd_render(args) -> int:
     inst = parse_instance(_read(args.instance))
     sol = parse_solution(_read(args.solution)) if args.solution else None
-    spec = RenderSpec(
-        scale=args.scale,
-        chains_collapsed=args.collapse_chains,
-        labels=args.labels,
-        highlight_solution=not args.no_highlight,
-    )
-    data = render_embedding(inst, sol, spec, fmt=args.format)
+    data = render_embedding(inst, sol, args.format, scale=args.scale,
+                            chains_collapsed=args.collapse_chains, labels=args.labels,
+                            highlight_solution=not args.no_highlight)
     with open(args.out, "wb") as fh:
         fh.write(data)
     print(f"bytes {len(data)}")

@@ -24,9 +24,6 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 UNDIRECTED = "undirected"
 DIRECTED = "directed"
-# serialize_instance writes chain waypoints only up to this many unit edges,
-# and the CLI's reduce --expand writes no larger file
-POLYLINE_FILE_LIMIT = 1_000_000
 
 Point = tuple[int, int]
 
@@ -48,7 +45,8 @@ class SuperEdge:
     and skips the loop.  The edge is a frozen, slotted value: no per-instance
     `__dict__`, and `==`, `hash` and `repr` come from the dataclass.
     (Waypoints rather than all length+1 lattice points: gadget chains can have
-    ~1e5 unit edges, but only a handful of bends.)
+    ~1e5 unit edges, but only a handful of bends.  An instance file lists the
+    same waypoints.)
     """
 
     tail: int
@@ -607,17 +605,14 @@ def _scalar(rec: dict, parts: list[str]) -> None:
 
 
 def _chain(rec: dict, parts: list[str]) -> None:
+    """`chain u v L [x y ...]`: the x y pairs are waypoints of the chain's
+    walk; SuperEdge checks them and keeps their normal form."""
     if len(parts) < 4:
         raise FormatError(f"'chain' needs at least 3 values, not {len(parts) - 1}")
     u, v, length = int(parts[1]), int(parts[2]), int(parts[3])
-    pts = None
-    if len(parts) > 4:
-        if len(parts) != 4 + 2 * (length + 1):
-            raise FormatError(f"chain polyline needs {2 * (length + 1)} numbers")
-        pts = list(zip(map(int, parts[4::2]), map(int, parts[5::2])))
-        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-            if abs(ax - bx) + abs(ay - by) != 1:
-                raise FormatError("polyline step is not an L1 unit step")
+    if len(parts) % 2:
+        raise FormatError(f"chain polyline has an odd count of numbers ({len(parts) - 4})")
+    pts = list(zip(map(int, parts[4::2]), map(int, parts[5::2]))) if len(parts) > 4 else None
     rec["edges"].append(SuperEdge(u, v, length, pts))
 
 
@@ -643,18 +638,17 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(inst: Instance, include_polylines: bool = True) -> str:
-    """Canonical text form; parse(serialize(x)) == x up to
-    POLYLINE_FILE_LIMIT unit edges.  A larger graph, or include_polylines
-    off, is written without chain points (each chain lists every lattice
-    point it passes, so the file grows with the unit size)."""
+    """Canonical text form; parse(serialize(x)) == x at any size.  A chain
+    lists the normal-form polyline that SuperEdge holds, its endpoints and
+    bends, so the file grows with the bends and not with the unit size;
+    include_polylines off writes no chain points."""
     g = inst.graph
-    include_polylines = include_polylines and g.unit_size() <= POLYLINE_FILE_LIMIT
     out = ["mse 1", f"mode {g.mode}", f"vertices {g.vertex_count}",
            f"s {inst.s}", f"t {inst.t}", f"p {inst.p}", f"k {inst.k}"]
     out += [f"coord {v} {x} {y}" for v, (x, y) in sorted((g.coords or {}).items())]
     out += [f"edge {e.tail} {e.head}" if e.length == 1 and e.polyline is None
             else f"chain {e.tail} {e.head} {e.length}" + (
-                "".join(f" {x} {y}" for x, y in e.expand_points())
+                "".join(f" {x} {y}" for x, y in e.polyline)
                 if include_polylines and e.polyline else "")
             for e in g.edges]
     return "\n".join(out) + "\n"

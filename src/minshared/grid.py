@@ -131,7 +131,7 @@ def canonicalize(gi: GridInstance) -> tuple[GridInstance, GridSymmetry]:
         s, t = cand.s, cand.t
         if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
             continue
-        (threshold_s, _), (threshold_t, _) = _sides(cand)
+        (_, _, threshold_s, _), (_, _, threshold_t, _) = _rims(cand)
         if threshold_s > threshold_t:
             continue
         key = (cand.n, cand.m, cand.s, cand.t, sym.flip_x, sym.flip_y, sym.transpose, sym.swap)
@@ -219,7 +219,7 @@ def degenerate_alignment(gi: GridInstance) -> bool:
 
 def _rims(gi: GridInstance) -> tuple[tuple[Point, int, int, int], tuple[Point, int, int, int]]:
     """((d_x, d_y), deg, threshold, cost) of s and of t: the one source of
-    the rim distances that _sides prices and _window keeps.
+    the rim distances that _bound_pass prices and _window keeps.
 
     d_i is a terminal's distance along axis i to the rim behind it, away
     from the other terminal: where s[i] <= t[i], s counts from the low rim
@@ -243,12 +243,6 @@ def _rims(gi: GridInstance) -> tuple[tuple[Point, int, int, int], tuple[Point, i
     return out[0], out[1]
 
 
-def _sides(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(threshold, cost) of the p-large closed form for s and for t."""
-    (_, _, threshold_s, cost_s), (_, _, threshold_t, cost_t) = _rims(gi)
-    return (threshold_s, cost_s), (threshold_t, cost_t)
-
-
 def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]],
                                            Optional[tuple[int, int]]]:
     """(regime, cut bound, (case id, k_min) and (cost_s, cost_t), both None
@@ -259,7 +253,7 @@ def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]],
         dx, dy = abs(gi.s[0] - gi.t[0]), abs(gi.s[1] - gi.t[1])
         bound = min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0))
         return regime, bound, None, None
-    (threshold_s, cost_s), (threshold_t, cost_t) = _sides(gi)
+    (_, _, threshold_s, cost_s), (_, _, threshold_t, cost_t) = _rims(gi)
     k_min = cost_s + cost_t
     case_id = 1 + (gi.p > threshold_s) + (gi.p > threshold_t)
     return regime, min(dist, k_min), (case_id, k_min), (cost_s, cost_t)
@@ -268,7 +262,7 @@ def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]],
 def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     """(case id, minimum budget for a non-trivial solution) on a p-large
     instance in any frame: the case is 1 plus the number of sides over their
-    _sides threshold, the budget the sum of the two side costs.
+    _rims threshold, the budget the sum of the two side costs.
 
     The budget, capped at dist, is grid_cut_lower_bound, and the boosted
     lines of build_witness_p_large meet it; outside the band of
@@ -285,7 +279,7 @@ def grid_cut_lower_bound(gi: GridInstance) -> int:
     instance in any frame.
 
     Row/column cuts give dist(s, t) whenever the crossed dimension is below p;
-    on p-large grids the per-side costs of _sides (degree argument, then the
+    on p-large grids the per-side costs of _rims (degree argument, then the
     rectangle cut family) sum to k_min.  The trivial solution caps
     everything at dist.
     """

@@ -154,19 +154,12 @@ class ReductionArtifact:
     source: VCInstance  # padded
 
 
-@dataclass(frozen=True)
-class ParamBounds:
+@dataclass
+class CompositionReport:
+    instance: Instance  # its p and k are the composition's p' and k'
     max_degree_delta: int
     diameter_bound: int
     treewidth_bound: int
-
-
-@dataclass
-class CompositionReport:
-    instance: Instance
-    p_prime: int
-    k_prime: int
-    param_bounds: ParamBounds
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +652,13 @@ def or_compose(instances: list[Instance]) -> CompositionReport:
     s_root = build_tree([offsets[i] + padded[i].s for i in range(q)], False)
     t_root = build_tree([offsets[i] + padded[i].t for i in range(q)], True)
     graph = Graph(mode, next_id, tuple(edges))
-    p_prime = p + log_q
-    k_prime = 2 * log_q * (k + 1) + k
-    composed = Instance(graph, s_root, t_root, p_prime, k_prime)
+    composed = Instance(graph, s_root, t_root, p + log_q, 2 * log_q * (k + 1) + k)
 
     max_diam = max(diameter(inst.graph) for inst in instances)
     diam_bound = 4 * log_q + max_diam
     # planar inputs: tw(G_i) <= 3 diam(G_i), so both routes bound the result
     tw_bound = min(3 * diam_bound, 2 * log_q + 3 * max_diam)
-    return CompositionReport(composed, p_prime, k_prime,
-                             ParamBounds(2, diam_bound, tw_bound))
+    return CompositionReport(composed, 2, diam_bound, tw_bound)
 
 
 def diameter(g: Graph) -> int:

@@ -402,8 +402,8 @@ def test_criterion_07_or_cross_composition():
         report = or_compose(members)
         q = len(members)
         log_q = q.bit_length() - 1
-        assert report.p_prime == 3 + log_q
-        assert report.k_prime == 2 * log_q * (1 + 1) + 1
+        assert report.instance.p == 3 + log_q
+        assert report.instance.k == 2 * log_q * (1 + 1) + 1
         got = solve_fpt_branching(report.instance).answer
         assert got == want, (combo, want, got)
         # parameter bounds on the composed graph
@@ -415,7 +415,7 @@ def test_criterion_07_or_cross_composition():
         member_max_deg = max(
             max(_expanded_degrees(inst.graph)) for inst in members)
         assert max(deg) <= member_max_deg + 2
-        assert diameter(report.instance.graph) <= report.param_bounds.diameter_bound
+        assert diameter(report.instance.graph) <= report.diameter_bound
         checked += 1
     print(f"\ncriterion 7 PASS: {checked} compositions match the member OR; "
           f"parameters and degree/diameter bounds hold")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import minshared.grid as grid_module
 from minshared import cli
-from minshared.cli import RenderSpec, main, render_embedding
+from minshared.cli import main, render_embedding
 from minshared.core import (UNDIRECTED, Graph, SuperEdge, parse_instance, parse_solution,
                             serialize_instance, serialize_solution, verify_solution)
 from minshared.grid import GridInstance, embed_grid, materialize_grid
@@ -276,6 +276,14 @@ class TestReduce:
         assert capsys.readouterr().err.startswith("limit: expanded graph would have ")
         assert not (tmp_path / "x.mse").exists()
 
+    def test_full_artifact_file_renders(self, vc_file, tmp_path, capsys):
+        # the file lists each chain's bends, so a full-constant artifact of
+        # ~1.6e8 unit edges keeps its embedding and draws
+        out, svg = tmp_path / "art.mse", tmp_path / "art.svg"
+        assert main(["reduce", "vc2grid", vc_file, "--out", str(out)]) == 0
+        assert main(["render", str(out), "--out", str(svg)]) == 0
+        assert svg.read_bytes().startswith(b"<svg")
+
 
 class TestVcCommands:
     def test_vc_solve(self, tmp_path, capsys):
@@ -398,6 +406,13 @@ class TestRender:
         main(["render", str(f), "--out", str(a)])
         main(["render", str(f), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_scale_below_one_exits_two(self, tmp_path, capsys):
+        f, out = tmp_path / "g.mse", tmp_path / "g.svg"
+        f.write_text(serialize_instance(self._grid_instance()))
+        assert main(["render", str(f), "--scale", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scale must be at least 1\n"
+        assert not out.exists()
 
     def test_demo_artifact_renders(self, tmp_path, capsys):
         from minshared.reductions import vc_to_holey_grid

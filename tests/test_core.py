@@ -78,6 +78,10 @@ edge 2 3
 chain 1 3 3
 """
 
+# EXPAND_MSE as serialize_instance writes it: each chain lists its bends
+EXPAND_BENDS = EXPAND_MSE.replace("chain 0 1 2 0 0 1 0 2 0", "chain 0 1 2 0 0 2 0").replace(
+    "chain 1 2 4 2 0 3 0 3 1 3 2 2 2", "chain 1 2 4 2 0 3 0 3 2 2 2")
+
 
 class TestParse:
     def test_minimal_file(self):
@@ -99,12 +103,23 @@ class TestParse:
         assert inst.graph.coords is None
         assert parse_instance(serialize_instance(inst)) == inst
 
-    def test_polylines_dropped_beyond_file_limit(self, monkeypatch):
-        bent = SuperEdge(0, 1, polyline=((0, 0), (2, 0), (2, 1)))
-        inst = Instance(Graph(UNDIRECTED, 2, (bent,), {0: (0, 0), 1: (2, 1)}), 0, 1, 1, 0)
-        assert "chain 0 1 3 0 0 1 0 2 0 2 1\n" in serialize_instance(inst)
-        monkeypatch.setattr(core, "POLYLINE_FILE_LIMIT", 2)
-        assert "chain 0 1 3\n" in serialize_instance(inst)
+    def test_polylines_kept_at_any_size(self):
+        # a chain is written as its bends, so the file of a graph of over
+        # 1e6 unit edges keeps its embedding
+        end = (10**6, 10**6 + 1)
+        bent = SuperEdge(0, 1, polyline=((0, 0), (10**6, 0), end))
+        inst = Instance(Graph(UNDIRECTED, 2, (bent,), {0: (0, 0), 1: end}), 0, 1, 1, 0)
+        assert inst.graph.unit_size() > 10**6
+        text = serialize_instance(inst)
+        assert "chain 0 1 2000001 0 0 1000000 0 1000000 1000001\n" in text
+        assert parse_instance(text) == inst
+
+    def test_all_points_chains_read_as_their_bends(self):
+        # files that list every lattice point of a chain still read, to the
+        # same instance as the bends form that serialize_instance writes
+        inst = parse_instance(EXPAND_MSE)
+        assert parse_instance(EXPAND_BENDS) == inst
+        assert serialize_instance(inst) == EXPAND_BENDS
 
     def test_unknown_vertex(self):
         bad = MINIMAL.replace("edge 0 1", "edge 0 99").replace("vertices 2", "vertices 4")
@@ -786,10 +801,19 @@ class TestParserFuzz:
         (parse_vc, "vc 1\nvertices 2\nk 1\nedge 0 1 7\n", "^line 4: 'edge' takes 2"),
         (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1"),
          "^line 8: 'chain' needs at least 3 values, not 2$"),
+        (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1 1 0 0 1"),
+         r"^line 8: chain polyline has an odd count of numbers \(3\)$"),
+        (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1 1 0 0"),
+         "^line 8: polyline needs at least two waypoints$"),
+        (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1 2 0 0 1 1"),
+         "^line 8: polyline runs must be axis-aligned$"),
+        (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1 2 0 0 3 0"),
+         "^line 8: polyline length 3 does not match chain length 2$"),
     ], ids=["unknown-mode", "coord-of-unknown-vertex", "path-count-not-int", "negative-k",
             "self-loop", "negative-vertex-count", "edge-extra-token", "coord-extra-token",
             "s-extra-token", "paths-extra-token", "vc-edge-extra-token",
-            "chain-too-few-values"])
+            "chain-too-few-values", "chain-odd-coordinate-count", "chain-one-point",
+            "chain-diagonal-run", "chain-length-mismatch"])
     def test_known_bad_inputs(self, parser, text, match):
         with pytest.raises(FormatError, match=match):
             parser(text)

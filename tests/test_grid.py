@@ -286,23 +286,23 @@ class TestCutBoundFirst:
     ])
     def test_one_pass_per_decision(self, monkeypatch, gi, regime):
         assert classify(gi) == regime
-        calls = _count_calls(monkeypatch, "classify", "_sides")
+        calls = _count_calls(monkeypatch, "classify", "_rims")
         decide_grid(gi)
-        assert calls == {"classify": 1, "_sides": int(regime == P_LARGE)}
+        assert calls == {"classify": 1, "_rims": int(regime == P_LARGE)}
 
     @pytest.mark.parametrize("gi", [GridInstance(5, 5, (0, 2), (2, 4), 5, 2),
                                     GridInstance(8, 8, (1, 3), (3, 6), 8, 4)])
     def test_witness_reuses_its_pass(self, monkeypatch, gi):
-        # the builder takes both side costs from its one _bound_pass on gi
-        # and makes one more on its window, to check that the window keeps
-        # them, so a non-trivial witness costs two _sides calls on top of
-        # the decision's; _window reads the rim distances from _rims
-        calls = _count_calls(monkeypatch, "_sides")
+        # the builder takes both side costs from its one _bound_pass on gi,
+        # _window reads the rim distances once, and one more _bound_pass on
+        # the window checks that it keeps them, so a non-trivial witness
+        # costs three _rims calls on top of the decision's
+        calls = _count_calls(monkeypatch, "_rims")
         assert decide_grid(gi, want_witness=True).witness is not None
-        assert calls == {"_sides": 3}
-        calls["_sides"] = 0
+        assert calls == {"_rims": 4}
+        calls["_rims"] = 0
         build_witness_p_large(gi)
-        assert calls == {"_sides": 2}
+        assert calls == {"_rims": 3}
 
 
 class TestMaterialize:

@@ -13,6 +13,8 @@ from minshared.core import (
     UNDIRECTED,
     check_grid_embedding,
     expand_chains,
+    lattice_points,
+    parse_instance,
     serialize_instance,
     serialize_solution,
     verify_solution,
@@ -283,6 +285,29 @@ class TestCompileOnce:
         text = serialize_instance(art.instance, include_polylines=False) + serialize_trace(art)
         assert hashlib.sha1(text.encode()).hexdigest() == COMPILED_DIGESTS[key]
 
+    @pytest.mark.parametrize("key", sorted(COMPILED_DIGESTS, key=repr))
+    def test_file_keeps_the_embedding(self, key):
+        # each chain is written as its bends, so a file of any size re-reads
+        # to the compiled instance, embedding included
+        name, directed, demo = key
+        compiler = vc_to_manhattan_dag if directed else vc_to_holey_grid
+        art = compiler(_digest_source(name), demo=demo)
+        again = parse_instance(serialize_instance(art.instance))
+        assert again == art.instance
+        assert check_grid_embedding(again.graph).answer
+
+    def test_all_points_file_reads_as_bends(self):
+        # a file that lists every lattice point of each chain, as files were
+        # once written, reads to the same instance
+        inst = vc_to_manhattan_dag(paper_vc(2), demo=True).instance
+        lines = serialize_instance(inst, include_polylines=False).splitlines()
+        first = len(lines) - len(inst.graph.edges)
+        for i, e in enumerate(inst.graph.edges):
+            lines[first + i] += "".join(f" {x} {y}" for x, y in lattice_points(e.polyline))
+        text = "\n".join(lines) + "\n"
+        assert text != serialize_instance(inst)
+        assert parse_instance(text) == inst
+
     @pytest.mark.parametrize("key", sorted(WITNESS_DIGESTS, key=repr))
     def test_witnesses_byte_identical(self, key):
         name, directed, demo = key
@@ -438,9 +463,8 @@ class TestCompose:
     def test_parameter_formulas(self):
         a, b = _corpus_instance(True), _corpus_instance(False)
         rep = or_compose([a, b])
-        assert rep.p_prime == 3 + 1
-        assert rep.k_prime == 2 * 1 * (1 + 1) + 1 == 5
-        assert rep.instance.p == 4 and rep.instance.k == 5
+        assert rep.instance.p == 3 + 1
+        assert rep.instance.k == 2 * 1 * (1 + 1) + 1 == 5
 
     def test_or_semantics_q2(self):
         yes, no = _corpus_instance(True), _corpus_instance(False)
@@ -454,8 +478,8 @@ class TestCompose:
     def test_padding_to_power_of_two(self):
         yes, no = _corpus_instance(True), _corpus_instance(False)
         rep = or_compose([no, no, yes])  # padded to q=4 by repetition
-        assert rep.p_prime == 3 + 2
-        assert rep.k_prime == 2 * 2 * 2 + 1 == 9
+        assert rep.instance.p == 3 + 2
+        assert rep.instance.k == 2 * 2 * 2 + 1 == 9
         assert solve_fpt_branching(rep.instance).answer
 
     def test_rejects_malformed(self):
@@ -480,8 +504,8 @@ class TestCompose:
         max_in = max(
             max(d for d in _degrees(inst.graph)) for inst in (yes, no)
         )
-        assert max(deg) <= max_in + rep.param_bounds.max_degree_delta
-        assert diameter(rep.instance.graph) <= rep.param_bounds.diameter_bound
+        assert max(deg) <= max_in + rep.max_degree_delta
+        assert diameter(rep.instance.graph) <= rep.diameter_bound
 
     def test_directed_mode(self):
         yes = undirected_to_directed(_corpus_instance(True))

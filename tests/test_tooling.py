@@ -18,7 +18,7 @@ import minshared.core as C
 import minshared.grid as G
 import minshared.solver as S
 from minshared.cli import _grid_from_args, build_parser
-from minshared.core import Instance
+from minshared.core import Instance, lattice_points
 
 from helpers import grid_graph, grid_vertex
 
@@ -286,3 +286,30 @@ def test_readme_window_sizes_match_the_window():
         w, _ = G._window(_grid_from_args(build_parser().parse_args(["grid-decide",
                                                                      *args.split()])))
         assert (w.n, w.m) == (int(width), int(height)), args
+
+
+def test_readme_instance_example_is_in_bends_form():
+    # the `mse 1` example block parses, serialize_instance writes each of
+    # its chains as the block does, endpoints and bends, and the block with
+    # every lattice point of each chain listed reads to the same instance
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## File formats", 1)[1].split("```", 2)[1]
+    inst = C.parse_instance(block)
+    chains = [line.split("#", 1)[0].split() for line in block.splitlines()
+              if line.startswith("chain ")]
+    assert chains and all(len(tokens) > 4 for tokens in chains)
+    written = [line.split() for line in C.serialize_instance(inst).splitlines()
+               if line.startswith("chain ")]
+    assert written == chains
+
+    def all_points(line):
+        if not line.startswith("chain "):
+            return line
+        tokens = line.split("#", 1)[0].split()
+        nums = list(map(int, tokens[4:]))
+        walk = lattice_points(list(zip(nums[0::2], nums[1::2])))
+        return " ".join(tokens[:4]) + "".join(f" {x} {y}" for x, y in walk)
+
+    old_form = "\n".join(map(all_points, block.splitlines()))
+    assert old_form != block
+    assert C.parse_instance(old_form) == inst

@@ -1,7 +1,9 @@
 """Linear-time MSE decision on bounded grids, with constructive witnesses.
 
 A grid instance is classified against the path count p.  In every regime a
-budget below the certified cut bound (grid_cut_lower_bound) is a no.
+budget below the certified cut bound (grid_cut_lower_bound) is a no, and one
+of at least dist(s, t) is a yes: the trivial solution, p copies of one
+shortest s-t path, shares exactly its dist edges.
 
 * p-small (p > max(n, m)): every row/column between s and t is a cut smaller
   than p, so only the trivial solution exists; yes iff dist(s, t) <= k.
@@ -12,9 +14,11 @@ budget below the certified cut bound (grid_cut_lower_bound) is a no.
   around s and t that keeps the closed form: the s-t box widened behind
   each terminal by about p/2 points over both axes, sized from the rim
   distances the closed form reads, so its cost does not grow with n * m;
-  when no line reaches p, the solver fallback decides on the whole grid.
-* p-narrow (neither), and p-large in the degenerate band: at or above the
-  cut bound, the solver fallback decides: the one exact branching-solver
+  when no line reaches p, the trivial solution answers at k >= dist and the
+  solver fallback decides on the whole grid below it.
+* p-narrow (neither), and p-large in the degenerate band: at k >= dist the
+  trivial solution answers yes without building a grid; between the cut
+  bound and dist the solver fallback decides: the one exact branching-solver
   call of this module, labelled as a fallback, whose no is a completed search.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
@@ -27,7 +31,8 @@ tests and bench/tracing.py, and no decision or witness path uses it.
 Decisions run on bare grids (materialize_grid): no coords and no polylines,
 since the flows, the solver and verify_solution read only an edge's ends
 and length.  embed_grid adds the geometry for files and drawings.  Neither
-builds a grid of more than MAX_GRID_POINTS points.
+builds a grid of more than MAX_GRID_POINTS points; closed-form and trivial
+answers build none.
 """
 
 from __future__ import annotations
@@ -193,14 +198,11 @@ def edge_id(n: int, m: int, a: Point, b: Point) -> tuple[int, bool]:
     return x * (2 * m - 1) + y * (1 + r) + up * r, fwd
 
 
-def _points_to_pathseq(gi: GridInstance, pts: list[Point]) -> PathSeq:
-    return PathSeq(tuple(edge_id(gi.n, gi.m, a, b) for a, b in zip(pts, pts[1:])))
-
-
 def _trivial_witness(gi: GridInstance) -> Solution:
     """p copies of the monotone s-t path that runs along x first, then y."""
-    corners = (gi.s, (gi.t[0], gi.s[1]), gi.t)
-    return Solution((_points_to_pathseq(gi, list(lattice_points(corners))),) * gi.p)
+    pts = list(lattice_points((gi.s, (gi.t[0], gi.s[1]), gi.t)))
+    path = PathSeq(tuple(edge_id(gi.n, gi.m, a, b) for a, b in zip(pts, pts[1:])))
+    return Solution((path,) * gi.p)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,8 @@ def degenerate_alignment(gi: GridInstance) -> bool:
 
     Inside this band the p-large closed form can be off by one, so
     decide_grid trusts only its cut bound there: below the bound the answer
-    is no, at or above it the exact solver decides.
+    is no, at k >= dist it is the trivial yes, and in between the exact
+    solver decides.
     """
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
@@ -290,9 +293,12 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     """Full grid decision in the instance's own frame, one table: p = 1 is
     `single-path`; k below the cut bound is no (`small` or `criteria` where
     a closed form holds, else `cut-bound` with the bound as certificate);
-    at or above it p-small and p-large outside the band answer yes by
-    closed form (a p-large witness is build_witness_p_large's verdict), and
-    p-narrow and the band go to the solver fallback, with its `reason`."""
+    at or above it p-small answers yes as `small` and p-narrow and the band
+    at k >= dist as `trivial`, both sharing dist with the trivial witness
+    and building no grid; p-large outside the band answers yes by closed
+    form (a p-large witness is build_witness_p_large's verdict), and the
+    p-narrow and band budgets left, from the cut bound to dist - 1, go to
+    the solver fallback, with its `reason`."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
@@ -304,9 +310,8 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
         if method is None:
             return Verdict(False, method="cut-bound", certificate=bound)
         return Verdict(False, method=method, certificate=criteria)
-    if method == "small":
-        witness = _trivial_witness(gi) if want_witness else None
-        return Verdict(True, shared_count=gi.dist(), witness=witness, method=method)
+    if method != "criteria" and gi.k >= gi.dist():
+        return _trivial_verdict(gi, want_witness, method or "trivial")
     if method == "criteria":
         if not want_witness:
             return Verdict(True, method=method, certificate=criteria)
@@ -317,6 +322,13 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     reason = "fallback: p-narrow" if regime == P_NARROW else "fallback: degenerate alignment"
     verdict = _solver_fallback(materialize_grid(gi), reason)
     return verdict if want_witness else replace(verdict, witness=None)
+
+
+def _trivial_verdict(gi: GridInstance, want_witness: bool, method: str) -> Verdict:
+    """The trivial yes at k >= dist: p copies of one shortest s-t path, which
+    share its dist edges; no grid is built."""
+    witness = _trivial_witness(gi) if want_witness else None
+    return Verdict(True, shared_count=gi.dist(), witness=witness, method=method)
 
 
 def _solver_fallback(inst: Instance, reason: str) -> Verdict:
@@ -398,17 +410,27 @@ def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
     return GridInstance(size[0], size[1], s, t, gi.p, gi.k), (lo[0], lo[1])
 
 
-def _lift(gi: GridInstance, w: GridInstance, win: Instance, origin: Point,
-          path: PathSeq) -> PathSeq:
-    """`path`, an s-t path of win = materialize_grid(w), in gi's edge ids:
-    w is a window of gi whose lowest point is `origin`, and window vertex v
-    is point divmod(v, w.m) of w."""
+def _lift(gi: GridInstance, w: GridInstance, origin: Point, path: PathSeq) -> PathSeq:
+    """`path`, a path of materialize_grid(w), in gi's edge ids: w is a window
+    of gi whose lowest point is `origin`.
+
+    Each window edge id is mapped on its own, by edge_id's numbering run
+    backwards then forwards: divmod by the window's column stride 2 w.m - 1
+    gives the column x and an offset, which is y alone in the last column
+    (only up edges) and divmod(offset, 2) = (y, up) elsewhere; edge_id's
+    formula then numbers that edge, shifted by `origin`, in gi.  A shift
+    keeps every edge's direction, so each step keeps its `forward`."""
     x0, y0 = origin
-    pts = []
-    for v in path.vertices(win.graph, win.s):
-        x, y = divmod(v, w.m)
-        pts.append((x + x0, y + y0))
-    return _points_to_pathseq(gi, pts)
+    stride, last = 2 * w.m - 1, w.n - 1
+    grid_stride = 2 * gi.m - 1
+    steps = []
+    for e, fwd in path.steps:
+        x, offset = divmod(e, stride)
+        y, up = (offset, 1) if x == last else divmod(offset, 2)
+        x += x0
+        r = x + 1 < gi.n
+        steps.append((x * grid_stride + (y + y0) * (1 + r) + up * r, fwd))
+    return PathSeq(tuple(steps))
 
 
 def _checked(inst: Instance, sol: Solution, gi: GridInstance) -> Verdict:
@@ -424,7 +446,7 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
     p-large instance in any frame at a budget of at least k_min; the witness
     is optimal at the criterion threshold.
 
-    Two routes:
+    Three routes:
 
     1. boosted lines, on _window(gi) alone: one max-flow per axis choice
        with _line_boosts, the criterion's own shared set, boosted to p;
@@ -434,10 +456,12 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
        p is decomposed and verified on the window; its paths share only
        boosted edges, so at most k_min, and they are lifted to gi's edge
        ids.  The verdict is `criteria`, certified by (case id, k_min).
-    2. when no line reaches p (a few instances with a terminal on the rim),
-       the solver fallback decides on the whole of materialize_grid(gi),
-       which is the window's when the window is all of gi; its no marks a
-       closed-form undershoot.
+    2. when no line reaches p (a few instances with a terminal on the rim)
+       and k >= dist, the trivial solution: `trivial`, sharing dist, with
+       no grid built beyond the window.
+    3. when no line reaches p and k < dist, the solver fallback decides on
+       the whole of materialize_grid(gi), which is the window's when the
+       window is all of gi; its no marks a closed-form undershoot.
 
     The choice set is closed under the 16 grid symmetries, so every frame
     of an instance takes the same route and shares as much.
@@ -459,9 +483,11 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
         if fr.value >= gi.p:
             paths = tuple(decompose_to_paths(win, fr, gi.p))
             check = _checked(win, Solution(paths), gi)
-            witness = Solution(tuple(_lift(gi, w, win, origin, q) for q in paths))
+            witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
             return Verdict(True, shared_count=check.shared_count, witness=witness,
                            method="criteria", certificate=criteria)
+    if gi.k >= gi.dist():
+        return _trivial_verdict(gi, True, "trivial")
     inst = win if w == gi else materialize_grid(gi)
     verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
     if verdict.answer:

@@ -210,7 +210,9 @@ class TestGrid:
 
     @pytest.mark.parametrize("args", [
         "grid-witness 20 20 0 0 19 19 3 2",  # the witness window is the whole grid
-        "grid-decide 5 30 0 0 4 29 6 40",  # p-narrow: the whole-grid solver fallback
+        # p-narrow between the cut bound 29 and dist 33: the whole-grid solver
+        # fallback (at k >= 33 the trivial yes builds no grid)
+        "grid-decide 5 30 0 0 4 29 6 30",
         "grid-witness 20 20 5 5 7 8 3 2 --instance-out {tmp}/g.mse",  # a 9 x 10 window
     ])
     def test_grid_over_the_guard_exits_three(self, monkeypatch, tmp_path, capsys, args):
@@ -240,6 +242,10 @@ class TestGrid:
         assert main(["grid-decide", "100000", "100000", "0", "0", "99999", "99999",
                      "3", "2"]) == 0
         assert capsys.readouterr().out.splitlines() == ["answer yes", "method criteria"]
+        # p-narrow at k >= dist: the trivial yes, on a grid of 1.5M points
+        assert main(["grid-decide", "5", "300000", "0", "0", "4", "299999", "6", "300003"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "answer yes", "shared 300003", "method trivial"]
 
 
 class TestReduce:

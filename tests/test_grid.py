@@ -27,7 +27,7 @@ from minshared.grid import (
     materialize_grid,
 )
 from minshared.grid import _bound_pass, _lift, _window
-from helpers import full_grid_witness_p_large, uniform_window
+from helpers import full_grid_witness_p_large, point_lift, uniform_window
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
 
@@ -177,6 +177,72 @@ class TestDecideGrid:
         assert v.answer
         check = verify_solution(materialize_grid(gi), v.witness)
         assert check.answer and check.shared_count == 0
+
+
+class TestTrivialRow:
+    """At k >= dist the trivial solution answers p-narrow and band sides, and
+    a p-large line miss, without the solver or a whole grid."""
+
+    NARROW = GridInstance(2, 5, (0, 0), (1, 4), 3, 5)  # dist 5
+    BAND = GridInstance(4, 5, (0, 0), (0, 4), 4, 4)  # dist 4
+    LINE_MISS = GridInstance(12, 7, (0, 2), (2, 6), 7, 6)  # dist 6, on an 8 x 7 window
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The GridInstance of every materialize_grid call; the solver raises."""
+        made = []
+
+        def no_solver(inst):
+            raise AssertionError("solver called")
+
+        def recording(gi):
+            made.append(gi)
+            return materialize_grid(gi)
+
+        monkeypatch.setattr(grid_module, "solve_fpt_branching", no_solver)
+        monkeypatch.setattr(grid_module, "materialize_grid", recording)
+        return made
+
+    @staticmethod
+    def check_trivial(gi, v, want_witness=True):
+        assert (v.answer, v.shared_count, v.method) == (True, gi.dist(), "trivial"), gi
+        assert (v.witness is not None) == want_witness
+        if want_witness:
+            check = verify_solution(materialize_grid(gi), v.witness)
+            assert check.answer and check.shared_count == gi.dist()
+
+    @pytest.mark.parametrize("want_witness", [False, True])
+    @pytest.mark.parametrize("gi", [NARROW, BAND], ids=["narrow", "band"])
+    def test_narrow_and_band_build_no_grid(self, built, gi, want_witness):
+        self.check_trivial(gi, decide_grid(gi, want_witness), want_witness)
+        assert built == []
+
+    def test_line_miss_builds_only_its_window(self, built):
+        gi = self.LINE_MISS
+        assert criteria_p_large(gi) == (2, 5)
+        self.check_trivial(gi, build_witness_p_large(gi))
+        self.check_trivial(gi, decide_grid(gi, want_witness=True))
+        assert built == [_window(gi)[0]] * 2
+        assert decide_grid(gi).method == "criteria"
+
+    def test_agrees_with_the_solver_up_to_5x5(self):
+        # every p-narrow and band instance at k = dist - 1 and k = dist
+        count = trivial = 0
+        for n, m in itertools.product(range(1, 6), repeat=2):
+            pts = list(itertools.product(range(n), range(m)))
+            for s, t in itertools.permutations(pts, 2):
+                for p in range(2, max(n, m) + 1):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    regime = classify(gi)
+                    if regime == P_SMALL or (regime == P_LARGE and not degenerate_alignment(gi)):
+                        continue
+                    for k in (gi.dist() - 1, gi.dist()):
+                        at_k = replace(gi, k=k)
+                        v = decide_grid(at_k)
+                        assert v.answer == solve_fpt_branching(materialize_grid(at_k)).answer, at_k
+                        count += 1
+                        trivial += v.method == "trivial"
+        assert (count, trivial) == (17912, 8956)
 
 
 class TestWitness:
@@ -407,10 +473,8 @@ class TestEdgeIds:
                         wgi = GridInstance(w, h, (0, 0), (w - 1, h - 1), 1, 0)
                         win, coords = materialize_grid(wgi), embed_grid(wgi).graph.coords
                         for eid, e in enumerate(win.graph.edges):
-                            for start, end, fwd in ((e.tail, e.head, True),
-                                                    (e.head, e.tail, False)):
-                                lifted = _lift(gi, wgi, replace(win, s=start, t=end), (x0, y0),
-                                               PathSeq(((eid, fwd),)))
+                            for fwd in (True, False):
+                                lifted = _lift(gi, wgi, (x0, y0), PathSeq(((eid, fwd),)))
                                 (gid, gfwd), = lifted.steps
                                 ge = g.edges[gid]
                                 ends = [g.coords[ge.tail], g.coords[ge.head]]
@@ -789,6 +853,36 @@ def _seeded_near_rim(seed, count):
     return out
 
 
+@pytest.fixture
+def lifts(monkeypatch):
+    """(gi, window, window path, lifted path) of every _lift call, each
+    checked against the point walk of helpers.point_lift on the window the
+    builder materialised last."""
+    seen, built = [], {}
+    arithmetic = grid_module._lift
+
+    def recording(gi):
+        built.clear()
+        built[gi] = materialize_grid(gi)
+        return built[gi]
+
+    def checked(gi, w, origin, path):
+        lifted = arithmetic(gi, w, origin, path)
+        assert lifted == point_lift(gi, w, built[w], origin, path), (gi, path)
+        seen.append((gi, w, path, lifted))
+        return lifted
+
+    monkeypatch.setattr(grid_module, "materialize_grid", recording)
+    monkeypatch.setattr(grid_module, "_lift", checked)
+    return seen
+
+
+def _last_column_steps(n, m, path):
+    """How many steps of `path` run on the up edges of column n - 1 of an
+    n x m grid."""
+    return sum(e >= (n - 1) * (2 * m - 1) for e, _ in path.steps)
+
+
 class TestWindow:
     """build_witness_p_large against its full-grid reference, and _window on
     its own."""
@@ -806,11 +900,14 @@ class TestWindow:
             assert check.answer and check.shared_count == a.shared_count, (gi, check.reason)
         return a.method
 
-    def test_canonical_up_to_7x7(self):
-        methods = [self.assert_same(gi) for gi in _canonical_at_k_min(7)]
+    def test_canonical_up_to_7x7(self, lifts):
+        instances = list(_canonical_at_k_min(7))
+        methods = [self.assert_same(gi) for gi in instances]
         assert (len(methods), methods.count("fallback")) == (1477, 2)
+        # every path of every witness but the two fallbacks', p = 7 each
+        assert len(lifts) == sum(gi.p for gi in instances) - 2 * 7
 
-    def test_seeded_sample_near_rim(self, monkeypatch):
+    def test_seeded_sample_near_rim(self, monkeypatch, lifts):
         # both builders hand a line miss to the same solver fallback on the
         # same whole grid, so a stub stands in for the solver: only the route
         # is compared, and no exponential search runs on a 45x45 grid
@@ -821,6 +918,17 @@ class TestWindow:
                      if self.assert_same(gi) == "fallback"]
         # each builder falls back once per line miss, on the whole grid
         assert fallbacks and solved == [size for size in fallbacks for _ in range(2)]
+        assert any(_last_column_steps(w.n, w.m, path) for _, w, path, _ in lifts)
+
+    def test_lift_reaches_the_last_column(self, lifts):
+        # the window reaches two rims of the grid in every frame, and in some
+        # frames a path runs up the grid's last column, which has no right edges
+        gi = GridInstance(19, 25, (0, 14), (7, 20), 18, 15)
+        for sym in all_symmetries(gi):
+            v = build_witness_p_large(sym.apply(gi))
+            assert (v.method, v.shared_count) == ("criteria", gi.dist())
+        assert len(lifts) == 16 * gi.p
+        assert any(_last_column_steps(g.n, g.m, lifted) for g, _, _, lifted in lifts)
 
     @pytest.mark.parametrize("gi", [
         GridInstance(53, 51, (23, 29), (0, 27), 18, 15),

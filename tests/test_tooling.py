@@ -9,6 +9,7 @@ reference cycles."""
 
 import ast
 import glob
+import itertools
 import os
 import re
 import shlex
@@ -313,3 +314,23 @@ def test_readme_instance_example_is_in_bends_form():
     old_form = "\n".join(map(all_points, block.splitlines()))
     assert old_form != block
     assert C.parse_instance(old_form) == inst
+
+
+def test_readme_names_every_grid_decide_method():
+    # the README sentence "`grid-decide` names its method ..." lists, in
+    # backticks, exactly the labels decide_grid returns over every instance
+    # up to 4x4 with p up to max(n, m) + 1 and k up to dist
+    with open(README, encoding="utf-8") as fh:
+        sentence = re.search(r"`grid-decide`\s+names its method(.*?)\.\s\s", fh.read(),
+                             re.DOTALL).group(1)
+    named = re.findall(r"`([a-z-]+)`", sentence)
+    seen = set()
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        pts = list(itertools.product(range(n), range(m)))
+        for s, t in itertools.permutations(pts, 2):
+            for p in range(1, max(n, m) + 2):
+                dist = abs(s[0] - t[0]) + abs(s[1] - t[1])
+                for k in range(dist + 1):
+                    seen.add(G.decide_grid(G.GridInstance(n, m, s, t, p, k)).method)
+    assert sorted(named) == sorted(seen) == sorted(
+        ["single-path", "small", "criteria", "cut-bound", "trivial", "fallback"])

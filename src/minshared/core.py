@@ -253,10 +253,12 @@ class Verdict:
     """The one result type: of a verification, a grid decision or a solver.
 
     A solver sets `shared_count` on a yes, `shared_set` to the super-edges it
-    allowed to be shared, and `nodes_explored` to its search effort.  A grid
-    closed form sets `certificate` to its `(case id, k_min)`; a grid no by
-    `method` "cut-bound" sets it to the cut lower bound above k.  `reason` says
-    why a check rejected, or which fallback a grid decision or witness took.
+    allowed to be shared, and `nodes_explored` to its search effort.  The grid
+    p-large closed form sets `certificate` to its `(case id, k_min)`; every
+    other grid no, `method` "cut-bound" (p-small, p-narrow and the degenerate
+    band), sets it to the cut lower bound above k, which is dist on p-small.
+    `reason` says why a check rejected, or which fallback a grid decision or
+    witness took.
     """
 
     answer: bool

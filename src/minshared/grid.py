@@ -3,21 +3,21 @@
 A grid instance is classified against the path count p.  In every regime a
 budget below the certified cut bound (grid_cut_lower_bound) is a no, and one
 of at least dist(s, t) is a yes: the trivial solution, p copies of one
-shortest s-t path, shares exactly its dist edges.
+shortest s-t path, shares exactly its dist edges.  That yes is `trivial`,
+with no grid built, wherever the cut bound is dist or no closed form holds.
 
 * p-small (p > max(n, m)): every row/column between s and t is a cut smaller
-  than p, so only the trivial solution exists; yes iff dist(s, t) <= k.
+  than p, so the cut bound is dist and only the trivial solution exists.
 * p-large (p <= min(n, m)): a non-trivial solution exists iff an arithmetic
-  criterion on p, k and the rim distances of s and t holds.  The witness
+  criterion on p, k and the rim distances of s and t holds; its budget
+  k_min, capped at dist, is the cut bound.  At k_min < dist the witness
   builder runs max-flows with the criterion's own shared edges boosted (a
   short line at s and one at t, each along either axis first) on a window
   around s and t that keeps the closed form: the s-t box widened behind
-  each terminal by about p/2 points over both axes, sized from the rim
-  distances the closed form reads, so its cost does not grow with n * m;
-  when no line reaches p, the trivial solution answers at k >= dist and the
-  solver fallback decides on the whole grid below it.
-* p-narrow (neither), and p-large in the degenerate band: at k >= dist the
-  trivial solution answers yes without building a grid; between the cut
+  each terminal by about p/2 points over both axes, out of the rims, so its
+  cost does not grow with n * m; when no line reaches p, the trivial
+  solution answers at k >= dist and the solver fallback below it.
+* p-narrow (neither), and p-large in the degenerate band: between the cut
   bound and dist the solver fallback decides: the one exact branching-solver
   call of this module, labelled as a fallback, whose no is a completed search.
 
@@ -214,8 +214,8 @@ def degenerate_alignment(gi: GridInstance) -> bool:
 
     Inside this band the p-large closed form can be off by one, so
     decide_grid trusts only its cut bound there: below the bound the answer
-    is no, at k >= dist it is the trivial yes, and in between the exact
-    solver decides.
+    is a `cut-bound` no, at k >= dist it is the `trivial` yes, and in
+    between the exact solver decides.
     """
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
@@ -267,8 +267,8 @@ def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     instance in any frame: the case is 1 plus the number of sides over their
     _rims threshold, the budget the sum of the two side costs.
 
-    The budget, capped at dist, is grid_cut_lower_bound, and the boosted
-    lines of build_witness_p_large meet it; outside the band of
+    The budget, capped at dist, is grid_cut_lower_bound, which the boosted
+    lines of build_witness_p_large meet below dist; outside the band of
     degenerate_alignment it is exact except on a few rim instances, where
     the optimum lies above it."""
     criteria = _bound_pass(gi)[2]
@@ -291,44 +291,39 @@ def grid_cut_lower_bound(gi: GridInstance) -> int:
 
 def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     """Full grid decision in the instance's own frame, one table: p = 1 is
-    `single-path`; k below the cut bound is no (`small` or `criteria` where
-    a closed form holds, else `cut-bound` with the bound as certificate);
-    at or above it p-small answers yes as `small` and p-narrow and the band
-    at k >= dist as `trivial`, both sharing dist with the trivial witness
-    and building no grid; p-large outside the band answers yes by closed
-    form (a p-large witness is build_witness_p_large's verdict), and the
-    p-narrow and band budgets left, from the cut bound to dist - 1, go to
-    the solver fallback, with its `reason`."""
+    `single-path`; k below the cut bound is no (`criteria` where the p-large
+    closed form holds, else `cut-bound`, certified by the bound); at k >=
+    dist, where the bound is dist (all of p-small, p-large at k_min >= dist)
+    or no closed form holds (p-narrow, the band), the yes is `trivial`: the
+    trivial witness, sharing dist, and no grid built; p-large outside the
+    band answers the rest yes by closed form (with build_witness_p_large's
+    witness), and the p-narrow and band budgets from the cut bound to
+    dist - 1 go to the solver fallback, with its `reason`."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
     regime, bound, criteria, _ = _bound_pass(gi)
-    method = {P_SMALL: "small", P_LARGE: "criteria"}.get(regime)
-    if method == "criteria" and degenerate_alignment(gi):
-        method = None  # the band: the closed form can be off by one
+    closed_form = criteria is not None and not degenerate_alignment(gi)
     if gi.k < bound:
-        if method is None:
-            return Verdict(False, method="cut-bound", certificate=bound)
-        return Verdict(False, method=method, certificate=criteria)
-    if method != "criteria" and gi.k >= gi.dist():
-        return _trivial_verdict(gi, want_witness, method or "trivial")
-    if method == "criteria":
-        if not want_witness:
-            return Verdict(True, method=method, certificate=criteria)
-        if gi.k >= criteria[1]:
+        if closed_form:
+            return Verdict(False, method="criteria", certificate=criteria)
+        return Verdict(False, method="cut-bound", certificate=bound)
+    if gi.k >= gi.dist() and (bound == gi.dist() or not closed_form):
+        return _trivial_verdict(gi, want_witness)
+    if closed_form:
+        if want_witness:
             return build_witness_p_large(gi)
-        return Verdict(True, shared_count=gi.dist(), witness=_trivial_witness(gi),
-                       method=method, certificate=criteria)
+        return Verdict(True, method="criteria", certificate=criteria)
     reason = "fallback: p-narrow" if regime == P_NARROW else "fallback: degenerate alignment"
     verdict = _solver_fallback(materialize_grid(gi), reason)
     return verdict if want_witness else replace(verdict, witness=None)
 
 
-def _trivial_verdict(gi: GridInstance, want_witness: bool, method: str) -> Verdict:
+def _trivial_verdict(gi: GridInstance, want_witness: bool) -> Verdict:
     """The trivial yes at k >= dist: p copies of one shortest s-t path, which
     share its dist edges; no grid is built."""
     witness = _trivial_witness(gi) if want_witness else None
-    return Verdict(True, shared_count=gi.dist(), witness=witness, method=method)
+    return Verdict(True, shared_count=gi.dist(), witness=witness, method="trivial")
 
 
 def _solver_fallback(inst: Instance, reason: str) -> Verdict:
@@ -443,25 +438,27 @@ def _checked(inst: Instance, sol: Solution, gi: GridInstance) -> Verdict:
 
 def build_witness_p_large(gi: GridInstance) -> Verdict:
     """The decision, with a verified witness in gi's frame on a yes, of a
-    p-large instance in any frame at a budget of at least k_min; the witness
-    is optimal at the criterion threshold.
+    p-large instance in any frame at a budget of at least k_min; unless no
+    boosted line reaches p, the witness shares the cut bound min(k_min,
+    dist), so it is optimal.
 
     Three routes:
 
-    1. boosted lines, on _window(gi) alone: one max-flow per axis choice
-       with _line_boosts, the criterion's own shared set, boosted to p;
-       each terminal's line runs along the longer axis first (x on a tie)
-       or the shorter one, tried as (longer, longer), (longer, shorter),
-       (shorter, longer), (shorter, shorter).  The first flow that reaches
-       p is decomposed and verified on the window; its paths share only
-       boosted edges, so at most k_min, and they are lifted to gi's edge
-       ids.  The verdict is `criteria`, certified by (case id, k_min).
+    1. when k_min < dist, boosted lines, on _window(gi) alone: one max-flow
+       per axis choice with _line_boosts, the criterion's own shared set,
+       boosted to p; each terminal's line runs along the longer axis first
+       (x on a tie) or the shorter one, tried as (longer, longer), (longer,
+       shorter), (shorter, longer), (shorter, shorter).  The first flow
+       that reaches p is decomposed and verified on the window; its paths
+       share only boosted edges, so at most k_min, and they are lifted to
+       gi's edge ids.  The verdict is `criteria`, certified by (case id,
+       k_min).
     2. when no line reaches p (a few instances with a terminal on the rim)
-       and k >= dist, the trivial solution: `trivial`, sharing dist, with
-       no grid built beyond the window.
-    3. when no line reaches p and k < dist, the solver fallback decides on
-       the whole of materialize_grid(gi), which is the window's when the
-       window is all of gi; its no marks a closed-form undershoot.
+       and k < dist, the solver fallback decides on the whole of
+       materialize_grid(gi), which is the window's when the window is all
+       of gi; its no marks a closed-form undershoot.
+    3. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
+       solution: `trivial`, sharing dist; this route builds no grid itself.
 
     The choice set is closed under the 16 grid symmetries, so every frame
     of an instance takes the same route and shares as much.
@@ -472,25 +469,26 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
         raise ValueError("build_witness_p_large needs a p-large instance")
     if gi.k < criteria[1]:
         raise ValueError("only the trivial solution exists at this budget")
-    w, origin = _window(gi)
-    if _bound_pass(w) != closed_form:
-        raise AssertionError(f"window {w} of {gi} changes the closed form")
-    win = materialize_grid(w)
-    longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
-    for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
-        boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
-        fr = max_flow_boosted(win, boosts)
-        if fr.value >= gi.p:
-            paths = tuple(decompose_to_paths(win, fr, gi.p))
-            check = _checked(win, Solution(paths), gi)
-            witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
-            return Verdict(True, shared_count=check.shared_count, witness=witness,
-                           method="criteria", certificate=criteria)
-    if gi.k >= gi.dist():
-        return _trivial_verdict(gi, True, "trivial")
-    inst = win if w == gi else materialize_grid(gi)
-    verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
-    if verdict.answer:
-        verdict = replace(verdict, shared_count=_checked(inst, verdict.witness, gi).shared_count)
-    return verdict
+    if criteria[1] < gi.dist():
+        w, origin = _window(gi)
+        if _bound_pass(w) != closed_form:
+            raise AssertionError(f"window {w} of {gi} changes the closed form")
+        win = materialize_grid(w)
+        longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
+        for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
+            boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
+            fr = max_flow_boosted(win, boosts)
+            if fr.value >= gi.p:
+                paths = tuple(decompose_to_paths(win, fr, gi.p))
+                check = _checked(win, Solution(paths), gi)
+                witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
+                return Verdict(True, shared_count=check.shared_count, witness=witness,
+                               method="criteria", certificate=criteria)
+        if gi.k < gi.dist():
+            inst = win if w == gi else materialize_grid(gi)
+            verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
+            if verdict.answer:
+                _checked(inst, verdict.witness, gi)
+            return verdict
+    return _trivial_verdict(gi, True)
 

@@ -90,18 +90,17 @@ class TestDecideSmall:
     def test_yes_at_distance(self):
         gi = GridInstance(3, 3, (0, 0), (2, 2), 4, 4)
         v = decide_grid(gi)
-        assert v.answer and v.method == "small"
+        assert (v.answer, v.method, v.shared_count) == (True, "trivial", 4)
         assert solve_enum_oracle(materialize_grid(gi)).answer
 
     def test_no_below_distance(self):
         gi = GridInstance(3, 3, (0, 0), (2, 2), 4, 3)
-        v = decide_grid(gi)
-        assert not v.answer and v.method == "small"
+        assert decide_grid(gi) == Verdict(False, method="cut-bound", certificate=gi.dist())
         assert not solve_enum_oracle(materialize_grid(gi)).answer
 
     def test_adjacent_any_p(self):
         v = decide_grid(GridInstance(2, 2, (0, 0), (0, 1), 9, 1))
-        assert v.answer and v.method == "small"
+        assert v.answer and v.method == "trivial"
 
 
 class TestCriteria:
@@ -180,7 +179,8 @@ class TestDecideGrid:
 
 
 class TestTrivialRow:
-    """At k >= dist the trivial solution answers p-narrow and band sides, and
+    """At k >= dist the trivial solution answers every side whose cut bound
+    is dist (p-small, p-large at k_min >= dist), p-narrow and band sides, and
     a p-large line miss, without the solver or a whole grid."""
 
     NARROW = GridInstance(2, 5, (0, 0), (1, 4), 3, 5)  # dist 5
@@ -243,6 +243,52 @@ class TestTrivialRow:
                         count += 1
                         trivial += v.method == "trivial"
         assert (count, trivial) == (17912, 8956)
+
+    def test_k_min_at_least_dist_builds_no_grid(self, built):
+        # every non-degenerate p-large instance up to 8x8, s before t, whose
+        # k_min is at least dist, at k = k_min: the boosted lines could share
+        # up to k_min there, but the cut bound is dist and the trivial
+        # witness meets it
+        count = 0
+        for n in range(1, 9):
+            for m in range(n, 9):
+                pts = list(itertools.product(range(n), range(m)))
+                for s, t in itertools.combinations(pts, 2):
+                    for p in range(2, n + 1):
+                        gi = GridInstance(n, m, s, t, p, 0)
+                        if degenerate_alignment(gi) or criteria_p_large(gi)[1] < gi.dist():
+                            continue
+                        gi = replace(gi, k=criteria_p_large(gi)[1])
+                        self.check_trivial(gi, decide_grid(gi, want_witness=True))
+                        self.check_trivial(gi, build_witness_p_large(gi))
+                        count += 1
+        assert count == 1010
+        assert built == []
+
+
+def test_closed_form_witness_meets_the_cut_bound_up_to_6x6():
+    # every p-small or non-degenerate p-large instance up to 6x6, s before t,
+    # at k = the cut bound, dist and dist + 1: the witness shares the bound,
+    # also where k reaches a k_min above dist (6x6, (0, 5) -> (2, 3), p = 6)
+    count = 0
+    for n in range(1, 7):
+        for m in range(n, 7):
+            pts = list(itertools.product(range(n), range(m)))
+            for s, t in itertools.combinations(pts, 2):
+                for p in range(2, m + 2):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    if classify(gi) == P_NARROW or (classify(gi) == P_LARGE
+                                                    and degenerate_alignment(gi)):
+                        continue
+                    bound = grid_cut_lower_bound(gi)
+                    for k in (bound, gi.dist(), gi.dist() + 1):
+                        at_k = replace(gi, k=k)
+                        v = decide_grid(at_k, want_witness=True)
+                        check = verify_solution(materialize_grid(at_k), v.witness)
+                        assert check.answer, (at_k, check.reason)
+                        assert check.shared_count == v.shared_count == bound, at_k
+                        count += 1
+    assert count == 14088
 
 
 class TestWitness:
@@ -921,13 +967,16 @@ class TestWindow:
         assert any(_last_column_steps(w.n, w.m, path) for _, w, path, _ in lifts)
 
     def test_lift_reaches_the_last_column(self, lifts):
-        # the window reaches two rims of the grid in every frame, and in some
-        # frames a path runs up the grid's last column, which has no right edges
-        gi = GridInstance(19, 25, (0, 14), (7, 20), 18, 15)
+        # at k_min < dist the window is a proper sub-grid in every frame, and
+        # in some frames a path runs up the grid's last column, which has no
+        # right edges
+        gi = GridInstance(6, 8, (1, 5), (5, 7), 5, 4)
+        assert criteria_p_large(gi)[1] == gi.k < gi.dist()
         for sym in all_symmetries(gi):
             v = build_witness_p_large(sym.apply(gi))
-            assert (v.method, v.shared_count) == ("criteria", gi.dist())
+            assert (v.method, v.shared_count) == ("criteria", gi.k)
         assert len(lifts) == 16 * gi.p
+        assert all(w != g for g, w, _, _ in lifts)
         assert any(_last_column_steps(g.n, g.m, lifted) for g, _, _, lifted in lifts)
 
     @pytest.mark.parametrize("gi", [

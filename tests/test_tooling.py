@@ -318,8 +318,9 @@ def test_readme_instance_example_is_in_bends_form():
 
 def test_readme_names_every_grid_decide_method():
     # the README sentence "`grid-decide` names its method ..." lists, in
-    # backticks, exactly the labels decide_grid returns over every instance
-    # up to 4x4 with p up to max(n, m) + 1 and k up to dist
+    # backticks, exactly the labels decide_grid returns, with and without a
+    # witness (`grid-witness`, `grid-decide`), over every instance up to 4x4
+    # with p up to max(n, m) + 1 and k up to dist
     with open(README, encoding="utf-8") as fh:
         sentence = re.search(r"`grid-decide`\s+names its method(.*?)\.\s\s", fh.read(),
                              re.DOTALL).group(1)
@@ -330,7 +331,8 @@ def test_readme_names_every_grid_decide_method():
         for s, t in itertools.permutations(pts, 2):
             for p in range(1, max(n, m) + 2):
                 dist = abs(s[0] - t[0]) + abs(s[1] - t[1])
-                for k in range(dist + 1):
-                    seen.add(G.decide_grid(G.GridInstance(n, m, s, t, p, k)).method)
+                for k, want_witness in itertools.product(range(dist + 1), (False, True)):
+                    gi = G.GridInstance(n, m, s, t, p, k)
+                    seen.add(G.decide_grid(gi, want_witness).method)
     assert sorted(named) == sorted(seen) == sorted(
-        ["single-path", "small", "criteria", "cut-bound", "trivial", "fallback"])
+        ["single-path", "criteria", "cut-bound", "trivial", "fallback"])

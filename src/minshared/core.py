@@ -42,8 +42,10 @@ class SuperEdge:
     and normalises once: it drops repeated points, merges consecutive runs
     that go the same way, measures `length` from the runs (a declared length
     must match it) and sets each field once.  A two-point polyline is one run
-    and skips the loop.  The edge is a frozen, slotted value: no per-instance
-    `__dict__`, and `==`, `hash` and `repr` come from the dataclass.
+    and skips the loop; given as a tuple it is kept, not rebuilt (the
+    compiler lays most of its chains so).  The edge is a frozen, slotted
+    value: no per-instance `__dict__`, and `==`, `hash` and `repr` come from
+    the dataclass.
     (Waypoints rather than all length+1 lattice points: gadget chains can have
     ~1e5 unit edges, but only a handful of bends.  An instance file lists the
     same waypoints.)
@@ -70,7 +72,8 @@ class SuperEdge:
                     raise ValueError("polyline runs must be axis-aligned")
                 if total < 0:
                     total = -total
-                polyline = (a, b)
+                if type(polyline) is not tuple:
+                    polyline = (a, b)
             elif len(polyline) < 2:
                 raise ValueError("polyline needs at least two waypoints")
             else:
@@ -465,7 +468,14 @@ def check_grid_embedding(g: Graph) -> Verdict:
        the end of the one before.  That rejects collinear overlaps and a
        vertex inside a run.  A run ending inside a perpendicular one fails
        here too: it ends at a vertex, or its chain turns there along the
-       other run or back onto itself.
+       other run or back onto itself.  Unit chains (one run of length 1,
+       most of a compiled gadget's chains) stay out of the sort: they hold
+       no point but their two end vertices, so another run over one either
+       holds one of those vertices strictly inside, which the vertex's own
+       zero-length run reports, or spans exactly the two ends and is itself
+       a unit chain (after pass 1 only a chain's ends lie on vertices).  So
+       each unit chain is keyed by its (lower, upper) ends, and only those
+       whose pair repeats are sorted with the runs.
     3. Crossings: only runs of length >= 2 have inner points, so only those
        are visited.  Taking the verticals in x order, with the horizontals
        whose open x-range holds x kept sorted by y, each vertical asks by
@@ -487,11 +497,19 @@ def check_grid_embedding(g: Graph) -> Verdict:
     hs = [(y, x, x, v) for v, (x, y) in coord_of.items()]
     vs = [(x, y, y, v) for v, (x, y) in coord_of.items()]
     bends: list[Point] = []
+    units: dict[tuple[Point, Point], int] = {}  # unit chain's (lower, upper) ends -> first owner
+    repeats: list[tuple[tuple[Point, Point], int]] = []
     for eid, e in enumerate(g.edges):
         pts = e.polyline
         ax, ay = start = coord_of[e.tail]
         if pts[0] != start or pts[-1] != coord_of[e.head]:
             return Verdict(False, reason=f"edge {eid} polyline does not start/end at its vertices")
+        if e.length == 1:  # a unit chain: kept out of the runs, see pass 2
+            a, b = pts
+            seg = (a, b) if a < b else (b, a)
+            if units.setdefault(seg, eid) != eid:
+                repeats.append((seg, eid))
+            continue
         bends += pts[1:-1]
         for bx, by in pts:  # in normal form only the first run, start to start, is empty
             if ay == by:
@@ -500,6 +518,13 @@ def check_grid_embedding(g: Graph) -> Verdict:
             else:
                 vs.append((ax, ay, by, eid) if ay < by else (ax, by, ay, eid))
             ax, ay = bx, by
+    # a repeated pair is a fault: every unit chain on that segment joins the
+    # runs, once, so that pass 2 reports it as it reports any overlap
+    for ((ax, ay), (bx, by)), eid in {*repeats, *((seg, units[seg]) for seg, _ in repeats)}:
+        if ay == by:
+            hs.append((ay, ax, bx, eid))
+        else:
+            vs.append((ax, ay, by, eid))
 
     bend_set = set(bends)
     if len(bend_set) < len(bends) or not bend_set.isdisjoint(vertex_at):
@@ -603,7 +628,16 @@ def _read_records(text: str, header: str, rules: dict, into: dict,
 
 
 def _scalar(rec: dict, parts: list[str]) -> None:
+    if parts[0] in rec:
+        raise FormatError(f"repeated '{parts[0]}' line")
     rec[parts[0]] = parts[1] if parts[0] == "mode" else int(parts[1])
+
+
+def _coord(rec: dict, parts: list[str]) -> None:
+    v = int(parts[1])
+    if v in rec["coords"]:
+        raise FormatError(f"repeated 'coord {v}' line")
+    rec["coords"][v] = (int(parts[2]), int(parts[3]))
 
 
 def _chain(rec: dict, parts: list[str]) -> None:
@@ -622,18 +656,18 @@ def _chain(rec: dict, parts: list[str]) -> None:
 _SCALARS = ("mode", "vertices", "s", "t", "p", "k")
 _INSTANCE_RULES = {
     **dict.fromkeys(_SCALARS, (2, _scalar)),
-    "coord": (4, lambda rec, t: rec["coords"].append((int(t[1]), (int(t[2]), int(t[3]))))),
+    "coord": (4, _coord),
     "edge": (3, lambda rec, t: rec["edges"].append(SuperEdge(int(t[1]), int(t[2]), 1))),
     "chain": (None, _chain),
 }
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse the line-oriented `mse 1` instance format."""
-    rec = _read_records(text, "mse 1", _INSTANCE_RULES, {"coords": [], "edges": []}, _SCALARS)
+    """Parse the line-oriented `mse 1` instance format.  Each scalar line and
+    each vertex's `coord` line may appear once."""
+    rec = _read_records(text, "mse 1", _INSTANCE_RULES, {"coords": {}, "edges": []}, _SCALARS)
     try:
-        graph = Graph(rec["mode"], rec["vertices"], tuple(rec["edges"]),
-                      dict(rec["coords"]) or None)
+        graph = Graph(rec["mode"], rec["vertices"], tuple(rec["edges"]), rec["coords"] or None)
         return Instance(graph, rec["s"], rec["t"], rec["p"], rec["k"])
     except ValueError as exc:
         raise FormatError(str(exc)) from None

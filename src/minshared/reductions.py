@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .core import (
     DIRECTED,
@@ -167,7 +168,9 @@ class CompositionReport:
 
 class _Builder:
     """One artifact's layout: `at` numbers each point when `vertex` first
-    meets it, and `lay` appends every chain to `edges`."""
+    meets it, and `lay`, the one emission method, appends every chain to
+    `edges`, a batch at a time: a rainbow's 3M chains in three batches, any
+    other chain through `chain` as a batch of one."""
 
     def __init__(self, mode: str):
         self.mode = mode
@@ -177,14 +180,16 @@ class _Builder:
     def vertex(self, pt: Point) -> int:
         return self.at.setdefault(pt, len(self.at))
 
-    def lay(self, tail: int, head: int, points: list[Point]) -> int:
-        """Chain along a corner path from tail's point to head's; arcs run tail -> head."""
-        self.edges.append(SuperEdge(tail, head, polyline=points))
-        return len(self.edges) - 1
+    def lay(self, chains: Iterable[tuple[int, int, Sequence[Point]]]) -> int:
+        """Chains (tail, head, corner path from tail's point to head's), in
+        order; arcs run tail -> head.  Returns the id of the first."""
+        first = len(self.edges)
+        self.edges += [SuperEdge(tail, head, None, points) for tail, head, points in chains]
+        return first
 
     def chain(self, points: list[Point]) -> int:
         """Chain along the given corner path; arcs run first point -> last."""
-        return self.lay(self.vertex(points[0]), self.vertex(points[-1]), points)
+        return self.lay([(self.vertex(points[0]), self.vertex(points[-1]), points)])
 
     def graph(self) -> Graph:
         return Graph(self.mode, len(self.at), tuple(self.edges), {v: p for p, v in self.at.items()})
@@ -195,19 +200,18 @@ def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
     """A rainbow whose baseline runs from (x_left, y) to (x_left+2M+gap, y).
     Bands go up, then right, then down; the shortest band has gap+2 edges.
     Both stub rows (M+1 points each, left row first) are numbered before the
-    M left stubs, M bands (innermost first) and M right stubs take ids in turn."""
+    M left stubs, M bands (innermost first) and M right stubs are laid, a
+    batch each, and take ids in turn.  A stub's polyline is the pair of its
+    row points, zipped as a tuple."""
     x_right = x_left + 2 * m_val + gap
     lp = [(x, y) for x in range(x_left, x_left + m_val + 1)]
     rp = [(x, y) for x in range(x_right - m_val, x_right + 1)]
     left, right = [bld.vertex(p) for p in lp], [bld.vertex(p) for p in rp]
-    ids = list(range(len(bld.edges), len(bld.edges) + 3 * m_val))
-    for u, v, a, b in zip(left, left[1:], lp, lp[1:]):
-        bld.lay(u, v, [a, b])
-    for q in range(1, m_val + 1):
-        a, b = lp[-q], rp[q - 1]
-        bld.lay(left[-q], right[q - 1], [a, (a[0], y + q), (b[0], y + q), b])
-    for u, v, a, b in zip(right, right[1:], rp, rp[1:]):
-        bld.lay(u, v, [a, b])
+    first = bld.lay(zip(left, left[1:], zip(lp, lp[1:])))
+    bld.lay((u, v, (a, (a[0], y + q), (b[0], y + q), b))  # band q: up, right, down
+            for q, u, v, a, b in zip(range(1, m_val + 1), reversed(left), right, reversed(lp), rp))
+    bld.lay(zip(right, right[1:], zip(rp, rp[1:])))
+    ids = list(range(first, first + 3 * m_val))
     rainbows.append(RainbowTrace(location, ids[:m_val], ids[2 * m_val:], ids[m_val:2 * m_val]))
     return rainbows[-1]
 

@@ -130,7 +130,7 @@ def pad_to_power_of_two(vc: VCInstance) -> VCInstance:
 
 def parse_vc(text: str) -> VCInstance:
     """Parse the `vc 1` file format: the `vertices`, `k` and `edge` lines of
-    the `mse 1` grammar under its own header."""
+    the `mse 1` grammar under its own header, each scalar line once."""
     rules = {kw: _INSTANCE_RULES[kw] for kw in ("vertices", "k", "edge")}
     rec = _read_records(text, "vc 1", rules, {"edges": []}, ("vertices", "k"))
     try:

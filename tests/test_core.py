@@ -516,15 +516,18 @@ def _waypoints_of(points):
 
 
 @st.composite
-def polyline_graphs(draw, size=4):
+def polyline_graphs(draw, size=4, scale=2):
     """A valid layout (chains along a random subgraph of a size x size grid
-    drawn at twice the scale, split at declared vertices) plus random-walk
-    chains and a stray vertex on the full lattice, which bring crossings,
-    collinear overlaps, touches away from vertices, self-intersections and
-    vertices inside runs."""
+    drawn at `scale` lattice steps per grid step, split at declared
+    vertices) plus random-walk chains and a stray vertex on the full lattice,
+    which bring crossings, collinear overlaps, touches away from vertices,
+    self-intersections and vertices inside runs.  At scale 2 a unit chain
+    comes only from a one-step walk; at scale 1 every layout edge between
+    two declared vertices is one."""
+    span = scale * size
     units = draw(st.sets(st.sampled_from(
-        [((x, y), (x + 2, y)) for x in range(0, 2 * size - 2, 2) for y in range(0, 2 * size, 2)]
-        + [((x, y), (x, y + 2)) for x in range(0, 2 * size, 2) for y in range(0, 2 * size - 2, 2)]),
+        [((x, y), (x + scale, y)) for x in range(0, span - scale, scale) for y in range(0, span, scale)]
+        + [((x, y), (x, y + scale)) for x in range(0, span, scale) for y in range(0, span - scale, scale)]),
         max_size=2 * size * size))
     adj = {}
     for a, b in sorted(units):
@@ -558,7 +561,7 @@ def polyline_graphs(draw, size=4):
             break
         declared.add(loop_point)
     for _ in range(draw(st.integers(0, 2))):  # random-walk chains, turning or not at each run
-        x, y = draw(st.integers(-1, 2 * size - 1)), draw(st.integers(-1, 2 * size - 1))
+        x, y = draw(st.integers(-1, span - 1)), draw(st.integers(-1, span - 1))
         stride = draw(st.sampled_from((1, 2)))
         dx, dy = draw(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))))
         walk = [(x, y)]
@@ -570,7 +573,7 @@ def polyline_graphs(draw, size=4):
             walks.append(walk)
             declared |= {walk[0], walk[-1]}
     for _ in range(draw(st.integers(0, 1))):  # a stray vertex
-        declared.add((draw(st.integers(0, 2 * size - 2)), draw(st.integers(0, 2 * size - 2))))
+        declared.add((draw(st.integers(0, span - 2)), draw(st.integers(0, span - 2))))
     ids = {pt: v for v, pt in enumerate(sorted(declared))}
     edges = tuple(SuperEdge(ids[w[0]], ids[w[-1]],
                             sum(abs(a[0] - b[0]) + abs(a[1] - b[1]) for a, b in zip(w, w[1:])),
@@ -588,6 +591,52 @@ class TestGridEmbeddingReference:
     @settings(max_examples=300, deadline=None)
     def test_matches_lattice_reference_larger(self, g):
         assert check_grid_embedding(g).answer == _lattice_reference(g)
+
+    @given(polyline_graphs(size=5, scale=1))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_lattice_reference_unit_scale(self, g):
+        # most layout chains are unit chains, which the check keeps out of
+        # its sorted runs; the random walks run over and along them
+        assert check_grid_embedding(g).answer == _lattice_reference(g)
+
+    @pytest.mark.parametrize("points, chains, reason", [
+        # two unit chains on one segment, either way round, and a third
+        # after an unrelated one: the repeated pairs are sorted with the runs
+        (((0, 0), (1, 0)), (((0, 0), (1, 0)), ((0, 0), (1, 0))),
+         "edges 0 and 1 overlap along a line at (0, 0)"),
+        (((0, 0), (1, 0)), (((0, 0), (1, 0)), ((1, 0), (0, 0))),
+         "edges 0 and 1 overlap along a line at (0, 0)"),
+        (((0, 0), (0, 1)), (((0, 1), (0, 0)), ((0, 0), (0, 1))),
+         "edges 0 and 1 overlap along a line at (0, 0)"),
+        (((0, 0), (1, 0), (5, 5), (5, 6)),
+         (((0, 0), (1, 0)), ((0, 0), (0, 1), (2, 1), (2, 0), (1, 0)), ((5, 5), (5, 6)),
+          ((1, 0), (0, 0)), ((0, 0), (1, 0))),
+         "edges 0 and 3 overlap along a line at (0, 0)"),
+        # a straight run over a unit chain holds one of its end vertices
+        (((0, 0), (3, 0), (1, 0), (2, 0)), (((0, 0), (3, 0)), ((1, 0), (2, 0))),
+         "edge 0 passes through vertex 2 at (1, 0)"),
+        (((0, 0), (3, 0), (1, 0)), (((0, 0), (3, 0)), ((0, 0), (1, 0))),
+         "edge 0 passes through vertex 2 at (1, 0)"),
+        # a unit chain's end vertex inside a perpendicular run
+        (((0, 0), (0, 2), (0, 1), (1, 1)), (((0, 0), (0, 2)), ((0, 1), (1, 1))),
+         "edge 0 passes through vertex 2 at (0, 1)"),
+    ], ids=["same-direction", "opposite-directions", "vertical", "three-on-one-segment",
+            "run-over-unit", "run-over-unit-from-shared-end", "end-vertex-in-perpendicular-run"])
+    def test_unit_chain_faults(self, points, chains, reason):
+        ids = {pt: v for v, pt in enumerate(points)}
+        edges = tuple(SuperEdge(ids[c[0]], ids[c[-1]], polyline=c) for c in chains)
+        g = Graph(UNDIRECTED, len(points), edges, dict(enumerate(points)))
+        assert check_grid_embedding(g).reason == reason
+        assert not _lattice_reference(g)
+
+    def test_unit_chains_apart_accepted(self):
+        # a grid's unit edges, each its own chain, and one chain bending
+        # around them: no pair repeats, nothing is sorted for them
+        g = grid_graph(3, 3)
+        edges = tuple(SuperEdge(e.tail, e.head, 1, (g.coords[e.tail], g.coords[e.head]))
+                      for e in g.edges)
+        arc = SuperEdge(0, 6, 4, ((0, 0), (0, -1), (2, -1), (2, 0)))
+        assert check_grid_embedding(Graph(UNDIRECTED, 9, edges + (arc,), g.coords)).answer
 
     @pytest.mark.parametrize("corner", [
         ((0, 1), (0, 0), (1, 0)), ((0, 1), (0, 0), (-1, 0)),
@@ -809,11 +858,20 @@ class TestParserFuzz:
          "^line 8: polyline runs must be axis-aligned$"),
         (parse_instance, MINIMAL.replace("edge 0 1", "chain 0 1 2 0 0 3 0"),
          "^line 8: polyline length 3 does not match chain length 2$"),
+        # a record that holds one value may appear once
+        (parse_instance, MINIMAL + "k 7\n", "^line 9: repeated 'k' line$"),
+        (parse_instance, MINIMAL.replace("vertices 2", "vertices 2\nvertices 3"),
+         "^line 4: repeated 'vertices' line$"),
+        (parse_instance, MINIMAL + "coord 0 0 0\ncoord 1 1 0\ncoord 0 2 0\n",
+         "^line 11: repeated 'coord 0' line$"),
+        (parse_vc, "vc 1\nvertices 2\nk 1\nk 0\n", "^line 4: repeated 'k' line$"),
+        (parse_vc, "vc 1\nvertices 2\nvertices 4\nk 1\n", "^line 3: repeated 'vertices' line$"),
     ], ids=["unknown-mode", "coord-of-unknown-vertex", "path-count-not-int", "negative-k",
             "self-loop", "negative-vertex-count", "edge-extra-token", "coord-extra-token",
             "s-extra-token", "paths-extra-token", "vc-edge-extra-token",
             "chain-too-few-values", "chain-odd-coordinate-count", "chain-one-point",
-            "chain-diagonal-run", "chain-length-mismatch"])
+            "chain-diagonal-run", "chain-length-mismatch", "repeated-k", "repeated-vertices",
+            "repeated-coord", "vc-repeated-k", "vc-repeated-vertices"])
     def test_known_bad_inputs(self, parser, text, match):
         with pytest.raises(FormatError, match=match):
             parser(text)

@@ -328,18 +328,21 @@ class TestCompileOnce:
 
     @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
     def test_chains_laid_once(self, compiler, monkeypatch):
-        # every chain, a rainbow's included, is laid through _Builder.lay
-        calls = []
+        # every chain, a rainbow's included, is laid through _Builder.lay,
+        # which takes a batch: the chains of all batches are counted
+        laid = []
         lay = reductions._Builder.lay
 
-        def counted(self, tail, head, points):
-            calls.append(None)
-            return lay(self, tail, head, points)
+        def counted(self, chains):
+            chains = list(chains)
+            laid.extend(chains)
+            return lay(self, chains)
 
         monkeypatch.setattr(reductions._Builder, "lay", counted)
         # spacing 8 (holey) and 24 (Manhattan): earlier spacings fail to route
         art = compiler(_digest_source((2, 6, 6, 2)))
-        assert len(calls) == len(art.instance.graph.edges)
+        assert len(laid) == len(art.instance.graph.edges)
+        assert [(u, v) for u, v, _ in laid] == [(e.tail, e.head) for e in art.instance.graph.edges]
 
     def test_snake_routes(self):
         # (sx, tx) tracks under y_top 100, y_bottom 0, run 5, c 8, max_drop 3:

@@ -259,6 +259,20 @@ def test_grid_has_one_solver_call_and_one_result_type():
     assert subclasses == []
 
 
+def test_holey_layout_lays_chains_only_through_the_builder():
+    # _Builder.lay is the one place a compiled chain becomes a SuperEdge, so
+    # counting its chains (tests/test_reductions.py) counts every chain
+    with open(os.path.join(SRC, "reductions.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    layout = ("_compile_holey", "_lay_holey", "_emit_rainbow", "_grow_tree")
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in layout}
+    assert sorted(funcs) == sorted(layout)
+    direct = [name for name, fn in funcs.items() for node in ast.walk(fn)
+              if isinstance(node, ast.Name) and node.id == "SuperEdge"]
+    assert direct == []
+
+
 def test_readme_cli_lines_parse():
     # a flag deleted from the CLI must not linger in the README's examples;
     # the lines are only parsed, never run

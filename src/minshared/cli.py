@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from .core import (
     FormatError,
+    GuardExceeded,
     Instance,
     Solution,
     Verdict,
@@ -39,7 +40,6 @@ from .reductions import (
     vc_to_manhattan_dag,
 )
 from .solver import (
-    GuardExceeded,
     solve_enum_oracle,
     solve_exhaustive_paths,
     solve_fpt_branching,

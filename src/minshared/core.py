@@ -32,6 +32,11 @@ class FormatError(ValueError):
     """Raised on malformed instance/solution/vc files."""
 
 
+class GuardExceeded(RuntimeError):
+    """Input too large for the requested exact method or a documented size
+    guard; the command line reports it with exit code 3."""
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class SuperEdge:
     """A chain of `length` unit edges between two declared vertices.
@@ -627,10 +632,21 @@ def _read_records(text: str, header: str, rules: dict, into: dict,
     return into
 
 
+# the most vertices an `mse 1` or `vc 1` file may declare: above it _scalar
+# raises GuardExceeded before any per-vertex list is built.  Every file the
+# package writes stays below it: a grid of up to MAX_GRID_POINTS = 1,000,000
+# points, a `reduce --expand` file of up to MAX_EXPANDED_UNIT_EDGES =
+# 1,000,000 unit edges, and the about 2.4M vertices of an artifact compiled
+# at MAX_COMPILE_VERTICES.
+MAX_FILE_VERTICES = 4_000_000
+
+
 def _scalar(rec: dict, parts: list[str]) -> None:
     if parts[0] in rec:
         raise FormatError(f"repeated '{parts[0]}' line")
     rec[parts[0]] = parts[1] if parts[0] == "mode" else int(parts[1])
+    if parts[0] == "vertices" and rec["vertices"] > MAX_FILE_VERTICES:
+        raise GuardExceeded(f"{rec['vertices']} vertices declared (limit {MAX_FILE_VERTICES})")
 
 
 def _coord(rec: dict, parts: list[str]) -> None:

@@ -16,10 +16,13 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
   around s and t that keeps the closed form: the s-t box widened behind
   each terminal by about p/2 points over both axes, out of the rims, so its
   cost does not grow with n * m; when no line reaches p, the trivial
-  solution answers at k >= dist and the solver fallback below it.
-* p-narrow (neither), and p-large in the degenerate band: between the cut
-  bound and dist the solver fallback decides: the one exact branching-solver
-  call of this module, labelled as a fallback, whose no is a completed search.
+  solution answers at k >= dist and the solver fallback below it.  In the
+  degenerate band, where the closed form's yes can be one too low, every
+  budget from the cut bound to dist - 1 takes this line route, witness
+  wanted or not.
+* p-narrow (neither): between the cut bound and dist the solver fallback
+  decides.  It is the one exact branching-solver call of this module,
+  labelled as a fallback, and its no is a completed search.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
@@ -41,10 +44,10 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import (Graph, Instance, PathSeq, Solution, SuperEdge, Verdict, lattice_points,
-                   verify_solution)
+from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, SuperEdge, Verdict,
+                   lattice_points, verify_solution)
 from .flow import decompose_to_paths, max_flow_boosted
-from .solver import GuardExceeded, solve_fpt_branching
+from .solver import solve_fpt_branching
 
 Point = tuple[int, int]
 
@@ -209,13 +212,15 @@ def _trivial_witness(gi: GridInstance) -> Solution:
 # decisions
 
 def degenerate_alignment(gi: GridInstance) -> bool:
-    """True when s and t nearly share a row or column.  The test is
-    frame-free: no grid symmetry changes |dx| or |dy|.
+    """True when s and t nearly share a row or column: the one test of
+    where decide_grid does not trust the p-large closed form's yes alone.
+    The test is frame-free: no grid symmetry changes |dx| or |dy|.
 
-    Inside this band the p-large closed form can be off by one, so
+    Inside this band the closed form's yes can be one too low, so
     decide_grid trusts only its cut bound there: below the bound the answer
     is a `cut-bound` no, at k >= dist it is the `trivial` yes, and in
-    between the exact solver decides.
+    between build_witness_p_large decides, by a boosted line or, on a miss,
+    by the solver fallback.
     """
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
@@ -268,9 +273,9 @@ def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     _rims threshold, the budget the sum of the two side costs.
 
     The budget, capped at dist, is grid_cut_lower_bound, which the boosted
-    lines of build_witness_p_large meet below dist; outside the band of
-    degenerate_alignment it is exact except on a few rim instances, where
-    the optimum lies above it."""
+    lines of build_witness_p_large meet below dist.  It is exact except on a
+    few rim instances and in part of the band of degenerate_alignment, where
+    the optimum lies above it; decide_grid sends the band to those lines."""
     criteria = _bound_pass(gi)[2]
     if criteria is None:
         raise ValueError("criteria_p_large needs a p-large instance")
@@ -295,10 +300,12 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     closed form holds, else `cut-bound`, certified by the bound); at k >=
     dist, where the bound is dist (all of p-small, p-large at k_min >= dist)
     or no closed form holds (p-narrow, the band), the yes is `trivial`: the
-    trivial witness, sharing dist, and no grid built; p-large outside the
-    band answers the rest yes by closed form (with build_witness_p_large's
-    witness), and the p-narrow and band budgets from the cut bound to
-    dist - 1 go to the solver fallback, with its `reason`."""
+    trivial witness, sharing dist, and no grid built.  The p-narrow budgets
+    from the cut bound to dist - 1 go to the solver fallback, `fallback:
+    p-narrow`.  p-large outside the band and without a witness answers the
+    rest yes by closed form; every other p-large budget (the band, or a
+    witness wanted) goes to build_witness_p_large, whose witness is dropped
+    when none was asked for."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
@@ -310,12 +317,12 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
         return Verdict(False, method="cut-bound", certificate=bound)
     if gi.k >= gi.dist() and (bound == gi.dist() or not closed_form):
         return _trivial_verdict(gi, want_witness)
-    if closed_form:
-        if want_witness:
-            return build_witness_p_large(gi)
+    if closed_form and not want_witness:
         return Verdict(True, method="criteria", certificate=criteria)
-    reason = "fallback: p-narrow" if regime == P_NARROW else "fallback: degenerate alignment"
-    verdict = _solver_fallback(materialize_grid(gi), reason)
+    if regime == P_NARROW:
+        verdict = _solver_fallback(materialize_grid(gi), "fallback: p-narrow")
+    else:
+        verdict = build_witness_p_large(gi)
     return verdict if want_witness else replace(verdict, witness=None)
 
 
@@ -453,10 +460,11 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
        share only boosted edges, so at most k_min, and they are lifted to
        gi's edge ids.  The verdict is `criteria`, certified by (case id,
        k_min).
-    2. when no line reaches p (a few instances with a terminal on the rim)
-       and k < dist, the solver fallback decides on the whole of
-       materialize_grid(gi), which is the window's when the window is all
-       of gi; its no marks a closed-form undershoot.
+    2. when no line reaches p (a few instances with a terminal on the rim,
+       and some in the band of degenerate_alignment, which decide_grid
+       sends here witness or not) and k < dist, the solver fallback decides
+       on the whole of materialize_grid(gi), which is the window's when the
+       window is all of gi; its no marks a closed-form undershoot.
     3. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
        solution: `trivial`, sharing dist; this route builds no grid itself.
 

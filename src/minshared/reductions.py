@@ -32,6 +32,7 @@ from .core import (
     DIRECTED,
     UNDIRECTED,
     Graph,
+    GuardExceeded,
     Instance,
     PathSeq,
     Point,
@@ -263,13 +264,24 @@ def _route_snakes(tracks: list[tuple[int, int]], y_top: int, y_bottom: int,
     return routes
 
 
+# the most vertices _compile_holey takes, padded to a power of two or not:
+# gen_vc_deg3(1, 64, 96) compiles to about 3.6M super-edges and 2.4M
+# vertices in 13-14 s of CPU at a peak RSS of 1.5 GB (2-core machine)
+MAX_COMPILE_VERTICES = 64
+
+
 def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionArtifact:
     """Layout driver: tries the paper-faithful row spacing M + c first and
     stretches the gaps between rows only when the snake router runs out of
     levels (row spacing is purely geometric and enters no budget constant;
     misaligned wide/narrow row pairs can need more return corridors than
     c - 1).  Each spacing plans its snake routes on coordinates alone before
-    any chain is laid, so a spacing that fails lays nothing."""
+    any chain is laid, so a spacing that fails lays nothing.  A graph of
+    more than MAX_COMPILE_VERTICES vertices raises GuardExceeded before any
+    per-vertex work."""
+    if vc_raw.graph.vertex_count > MAX_COMPILE_VERTICES:
+        raise GuardExceeded(f"{vc_raw.graph.vertex_count} vertices to compile "
+                            f"(limit {MAX_COMPILE_VERTICES})")
     vc = pad_to_power_of_two(vc_raw)
     if max(vc.degrees(), default=0) > 3:
         raise ValueError("compiler requires maximum degree three")

@@ -29,13 +29,9 @@ import itertools
 import math
 from typing import Optional
 
-from .core import (Graph, Instance, PathSeq, Solution, Verdict, distance, loop_erase,
-                   shortest_path, verify_solution)
+from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, Verdict, distance,
+                   loop_erase, shortest_path, verify_solution)
 from .flow import FlowResult, decompose_to_paths, max_flow_boosted
-
-
-class GuardExceeded(RuntimeError):
-    """Input too large for the requested exact method."""
 
 
 MAX_EXHAUSTIVE_PATHS = 64

@@ -6,10 +6,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FormatError, Graph, SuperEdge, UNDIRECTED, _INSTANCE_RULES, _read_records
-from .solver import GuardExceeded
+from .core import (FormatError, Graph, GuardExceeded, SuperEdge, UNDIRECTED, _INSTANCE_RULES,
+                   _read_records)
 
 MAX_VC_VERTICES = 24
+
+# gen_vc_deg3 lists all n(n-1)/2 vertex pairs before it shuffles them: at
+# 1,024 vertices (523,776 pairs) that peaks at about 71 MB and 0.8 s of CPU
+MAX_GEN_VERTICES = 1024
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,16 @@ def gen_vc_deg3(seed: int, n: int, m: int) -> VCInstance:
     """A seeded random simple graph with n vertices, m edges, max degree 3.
 
     Deterministic for a fixed seed; raises on a negative count and when m
-    exceeds the degree bound's capacity floor(3n/2).  A shuffled greedy pass
-    can dead-end near the capacity limit, in which case the pass restarts
-    with a derived seed.
+    exceeds the degree bound's capacity floor(3n/2), and GuardExceeded over
+    MAX_GEN_VERTICES vertices.  A shuffled greedy pass can dead-end near the
+    capacity limit, in which case the pass restarts with a derived seed.
     """
     for name, count in (("vertex", n), ("edge", m)):
         if count < 0:
             raise ValueError(f"negative {name} count {count}")
+    if n > MAX_GEN_VERTICES:
+        raise GuardExceeded(f"{n} vertices (limit {MAX_GEN_VERTICES}): the generator lists "
+                            "every vertex pair")
     if m == 0:
         return VCInstance(Graph(UNDIRECTED, n, ()), 0)
     if m > 3 * n // 2:

@@ -4,13 +4,17 @@ import hashlib
 import io
 import os
 import tempfile
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minshared.core as core_module
 import minshared.grid as grid_module
+import minshared.reductions as reductions_module
+import minshared.vc as vc_module
 from minshared import cli
 from minshared.cli import main, render_embedding
 from minshared.core import (UNDIRECTED, Graph, SuperEdge, parse_instance, parse_solution,
@@ -130,12 +134,13 @@ class TestGrid:
     @pytest.mark.parametrize("args, code, lines", [
         # k = 2 is below the cut bound 4: no without a search
         (["2", "5", "0", "0", "1", "4", "3", "2"], 1, ["answer no", "method cut-bound"]),
+        # a band yes from a boosted line: no fallback, sharing k_min
         (["4", "4", "0", "0", "3", "1", "3", "1"], 0,
-         ["answer yes", "shared 1", "method fallback", "reason fallback: degenerate alignment"]),
+         ["answer yes", "shared 1", "method criteria"]),
         (["2", "5", "0", "0", "1", "4", "3", "4"], 0,
          ["answer yes", "shared 4", "method fallback", "reason fallback: p-narrow"]),
         (["4", "5", "0", "0", "0", "4", "4", "3"], 1,
-         ["answer no", "method fallback", "reason fallback: degenerate alignment"]),
+         ["answer no", "method fallback", "reason fallback: no boosted line reaches p"]),
     ])
     def test_decide_fallback_reason(self, capsys, args, code, lines):
         assert main(["grid-decide", *args]) == code
@@ -154,6 +159,16 @@ class TestGrid:
         out = capsys.readouterr().out.splitlines()
         assert "answer no" in out and "method cut-bound" in out
         assert calls == []
+
+    @pytest.mark.parametrize("k", ["16", "17"])
+    def test_decide_band_far_apart_within_a_second(self, capsys, k):
+        # s and t one column apart, 29 rows apart: a boosted line on the
+        # window answers; the exact solver on the whole grid takes over 40 s
+        start = time.perf_counter()
+        assert main(["grid-decide", "40", "40", "5", "5", "6", "34", "20", k]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out.splitlines() == ["answer yes", "shared 16",
+                                                        "method criteria"]
 
     def test_witness_fallback_reason(self, tmp_path, capsys):
         out, inst_out = tmp_path / "w.msesol", tmp_path / "g.mse"
@@ -321,6 +336,43 @@ class TestVcCommands:
         assert main(["gen-vc", "--seed", "1", "4", "0", "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines() == ["vertices 4", "edges 0"]
         assert parse_vc(out.read_text()) == VCInstance(Graph(UNDIRECTED, 4, ()), 0)
+
+    def test_gen_vc_over_its_bound_exit_three(self, tmp_path, capsys):
+        out = tmp_path / "big.vc"
+        n = str(vc_module.MAX_GEN_VERTICES + 1)
+        assert main(["gen-vc", "--seed", "1", n, "100", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"limit: {n} vertices (limit 1024): the "
+                                           "generator lists every vertex pair\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["vc2grid", "vc2manhattan"])
+    def test_reduce_over_the_compile_bound_exit_three(self, tmp_path, capsys, kind):
+        f, out = tmp_path / "g.vc", tmp_path / "art.mse"
+        n = reductions_module.MAX_COMPILE_VERTICES + 1
+        f.write_text(serialize_vc(VCInstance(Graph(UNDIRECTED, n, (SuperEdge(0, 1),)), 1)))
+        assert main(["reduce", kind, str(f), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"limit: {n} vertices to compile (limit 64)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, argv", [
+        ("mse 1\nmode undirected\ns 0\nt 1\np 2\nk 1", ["solve"]),
+        ("vc 1\nk 1", ["reduce", "vc2grid"]),
+    ])
+    def test_file_over_the_vertex_cap_exit_three(self, tmp_path, capsys, header, argv):
+        f, out = tmp_path / "big.txt", tmp_path / "art.mse"
+        n = core_module.MAX_FILE_VERTICES + 1
+        f.write_text(f"{header}\nvertices {n}\nedge 0 1\n")
+        assert main([*argv, str(f), *(["--out", str(out)] if argv[0] == "reduce" else [])]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"limit: {n} vertices declared (limit 4000000)\n")
+        assert not out.exists()
+
+    def test_vertex_cap_sits_above_every_file_written(self):
+        # grid files and `reduce --expand` files hold at most one vertex per
+        # point or unit edge, plus one, so the cap reads them all back
+        assert core_module.MAX_FILE_VERTICES > max(grid_module.MAX_GRID_POINTS,
+                                                   cli.MAX_EXPANDED_UNIT_EDGES) + 1
 
     def test_gen_vc_negative_count_exit_two(self, tmp_path, capsys):
         out = tmp_path / "n.vc"

@@ -153,9 +153,6 @@ class TestDecideGrid:
     @pytest.mark.parametrize("gi, reason", [
         (GridInstance(2, 5, (0, 0), (1, 4), 3, 4), "fallback: p-narrow"),
         (GridInstance(3, 5, (0, 0), (2, 4), 4, 4), "fallback: p-narrow"),
-        (GridInstance(4, 4, (0, 0), (3, 1), 3, 1), "fallback: degenerate alignment"),
-        # a no at the bound: the band optimum here is one above it
-        (GridInstance(4, 5, (0, 0), (0, 4), 4, 3), "fallback: degenerate alignment"),
     ])
     def test_fallback_says_why_and_how_hard(self, gi, reason):
         v = decide_grid(gi, want_witness=True)
@@ -165,6 +162,56 @@ class TestDecideGrid:
         assert v.nodes_explored > 1
         if v.answer:
             assert verify_solution(materialize_grid(gi), v.witness).answer
+
+    @pytest.mark.parametrize("want_witness", [False, True])
+    def test_band_yes_from_a_line(self, monkeypatch, want_witness):
+        # |dy| = 1: the band's budgets from the cut bound up take the boosted
+        # lines, and a line that reaches p is a verified yes at k_min
+        monkeypatch.setattr(grid_module, "solve_fpt_branching", None)
+        gi = GridInstance(4, 4, (0, 0), (3, 1), 3, 1)
+        assert degenerate_alignment(gi) and grid_cut_lower_bound(gi) == 1
+        v = decide_grid(gi, want_witness)
+        assert (v.answer, v.method, v.reason) == (True, "criteria", None)
+        assert (v.certificate, v.shared_count) == ((2, 1), 1)
+        assert (v.witness is not None) == want_witness
+        if want_witness:
+            assert verify_solution(materialize_grid(gi), v.witness).shared_count == 1
+
+    def test_band_line_miss_is_a_fallback_no(self):
+        # a no at the bound: no line reaches p, and the band optimum here is
+        # one above the bound, so the solver completes its search
+        gi = GridInstance(4, 5, (0, 0), (0, 4), 4, 3)
+        rep = solve_fpt_branching(materialize_grid(gi))
+        for want_witness in (False, True):
+            v = decide_grid(gi, want_witness)
+            assert (v.answer, v.method, v.reason) == (
+                False, "fallback", "fallback: no boosted line reaches p")
+            assert v.nodes_explored == rep.nodes_explored > 1
+
+    def test_band_agrees_with_the_solver_up_to_5x5(self, monkeypatch):
+        # every band instance with p >= 2 at each k from the cut bound to
+        # dist - 1, with and without a witness: lines settle most of them
+        calls = _count_calls(monkeypatch, "solve_fpt_branching")
+        decided = 0
+        for n, m in itertools.product(range(2, 6), repeat=2):
+            pts = list(itertools.product(range(n), range(m)))
+            for s, t in itertools.permutations(pts, 2):
+                for p in range(2, min(n, m) + 1):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    if not degenerate_alignment(gi):
+                        continue
+                    for k in range(grid_cut_lower_bound(gi), gi.dist()):
+                        at_k = replace(gi, k=k)
+                        want = solve_fpt_branching(materialize_grid(at_k)).answer
+                        v, w = decide_grid(at_k), decide_grid(at_k, want_witness=True)
+                        assert v.answer == w.answer == want, at_k
+                        assert v.witness is None
+                        if want:
+                            check = verify_solution(materialize_grid(at_k), w.witness)
+                            assert check.answer and check.shared_count <= k, at_k
+                        decided += 1
+        # 64 instances reach the solver, each once per decide_grid call
+        assert (decided, calls["solve_fpt_branching"]) == (11224, 128)
 
     def test_p_one_always_yes(self):
         v = decide_grid(GridInstance(4, 4, (0, 0), (3, 3), 1, 0), want_witness=True)
@@ -398,9 +445,15 @@ class TestCutBoundFirst:
     ])
     def test_one_pass_per_decision(self, monkeypatch, gi, regime):
         assert classify(gi) == regime
+        band = regime == P_LARGE and degenerate_alignment(gi) and gi.k >= grid_cut_lower_bound(gi)
         calls = _count_calls(monkeypatch, "classify", "_rims")
         decide_grid(gi)
-        assert calls == {"classify": 1, "_rims": int(regime == P_LARGE)}
+        if band:
+            # the band from its cut bound up also runs build_witness_p_large's
+            # passes: one on gi, _window's rims and one on the window
+            assert calls == {"classify": 3, "_rims": 4}
+        else:
+            assert calls == {"classify": 1, "_rims": int(regime == P_LARGE)}
 
     @pytest.mark.parametrize("gi", [GridInstance(5, 5, (0, 2), (2, 4), 5, 2),
                                     GridInstance(8, 8, (1, 3), (3, 6), 8, 4)])

@@ -350,3 +350,17 @@ def test_readme_names_every_grid_decide_method():
                     seen.add(G.decide_grid(gi, want_witness).method)
     assert sorted(named) == sorted(seen) == sorted(
         ["single-path", "criteria", "cut-bound", "trivial", "fallback"])
+
+
+def test_readme_names_every_fallback_reason():
+    # every "fallback: ..." string literal in grid.py is a `reason` line that
+    # grid-decide and grid-witness can print, so README names each one
+    with open(os.path.join(SRC, "grid.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reasons = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.startswith("fallback: ")}
+    with open(README, encoding="utf-8") as fh:
+        readme = " ".join(fh.read().split())  # a name may wrap across lines
+    assert reasons == {"fallback: p-narrow", "fallback: no boosted line reaches p"}
+    assert [r for r in sorted(reasons) if f"`{r}`" not in readme] == []

@@ -11,15 +11,19 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
 * p-large (p <= min(n, m)): a non-trivial solution exists iff an arithmetic
   criterion on p, k and the rim distances of s and t holds; its budget
   k_min, capped at dist, is the cut bound.  At k_min < dist the witness
-  builder runs max-flows with the criterion's own shared edges boosted (a
-  short line at s and one at t, each along either axis first) on a window
-  around s and t that keeps the closed form: the s-t box widened behind
-  each terminal by about p/2 points over both axes, out of the rims, so its
-  cost does not grow with n * m; when no line reaches p, the trivial
-  solution answers at k >= dist and the solver fallback below it.  In the
-  degenerate band, where the closed form's yes can be one too low, every
-  budget from the cut bound to dist - 1 takes this line route, witness
-  wanted or not.
+  builder first writes the paths down, with no flow: when s and t differ
+  in both coordinates and each lies at least ceil(p/2) - 1 (and at least
+  1) from every rim behind it, nested rings around the s-t box carry the
+  p paths, sharing only a short line at each terminal, k_min edges in all.
+  Elsewhere it runs max-flows with the criterion's own shared edges
+  boosted (a short line at s and one at t, each along either axis first)
+  on a window around s and t that keeps the closed form: the s-t box
+  widened behind each terminal by about p/2 points over both axes, out of
+  the rims.  Either way its cost does not grow with n * m.  When no line
+  reaches p, the trivial solution answers at k >= dist and the solver
+  fallback below it.  In the degenerate band, where the closed form's yes
+  can be one too low, every budget from the cut bound to dist - 1 takes
+  this route, witness wanted or not.
 * p-narrow (neither): between the cut bound and dist the solver fallback
   decides.  It is the one exact branching-solver call of this module,
   labelled as a fallback, and its no is a completed search.
@@ -42,10 +46,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, SuperEdge, Verdict,
-                   lattice_points, verify_solution)
+                   verify_solution)
 from .flow import decompose_to_paths, max_flow_boosted
 from .solver import solve_fpt_branching
 
@@ -201,11 +205,35 @@ def edge_id(n: int, m: int, a: Point, b: Point) -> tuple[int, bool]:
     return x * (2 * m - 1) + y * (1 + r) + up * r, fwd
 
 
+def _walk(n: int, m: int, corners: Sequence[Point]) -> PathSeq:
+    """The path through `corners`, each run axis-parallel, in the edge ids
+    of an n x m grid, run by run with no per-step arithmetic: by edge_id's
+    numbering the right edges of row y are 2y + x(2m - 1), a range with
+    stride 2m - 1 along x, and the up edges of column x are x(2m - 1) + r +
+    y(1 + r), stride 2 (1 in the last column, r = 0) along y.  A run that
+    goes down or left takes the same edges from its far end, backward."""
+    col = 2 * m - 1
+    steps = []
+    x, y = corners[0]
+    for bx, by in corners[1:]:
+        if by == y:
+            base, stride, a, b = 2 * y, col, x, bx
+        else:
+            r = x + 1 < n
+            base, stride, a, b = x * col + r, 1 + r, y, by
+        if b > a:
+            steps += zip(range(base + a * stride, base + b * stride, stride),
+                         itertools.repeat(True))
+        else:
+            steps += zip(range(base + (a - 1) * stride, base + (b - 1) * stride, -stride),
+                         itertools.repeat(False))
+        x, y = bx, by
+    return PathSeq(tuple(steps))
+
+
 def _trivial_witness(gi: GridInstance) -> Solution:
     """p copies of the monotone s-t path that runs along x first, then y."""
-    pts = list(lattice_points((gi.s, (gi.t[0], gi.s[1]), gi.t)))
-    path = PathSeq(tuple(edge_id(gi.n, gi.m, a, b) for a, b in zip(pts, pts[1:])))
-    return Solution((path,) * gi.p)
+    return Solution((_walk(gi.n, gi.m, (gi.s, (gi.t[0], gi.s[1]), gi.t)),) * gi.p)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +247,10 @@ def degenerate_alignment(gi: GridInstance) -> bool:
     Inside this band the closed form's yes can be one too low, so
     decide_grid trusts only its cut bound there: below the bound the answer
     is a `cut-bound` no, at k >= dist it is the `trivial` yes, and in
-    between build_witness_p_large decides, by a boosted line or, on a miss,
-    by the solver fallback.
+    between build_witness_p_large decides, by the rings, a boosted line or,
+    on a miss, by the solver fallback.  Interior band instances with
+    |dx|, |dy| >= 1 (each terminal at least ceil(p/2) - 1 and 1 from every
+    rim behind it) are exact at k_min: the rings' witness shares k_min.
     """
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
@@ -353,8 +383,7 @@ def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
     boosts = set()
     for a, b, cost, x_first in ((gi.s, gi.t, cost_s, s_x_first), (gi.t, gi.s, cost_t, t_x_first)):
         corner = (b[0], a[1]) if x_first else (a[0], b[1])
-        pts = list(itertools.islice(lattice_points((a, corner, b)), cost + 1))
-        boosts.update(edge_id(gi.n, gi.m, u, v)[0] for u, v in zip(pts, pts[1:]))
+        boosts.update(e for e, _ in _walk(gi.n, gi.m, (a, corner, b)).steps[:cost])
     return frozenset(boosts)
 
 
@@ -443,60 +472,144 @@ def _checked(inst: Instance, sol: Solution, gi: GridInstance) -> Verdict:
     return check
 
 
+def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdict]:
+    """The `criteria` verdict of a p-large instance at k_min < dist, its
+    witness written down as nested rings around the s-t box with no flow,
+    or None where the rings do not apply: when s and t share a row or a
+    column, when a terminal lies less than q from a rim behind it along
+    either axis, or when the region they take exceeds MAX_GRID_POINTS.
+
+    In the frame where s = (0, 0) and t = (X, Y), X, Y >= 1, reached from
+    gi's by reflecting x and/or y, let c = max(0, ceil((p - 4)/2)) and
+    q = c + 1.  The 2c + 4 routes, as corner lists, are
+      A, B        (0,0) (X,0) (X,Y)  and  (0,0) (0,Y) (X,Y);
+      O_r, U_r    (0,0) (-r,0) (-r,Y+r) (X+r,Y+r) (X+r,Y) (X,Y)  and
+                  (0,0) (-r,0) (-r,-r) (X+r,-r) (X+r,Y) (X,Y),  r = 1..c;
+      L, R        (0,0) (-q,0) (-q,Y+q) (X,Y+q) (X,Y)  and
+                  (0,0) (0,-q) (X+q,-q) (X+q,Y) (X,Y);
+    the first 2c + 4 - p of them are dropped: A and B when p = 2, A alone
+    when p is odd, none otherwise.  A route's runs meet only where one ends
+    and the next begins, so it is simple.
+
+    They share edges only on s's line (0,0)-(-c,0) and t's (X,Y)-(X+c,Y).
+    Two runs share an edge only if they lie on one row or column and
+    overlap there.  Row 0 holds A on [0, X], O_r and U_r on [-r, 0] and L
+    on [-q, 0]: they overlap only on [-c, 0], s's line.  Row Y holds B on
+    [0, X], O_r and U_r on [X, X+r] and R on [X, X+q]: only t's line.
+    Column 0 holds B on [0, Y] and R on [-q, 0], column X A on [0, Y] and
+    L on [Y, Y+q], column -r O_r on [0, Y+r] and U_r on [-r, 0], column X+r
+    O_r on [Y, Y+r] and U_r on [-r, Y]: each pair meets in one point.
+    Rows Y+r, -r, Y+q, -q and columns -q, X+q hold one run each, and all
+    these lines differ, since X, Y, r >= 1.  Every edge of the two lines
+    lies on O_c and U_c, both kept when c >= 1, so exactly 2c edges are
+    shared.  With every rim distance at least q, both terminals have
+    degree 4 and 2(rho + 2) - 4 >= 4q >= p, so each costs c under _rims
+    and 2c is k_min: the witness meets the cut bound.
+
+    The routes take the region [-q, X+q] x [-q, Y+q]; they are verified on
+    materialize_grid of it, in gi's orientation, and written in gi's edge
+    ids by _walk, run by run.
+    """
+    (sx, sy), (tx, ty) = gi.s, gi.t
+    c = max(0, -(-(gi.p - 4) // 2))
+    q = c + 1
+    x0, y0 = min(sx, tx) - q, min(sy, ty) - q
+    x1, y1 = max(sx, tx) + q, max(sy, ty) + q
+    if sx == tx or sy == ty or min(x0, y0) < 0 or x1 >= gi.n or y1 >= gi.m \
+            or (x1 - x0 + 1) * (y1 - y0 + 1) > MAX_GRID_POINTS:
+        return None
+    X, Y = abs(tx - sx), abs(ty - sy)
+    routes = [((0, 0), (X, 0), (X, Y)), ((0, 0), (0, Y), (X, Y))]
+    for r in range(1, c + 1):
+        routes += [((0, 0), (-r, 0), (-r, Y + r), (X + r, Y + r), (X + r, Y), (X, Y)),
+                   ((0, 0), (-r, 0), (-r, -r), (X + r, -r), (X + r, Y), (X, Y))]
+    routes += [((0, 0), (-q, 0), (-q, Y + q), (X, Y + q), (X, Y)),
+               ((0, 0), (0, -q), (X + q, -q), (X + q, Y), (X, Y))]
+    fx, fy = (1 if tx > sx else -1), (1 if ty > sy else -1)
+    kept = [[(sx + fx * a, sy + fy * b) for a, b in route] for route in routes[-gi.p:]]
+    w = GridInstance(x1 - x0 + 1, y1 - y0 + 1, (sx - x0, sy - y0), (tx - x0, ty - y0),
+                     gi.p, gi.k)
+    local = tuple(_walk(w.n, w.m, [(x - x0, y - y0) for x, y in route]) for route in kept)
+    check = _checked(materialize_grid(w), Solution(local), gi)
+    witness = Solution(tuple(_walk(gi.n, gi.m, route) for route in kept))
+    return Verdict(True, shared_count=check.shared_count, witness=witness,
+                   method="criteria", certificate=criteria)
+
+
+def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[Verdict]:
+    """The verdict of the boosted-line route on a p-large instance at
+    k_min < dist, with _bound_pass(gi) as `closed_form`: the first of up
+    to four line flows on _window(gi) that reaches p, as a `criteria` yes;
+    on a miss below dist the solver fallback's verdict; on a miss at
+    k >= dist None, for the trivial solution."""
+    _, _, criteria, costs = closed_form
+    w, origin = _window(gi)
+    if _bound_pass(w) != closed_form:
+        raise AssertionError(f"window {w} of {gi} changes the closed form")
+    win = materialize_grid(w)
+    longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
+    for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
+        boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
+        fr = max_flow_boosted(win, boosts)
+        if fr.value >= gi.p:
+            paths = tuple(decompose_to_paths(win, fr, gi.p))
+            check = _checked(win, Solution(paths), gi)
+            witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
+            return Verdict(True, shared_count=check.shared_count, witness=witness,
+                           method="criteria", certificate=criteria)
+    if gi.k >= gi.dist():
+        return None
+    inst = win if w == gi else materialize_grid(gi)
+    verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
+    if verdict.answer:
+        _checked(inst, verdict.witness, gi)
+    return verdict
+
+
 def build_witness_p_large(gi: GridInstance) -> Verdict:
     """The decision, with a verified witness in gi's frame on a yes, of a
     p-large instance in any frame at a budget of at least k_min; unless no
     boosted line reaches p, the witness shares the cut bound min(k_min,
     dist), so it is optimal.
 
-    Three routes:
+    Four routes:
 
-    1. when k_min < dist, boosted lines, on _window(gi) alone: one max-flow
-       per axis choice with _line_boosts, the criterion's own shared set,
-       boosted to p; each terminal's line runs along the longer axis first
-       (x on a tie) or the shorter one, tried as (longer, longer), (longer,
-       shorter), (shorter, longer), (shorter, shorter).  The first flow
-       that reaches p is decomposed and verified on the window; its paths
-       share only boosted edges, so at most k_min, and they are lifted to
-       gi's edge ids.  The verdict is `criteria`, certified by (case id,
+    1. when k_min < dist, rings (_ring_witness), where both terminals lie
+       off each other's row and column and at least max(1, ceil(p/2) - 1)
+       from every rim behind them: p routes around the s-t box, written
+       down with no flow, that share exactly k_min edges, verified on the
+       region they take.  The verdict is `criteria`, certified by (case id,
        k_min).
-    2. when no line reaches p (a few instances with a terminal on the rim,
+    2. otherwise below dist, boosted lines (_boosted_lines), on _window(gi)
+       alone: one max-flow per axis choice with _line_boosts, the
+       criterion's own shared set, boosted to p; each terminal's line runs
+       along the longer axis first (x on a tie) or the shorter one, tried
+       as (longer, longer), (longer, shorter), (shorter, longer), (shorter,
+       shorter).  The first flow that reaches p is decomposed and verified
+       on the window; its paths share only boosted edges, so at most k_min,
+       and they are lifted to gi's edge ids.  The verdict is `criteria`.
+    3. when no line reaches p (a few instances with a terminal on the rim,
        and some in the band of degenerate_alignment, which decide_grid
        sends here witness or not) and k < dist, the solver fallback decides
        on the whole of materialize_grid(gi), which is the window's when the
        window is all of gi; its no marks a closed-form undershoot.
-    3. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
+    4. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
        solution: `trivial`, sharing dist; this route builds no grid itself.
 
-    The choice set is closed under the 16 grid symmetries, so every frame
-    of an instance takes the same route and shares as much.
+    Both the rings' cover and the lines' choice set are closed under the 16
+    grid symmetries, so every frame of an instance takes the same route and
+    shares as much.
     """
     closed_form = _bound_pass(gi)
-    _, _, criteria, costs = closed_form
+    criteria = closed_form[2]
     if criteria is None:
         raise ValueError("build_witness_p_large needs a p-large instance")
     if gi.k < criteria[1]:
         raise ValueError("only the trivial solution exists at this budget")
     if criteria[1] < gi.dist():
-        w, origin = _window(gi)
-        if _bound_pass(w) != closed_form:
-            raise AssertionError(f"window {w} of {gi} changes the closed form")
-        win = materialize_grid(w)
-        longer_x = abs(gi.t[0] - gi.s[0]) >= abs(gi.t[1] - gi.s[1])
-        for s_longer, t_longer in ((True, True), (True, False), (False, True), (False, False)):
-            boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
-            fr = max_flow_boosted(win, boosts)
-            if fr.value >= gi.p:
-                paths = tuple(decompose_to_paths(win, fr, gi.p))
-                check = _checked(win, Solution(paths), gi)
-                witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
-                return Verdict(True, shared_count=check.shared_count, witness=witness,
-                               method="criteria", certificate=criteria)
-        if gi.k < gi.dist():
-            inst = win if w == gi else materialize_grid(gi)
-            verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
-            if verdict.answer:
-                _checked(inst, verdict.witness, gi)
+        verdict = _ring_witness(gi, criteria)
+        if verdict is None:
+            verdict = _boosted_lines(gi, closed_form)
+        if verdict is not None:
             return verdict
     return _trivial_verdict(gi, True)
-

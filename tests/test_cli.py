@@ -205,7 +205,8 @@ class TestGrid:
         assert v.answer and v.shared_count == 6
 
     def test_witness_on_a_large_grid(self, tmp_path, capsys):
-        # only a window around s and t is built, so this runs in milliseconds
+        # only the rings' region around s and t is built, so this runs in
+        # milliseconds
         out = tmp_path / "w.msesol"
         code = main(["grid-witness", "1000", "1000", "500", "500", "503", "506", "8", "4",
                      "--out", str(out)])
@@ -228,7 +229,8 @@ class TestGrid:
         # p-narrow between the cut bound 29 and dist 33: the whole-grid solver
         # fallback (at k >= 33 the trivial yes builds no grid)
         "grid-decide 5 30 0 0 4 29 6 30",
-        "grid-witness 20 20 5 5 7 8 3 2 --instance-out {tmp}/g.mse",  # a 9 x 10 window
+        # a 5 x 6 ring region, then the whole grid for --instance-out
+        "grid-witness 20 20 5 5 7 8 3 2 --instance-out {tmp}/g.mse",
     ])
     def test_grid_over_the_guard_exits_three(self, monkeypatch, tmp_path, capsys, args):
         monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 100)
@@ -242,6 +244,7 @@ class TestGrid:
         assert list(tmp_path.iterdir()) == []
 
     def test_window_under_the_guard_on_a_grid_over_it(self, monkeypatch, tmp_path, capsys):
+        # the witness builds only the rings' 5 x 6 region, under the guard
         monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 100)
         out = tmp_path / "w.msesol"
         assert main(["grid-witness", "20", "20", "5", "5", "7", "8", "3", "2",

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,7 @@ from minshared.grid import (
     grid_cut_lower_bound,
     materialize_grid,
 )
-from minshared.grid import _bound_pass, _lift, _window
+from minshared.grid import _boosted_lines, _bound_pass, _lift, _window
 from helpers import full_grid_witness_p_large, point_lift, uniform_window
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
@@ -40,6 +41,12 @@ SOLVER = GridInstance(7, 7, (0, 2), (2, 6), 7, 5)  # no line reaches p: exact so
 SOLVER_PAST_WINDOW = GridInstance(12, 7, (0, 2), (2, 6), 7, 5)  # the same, on a 8 x 7 window
 ROUTES = (LINE, LINE_T_SHORTER, LINE_S_SHORTER_RIM, LINE_S_SHORTER, SOLVER)
 SOLVER_REASON = "fallback: no boosted line reaches p"
+
+
+def _lines(gi):
+    """The boosted-line route's verdict on gi, which build_witness_p_large
+    takes only where the rings do not apply."""
+    return _boosted_lines(gi, _bound_pass(gi))
 
 
 class TestClassify:
@@ -628,7 +635,7 @@ class TestMaterializeCalls:
         # the boosted lines materialise the window once; a line miss then
         # materialises the whole grid for the solver fallback, unless the
         # window is the whole grid, as on SOLVER
-        v = decide_grid(gi, want_witness=True)
+        v = _lines(gi)
         window = _window(gi)[0]
         assert calls == ([window, gi] if gi == SOLVER_PAST_WINDOW else [window])
         # the other grids here are small enough to be their own window
@@ -641,7 +648,7 @@ class TestMaterializeCalls:
         GridInstance(2000, 2000, (0, 1990), (9, 1998), 10, 7),  # near two rims
     ])
     def test_window_at_scale(self, calls, gi):
-        v = build_witness_p_large(gi)
+        v = _lines(gi)
         dx, dy = abs(gi.t[0] - gi.s[0]), abs(gi.t[1] - gi.s[1])
         (w,) = calls
         assert w.n * w.m <= (dx + gi.p + 3) * (dy + gi.p + 3)
@@ -799,7 +806,7 @@ class TestBoostedLine:
 
     @staticmethod
     def check_line_witness(gi):
-        w = build_witness_p_large(gi)
+        w = _lines(gi)
         check = verify_solution(materialize_grid(gi), w.witness)
         assert check.answer, (gi, check.reason)
         assert (w.reason, w.shared_count, check.shared_count) == (None, gi.k, gi.k), gi
@@ -840,7 +847,7 @@ class TestBoostedLine:
     def test_routes(self, spies, gi, misses, solver):
         """`misses` boosted flows fall short of p before one reaches it or,
         after all four, the solver runs."""
-        w = build_witness_p_large(gi)
+        w = _lines(gi)
         flows = misses + (not solver)
         assert spies == {"max_flow_boosted": flows, "solve_fpt_branching": solver}
         assert w.reason == (SOLVER_REASON if solver else None)
@@ -867,11 +874,11 @@ def _canonical_at_k_min(size):
                         yield gi
 
 
-def _witness_outcome(gi):
-    """(method, answer, shared count) of the builder's verdict on gi, its
+def _witness_outcome(gi, build=build_witness_p_large):
+    """(method, answer, shared count) of `build`'s verdict on gi, its
     witness verified on a yes; a fallback no marks a closed-form undershoot,
     where the exact solver finds no witness within the k_min it promises."""
-    v = build_witness_p_large(gi)
+    v = build(gi)
     if v.answer:
         check = verify_solution(materialize_grid(gi), v.witness)
         assert check.answer and check.shared_count == v.shared_count, (gi, check.reason)
@@ -890,15 +897,16 @@ class TestWitnessSweep:
                 assert _witness_outcome(sym.apply(gi)) == base, (gi, sym)
 
     def test_canonical_up_to_8x8_line_misses(self, monkeypatch):
-        # where _window is smaller than the uniform window, a second build on
-        # the uniform one takes the same route: the same method, answer,
-        # shared count and number of boosted flows, so the same line first
+        # the boosted lines on every instance, rings or not: where _window is
+        # smaller than the uniform window, a second build on the uniform one
+        # takes the same route: the same method, answer, shared count and
+        # number of boosted flows, so the same line first
         flows = _count_calls(monkeypatch, "max_flow_boosted")
         window = grid_module._window
 
         def route(gi):
             flows["max_flow_boosted"] = 0
-            return _witness_outcome(gi), flows["max_flow_boosted"]
+            return _witness_outcome(gi, _lines), flows["max_flow_boosted"]
 
         misses = {}
         count = differ = 0
@@ -926,6 +934,156 @@ class TestWitnessSweep:
             (8, 8, (0, 3), (2, 7), 7, 4): ("fallback", False),
             (8, 8, (0, 4), (2, 7), 7, 4): ("fallback", False),
         }
+
+
+def _ring_region(gi):
+    """The region that the rings of build_witness_p_large take, in gi's
+    orientation, or None where they do not apply: s and t differ in both
+    coordinates, and q = max(1, ceil(p/2) - 1) points lie behind each
+    terminal along each axis, inside the grid."""
+    q = max(1, -(-gi.p // 2) - 1)
+    lo = [min(a, b) - q for a, b in zip(gi.s, gi.t)]
+    hi = [max(a, b) + q for a, b in zip(gi.s, gi.t)]
+    if gi.s[0] == gi.t[0] or gi.s[1] == gi.t[1] or min(lo) < 0 or hi[0] >= gi.n \
+            or hi[1] >= gi.m:
+        return None
+    s, t = ((a[0] - lo[0], a[1] - lo[1]) for a in (gi.s, gi.t))
+    return GridInstance(hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, s, t, gi.p, gi.k)
+
+
+def _canonical_ring_instances(size):
+    """Every canonical p-large instance up to size x size, the band included,
+    at k = k_min < dist, that the rings cover."""
+    for n in range(3, size + 1):
+        for m in range(3, size + 1):
+            pts = [(x, y) for x in range(n) for y in range(m)]
+            for s, t in itertools.permutations(pts, 2):
+                if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
+                    continue
+                for p in range(2, min(n, m) + 1):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    if _ring_region(gi) is None:
+                        continue
+                    gi = replace(gi, k=criteria_p_large(gi)[1])
+                    if gi.k < gi.dist() and canonicalize(gi)[0] == gi:
+                        yield gi
+
+
+def _record_grids(monkeypatch):
+    """The GridInstance of every materialize_grid call minshared.grid makes."""
+    made = []
+
+    def recording(gi):
+        made.append(gi)
+        return materialize_grid(gi)
+
+    monkeypatch.setattr(grid_module, "materialize_grid", recording)
+    return made
+
+
+class TestRings:
+    """The p-large witness of interior terminals: nested rings written down
+    with no flow, no solver and no window, verified on their region."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The GridInstance of every materialize_grid call; a boosted flow,
+        the solver or _window raises."""
+        def forbidden(*args):
+            raise AssertionError("the rings took another route")
+
+        for name in ("max_flow_boosted", "solve_fpt_branching", "_window"):
+            monkeypatch.setattr(grid_module, name, forbidden)
+        return _record_grids(monkeypatch)
+
+    @staticmethod
+    def check_rings(gi, v, made):
+        assert made == [_ring_region(gi)], gi
+        assert (v.answer, v.method, v.reason) == (True, "criteria", None), gi
+        assert v.certificate == criteria_p_large(gi)
+        check = verify_solution(materialize_grid(gi), v.witness)
+        assert check.answer, (gi, check.reason)
+        assert check.shared_count == v.shared_count == criteria_p_large(gi)[1], gi
+
+    def test_every_covered_instance_up_to_8x8(self, spies):
+        instances = list(_canonical_ring_instances(8))
+        band = sum(map(degenerate_alignment, instances))
+        assert (len(instances), band) == (1074, 703)
+        for gi in instances:
+            spies.clear()
+            self.check_rings(gi, build_witness_p_large(gi), spies)
+
+    def test_every_frame_agrees_up_to_6x6(self, spies):
+        # (method, answer, shared) of all 16 frames of each covered instance,
+        # the band included, each frame by the rings on its own region
+        instances = list(_canonical_ring_instances(6))
+        assert len(instances) == 102
+        for gi in instances:
+            outcomes = set()
+            for sym in all_symmetries(gi):
+                variant = sym.apply(gi)
+                spies.clear()
+                v = build_witness_p_large(variant)
+                self.check_rings(variant, v, spies)
+                outcomes.add((v.method, v.answer, v.shared_count))
+            assert len(outcomes) == 1, gi
+
+    @pytest.mark.parametrize("want_witness", [False, True])
+    def test_decide_grid_builds_only_the_region(self, spies, want_witness):
+        # a band instance decides by the rings, witness wanted or not
+        gi = GridInstance(12, 12, (4, 3), (5, 8), 6, 2)
+        assert degenerate_alignment(gi) and criteria_p_large(gi) == (1, 2)
+        v = decide_grid(gi, want_witness)
+        assert (v.answer, v.method, v.shared_count) == (True, "criteria", 2)
+        assert (v.witness is not None) == want_witness
+        assert spies == [_ring_region(gi)]
+
+    # p = 8, so q = 3: s = (3, 3) and t = (8, 8) on a 12 x 12 grid have
+    # exactly q points behind them along each axis
+    EDGE = GridInstance(12, 12, (3, 3), (8, 8), 8, 4)
+
+    @pytest.mark.parametrize("gi", [
+        replace(EDGE, s=(2, 3)), replace(EDGE, s=(3, 2)),  # one short behind s
+        replace(EDGE, t=(9, 8)), replace(EDGE, t=(8, 9)),  # one short behind t
+        replace(EDGE, t=(3, 8)), replace(EDGE, t=(8, 3)),  # one column, one row
+    ], ids=["s-x", "s-y", "t-x", "t-y", "column", "row"])
+    def test_boundary_takes_the_lines(self, monkeypatch, gi):
+        assert _ring_region(gi) is None and criteria_p_large(gi)[1] == 4
+        assert _ring_region(self.EDGE) is not None
+        made = _record_grids(monkeypatch)
+        flows = _count_calls(monkeypatch, "max_flow_boosted")
+        v = build_witness_p_large(gi)
+        assert made == [_window(gi)[0]] and flows["max_flow_boosted"] >= 1
+        assert (v.method, v.shared_count) == ("criteria", 4)
+        check = verify_solution(materialize_grid(gi), v.witness)
+        assert check.answer and check.shared_count == 4
+
+    def test_region_over_the_grid_limit_takes_the_lines(self, monkeypatch):
+        gi = LINE
+        region, window = _ring_region(gi), _window(gi)[0]
+        assert window.n * window.m < region.n * region.m
+        made = _record_grids(monkeypatch)
+        flows = _count_calls(monkeypatch, "max_flow_boosted")
+        verdicts = []
+        for limit, built, flow_calls in ((region.n * region.m, region, 0),
+                                         (region.n * region.m - 1, window, 1)):
+            monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", limit)
+            made.clear()
+            flows["max_flow_boosted"] = 0
+            verdicts.append(build_witness_p_large(gi))
+            assert made == [built] and flows["max_flow_boosted"] == flow_calls
+        monkeypatch.undo()
+        for v in verdicts:
+            assert (v.method, v.shared_count) == ("criteria", gi.k)
+            check = verify_solution(materialize_grid(gi), v.witness)
+            assert check.answer and check.shared_count == gi.k
+
+    def test_300_sided_interior_instance_in_a_fraction_of_a_second(self, spies):
+        gi = GridInstance(300, 300, (100, 100), (250, 250), 6, 2)
+        start = time.process_time()
+        v = build_witness_p_large(gi)
+        assert time.process_time() - start < 0.5
+        self.check_rings(gi, v, spies)
 
 
 def _seeded_near_rim(seed, count):
@@ -983,8 +1141,8 @@ def _last_column_steps(n, m, path):
 
 
 class TestWindow:
-    """build_witness_p_large against its full-grid reference, and _window on
-    its own."""
+    """The boosted-line route against its full-grid reference, and _window
+    on its own."""
 
     @staticmethod
     def assert_same(gi):
@@ -992,7 +1150,7 @@ class TestWindow:
         # each witness is verified on the grid instead of compared
         w, _ = _window(gi)
         assert _bound_pass(w) == _bound_pass(gi), gi
-        a, b = build_witness_p_large(gi), full_grid_witness_p_large(gi)
+        a, b = _lines(gi), full_grid_witness_p_large(gi)
         assert (a.method, a.answer, a.shared_count) == (b.method, b.answer, b.shared_count), gi
         if a.answer:
             check = verify_solution(materialize_grid(gi), a.witness)
@@ -1026,7 +1184,7 @@ class TestWindow:
         gi = GridInstance(6, 8, (1, 5), (5, 7), 5, 4)
         assert criteria_p_large(gi)[1] == gi.k < gi.dist()
         for sym in all_symmetries(gi):
-            v = build_witness_p_large(sym.apply(gi))
+            v = _lines(sym.apply(gi))
             assert (v.method, v.shared_count) == ("criteria", gi.k)
         assert len(lifts) == 16 * gi.p
         assert all(w != g for g, w, _, _ in lifts)
@@ -1045,7 +1203,7 @@ class TestWindow:
 
         monkeypatch.setattr(grid_module, "solve_fpt_branching", no_solver)
         flows = _count_calls(monkeypatch, "max_flow_boosted")
-        v = build_witness_p_large(gi)
+        v = _lines(gi)
         assert flows == {"max_flow_boosted": 1}
         check = verify_solution(materialize_grid(gi), v.witness)
         assert check.answer and check.shared_count == v.shared_count == gi.k

@@ -82,8 +82,8 @@ def test_tracer_times_a_branching_search(monkeypatch):
 def test_tracer_sees_the_witness_window(monkeypatch):
     # the bench's grid.materialize.* metrics come from the span around
     # minshared.grid.materialize_grid: a p-large witness builds one grid,
-    # its window, inside the witness span, and a decision below the cut
-    # bound builds none
+    # here the rings' region (the lines' window elsewhere), inside the
+    # witness span, and a decision below the cut bound builds none
     monkeypatch.syspath_prepend(BENCH)
     import tracing
 
@@ -106,7 +106,9 @@ def test_tracer_sees_the_witness_window(monkeypatch):
         tracer.uninstall()
     assert G.materialize_grid is recorded
     assert verdict.answer and verdict.method == "criteria" and not below.answer
-    assert built == [G._window(gi)[0]]
+    # q = 3 points behind each terminal along each axis, in the frame of
+    # the region's lowest point (497, 497)
+    assert built == [G.GridInstance(10, 13, (3, 3), (6, 9), 8, 4)]
     names = [span[0] for span in tracer.spans]
     (idx,) = [i for i, name in enumerate(names) if name == "grid.materialize"]
     assert idx < witness_spans and names[tracer.spans[idx][3]] == "grid.witness"
@@ -259,6 +261,27 @@ def test_grid_has_one_solver_call_and_one_result_type():
     assert subclasses == []
 
 
+def test_rings_name_no_flow_and_no_search():
+    # the ring construction writes its witness down: neither it nor any
+    # grid.py function it reaches names a flow, a path decomposition or the
+    # solver, so a ring witness never searches
+    with open(os.path.join(SRC, "grid.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, names = set(), ["_ring_witness"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        found = {node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)}
+        found |= {node.attr for node in ast.walk(funcs[name]) if isinstance(node, ast.Attribute)}
+        names |= found
+        todo += sorted(found & funcs.keys())
+    assert {"_walk", "_checked", "materialize_grid"} <= reached
+    assert names & {"max_flow_boosted", "decompose_to_paths", "solve_fpt_branching"} == set()
+
+
 def test_holey_layout_lays_chains_only_through_the_builder():
     # _Builder.lay is the one place a compiled chain becomes a SuperEdge, so
     # counting its chains (tests/test_reductions.py) counts every chain
@@ -301,6 +324,22 @@ def test_readme_window_sizes_match_the_window():
         w, _ = G._window(_grid_from_args(build_parser().parse_args(["grid-decide",
                                                                      *args.split()])))
         assert (w.n, w.m) == (int(width), int(height)), args
+
+
+def test_readme_region_sizes_match_the_rings(monkeypatch):
+    # "`grid-witness N M SX SY TX TY P K` builds a W x H ring region": the
+    # figure is the one grid that the witness builder materialises
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    quoted = re.findall(r"`grid-witness ([\d ]+)` builds an? (\d+) x (\d+) ring region", text)
+    assert quoted
+    original = G.materialize_grid
+    for args, width, height in quoted:
+        built = []
+        monkeypatch.setattr(G, "materialize_grid", lambda gi: built.append(gi) or original(gi))
+        G.build_witness_p_large(_grid_from_args(build_parser().parse_args(["grid-decide",
+                                                                           *args.split()])))
+        assert [(gi.n, gi.m) for gi in built] == [(int(width), int(height))], args
 
 
 def test_readme_instance_example_is_in_bends_form():

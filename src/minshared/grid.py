@@ -17,13 +17,12 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
   p paths, sharing only a short line at each terminal, k_min edges in all.
   Elsewhere it runs max-flows with the criterion's own shared edges
   boosted (a short line at s and one at t, each along either axis first)
-  on a window around s and t that keeps the closed form: the s-t box
-  widened behind each terminal by about p/2 points over both axes, out of
-  the rims.  Either way its cost does not grow with n * m.  When no line
-  reaches p, the trivial solution answers at k >= dist and the solver
-  fallback below it.  In the degenerate band, where the closed form's yes
-  can be one too low, every budget from the cut bound to dist - 1 takes
-  this route, witness wanted or not.
+  on the s-t box widened by ceil(p/2) + 1, inside the grid.  Either way
+  its cost does not grow with n * m.  When no line reaches p, the trivial
+  solution answers at k >= dist and the solver fallback below it.  In the
+  degenerate band, where the closed form's yes can be one too low, every
+  budget from the cut bound to dist - 1 takes this route, witness wanted
+  or not.
 * p-narrow (neither): between the cut bound and dist the solver fallback
   decides.  It is the one exact branching-solver call of this module,
   labelled as a fallback, and its no is a completed search.
@@ -143,7 +142,7 @@ def canonicalize(gi: GridInstance) -> tuple[GridInstance, GridSymmetry]:
         s, t = cand.s, cand.t
         if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
             continue
-        (_, _, threshold_s, _), (_, _, threshold_t, _) = _rims(cand)
+        (threshold_s, _), (threshold_t, _) = _rims(cand)
         if threshold_s > threshold_t:
             continue
         key = (cand.n, cand.m, cand.s, cand.t, sym.flip_x, sym.flip_y, sym.transpose, sym.swap)
@@ -255,14 +254,14 @@ def degenerate_alignment(gi: GridInstance) -> bool:
     return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
 
 
-def _rims(gi: GridInstance) -> tuple[tuple[Point, int, int, int], tuple[Point, int, int, int]]:
-    """((d_x, d_y), deg, threshold, cost) of s and of t: the one source of
-    the rim distances that _bound_pass prices and _window keeps.
+def _rims(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(threshold, cost) of s and of t: the one source of the per-side
+    prices that _bound_pass sums and canonicalize orders.
 
-    d_i is a terminal's distance along axis i to the rim behind it, away
-    from the other terminal: where s[i] <= t[i], s counts from the low rim
-    and t from the high rim, which is the canonical frame; rho = d_x + d_y,
-    and deg is the terminal's degree.
+    A terminal's rim distance d_i along axis i is measured to the rim
+    behind it, away from the other terminal: where s[i] <= t[i], s counts
+    from the low rim and t from the high rim, which is the canonical frame;
+    rho = d_x + d_y, and deg is the terminal's degree.
     Up to threshold = 2(rho+2) - deg the degree argument costs
     ceil((p-deg)/2), clamped at 0; beyond it part B of the construction is
     active and the rectangle cuts cost p-(rho+2).
@@ -277,7 +276,7 @@ def _rims(gi: GridInstance) -> tuple[tuple[Point, int, int, int], tuple[Point, i
             cost = max(0, -(-(gi.p - deg) // 2))
         else:
             cost = gi.p - (d_x + d_y + 2)
-        out.append(((d_x, d_y), deg, threshold, cost))
+        out.append((threshold, cost))
     return out[0], out[1]
 
 
@@ -291,7 +290,7 @@ def _bound_pass(gi: GridInstance) -> tuple[str, int, Optional[tuple[int, int]],
         dx, dy = abs(gi.s[0] - gi.t[0]), abs(gi.s[1] - gi.t[1])
         bound = min(dist, (dx if gi.m < gi.p else 0) + (dy if gi.n < gi.p else 0))
         return regime, bound, None, None
-    (_, _, threshold_s, cost_s), (_, _, threshold_t, cost_t) = _rims(gi)
+    (threshold_s, cost_s), (threshold_t, cost_t) = _rims(gi)
     k_min = cost_s + cost_t
     case_id = 1 + (gi.p > threshold_s) + (gi.p > threshold_t)
     return regime, min(dist, k_min), (case_id, k_min), (cost_s, cost_t)
@@ -389,54 +388,26 @@ def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
 
 def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
     """The sub-grid that build_witness_p_large's flows run on, in the frame
-    of its lowest point, and that point's coordinates in gi.
+    of its lowest point, and that point's coordinates in gi: the s-t box
+    widened by r = ceil(p/2) + 1 on every side, clipped to the grid, each
+    axis then extended to at least min(size, p) points, so it stays p-large.
 
-    Each side of the s-t box is widened by a margin behind the terminal on
-    that side, out of its rim distances (_rims).  A terminal in part B (p
-    over its threshold) keeps them whole: its rectangle cuts read rho.  Any
-    other keeps rho' = min(rho, ceil((p + deg)/2) - 1), one more than
-    p <= 2(rho' + 2) - deg needs, ceil-half along x and the rest along y
-    (x topped up when y runs short), and at least 1 along an axis where it
-    had 1, so its degree stays.  A window corner between one terminal's
-    margin along axis i and the other's along j bounds a rectangle around
-    the first terminal and its boosted line, whose cut stays over p when
-    the two sum to p - 1 - max(gap_j, cost), gap_j = |t[j] - s[j]|; the
-    other margin grows to that where its rim allows.  Each axis is then
-    extended to at least min(size, p) points, so the window stays p-large
-    and keeps gi's regime, case, k_min and costs.
-
-    No margin exceeds ceil(p/2) + 1, so the window has at most
-    (gap_x + p + 4)(gap_y + p + 4) points, whatever n * m is; with both
-    terminals at least ceil(p/2) + 1 from every rim, each keeps at most
-    ceil(p/2) + 2 margin points over both axes, not 2 ceil(p/2) + 2.
+    It keeps gi's closed form (build_witness_p_large checks it): a margin
+    is 0 only at a rim, so both terminals keep their degrees; a part B
+    terminal has rho < p/2 < r, so it keeps its rim distances; one that
+    loses some keeps rho >= r, below its threshold, where its cost reads
+    only p and its degree.  With gap_i = |t[i] - s[i]|, the window has at
+    most (gap_x + p + 4)(gap_y + p + 4) points, whatever n * m is, and it
+    contains the rings' region where they apply.
     """
-    rims = _rims(gi)
-    margins = []  # margins[q][i]: points kept behind terminal q (s, t) along axis i
-    for behind, deg, threshold, _ in rims:
-        if gi.p > threshold:
-            margins.append(list(behind))
-            continue
-        rho = min(sum(behind), -(-(gi.p + deg) // 2) - 1)
-        ex = min(behind[0], -(-rho // 2))
-        ey = min(behind[1], rho - ex)
-        ex = min(behind[0], rho - ey)
-        margins.append([max(ex, min(behind[0], 1)), max(ey, min(behind[1], 1))])
-    gap = (abs(gi.t[0] - gi.s[0]), abs(gi.t[1] - gi.s[1]))
-    for q, (_, _, _, cost) in enumerate(rims):
-        o = 1 - q
-        for i, j in ((0, 1), (1, 0)):
-            need = gi.p - 1 - max(gap[j], cost) - margins[q][i]
-            margins[o][j] = max(margins[o][j], min(rims[o][0][j], need))
+    r = -(-gi.p // 2) + 1
     lo, size = [], []
     for i, n in enumerate((gi.n, gi.m)):
-        s_low = gi.s[i] <= gi.t[i]  # the low side is behind s, as in _rims
-        low = min(gi.s[i], gi.t[i]) - margins[1 - s_low][i]
-        high = max(gi.s[i], gi.t[i]) + margins[s_low][i]
+        a, b = sorted((gi.s[i], gi.t[i]))
         width = min(n, gi.p)
-        high = min(n - 1, max(high, low + width - 1))
-        low = min(low, high - width + 1)
-        lo.append(low)
-        size.append(high - low + 1)
+        high = min(n - 1, max(b + r, max(0, a - r) + width - 1))
+        lo.append(min(max(0, a - r), high - width + 1))
+        size.append(high - lo[i] + 1)
     s, t = ((q[0] - lo[0], q[1] - lo[1]) for q in (gi.s, gi.t))
     return GridInstance(size[0], size[1], s, t, gi.p, gi.k), (lo[0], lo[1])
 
@@ -476,8 +447,7 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
     """The `criteria` verdict of a p-large instance at k_min < dist, its
     witness written down as nested rings around the s-t box with no flow,
     or None where the rings do not apply: when s and t share a row or a
-    column, when a terminal lies less than q from a rim behind it along
-    either axis, or when the region they take exceeds MAX_GRID_POINTS.
+    column, or a terminal lies less than q from a rim behind it.
 
     In the frame where s = (0, 0) and t = (X, Y), X, Y >= 1, reached from
     gi's by reflecting x and/or y, let c = max(0, ceil((p - 4)/2)) and
@@ -506,17 +476,16 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
     degree 4 and 2(rho + 2) - 4 >= 4q >= p, so each costs c under _rims
     and 2c is k_min: the witness meets the cut bound.
 
-    The routes take the region [-q, X+q] x [-q, Y+q]; they are verified on
-    materialize_grid of it, in gi's orientation, and written in gi's edge
-    ids by _walk, run by run.
+    The routes take the region [-q, X+q] x [-q, Y+q], the s-t box widened
+    by q; they are verified on materialize_grid of it, in gi's orientation,
+    and written in gi's edge ids by _walk, run by run.
     """
     (sx, sy), (tx, ty) = gi.s, gi.t
     c = max(0, -(-(gi.p - 4) // 2))
     q = c + 1
     x0, y0 = min(sx, tx) - q, min(sy, ty) - q
     x1, y1 = max(sx, tx) + q, max(sy, ty) + q
-    if sx == tx or sy == ty or min(x0, y0) < 0 or x1 >= gi.n or y1 >= gi.m \
-            or (x1 - x0 + 1) * (y1 - y0 + 1) > MAX_GRID_POINTS:
+    if sx == tx or sy == ty or min(x0, y0) < 0 or x1 >= gi.n or y1 >= gi.m:
         return None
     X, Y = abs(tx - sx), abs(ty - sy)
     routes = [((0, 0), (X, 0), (X, Y)), ((0, 0), (0, Y), (X, Y))]
@@ -581,13 +550,14 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
        region they take.  The verdict is `criteria`, certified by (case id,
        k_min).
     2. otherwise below dist, boosted lines (_boosted_lines), on _window(gi)
-       alone: one max-flow per axis choice with _line_boosts, the
-       criterion's own shared set, boosted to p; each terminal's line runs
-       along the longer axis first (x on a tie) or the shorter one, tried
-       as (longer, longer), (longer, shorter), (shorter, longer), (shorter,
-       shorter).  The first flow that reaches p is decomposed and verified
-       on the window; its paths share only boosted edges, so at most k_min,
-       and they are lifted to gi's edge ids.  The verdict is `criteria`.
+       alone, the s-t box widened by ceil(p/2) + 1: one max-flow per axis
+       choice with _line_boosts, the criterion's own shared set, boosted to
+       p; each terminal's line runs along the longer axis first (x on a
+       tie) or the shorter one, tried as (longer, longer), (longer,
+       shorter), (shorter, longer), (shorter, shorter).  The first flow
+       that reaches p is decomposed and verified on the window; its paths
+       share only boosted edges, so at most k_min, and they are lifted to
+       gi's edge ids.  The verdict is `criteria`.
     3. when no line reaches p (a few instances with a terminal on the rim,
        and some in the band of degenerate_alignment, which decide_grid
        sends here witness or not) and k < dist, the solver fallback decides

@@ -74,6 +74,9 @@ def reduction_constants(vc: VCInstance) -> ReductionConstants:
         raise ValueError("vertex count must be a power of two >= 2 (pad first)")
     if ne == 0:
         raise ValueError("no edges to cover; decide upstream")
+    if vc.k > nv:
+        raise ValueError(f"cover budget {vc.k} exceeds the {nv} padded vertices; "
+                         "decide upstream")
     k = vc.k
     log_v = nv.bit_length() - 1
     m_val = 2 * (ne + 1) + 2

@@ -7,7 +7,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from minshared.core import DIRECTED, UNDIRECTED, Graph, Instance, SuperEdge
+from minshared.core import UNDIRECTED, Graph, SuperEdge
 
 
 def graph_from_edges(n, pairs, mode=UNDIRECTED, coords=None):
@@ -194,10 +194,6 @@ def st_orbit_pairs(n, pairs):
     return reps
 
 
-def make_instance(graph, s, t, p, k):
-    return Instance(graph, s, t, p, k)
-
-
 TOKEN_POOL = ("-3", "-1", "0", "1", "2", "3", "7", "x", "1.5", "mse", "msesol", "vc",
               "mode", "directed", "vertices", "edge", "chain", "coord", "path", "paths",
               "k", "p", "s", "t", "0+", "1-", "#")
@@ -254,26 +250,6 @@ def full_grid_witness_p_large(gi):
         assert check.answer, (gi, check.reason)
         verdict = replace(verdict, shared_count=check.shared_count)
     return verdict
-
-
-def uniform_window(gi):
-    """Reference for grid._window: the s-t box widened by ceil(p/2) + 1 on
-    every side, clipped to the grid and extended to at least min(size, p)
-    points per axis, with the same return value."""
-    from minshared.grid import GridInstance
-
-    r = -(-gi.p // 2) + 1
-    lo, size = [], []
-    for i, n in enumerate((gi.n, gi.m)):
-        a, b = sorted((gi.s[i], gi.t[i]))
-        low, high = max(0, a - r), min(n - 1, b + r)
-        width = min(n, gi.p)
-        high = min(n - 1, max(high, low + width - 1))
-        low = min(low, high - width + 1)
-        lo.append(low)
-        size.append(high - low + 1)
-    s, t = ((q[0] - lo[0], q[1] - lo[1]) for q in (gi.s, gi.t))
-    return GridInstance(size[0], size[1], s, t, gi.p, gi.k), (lo[0], lo[1])
 
 
 def point_lift(gi, w, win, origin, path):

@@ -231,6 +231,9 @@ class TestGrid:
         "grid-decide 5 30 0 0 4 29 6 30",
         # a 5 x 6 ring region, then the whole grid for --instance-out
         "grid-witness 20 20 5 5 7 8 3 2 --instance-out {tmp}/g.mse",
+        # an 11 x 11 ring region: the lines' window, which contains it,
+        # would be over the guard too
+        "grid-witness 20 20 5 5 13 13 3 2",
     ])
     def test_grid_over_the_guard_exits_three(self, monkeypatch, tmp_path, capsys, args):
         monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 100)
@@ -299,6 +302,17 @@ class TestReduce:
         assert code == 3
         assert capsys.readouterr().err.startswith("limit: expanded graph would have ")
         assert not (tmp_path / "x.mse").exists()
+
+    @pytest.mark.parametrize("kind", ["vc2grid", "vc2manhattan"])
+    def test_budget_over_the_padded_vertices_exit_two(self, tmp_path, capsys, kind):
+        # 3 vertices pad to 4, so no cover of 5 exists to build a witness from
+        f, out = tmp_path / "g.vc", tmp_path / "art.mse"
+        f.write_text("vc 1\nvertices 3\nk 5\nedge 0 1\n")
+        assert main(["reduce", kind, str(f), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: cover budget 5 exceeds the 4 padded vertices; decide upstream\n")
+        assert not out.exists()
 
     def test_full_artifact_file_renders(self, vc_file, tmp_path, capsys):
         # the file lists each chain's bends, so a full-constant artifact of

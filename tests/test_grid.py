@@ -28,7 +28,7 @@ from minshared.grid import (
     materialize_grid,
 )
 from minshared.grid import _boosted_lines, _bound_pass, _lift, _window
-from helpers import full_grid_witness_p_large, point_lift, uniform_window
+from helpers import full_grid_witness_p_large, point_lift
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
 
@@ -457,8 +457,8 @@ class TestCutBoundFirst:
         decide_grid(gi)
         if band:
             # the band from its cut bound up also runs build_witness_p_large's
-            # passes: one on gi, _window's rims and one on the window
-            assert calls == {"classify": 3, "_rims": 4}
+            # passes: one on gi and one on the window
+            assert calls == {"classify": 3, "_rims": 3}
         else:
             assert calls == {"classify": 1, "_rims": int(regime == P_LARGE)}
 
@@ -466,15 +466,15 @@ class TestCutBoundFirst:
                                     GridInstance(8, 8, (1, 3), (3, 6), 8, 4)])
     def test_witness_reuses_its_pass(self, monkeypatch, gi):
         # the builder takes both side costs from its one _bound_pass on gi,
-        # _window reads the rim distances once, and one more _bound_pass on
-        # the window checks that it keeps them, so a non-trivial witness
-        # costs three _rims calls on top of the decision's
+        # and one more _bound_pass on the window checks that it keeps them,
+        # so a non-trivial witness costs two _rims calls on top of the
+        # decision's
         calls = _count_calls(monkeypatch, "_rims")
         assert decide_grid(gi, want_witness=True).witness is not None
-        assert calls == {"_rims": 4}
+        assert calls == {"_rims": 3}
         calls["_rims"] = 0
         build_witness_p_large(gi)
-        assert calls == {"_rims": 3}
+        assert calls == {"_rims": 2}
 
 
 class TestMaterialize:
@@ -896,32 +896,16 @@ class TestWitnessSweep:
             for sym in all_symmetries(gi):
                 assert _witness_outcome(sym.apply(gi)) == base, (gi, sym)
 
-    def test_canonical_up_to_8x8_line_misses(self, monkeypatch):
-        # the boosted lines on every instance, rings or not: where _window is
-        # smaller than the uniform window, a second build on the uniform one
-        # takes the same route: the same method, answer, shared count and
-        # number of boosted flows, so the same line first
-        flows = _count_calls(monkeypatch, "max_flow_boosted")
-        window = grid_module._window
-
-        def route(gi):
-            flows["max_flow_boosted"] = 0
-            return _witness_outcome(gi, _lines), flows["max_flow_boosted"]
-
+    def test_canonical_up_to_8x8_line_misses(self):
+        # the boosted lines on every instance, rings or not
         misses = {}
-        count = differ = 0
+        count = 0
         for gi in _canonical_at_k_min(8):
-            outcome = route(gi)
-            method, answer, _ = outcome[0]
+            method, answer, _ = _witness_outcome(gi, _lines)
             count += 1
             if method != "criteria":
                 misses[gi.n, gi.m, gi.s, gi.t, gi.p, gi.k] = (method, answer)
-            if window(gi) != uniform_window(gi):
-                differ += 1
-                monkeypatch.setattr(grid_module, "_window", uniform_window)
-                assert route(gi) == outcome, gi
-                monkeypatch.setattr(grid_module, "_window", window)
-        assert (count, differ) == (4104, 1776)
+        assert count == 4104
         assert misses == {
             (7, 7, (0, 2), (2, 6), 7, 5): ("fallback", True),
             (8, 7, (0, 2), (2, 6), 7, 5): ("fallback", True),
@@ -1058,25 +1042,19 @@ class TestRings:
         check = verify_solution(materialize_grid(gi), v.witness)
         assert check.answer and check.shared_count == 4
 
-    def test_region_over_the_grid_limit_takes_the_lines(self, monkeypatch):
+    def test_region_over_the_grid_limit_exceeds_the_guard(self, spies, monkeypatch):
+        # the lines' window contains the region, so there is no way round
+        # the guard: the witness stops at it, with no flow run
         gi = LINE
         region, window = _ring_region(gi), _window(gi)[0]
-        assert window.n * window.m < region.n * region.m
-        made = _record_grids(monkeypatch)
-        flows = _count_calls(monkeypatch, "max_flow_boosted")
-        verdicts = []
-        for limit, built, flow_calls in ((region.n * region.m, region, 0),
-                                         (region.n * region.m - 1, window, 1)):
-            monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", limit)
-            made.clear()
-            flows["max_flow_boosted"] = 0
-            verdicts.append(build_witness_p_large(gi))
-            assert made == [built] and flows["max_flow_boosted"] == flow_calls
-        monkeypatch.undo()
-        for v in verdicts:
-            assert (v.method, v.shared_count) == ("criteria", gi.k)
-            check = verify_solution(materialize_grid(gi), v.witness)
-            assert check.answer and check.shared_count == gi.k
+        assert region.n <= window.n and region.m <= window.m
+        size = region.n * region.m
+        monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", size)
+        v = build_witness_p_large(gi)
+        assert spies == [region] and (v.method, v.shared_count) == ("criteria", gi.k)
+        monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", size - 1)
+        with pytest.raises(GuardExceeded, match=f"limit {size - 1}"):
+            build_witness_p_large(gi)
 
     def test_300_sided_interior_instance_in_a_fraction_of_a_second(self, spies):
         gi = GridInstance(300, 300, (100, 100), (250, 250), 6, 2)
@@ -1195,9 +1173,10 @@ class TestWindow:
         GridInstance(14, 40, (7, 20), (1, 14), 14, 10),
     ])
     def test_corner_margins_keep_the_first_line(self, monkeypatch, gi):
-        # with each terminal's own margins alone, the window corner between
-        # s's margin along one axis and t's along the other cuts a
-        # terminal's first line at p - 1, so that line misses
+        # a window that kept only about p/2 points behind each terminal over
+        # both axes would cut a terminal's first line at p - 1 at the corner
+        # between s's margin along one axis and t's along the other, so
+        # that line would miss
         def no_solver(inst):
             raise AssertionError("no line reached p")
 
@@ -1212,7 +1191,7 @@ class TestWindow:
         # random p-large instances, sides up to 60 and p up to 30, with a
         # terminal within 2 of a rim (or on it) half of the time
         rng = random.Random(31)
-        interior = part_b = 0
+        extended = part_b = 0
         for _ in range(3000):
             n, m = rng.randint(2, 60), rng.randint(2, 60)
             p = rng.randint(1, min(n, m, 30))
@@ -1233,23 +1212,22 @@ class TestWindow:
             for q, wq in ((gi.s, w.s), (gi.t, w.t)):
                 assert (wq[0] + origin[0], wq[1] + origin[1]) == q
                 assert _degree(w, wq) == _degree(gi, q), (gi, w)
-            # the bound of _window's docstring: no margin over ceil(p/2) + 1
-            # on an axis that was not extended to p points; at most
-            # ceil(p/2) + 2 per terminal, both axes, away from the rims
+            # the rule of _window's docstring: along each axis, a margin of
+            # min(r, the rim distance) on both sides of the s-t box, unless
+            # the axis was extended to min(size, p) points
             r = -(-p // 2) + 1
             gap = (abs(gi.t[0] - gi.s[0]), abs(gi.t[1] - gi.s[1]))
             assert w.n * w.m <= (gap[0] + p + 4) * (gap[1] + p + 4), (gi, w)
-            margins = []
-            for i, size in enumerate((w.n, w.m)):
-                low = min(w.s[i], w.t[i])
-                margins += [low, size - 1 - low - gap[i]]
-                if size > min((n, m)[i], p):
-                    assert max(margins[-2:]) <= r, (gi, w)
-            if min(w.n, w.m) > p and all(r <= c <= side - 1 - r for q in (gi.s, gi.t)
-                                         for c, side in zip(q, (n, m))):
-                interior += 1
-                assert sum(margins) <= 2 * r + 2, (gi, w)
-        assert interior > 100 and part_b > 100, (interior, part_b)
+            for i, (side, size) in enumerate(((n, w.n), (m, w.m))):
+                low = min(gi.s[i], gi.t[i])
+                want = [min(r, low), min(r, side - 1 - low - gap[i])]
+                if sum(want) + gap[i] + 1 >= min(side, p):
+                    margins = [low - origin[i], size - 1 - (low - origin[i]) - gap[i]]
+                    assert margins == want, (gi, w)
+                else:
+                    extended += 1
+                    assert size == min(side, p), (gi, w)
+        assert extended > 100 and part_b > 100, (extended, part_b)
 
 
 def _degree(gi, q):

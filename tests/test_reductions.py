@@ -72,6 +72,16 @@ class TestConstants:
         with pytest.raises(ValueError):
             reduction_constants(VCInstance(Graph(UNDIRECTED, 4, ()), 1))
 
+    def test_rejects_budget_over_the_padded_vertex_count(self):
+        # 3 vertices pad to 4: a budget of 4 takes every vertex into the
+        # cover and verifies, while one of 5 has no cover to pad it to
+        g = Graph(UNDIRECTED, 3, (SuperEdge(0, 1),))
+        for compiler in (vc_to_holey_grid, vc_to_manhattan_dag):
+            art = compiler(VCInstance(g, 4))
+            assert verify_solution(art.instance, synthesize_holey_witness(art, {0})).answer
+            with pytest.raises(ValueError, match="cover budget 5 exceeds the 4 padded"):
+                compiler(VCInstance(g, 5))
+
     def test_rejects_non_power_of_two(self):
         g = Graph(UNDIRECTED, 3, (SuperEdge(0, 1),))
         with pytest.raises(ValueError):

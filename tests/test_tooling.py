@@ -3,9 +3,9 @@ module attribute names their callers use, so renaming or deleting one of
 them breaks `bench/run.py --trace 1`; and each wrapper must pass every
 argument through, `start=` of the branching solver's flow calls included.
 These tests catch both here, and static checks keep every import of the
-package in use, every private module-level helper referenced, the file
-syntax in one reader and the package free of the patterns that built
-reference cycles."""
+package in use, every private module-level helper and every test helper
+referenced, the file syntax in one reader and the package free of the
+patterns that built reference cycles."""
 
 import ast
 import glob
@@ -23,7 +23,8 @@ from minshared.core import Instance, lattice_points
 
 from helpers import grid_graph, grid_vertex
 
-BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(TESTS, os.pardir, "bench")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "minshared")
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -174,6 +175,37 @@ def test_every_private_helper_is_referenced():
     found = _private_definitions()
     assert len(found) > 20
     assert sorted(key for key, referenced in found.items() if not referenced) == []
+
+
+def _test_helpers_reached():
+    """{name: whether the tests reach it} for every top-level function of
+    tests/helpers.py: a test module names it, or a reached helper reads it."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(TESTS, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+
+    def names(node):
+        return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                | {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                   for a in n.names})
+
+    helpers = {stmt.name: stmt for stmt in trees.pop("helpers.py").body
+               if isinstance(stmt, ast.FunctionDef)}
+    reached = set().union(*map(names, trees.values())) & helpers.keys()
+    todo = list(reached)
+    while todo:
+        new = names(helpers[todo.pop()]) & helpers.keys() - reached
+        reached |= new
+        todo += new
+    return {name: name in reached for name in helpers}
+
+
+def test_every_test_helper_is_referenced():
+    found = _test_helpers_reached()
+    assert len(found) > 10
+    assert sorted(name for name, reached in found.items() if not reached) == []
 
 
 def _comment_strippers():

@@ -37,6 +37,21 @@ class GuardExceeded(RuntimeError):
     guard; the command line reports it with exit code 3."""
 
 
+# the most steps, summed over its paths, of a witness the package builds.
+# Only copies of one path can outgrow the graph: a witness that shares less
+# than dist(s, t) has an unshared edge on every path, so at most one path per
+# edge.  Each place that repeats a path p times checks this bound first.
+MAX_WITNESS_STEPS = 4_000_000
+
+
+def guard_witness_steps(p: int, steps: int) -> None:
+    """Raise GuardExceeded when p paths of at least `steps` steps each would
+    exceed MAX_WITNESS_STEPS; called before anything of size p is built."""
+    if p * steps > MAX_WITNESS_STEPS:
+        raise GuardExceeded(f"a witness of {p} paths has at least {p * steps} steps "
+                            f"(limit {MAX_WITNESS_STEPS})")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class SuperEdge:
     """A chain of `length` unit edges between two declared vertices.

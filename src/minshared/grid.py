@@ -31,8 +31,9 @@ Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
 in its own frame: the degenerate band test is frame-free, and each terminal's
 rim distance is measured from the corner away from the other terminal.
-canonicalize picks one representative of the 16 variants; it serves the
-tests and bench/tracing.py, and no decision or witness path uses it.
+variants yields the 16 variant instances and canonicalize returns one
+representative of them; they serve the tests and bench/tracing.py, and no
+decision or witness path reaches either.
 
 Decisions run on bare grids (materialize_grid): no coords and no polylines,
 since the flows, the solver and verify_solution read only an edge's ends
@@ -45,10 +46,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, SuperEdge, Verdict,
-                   verify_solution)
+                   guard_witness_steps, verify_solution)
 from .flow import decompose_to_paths, max_flow_boosted
 from .solver import solve_fpt_branching
 
@@ -98,59 +99,34 @@ def classify(gi: GridInstance) -> str:
 # ---------------------------------------------------------------------------
 # symmetries
 
-@dataclass(frozen=True)
-class GridSymmetry:
-    """One of the 16 variants: reflections, transpose, s/t swap.
-
-    Point maps apply flips in the original frame, then the transpose.
-    """
-
-    n: int
-    m: int
-    flip_x: bool
-    flip_y: bool
-    transpose: bool
-    swap: bool
-
-    def forward(self, pt: Point) -> Point:
-        x, y = pt
-        if self.flip_x:
-            x = self.n - 1 - x
-        if self.flip_y:
-            y = self.m - 1 - y
-        return (y, x) if self.transpose else (x, y)
-
-    def apply(self, gi: GridInstance) -> GridInstance:
-        n2, m2 = (self.m, self.n) if self.transpose else (self.n, self.m)
-        s2, t2 = self.forward(gi.s), self.forward(gi.t)
-        if self.swap:
-            s2, t2 = t2, s2
-        return GridInstance(n2, m2, s2, t2, gi.p, gi.k)
-
-
-def all_symmetries(gi: GridInstance):
+def variants(gi: GridInstance) -> Iterator[GridInstance]:
+    """The 16 variants of gi: x reflected or not, then y, then the transpose
+    (all in gi's frame), then s and t swapped or not, that nesting outermost
+    first."""
+    n, m = gi.n, gi.m
     for fx, fy, tr, sw in itertools.product((False, True), repeat=4):
-        yield GridSymmetry(gi.n, gi.m, fx, fy, tr, sw)
+        s, t = ((n - 1 - x if fx else x, m - 1 - y if fy else y) for x, y in (gi.s, gi.t))
+        if tr:
+            s, t = s[::-1], t[::-1]
+        if sw:
+            s, t = t, s
+        yield GridInstance(*((m, n) if tr else (n, m)), s, t, gi.p, gi.k)
 
 
-def canonicalize(gi: GridInstance) -> tuple[GridInstance, GridSymmetry]:
-    """A variant with s left/below t, rho_x(s) <= rho_y(s), and the s side no
-    harder than the t side; always exists among the 16."""
-    best = None
-    for sym in all_symmetries(gi):
-        cand = sym.apply(gi)
-        s, t = cand.s, cand.t
-        if not (s[0] <= t[0] and s[1] <= t[1] and s[0] <= s[1]):
-            continue
-        (threshold_s, _), (threshold_t, _) = _rims(cand)
-        if threshold_s > threshold_t:
-            continue
-        key = (cand.n, cand.m, cand.s, cand.t, sym.flip_x, sym.flip_y, sym.transpose, sym.swap)
-        if best is None or key < best[0]:
-            best = (key, cand, sym)
+def canonicalize(gi: GridInstance) -> GridInstance:
+    """The least variant by (n, m, s, t) with s left of and below t,
+    rho_x(s) <= rho_y(s), and the s side no harder than the t side; one
+    always exists among the 16."""
+    def qualifies(v: GridInstance) -> bool:
+        (sx, sy), (tx, ty) = v.s, v.t
+        if not (sx <= tx and sy <= ty and sx <= sy):
+            return False
+        (threshold_s, _), (threshold_t, _) = _rims(v)
+        return threshold_s <= threshold_t
+    best = min(filter(qualifies, variants(gi)), key=lambda v: (v.n, v.m, v.s, v.t), default=None)
     if best is None:
         raise AssertionError(f"no canonical variant for {gi}; canonicalisation gap")
-    return best[1], best[2]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +138,11 @@ def materialize_grid(gi: GridInstance) -> Instance:
     verify_solution read.
 
     Point (x, y) is vertex x * m + y; edges are numbered per point (x major,
-    then y), right edge then up edge; edge_id gives that numbering in closed
-    form.  A grid of more than MAX_GRID_POINTS points raises GuardExceeded
-    before anything is built.
+    then y), right edge then up edge.  In closed form, with r = 1 when x < n
+    - 1 (the point has a right edge) and 0 otherwise, point (x, y) owns the
+    ids from x(2m - 1) + y(1 + r), its right edge first; _walk and _lift
+    write paths in that numbering.  A grid of more than MAX_GRID_POINTS
+    points raises GuardExceeded before anything is built.
     """
     n, m = gi.n, gi.m
     size = n * m
@@ -192,25 +170,14 @@ def embed_grid(gi: GridInstance) -> Instance:
     return replace(inst, graph=Graph(g.mode, g.vertex_count, edges, coords))
 
 
-def edge_id(n: int, m: int, a: Point, b: Point) -> tuple[int, bool]:
-    """(edge id, forward) of the unit step a -> b in materialize_grid's
-    numbering.  A column x holds 2m - 1 edges when it has right edges
-    (r = 1) and m - 1 otherwise; point (x, y) owns ids from
-    x(2m - 1) + y(1 + r), its right edge first."""
-    fwd = a < b  # an edge runs from its lower-left end
-    x, y = a if fwd else b
-    r = x + 1 < n
-    up = a[0] == b[0]
-    return x * (2 * m - 1) + y * (1 + r) + up * r, fwd
-
-
 def _walk(n: int, m: int, corners: Sequence[Point]) -> PathSeq:
     """The path through `corners`, each run axis-parallel, in the edge ids
-    of an n x m grid, run by run with no per-step arithmetic: by edge_id's
-    numbering the right edges of row y are 2y + x(2m - 1), a range with
-    stride 2m - 1 along x, and the up edges of column x are x(2m - 1) + r +
-    y(1 + r), stride 2 (1 in the last column, r = 0) along y.  A run that
-    goes down or left takes the same edges from its far end, backward."""
+    of an n x m grid, run by run with no per-step arithmetic: by
+    materialize_grid's numbering the right edges of row y are 2y + x(2m -
+    1), a range with stride 2m - 1 along x, and the up edges of column x
+    are x(2m - 1) + r + y(1 + r), stride 2 (1 in the last column, r = 0)
+    along y.  A run that goes down or left takes the same edges from its
+    far end, backward."""
     col = 2 * m - 1
     steps = []
     x, y = corners[0]
@@ -231,7 +198,9 @@ def _walk(n: int, m: int, corners: Sequence[Point]) -> PathSeq:
 
 
 def _trivial_witness(gi: GridInstance) -> Solution:
-    """p copies of the monotone s-t path that runs along x first, then y."""
+    """p copies of the monotone s-t path that runs along x first, then y;
+    GuardExceeded, before any is made, past MAX_WITNESS_STEPS."""
+    guard_witness_steps(gi.p, gi.dist())
     return Solution((_walk(gi.n, gi.m, (gi.s, (gi.t[0], gi.s[1]), gi.t)),) * gi.p)
 
 
@@ -416,11 +385,11 @@ def _lift(gi: GridInstance, w: GridInstance, origin: Point, path: PathSeq) -> Pa
     """`path`, a path of materialize_grid(w), in gi's edge ids: w is a window
     of gi whose lowest point is `origin`.
 
-    Each window edge id is mapped on its own, by edge_id's numbering run
-    backwards then forwards: divmod by the window's column stride 2 w.m - 1
-    gives the column x and an offset, which is y alone in the last column
-    (only up edges) and divmod(offset, 2) = (y, up) elsewhere; edge_id's
-    formula then numbers that edge, shifted by `origin`, in gi.  A shift
+    Each window edge id is mapped on its own, by materialize_grid's closed
+    form run backwards then forwards: divmod by the window's column stride
+    2 w.m - 1 gives the column x and an offset, which is y alone in the last
+    column (only up edges) and divmod(offset, 2) = (y, up) elsewhere; the
+    closed form then numbers that edge, shifted by `origin`, in gi.  A shift
     keeps every edge's direction, so each step keeps its `forward`."""
     x0, y0 = origin
     stride, last = 2 * w.m - 1, w.n - 1

@@ -30,7 +30,7 @@ import math
 from typing import Optional
 
 from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, Verdict, distance,
-                   loop_erase, shortest_path, verify_solution)
+                   guard_witness_steps, loop_erase, shortest_path, verify_solution)
 from .flow import FlowResult, decompose_to_paths, max_flow_boosted
 
 
@@ -87,6 +87,7 @@ def solve_exhaustive_paths(inst: Instance) -> Verdict:
         return Verdict(False, method="exhaustive")
     if _multiset_count(len(paths), inst.p) > MAX_EXHAUSTIVE_MULTISETS:
         raise GuardExceeded("too large for exhaustive multiset enumeration")
+    guard_witness_steps(inst.p, min(len(q.steps) for q in paths))
     edge_sets = [frozenset(p.edge_ids()) for p in paths]
     best = None
     best_combo = None
@@ -110,13 +111,15 @@ def solve_exhaustive_paths(inst: Instance) -> Verdict:
 
 
 def _trivial_verdict(inst: Instance, method: str) -> Optional[Verdict]:
-    """The trivial solution (p identical shortest paths) when dist(s,t) <= k."""
+    """The trivial solution (p identical shortest paths) when dist(s,t) <= k:
+    with p >= 2 every edge of the path is shared, read off the path once."""
     path = shortest_path(inst.graph, inst.s, inst.t, limit=inst.k)
     if path is None:
         return None
-    witness = Solution((path,) * inst.p)
-    return Verdict(True, witness.shared_count(inst.graph), witness, method=method,
-                   shared_set=frozenset(witness.shared_edge_ids()))
+    guard_witness_steps(inst.p, len(path.steps))
+    shared = frozenset(path.edge_ids() if inst.p > 1 else ())
+    return Verdict(True, sum(inst.graph.edges[e].length for e in shared),
+                   Solution((path,) * inst.p), method=method, shared_set=shared)
 
 
 def _subsets_within_budget(g: Graph, budget: int):

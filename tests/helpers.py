@@ -256,10 +256,9 @@ def point_lift(gi, w, win, origin, path):
     """Reference for grid._lift: `path`, an s-t path of win =
     materialize_grid(w), walked vertex by vertex, each window vertex v taken
     to point divmod(v, w.m) shifted by `origin`, and each unit step between
-    two points numbered in gi by edge_id."""
-    from minshared.core import PathSeq
-    from minshared.grid import edge_id
+    two points numbered in gi by grid._walk, one unit run each."""
+    from minshared.grid import _walk
 
     x0, y0 = origin
     pts = [(x + x0, y + y0) for x, y in (divmod(v, w.m) for v in path.vertices(win.graph, win.s))]
-    return PathSeq(tuple(edge_id(gi.n, gi.m, a, b) for a, b in zip(pts, pts[1:])))
+    return _walk(gi.n, gi.m, pts)

@@ -64,6 +64,26 @@ class TestSolve:
         f.write_text(serialize_instance(materialize_grid(gi)))
         assert main(["solve", str(f), "--method", "exhaustive"]) == 3
 
+    @pytest.mark.parametrize("method", ["fpt", "enum", "exhaustive"])
+    def test_witness_over_the_step_bound_exits_three(self, tmp_path, capsys, method):
+        # p copies of the one-edge path: one step over MAX_WITNESS_STEPS is
+        # refused before the copies are made
+        p = core_module.MAX_WITNESS_STEPS + 1
+        f, w = tmp_path / "e.mse", tmp_path / "w.msesol"
+        f.write_text(f"mse 1\nmode undirected\nvertices 2\ns 0\nt 1\np {p}\nk 1\nedge 0 1\n")
+        assert main(["solve", str(f), "--method", method, "--witness", str(w)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"limit: a witness of {p} paths has at least {p} steps (limit 4000000)\n")
+        assert not w.exists()
+
+    @pytest.mark.parametrize("p, code", [(6, 0), (7, 3)])
+    def test_witness_step_bound_is_inclusive(self, monkeypatch, tmp_path, capsys, p, code):
+        monkeypatch.setattr(core_module, "MAX_WITNESS_STEPS", 12)
+        f = tmp_path / "c.mse"
+        f.write_text(serialize_instance(Instance(cycle4(), 0, 2, p, 2)))
+        assert main(["solve", str(f)]) == code
+
     def test_usage_error_exit_two(self, cycle_file):
         with pytest.raises(SystemExit) as e:
             main(["solve", cycle_file, "--method", "bogus"])
@@ -120,6 +140,17 @@ class TestVerify:
         (tmp_path / "bad.msesol").write_text("msesol 1\npaths 1\npath 0+ 1+\n")
         code = main(["verify", cycle_file, str(tmp_path / "bad.msesol")])
         assert code == 1
+
+    @pytest.mark.parametrize("path, reason", [
+        ("path", "path 0 is empty"),
+        ("path 0+", "path 0 ends at 1, not t"),
+    ], ids=["empty-path", "stops-before-t"])
+    def test_reject_reasons(self, tmp_path, capsys, path, reason):
+        f, w = tmp_path / "c.mse", tmp_path / "w.msesol"
+        f.write_text(serialize_instance(Instance(cycle4(), 0, 2, 1, 0)))
+        w.write_text(f"msesol 1\npaths 1\n{path}\n")
+        assert main(["verify", str(f), str(w)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == f"reason {reason}"
 
 
 class TestGrid:
@@ -254,6 +285,21 @@ class TestGrid:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[:3] == [
             "answer yes", "shared 0", "method criteria"]
+
+    def test_witness_over_the_step_bound_exits_three(self, tmp_path, capsys):
+        # 1,000,000 copies of a 4-step path sit at MAX_WITNESS_STEPS; one more
+        # is refused before any is made, and grid-decide still answers
+        out = tmp_path / "w.msesol"
+        assert main(["grid-witness", "3", "3", "0", "0", "2", "2", "1000001", "4",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "limit: a witness of 1000001 paths has at least 4000004 steps "
+                "(limit 4000000)\n")
+        assert not out.exists()
+        assert main(["grid-decide", "3", "3", "0", "0", "2", "2", "1000000000", "4"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "answer yes", "shared 4", "method trivial"]
 
     def test_decide_on_a_huge_grid_builds_none(self, monkeypatch, capsys):
         def stub(gi):
@@ -529,6 +575,36 @@ class TestRender:
         svg = out.read_text()
         assert svg.count("<circle") == 2 and "<polyline" not in svg
         assert 'width="60" height="36"' in svg
+
+    def test_labels_name_every_vertex(self, tmp_path, capsys):
+        f, out = tmp_path / "g.mse", tmp_path / "g.svg"
+        f.write_text(serialize_instance(self._grid_instance()))
+        assert main(["render", str(f), "--labels", "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert svg.count("<text") == svg.count("<circle") == 9
+        assert [f">{v}</text>" in svg for v in range(9)] == [True] * 9
+
+    # one chain of length 2 from (0, 0) to (1, 1), bent at (1, 0)
+    BENT = ("mse 1\nmode undirected\nvertices 2\ns 0\nt 1\np 1\nk 0\n"
+            "coord 0 0 0\ncoord 1 1 1\nchain 0 1 2 0 0 1 0 1 1\n")
+
+    def test_collapse_chains_draws_a_bent_chain_as_two_points(self, tmp_path, capsys):
+        f = tmp_path / "c.mse"
+        f.write_text(self.BENT)
+        polylines = []
+        for flags in ([], ["--collapse-chains"]):
+            out = tmp_path / "c.svg"
+            assert main(["render", str(f), *flags, "--out", str(out)]) == 0
+            line, = [row for row in out.read_text().splitlines() if "<polyline" in row]
+            polylines.append(line.split('points="')[1].split('"')[0].split())
+        assert [len(points) for points in polylines] == [3, 2]
+        assert polylines[1] == [polylines[0][0], polylines[0][-1]]
+
+    def test_dot_labels_a_chain_with_its_length(self, tmp_path, capsys):
+        f, out = tmp_path / "c.mse", tmp_path / "c.dot"
+        f.write_text(self.BENT)
+        assert main(["render", str(f), "--format", "dot", "--out", str(out)]) == 0
+        assert '  0 -- 1 [label="2"];' in out.read_text().splitlines()
 
     def test_highlight_solution(self, tmp_path, capsys):
         inst = self._grid_instance()

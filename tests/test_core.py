@@ -866,12 +866,16 @@ class TestParserFuzz:
          "^line 11: repeated 'coord 0' line$"),
         (parse_vc, "vc 1\nvertices 2\nk 1\nk 0\n", "^line 4: repeated 'k' line$"),
         (parse_vc, "vc 1\nvertices 2\nvertices 4\nk 1\n", "^line 3: repeated 'vertices' line$"),
+        # the instance's own checks, once the whole file is read
+        (parse_instance, MINIMAL.replace("k 0", "k -1"), "^k must be non-negative$"),
+        (parse_instance, MINIMAL.replace("s 0", "s 2"), "^s/t out of range$"),
     ], ids=["unknown-mode", "coord-of-unknown-vertex", "path-count-not-int", "negative-k",
             "self-loop", "negative-vertex-count", "edge-extra-token", "coord-extra-token",
             "s-extra-token", "paths-extra-token", "vc-edge-extra-token",
             "chain-too-few-values", "chain-odd-coordinate-count", "chain-one-point",
             "chain-diagonal-run", "chain-length-mismatch", "repeated-k", "repeated-vertices",
-            "repeated-coord", "vc-repeated-k", "vc-repeated-vertices"])
+            "repeated-coord", "vc-repeated-k", "vc-repeated-vertices", "instance-negative-k",
+            "instance-s-out-of-range"])
     def test_known_bad_inputs(self, parser, text, match):
         with pytest.raises(FormatError, match=match):
             parser(text)

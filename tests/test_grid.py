@@ -11,23 +11,21 @@ import minshared.grid as grid_module
 from minshared.core import PathSeq, Verdict, serialize_instance, verify_solution
 from minshared.grid import (
     GridInstance,
-    GridSymmetry,
     P_LARGE,
     P_NARROW,
     P_SMALL,
-    all_symmetries,
     build_witness_p_large,
     canonicalize,
     classify,
     criteria_p_large,
     decide_grid,
     degenerate_alignment,
-    edge_id,
     embed_grid,
     grid_cut_lower_bound,
     materialize_grid,
+    variants,
 )
-from minshared.grid import _boosted_lines, _bound_pass, _lift, _window
+from minshared.grid import _boosted_lines, _bound_pass, _lift, _walk, _window
 from helpers import full_grid_witness_p_large, point_lift
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
@@ -63,20 +61,18 @@ class TestClassify:
 class TestCanonicalize:
     def test_identity_when_canonical(self):
         gi = GridInstance(5, 5, (1, 1), (3, 3), 4, 0)
-        canon, sym = canonicalize(gi)
-        assert canon == gi
-        assert not (sym.flip_x or sym.flip_y or sym.transpose or sym.swap)
+        assert canonicalize(gi) == gi
 
     def test_x_flip_when_s_right_of_t(self):
         gi = GridInstance(5, 5, (3, 1), (1, 3), 4, 2)
-        canon, sym = canonicalize(gi)
+        canon = canonicalize(gi)
         assert canon.s[0] <= canon.t[0] and canon.s[1] <= canon.t[1]
         assert decide_grid(canon).answer == decide_grid(gi).answer
 
     def test_rho_ordering_via_rotation_swap(self):
         # rho(s) > rho'(t): the canonical variant exchanges the two sides
         gi = GridInstance(6, 6, (3, 3), (5, 5), 4, 2)
-        canon, _ = canonicalize(gi)
+        canon = canonicalize(gi)
         (sx, sy), (tx, ty), n, m = canon.s, canon.t, canon.n, canon.m
         deg_s = (sx > 0) + (sx < n - 1) + (sy > 0) + (sy < m - 1)
         deg_t = (tx > 0) + (tx < n - 1) + (ty > 0) + (ty < m - 1)
@@ -84,13 +80,18 @@ class TestCanonicalize:
         assert 2 * (rho_s + 2) - deg_s <= 2 * (rho_t + 2) - deg_t
 
     def test_every_instance_has_canonical_variant(self):
+        # one exists, and every variant of an instance has the same one
         for n in range(2, 6):
             for m in range(2, 6):
                 for s in ((0, 0), (1, 0), (n - 1, m - 1), (n // 2, m // 2)):
                     for t in ((n - 1, 0), (0, m - 1), (n - 1, m - 1)):
                         if s == t:
                             continue
-                        canonicalize(GridInstance(n, m, s, t, 2, 0))
+                        for p in (2, 3, 5):
+                            gi = GridInstance(n, m, s, t, p, 0)
+                            canon = canonicalize(gi)
+                            for variant in variants(gi):
+                                assert canonicalize(variant) == canon, (gi, variant)
 
 
 class TestDecideSmall:
@@ -112,19 +113,19 @@ class TestDecideSmall:
 
 class TestCriteria:
     def test_case1_interior(self):
-        gi, _ = canonicalize(GridInstance(5, 5, (1, 1), (3, 3), 4, 0))
+        gi = canonicalize(GridInstance(5, 5, (1, 1), (3, 3), 4, 0))
         assert criteria_p_large(gi) == (1, 0)
         assert decide_grid(GridInstance(5, 5, (1, 1), (3, 3), 4, 0)).answer
 
     def test_case2_example(self):
-        gi, _ = canonicalize(GridInstance(6, 6, (0, 0), (3, 3), 5, 0))
+        gi = canonicalize(GridInstance(6, 6, (0, 0), (3, 3), 5, 0))
         case_id, k_min = criteria_p_large(gi)
         assert (case_id, k_min) == (2, 4)
         assert not solve_fpt_branching(materialize_grid(replace(gi, k=3))).answer
         assert solve_fpt_branching(materialize_grid(replace(gi, k=4))).answer
 
     def test_case3_example(self):
-        gi, _ = canonicalize(GridInstance(5, 5, (0, 0), (4, 4), 5, 0))
+        gi = canonicalize(GridInstance(5, 5, (0, 0), (4, 4), 5, 0))
         assert criteria_p_large(gi) == (3, 6)
 
     def test_rejects_non_p_large(self):
@@ -371,11 +372,11 @@ class TestWitness:
 
 class TestLowerBound:
     def test_small_grid_distance(self):
-        gi, _ = canonicalize(GridInstance(3, 3, (0, 0), (2, 2), 4, 0))
+        gi = canonicalize(GridInstance(3, 3, (0, 0), (2, 2), 4, 0))
         assert grid_cut_lower_bound(gi) == 4
 
     def test_case3_corners(self):
-        gi, _ = canonicalize(GridInstance(5, 5, (0, 0), (4, 4), 5, 0))
+        gi = canonicalize(GridInstance(5, 5, (0, 0), (4, 4), 5, 0))
         assert grid_cut_lower_bound(gi) == 6
 
     def test_never_exceeds_oracle(self):
@@ -385,7 +386,7 @@ class TestLowerBound:
             (4, 5, (0, 0), (3, 4), 4),
             (3, 3, (0, 0), (2, 2), 4),
         ]:
-            gi, _ = canonicalize(GridInstance(n, m, s, t, p, 0))
+            gi = canonicalize(GridInstance(n, m, s, t, p, 0))
             lb = grid_cut_lower_bound(gi)
             opt = next(
                 k for k in range(0, 10)
@@ -407,7 +408,7 @@ def _below_bound_without_closed_form(size):
                     regime = classify(gi)
                     if regime == P_SMALL or (regime == P_LARGE and not degenerate_alignment(gi)):
                         continue
-                    canon, _ = canonicalize(gi)
+                    canon = canonicalize(gi)
                     bound = grid_cut_lower_bound(canon)
                     if bound >= 1 and canon not in seen:
                         seen.add(canon)
@@ -546,8 +547,8 @@ class TestSymmetryInvariance:
             k = rng.randint(0, 8)
             gi = GridInstance(n, m, s, t, p, k)
             base = decide_grid(gi).answer
-            for sym in all_symmetries(gi):
-                assert decide_grid(sym.apply(gi)).answer == base
+            for variant in variants(gi):
+                assert decide_grid(variant).answer == base
 
 
 class TestEdgeIds:
@@ -560,8 +561,8 @@ class TestEdgeIds:
                 g = embed_grid(gi).graph
                 for eid, e in enumerate(g.edges):
                     a, b = g.coords[e.tail], g.coords[e.head]
-                    assert edge_id(n, m, a, b) == (eid, True)
-                    assert edge_id(n, m, b, a) == (eid, False)
+                    assert _walk(n, m, (a, b)).steps == ((eid, True),)
+                    assert _walk(n, m, (b, a)).steps == ((eid, False),)
 
     def test_window_steps_lift_to_grid_edges(self):
         # every unit step of every sub-window of every grid up to 6x6, both
@@ -666,13 +667,12 @@ class TestOwnFrame:
                         gi = GridInstance(n, m, s, t, p, 0)
                         if degenerate_alignment(gi):
                             continue
-                        canon, _ = canonicalize(gi)
+                        canon = canonicalize(gi)
                         expected = criteria_p_large(canon)
                         bound = min(gi.dist(), expected[1])
-                        for sym in all_symmetries(gi):
-                            variant = sym.apply(gi)
-                            assert criteria_p_large(variant) == expected, (gi, sym)
-                            assert grid_cut_lower_bound(variant) == bound, (gi, sym)
+                        for variant in variants(gi):
+                            assert criteria_p_large(variant) == expected, (gi, variant)
+                            assert grid_cut_lower_bound(variant) == bound, (gi, variant)
                         checked += 1
         assert checked > 1000
 
@@ -711,8 +711,7 @@ class TestWitnessOwnFrame:
     ])
     def test_every_variant_verifies_in_its_own_frame(self, gi):
         base = build_witness_p_large(gi)
-        for sym in all_symmetries(gi):
-            variant = sym.apply(gi)
+        for variant in variants(gi):
             sol = build_witness_p_large(variant)
             check = verify_solution(materialize_grid(variant), sol.witness)
             assert check.answer, (variant, check.reason)
@@ -766,7 +765,7 @@ def _interior_canonical_case1(size):
                     continue
                 for p in range(2, min(n, m) + 1):
                     gi = _case1_at_k_min(GridInstance(n, m, s, t, p, 0))
-                    if gi is not None and canonicalize(gi)[0] == gi:
+                    if gi is not None and canonicalize(gi) == gi:
                         yield gi
 
 
@@ -870,7 +869,7 @@ def _canonical_at_k_min(size):
                         continue
                     k_min = criteria_p_large(gi)[1]
                     gi = replace(gi, k=k_min)
-                    if k_min < gi.dist() and canonicalize(gi)[0] == gi:
+                    if k_min < gi.dist() and canonicalize(gi) == gi:
                         yield gi
 
 
@@ -893,8 +892,8 @@ class TestWitnessSweep:
         for gi in instances:
             base = _witness_outcome(gi)
             assert base[0] == "criteria", gi
-            for sym in all_symmetries(gi):
-                assert _witness_outcome(sym.apply(gi)) == base, (gi, sym)
+            for variant in variants(gi):
+                assert _witness_outcome(variant) == base, (gi, variant)
 
     def test_canonical_up_to_8x8_line_misses(self):
         # the boosted lines on every instance, rings or not
@@ -949,7 +948,7 @@ def _canonical_ring_instances(size):
                     if _ring_region(gi) is None:
                         continue
                     gi = replace(gi, k=criteria_p_large(gi)[1])
-                    if gi.k < gi.dist() and canonicalize(gi)[0] == gi:
+                    if gi.k < gi.dist() and canonicalize(gi) == gi:
                         yield gi
 
 
@@ -1004,8 +1003,7 @@ class TestRings:
         assert len(instances) == 102
         for gi in instances:
             outcomes = set()
-            for sym in all_symmetries(gi):
-                variant = sym.apply(gi)
+            for variant in variants(gi):
                 spies.clear()
                 v = build_witness_p_large(variant)
                 self.check_rings(variant, v, spies)
@@ -1161,8 +1159,8 @@ class TestWindow:
         # right edges
         gi = GridInstance(6, 8, (1, 5), (5, 7), 5, 4)
         assert criteria_p_large(gi)[1] == gi.k < gi.dist()
-        for sym in all_symmetries(gi):
-            v = _lines(sym.apply(gi))
+        for variant in variants(gi):
+            v = _lines(variant)
             assert (v.method, v.shared_count) == ("criteria", gi.k)
         assert len(lifts) == 16 * gi.p
         assert all(w != g for g, w, _, _ in lifts)

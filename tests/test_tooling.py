@@ -293,14 +293,13 @@ def test_grid_has_one_solver_call_and_one_result_type():
     assert subclasses == []
 
 
-def test_rings_name_no_flow_and_no_search():
-    # the ring construction writes its witness down: neither it nor any
-    # grid.py function it reaches names a flow, a path decomposition or the
-    # solver, so a ring witness never searches
+def _grid_reach(*roots):
+    """(the grid.py functions reached from `roots`, every name they use):
+    the static call graph, following each name that is a top-level function."""
     with open(os.path.join(SRC, "grid.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, names = set(), ["_ring_witness"], set()
+    reached, todo, names = set(), list(roots), set()
     while todo:
         name = todo.pop()
         if name in reached:
@@ -310,8 +309,25 @@ def test_rings_name_no_flow_and_no_search():
         found |= {node.attr for node in ast.walk(funcs[name]) if isinstance(node, ast.Attribute)}
         names |= found
         todo += sorted(found & funcs.keys())
+    return reached, names
+
+
+def test_rings_name_no_flow_and_no_search():
+    # the ring construction writes its witness down: neither it nor any
+    # grid.py function it reaches names a flow, a path decomposition or the
+    # solver, so a ring witness never searches
+    reached, names = _grid_reach("_ring_witness")
     assert {"_walk", "_checked", "materialize_grid"} <= reached
     assert names & {"max_flow_boosted", "decompose_to_paths", "solve_fpt_branching"} == set()
+
+
+def test_decisions_never_reach_the_symmetries():
+    # variants and canonicalize serve the tests and the bench tracer only:
+    # no decision or witness path, in any regime, names either
+    reached, names = _grid_reach("decide_grid", "build_witness_p_large")
+    assert {"_bound_pass", "_ring_witness", "_boosted_lines", "_solver_fallback",
+            "_trivial_witness", "materialize_grid"} <= reached
+    assert names & {"variants", "canonicalize"} == set()
 
 
 def test_holey_layout_lays_chains_only_through_the_builder():

@@ -217,9 +217,8 @@ def _cmd_reduce(args) -> int:
     inst = art.instance
     if args.expand:
         if inst.graph.unit_size() > MAX_EXPANDED_UNIT_EDGES:
-            print(f"limit: expanded graph would have {inst.graph.unit_size()} "
-                  f"unit edges (limit {MAX_EXPANDED_UNIT_EDGES}); use --demo", file=sys.stderr)
-            return 3
+            raise GuardExceeded(f"expanded graph would have {inst.graph.unit_size()} "
+                                f"unit edges (limit {MAX_EXPANDED_UNIT_EDGES}); use --demo")
         inst = expand_chains(inst.graph).expand_instance(inst)
     _write(args.out, serialize_instance(inst))
     if args.trace:
@@ -239,8 +238,7 @@ def _cmd_compose(args) -> int:
     for path, inst in zip(args.instances, instances):
         cls = classify_malformed(inst)
         if cls != "WellFormed":
-            print(f"error: {path} is malformed ({cls})", file=sys.stderr)
-            return 2
+            raise ValueError(f"{path} is malformed ({cls})")
     report = or_compose(instances)
     _write(args.out, serialize_instance(report.instance))
     print(f"q {1 << (report.instance.p - instances[0].p)}")

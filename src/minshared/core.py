@@ -753,8 +753,15 @@ def parse_solution(text: str) -> Solution:
 
 
 def serialize_solution(sol: Solution) -> str:
+    """The `msesol 1` text of sol.  Each distinct path object is formatted
+    once and its line reused, so p copies of one path (the trivial witness)
+    cost one line of work and one string."""
+    lines: dict[int, str] = {}
     out = ["msesol 1", f"paths {len(sol.paths)}"]
     for p in sol.paths:
-        toks = [f"{eid}{'+' if fwd else '-'}" for eid, fwd in p.steps]
-        out.append("path " + " ".join(toks))
+        line = lines.get(id(p))
+        if line is None:
+            line = lines[id(p)] = "path " + " ".join(
+                [f"{eid}{'+' if fwd else '-'}" for eid, fwd in p.steps])
+        out.append(line)
     return "\n".join(out) + "\n"

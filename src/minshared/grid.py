@@ -25,7 +25,8 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
   or not.
 * p-narrow (neither): between the cut bound and dist the solver fallback
   decides.  It is the one exact branching-solver call of this module,
-  labelled as a fallback, and its no is a completed search.
+  labelled as a fallback: its yes is verified, like every grid yes, and its
+  no is a completed search.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
@@ -318,7 +319,7 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     if closed_form and not want_witness:
         return Verdict(True, method="criteria", certificate=criteria)
     if regime == P_NARROW:
-        verdict = _solver_fallback(materialize_grid(gi), "fallback: p-narrow")
+        verdict = _solver_fallback(gi, "fallback: p-narrow")
     else:
         verdict = build_witness_p_large(gi)
     return verdict if want_witness else replace(verdict, witness=None)
@@ -331,10 +332,15 @@ def _trivial_verdict(gi: GridInstance, want_witness: bool) -> Verdict:
     return Verdict(True, shared_count=gi.dist(), witness=witness, method="trivial")
 
 
-def _solver_fallback(inst: Instance, reason: str) -> Verdict:
+def _solver_fallback(gi: GridInstance, reason: str) -> Verdict:
     """The grid layer's one exact-solver call: the branching solver's verdict
-    on the materialised grid, yes or no, labelled `fallback` with `reason`."""
-    return replace(solve_fpt_branching(inst), method="fallback", reason=reason)
+    on materialize_grid(gi), yes or no, labelled `fallback` with `reason`; a
+    yes is verified, like every other grid yes."""
+    inst = materialize_grid(gi)
+    verdict = solve_fpt_branching(inst)
+    if verdict.answer:
+        _checked(inst, verdict.witness, gi)
+    return replace(verdict, method="fallback", reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +483,8 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
 def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[Verdict]:
     """The verdict of the boosted-line route on a p-large instance at
     k_min < dist, with _bound_pass(gi) as `closed_form`: the first of up
-    to four line flows on _window(gi) that reaches p, as a `criteria` yes;
-    on a miss below dist the solver fallback's verdict; on a miss at
-    k >= dist None, for the trivial solution."""
+    to four line flows on _window(gi) that reaches p, as a verified
+    `criteria` yes, or None when none does."""
     _, _, criteria, costs = closed_form
     w, origin = _window(gi)
     if _bound_pass(w) != closed_form:
@@ -495,13 +500,7 @@ def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[Verdict]:
             witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
             return Verdict(True, shared_count=check.shared_count, witness=witness,
                            method="criteria", certificate=criteria)
-    if gi.k >= gi.dist():
-        return None
-    inst = win if w == gi else materialize_grid(gi)
-    verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
-    if verdict.answer:
-        _checked(inst, verdict.witness, gi)
-    return verdict
+    return None
 
 
 def build_witness_p_large(gi: GridInstance) -> Verdict:
@@ -530,8 +529,8 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
     3. when no line reaches p (a few instances with a terminal on the rim,
        and some in the band of degenerate_alignment, which decide_grid
        sends here witness or not) and k < dist, the solver fallback decides
-       on the whole of materialize_grid(gi), which is the window's when the
-       window is all of gi; its no marks a closed-form undershoot.
+       on the whole of materialize_grid(gi), and verifies its yes there;
+       its no marks a closed-form undershoot.
     4. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
        solution: `trivial`, sharing dist; this route builds no grid itself.
 
@@ -546,9 +545,9 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
     if gi.k < criteria[1]:
         raise ValueError("only the trivial solution exists at this budget")
     if criteria[1] < gi.dist():
-        verdict = _ring_witness(gi, criteria)
-        if verdict is None:
-            verdict = _boosted_lines(gi, closed_form)
+        verdict = _ring_witness(gi, criteria) or _boosted_lines(gi, closed_form)
         if verdict is not None:
             return verdict
+    if gi.k < gi.dist():
+        return _solver_fallback(gi, "fallback: no boosted line reaches p")
     return _trivial_verdict(gi, True)

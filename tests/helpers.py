@@ -244,7 +244,7 @@ def full_grid_witness_p_large(gi):
                               method="criteria", certificate=criteria)
             break
     else:
-        verdict = _solver_fallback(inst, "fallback: no boosted line reaches p")
+        verdict = _solver_fallback(gi, "fallback: no boosted line reaches p")
     if verdict.answer:
         check = verify_solution(inst, verdict.witness)
         assert check.answer, (gi, check.reason)

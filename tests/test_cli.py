@@ -701,3 +701,19 @@ class TestExitCodes:
         assert code in (0, 1, 2, 3), (argv, files)
         want = {0: ["answer yes"], 1: ["answer no"]}.get(code, [])
         assert answers == want, (argv, files, code)
+
+    @pytest.mark.parametrize("argv, text, err", [
+        (["solve", "{f}"], "", "error: missing 'mse 1' header"),
+        (["reduce", "vc2grid", "{f}", "--out", "{out}"],
+         "vc 1\nvertices 5\nk 1\nedge 0 1\nedge 0 2\nedge 0 3\nedge 0 4\n",
+         "error: compiler requires maximum degree three"),
+        (["grid-decide", "3", "3", "0", "0", "2", "2", "0", "1"], None,
+         "error: need p >= 1 and k >= 0"),
+    ], ids=["empty-instance", "degree-four-vc", "no-paths"])
+    def test_rejected_input_exits_two(self, tmp_path, capsys, argv, text, err):
+        f, out = tmp_path / "in.txt", tmp_path / "out.mse"
+        if text is not None:
+            f.write_text(text)
+        assert main([a.format(f=f, out=out) for a in argv]) == 2
+        assert capsys.readouterr() == ("", err + "\n")
+        assert not out.exists()

@@ -142,6 +142,16 @@ class TestParse:
         sol = Solution((PathSeq(((0, True), (2, False))), PathSeq(((1, True),))))
         assert parse_solution(serialize_solution(sol)) == sol
 
+    def test_repeated_paths_write_the_same_text(self):
+        # one path object three times, an equal copy of it and a distinct
+        # path: each writes its own line, as if every path were distinct
+        a, b = PathSeq(((0, True), (3, False))), PathSeq(((1, True),))
+        sol = Solution((a, b, a, PathSeq(a.steps), b, a))
+        assert serialize_solution(sol) == (
+            "msesol 1\npaths 6\npath 0+ 3-\npath 1+\npath 0+ 3-\npath 0+ 3-\n"
+            "path 1+\npath 0+ 3-\n")
+        assert parse_solution(serialize_solution(sol)) == sol
+
     def test_solution_error_names_file_line(self):
         # blank and comment lines count: the bad step is on file line 7
         with pytest.raises(FormatError, match="^line 7: bad step 'zz'$"):
@@ -392,6 +402,16 @@ class TestGridEmbedding:
         e2 = SuperEdge(0, 2, 1, ((0, 0), (1, 0)))
         g = Graph(UNDIRECTED, 3, (e1, e2), coords)
         assert not check_grid_embedding(g).answer
+
+    @pytest.mark.parametrize("length, polyline", [
+        (2, ((0, 1), (2, 1))), (3, ((0, 0), (0, 1), (2, 1))),
+    ], ids=["start", "end"])
+    def test_polyline_away_from_its_vertices_rejected(self, length, polyline):
+        coords = {0: (0, 0), 1: (2, 0)}
+        g = Graph(UNDIRECTED, 2, (SuperEdge(0, 1, length, polyline),), coords)
+        v = check_grid_embedding(g)
+        assert (v.answer, v.reason) == (
+            False, "edge 0 polyline does not start/end at its vertices")
 
     def test_vertex_inside_chain_rejected(self):
         coords = {0: (0, 0), 1: (2, 0), 2: (1, 1)}

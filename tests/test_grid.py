@@ -25,7 +25,7 @@ from minshared.grid import (
     materialize_grid,
     variants,
 )
-from minshared.grid import _boosted_lines, _bound_pass, _lift, _walk, _window
+from minshared.grid import _boosted_lines, _bound_pass, _lift, _solver_fallback, _walk, _window
 from helpers import full_grid_witness_p_large, point_lift
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
@@ -42,9 +42,11 @@ SOLVER_REASON = "fallback: no boosted line reaches p"
 
 
 def _lines(gi):
-    """The boosted-line route's verdict on gi, which build_witness_p_large
-    takes only where the rings do not apply."""
-    return _boosted_lines(gi, _bound_pass(gi))
+    """The verdict build_witness_p_large reaches below dist where the rings
+    do not apply: the first boosted line that reaches p or, on a miss, the
+    solver fallback on the whole grid."""
+    line = _boosted_lines(gi, _bound_pass(gi))
+    return _solver_fallback(gi, SOLVER_REASON) if line is None else line
 
 
 class TestClassify:
@@ -634,11 +636,11 @@ class TestMaterializeCalls:
     ])
     def test_once_for_nontrivial_p_large_witness(self, calls, gi):
         # the boosted lines materialise the window once; a line miss then
-        # materialises the whole grid for the solver fallback, unless the
-        # window is the whole grid, as on SOLVER
+        # materialises the whole grid for the solver fallback, even where
+        # the window is the whole grid, as on SOLVER
         v = _lines(gi)
         window = _window(gi)[0]
-        assert calls == ([window, gi] if gi == SOLVER_PAST_WINDOW else [window])
+        assert calls == ([window, gi] if gi in (SOLVER, SOLVER_PAST_WINDOW) else [window])
         # the other grids here are small enough to be their own window
         assert (window != gi) == (gi in (LINE, SOLVER_PAST_WINDOW)), window
         check = verify_solution(materialize_grid(gi), v.witness)
@@ -737,6 +739,31 @@ class TestWitnessFallback:
             assert (v.answer, v.method, v.reason, v.witness) == (
                 False, "fallback", SOLVER_REASON, None)
             assert v.nodes_explored == rep.nodes_explored > 1
+
+    def test_every_p_narrow_yes_up_to_5x5_is_verified(self, monkeypatch):
+        # from the cut bound to dist - 1 every p-narrow budget goes to the
+        # solver fallback, which verifies each yes on the whole grid itself
+        checks = _count_calls(monkeypatch, "verify_solution")
+        yeses = nos = 0
+        for n in range(1, 6):
+            for m in range(1, 6):
+                pts = [(x, y) for x in range(n) for y in range(m)]
+                for s, t in itertools.permutations(pts, 2):
+                    for p in range(min(n, m) + 1, max(n, m) + 1):
+                        gi = GridInstance(n, m, s, t, p, 0)
+                        for k in range(grid_cut_lower_bound(gi), gi.dist()):
+                            at_k = replace(gi, k=k)
+                            v = decide_grid(at_k, want_witness=True)
+                            assert (v.method, v.reason) == ("fallback", "fallback: p-narrow")
+                            if not v.answer:
+                                nos += 1
+                                continue
+                            check = verify_solution(materialize_grid(at_k), v.witness)
+                            assert check.answer, (at_k, check.reason)
+                            assert check.shared_count == v.shared_count <= k, at_k
+                            yeses += 1
+        assert (yeses, nos) == (724, 1796)
+        assert checks["verify_solution"] == yeses
 
     def test_fragment_witness_has_no_reason(self):
         v = decide_grid(GridInstance(5, 5, (0, 0), (4, 4), 5, 6), want_witness=True)
@@ -845,10 +872,15 @@ class TestBoostedLine:
     ])
     def test_routes(self, spies, gi, misses, solver):
         """`misses` boosted flows fall short of p before one reaches it or,
-        after all four, the solver runs."""
-        w = _lines(gi)
+        after all four, the line route gives None, with no search, and
+        build_witness_p_large runs the solver."""
+        w = _boosted_lines(gi, _bound_pass(gi))
         flows = misses + (not solver)
-        assert spies == {"max_flow_boosted": flows, "solve_fpt_branching": solver}
+        assert spies == {"max_flow_boosted": flows, "solve_fpt_branching": 0}
+        assert (w is None) == solver
+        if solver:
+            w = build_witness_p_large(gi)
+            assert spies["solve_fpt_branching"] == 1
         assert w.reason == (SOLVER_REASON if solver else None)
         check = verify_solution(materialize_grid(gi), w.witness)
         assert check.answer and check.shared_count == w.shared_count == gi.k

@@ -501,6 +501,14 @@ class TestCompose:
         with pytest.raises(ValueError):
             or_compose([yes, trivial])
 
+    def test_rejects_no_instances(self):
+        with pytest.raises(ValueError, match="need at least one instance"):
+            or_compose([])
+
+    def test_diameter_of_a_disconnected_graph_is_undefined(self):
+        with pytest.raises(ValueError, match="graph disconnected"):
+            diameter(graph_from_edges(4, [(0, 1), (2, 3)]))
+
     def test_rejects_mixed_pk(self):
         a = _corpus_instance(True)
         with pytest.raises(ValueError):

@@ -321,6 +321,15 @@ def test_rings_name_no_flow_and_no_search():
     assert names & {"max_flow_boosted", "decompose_to_paths", "solve_fpt_branching"} == set()
 
 
+def test_boosted_lines_name_no_search():
+    # a line miss returns None: build_witness_p_large, not the line route,
+    # calls the solver fallback, the grid layer's one solver call
+    reached, names = _grid_reach("_boosted_lines")
+    assert {"_window", "_line_boosts", "_checked", "_lift", "materialize_grid"} <= reached
+    assert names & {"_solver_fallback", "solve_fpt_branching"} == set()
+    assert {"solve_fpt_branching", "_checked"} <= _grid_reach("_solver_fallback")[1]
+
+
 def test_decisions_never_reach_the_symmetries():
     # variants and canonicalize serve the tests and the bench tracer only:
     # no decision or witness path, in any regime, names either

@@ -206,13 +206,13 @@ class Graph:
         return sum(e.length for e in self.edges)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
-        """inc[v] = (edge id, other end, v is the tail) for every edge at v,
-        in either direction, in edge-id order; built once per graph."""
-        inc: list[list[tuple[int, int, bool]]] = [[] for _ in range(self.vertex_count)]
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """inc[v] = (arc, other end) for every edge at v, in edge-id order, built
+        once per graph: arc 2e leaves edge e's tail, arc 2e + 1 its head."""
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
         for i, e in enumerate(self.edges):
-            inc[e.tail].append((i, e.head, True))
-            inc[e.head].append((i, e.tail, False))
+            inc[e.tail].append((2 * i, e.head))
+            inc[e.head].append((2 * i + 1, e.tail))
         return tuple(map(tuple, inc))
 
 
@@ -443,13 +443,13 @@ def shortest_path(g: Graph, u: int, v: int, limit: float = math.inf) -> Optional
             break
         if d > dist[x]:
             continue
-        for eid, y, fwd in inc[x]:
-            if directed and not fwd:
+        for arc, y in inc[x]:
+            if directed and arc & 1:
                 continue
-            nd = d + edges[eid].length
+            nd = d + edges[arc >> 1].length
             if nd < dist.get(y, math.inf):
                 dist[y] = nd
-                parent[y] = (x, eid, fwd)
+                parent[y] = (x, arc >> 1, not arc & 1)
                 heapq.heappush(heap, (nd, y))
     else:
         return None

@@ -15,39 +15,37 @@ and a boosted chain exactly what one capacity-p edge does.  Flow values, and
 therefore the residual reachable set and every min cut, are the same as on
 the unit-edge expansion.
 
-Undirected edges are realised as anti-parallel arc pairs with a single signed
-net-flow variable per super-edge, so cancellation is automatic and a
-non-boosted edge carries at most one total unit.  Everything is
-deterministic: ties break by lowest edge id.
+Every super-edge is a pair of arcs with a residual capacity each; a push
+along one gives the same room back on the other, so an undirected edge's
+two directions cancel and a non-boosted edge carries at most one unit net.
+Everything is deterministic: ties break by lowest edge id.
 
-A search is started cold, from the zero flow, or resumed from its parent: a
-below-p result this function returned for the same instance under a subset
-of the boosts.  Capacities only rise under boosting, so the parent's flow
-stays feasible, and the residual graph changes only on the newly boosted
-edges.  The parent's result keeps what its last, failing residual search
-saw: the BFS parent of every source-side vertex and the blocked edges
-leaving that side.  The child's BFS continues from the source-side ends of
-the new edges, and its cut is the old and new blocked edges whose far end
-stays unreached.  The source side of a maximum flow is the same for every
-maximum flow, so a resumed search finds the same min cut as a cold one.
-Every other start raises ValueError.  `FlowResult` is frozen, so a flow
-cannot change after the search that saw it.
+`ResidualNet` is the one residual network.  `resume` boosts edges in place
+and runs the flow on to p or to a min cut, keeping below p what its failing
+search saw: the BFS parent of every source-side vertex and the blocked arcs
+leaving that side.  Boosting only raises capacities, so the flow stays
+feasible and only the new edges can lead out of that side: the next resume
+searches on from their far ends, and its cut is the old and new blocked
+arcs whose far end stays unreached.  The source side of a maximum flow is
+the same for every maximum flow, so this is the min cut a cold search
+finds.  `save` and `restore` keep and give back the flow, that search and
+the boosts, so a branching search backtracks on one network.
+`max_flow_boosted` is the cold entry point, with a frozen `FlowResult`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .core import Instance, PathSeq, loop_erase
 # not used here: kept importable under this name because tracing tools wrap
 # minshared.flow.expand_chains
 from .core import expand_chains  # noqa: F401
 
-# par[v] of a residual search: (parent vertex, edge id, forward), None if unreached
-Parents = list[Optional[tuple[int, int, bool]]]
+# par[v] of a residual search: (parent vertex, arc), None if unreached
+Parents = list[Optional[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -55,132 +53,128 @@ class FlowResult:
     value: int
     arc_flow: tuple[int, ...]  # signed net flow per super-edge, tail to head
     min_cut: Optional[frozenset[int]] = None  # super-edge ids; set when value < p
-    # below p, (instance, boosted, parents, blocked edges) of the failing
-    # search, which a child under more boosts resumes: the blocked edges are
-    # (edge id, unreached far end) of every cut edge.  Set by max_flow_boosted
-    # alone, so hand-built and replace()d results have none.
-    _side: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
-class _Net:
-    """Residual network over the super-edges."""
+class ResidualNet:
+    """Residual network of one instance, with the flow capped at inst.p: the
+    boosted super-edges at capacity p, every other one at 1.  It starts at
+    the zero flow, with no boosts and no search."""
 
-    def __init__(self, inst: Instance, boosted: frozenset[int], flow: list[int]):
+    def __init__(self, inst: Instance):
         g = inst.graph
-        self.directed = g.directed
-        self.edges = g.edges
-        self.adj = g.incidence
-        self.cap = [1] * len(g.edges)
-        for eid in boosted:
-            self.cap[eid] = inst.p
-        self.flow = flow
+        self.s, self.t, self.p = inst.s, inst.t, inst.p
+        self.directed, self.edges, self.adj = g.directed, g.edges, g.incidence
+        self.res = [1, 0 if g.directed else 1] * len(g.edges)
+        self.value = 0
+        self.boosts: list[int] = []  # in boost order, so restore can undo them
+        # the last search, None before the first: parents, and (arc,
+        # unreached far end) of every cut-direction arc it met without room
+        self.par: Optional[Parents] = None
+        self.blocked: list[tuple[int, int]] = []
 
-    def residual(self, eid: int, fwd: bool) -> int:
-        if fwd:
-            return self.cap[eid] - self.flow[eid]
-        if self.directed:
-            return self.flow[eid]
-        return self.cap[eid] + self.flow[eid]
-
-    def fresh(self, s: int) -> tuple[Parents, deque, list[tuple[int, int]]]:
-        """Search state for a BFS from s: parents, queue, blocked edges."""
-        par: Parents = [None] * len(self.adj)
-        par[s] = (s, -1, True)
-        return par, deque([s]), []
-
-    def reopen(self, par: Parents, new: frozenset[int]) -> tuple[Parents, deque]:
-        """Parents and queue that resume a failing search made on this
-        network's flow under a subset of its boosts: only the `new` boosted
-        edges can lead out of that search's source side, so the far ends they
-        now reach are the queue."""
-        par, queue = list(par), deque()
-        for eid in sorted(new):
+    def resume(self, new: Iterable[int] = ()) -> int:
+        """Boost the `new` edges to p, then run the flow on to p or to a min
+        cut, and return its value.  The first search starts from s; a later
+        one goes on from the far ends the new edges reach, in edge-id order.
+        Resuming a flow that reached p, or boosting an edge twice, raises
+        ValueError."""
+        new = sorted(new)
+        if self.value >= self.p or len(set(new).union(self.boosts)) < len(new) + len(self.boosts):
+            raise ValueError("only a flow below p resumes, and only under new boosts")
+        res, par, queue, old_blocked = self.res, self.par, deque(), self.blocked
+        for eid in new:
+            res[2 * eid] += self.p - 1
+            res[2 * eid + 1] += 0 if self.directed else self.p - 1
+        self.boosts += new
+        # only the new edges can lead out of the last search's source side
+        for eid in new if par is not None else ():
             e = self.edges[eid]
-            for u, v, fwd in ((e.tail, e.head, True), (e.head, e.tail, False)):
-                if par[u] is not None and par[v] is None and self.residual(eid, fwd) > 0:
-                    par[v] = (u, eid, fwd)
+            for u, v, arc in ((e.tail, e.head, 2 * eid), (e.head, e.tail, 2 * eid + 1)):
+                if par[u] is not None and par[v] is None and res[arc] > 0:
+                    par[v] = (u, arc)
                     queue.append(v)
-        return par, queue
+        s, t, p = self.s, self.t, self.p
+        while self.value < p:
+            if par is None:  # a search from s
+                par, queue, old_blocked = [None] * len(self.adj), deque([s]), []
+                par[s] = (s, -1)
+            blocked: list[tuple[int, int]] = []
+            if par[t] is not None or self.search(par, queue, t, blocked):
+                # push the bottleneck, at most p - value, along the tree path
+                amount, v = p - self.value, t
+                while v != s:
+                    v, arc = par[v]
+                    if res[arc] < amount:
+                        amount = res[arc]
+                v = t
+                while v != s:
+                    v, arc = par[v]
+                    res[arc] -= amount
+                    res[arc ^ 1] += amount
+                self.value += amount
+                par = None
+                continue
+            # no augmenting path: the search reached exactly the source side,
+            # and the cut is every blocked arc whose far end it never reached
+            old_blocked = [b for b in old_blocked + blocked if par[b[1]] is None]
+            break
+        self.par, self.blocked = par, old_blocked
+        assert self.value >= p or set(self.boosts).isdisjoint(self.cut()), \
+            "boosted edge in a < p cut"
+        return self.value
+
+    def cut(self) -> list[int]:
+        """The min cut of a flow below p, as edge ids."""
+        return [arc >> 1 for arc, _ in self.blocked]
 
     def search(self, par: Parents, queue: deque, t: int, blocked: list[tuple[int, int]]) -> bool:
         """Continue a BFS of the residual graph, neighbours scanned in edge-id
         order, from the reached vertices in `queue`.  It returns True once t
         is reached.  Otherwise every vertex reachable from the first search's
-        root has its parent in `par`, and `blocked` has gained (edge id, far
-        end) for every cut-direction arc without room that it met towards an
-        unreached vertex."""
-        cap, flow, directed, adj = self.cap, self.flow, self.directed, self.adj
+        root has its parent in `par`, and `blocked` has gained (arc, far end)
+        for every arc without room that it met towards an unreached vertex,
+        but a directed edge's back arc, which leads into the source side."""
+        res, adj = self.res, self.adj
+        back = 1 if self.directed else 0
         popleft, append, record = queue.popleft, queue.append, blocked.append
         while queue:
             u = popleft()
-            for eid, v, fwd in adj[u]:
+            for arc, v in adj[u]:
                 if par[v] is not None:
                     continue
-                # self.residual(eid, fwd) > 0, inlined: this is the hot loop
-                if fwd:
-                    room = cap[eid] - flow[eid]
-                else:
-                    room = flow[eid] if directed else cap[eid] + flow[eid]
-                if room > 0:
-                    par[v] = (u, eid, fwd)
+                if res[arc] > 0:
+                    par[v] = (u, arc)
                     if v == t:
                         return True
                     append(v)
-                elif fwd or not directed:
-                    record((eid, v))
+                elif not arc & back:
+                    record((arc, v))
         return False
 
-    def augment(self, par: Parents, s: int, t: int, limit: int) -> int:
-        """Push the bottleneck (at most `limit`) along the tree path to t."""
-        amount = limit
-        v = t
-        while v != s:
-            v, eid, fwd = par[v]
-            amount = min(amount, self.residual(eid, fwd))
-        v = t
-        while v != s:
-            v, eid, fwd = par[v]
-            self.flow[eid] += amount if fwd else -amount
-        return amount
+    def save(self) -> tuple:
+        """The flow below p, its failing search and the boosts, for `restore`."""
+        return self.value, list(self.res), list(self.par), self.blocked, len(self.boosts)
+
+    def restore(self, saved: tuple) -> None:
+        """Go back to a `save`d state, the boosts made since undone."""
+        self.value, res, par, self.blocked, count = saved
+        self.res, self.par = list(res), list(par)
+        del self.boosts[count:]
+
+    def result(self) -> FlowResult:
+        """The flow as a frozen result, with its min cut below p."""
+        res = self.res
+        flow = res[1::2] if self.directed else [(b - f) // 2 for f, b in zip(res[::2], res[1::2])]
+        return FlowResult(self.value, tuple(flow),
+                          None if self.value >= self.p else frozenset(self.cut()))
 
 
-def max_flow_boosted(inst: Instance, boosted: frozenset[int],
-                     start: Optional[FlowResult] = None) -> FlowResult:
+def max_flow_boosted(inst: Instance, boosted: frozenset[int]) -> FlowResult:
     """Max s-t flow with the `boosted` super-edges at capacity inst.p and
-    every other one at 1, capped at inst.p.
-
-    Without `start` the search begins from the zero flow.  `start` may only
-    be a below-p result of this function for the same `inst` object under a
-    subset of `boosted`; its failing search is resumed from the newly boosted
-    edges.  Any other start raises ValueError.
-    """
-    s, t, p = inst.s, inst.t, inst.p
-    if start is None:
-        value, net = 0, _Net(inst, boosted, [0] * len(inst.graph.edges))
-        par, queue, old_blocked = net.fresh(s)
-    else:
-        side = start._side
-        if side is None or side[0] is not inst or not side[1] <= boosted:
-            raise ValueError("a start must be a below-p flow of this instance "
-                             "under a subset of the boosts")
-        _, old_boosts, old_par, old_blocked = side
-        value, net = start.value, _Net(inst, boosted, list(start.arc_flow))
-        par, queue = net.reopen(old_par, boosted - old_boosts)
-    while value < p:
-        blocked: list[tuple[int, int]] = []
-        if par[t] is not None or net.search(par, queue, t, blocked):
-            value += net.augment(par, s, t, p - value)
-            par, queue, old_blocked = net.fresh(s)
-            continue
-        # no augmenting path: the search reached exactly the source side, and
-        # the cut is every blocked edge whose far end it never reached
-        blocked = [b for b in chain(old_blocked, blocked) if par[b[1]] is None]
-        cut = frozenset(eid for eid, _ in blocked)
-        assert boosted.isdisjoint(cut), "boosted edge in a < p cut"
-        result = FlowResult(value, tuple(net.flow), cut)
-        object.__setattr__(result, "_side", (inst, boosted, par, blocked))
-        return result
-    return FlowResult(value, tuple(net.flow))
+    every other one at 1, capped at inst.p, searched from the zero flow."""
+    net = ResidualNet(inst)
+    net.resume(boosted)
+    return net.result()
 
 
 def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathSeq]:
@@ -193,15 +187,13 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
     """
     if fr.value < count:
         raise ValueError(f"flow value {fr.value} below requested count {count}")
-    incidence, undirected = inst.graph.incidence, not inst.graph.directed
-    flow = list(fr.arc_flow)
+    incidence, flow = inst.graph.incidence, list(fr.arc_flow)
 
-    def next_arc(u: int) -> tuple[int, int, bool]:
-        for eid, v, fwd in incidence[u]:
-            if fwd and flow[eid] > 0:
-                return eid, v, True
-            if not fwd and undirected and flow[eid] < 0:
-                return eid, v, False
+    def next_arc(u: int) -> tuple[int, int]:
+        # a back arc carries negative flow, which a directed edge never has
+        for arc, v in incidence[u]:
+            if flow[arc >> 1] < 0 if arc & 1 else flow[arc >> 1] > 0:
+                return arc, v
         raise AssertionError(f"flow conservation broken at vertex {u}")
 
     paths = []
@@ -209,9 +201,9 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
         steps: list[tuple[int, bool]] = []
         walk = [inst.s]
         while walk[-1] != inst.t:
-            eid, v, fwd = next_arc(walk[-1])
-            flow[eid] += -1 if fwd else 1
-            steps.append((eid, fwd))
+            arc, v = next_arc(walk[-1])
+            flow[arc >> 1] += 1 if arc & 1 else -1
+            steps.append((arc >> 1, not arc & 1))
             walk.append(v)
         paths.append(PathSeq(tuple(steps[i - 1] for i in loop_erase(walk)[1:])))
     return paths

@@ -692,7 +692,7 @@ def diameter(g: Graph) -> int:
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for _, v, _ in inc[u]:
+            for _, v in inc[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)

@@ -13,30 +13,31 @@ Three routes to the same answer, used to cross-check each other:
   affordable cut edge is below the graph's shortest edge) is settled by one
   flow with all those cut edges boosted at once.
 
-Every flow here is `flow.max_flow_boosted` on the instance itself: the
-candidate shared set boosted to p, capped at p.  The enumeration oracle
-starts each flow cold.  Each branching child starts from its parent's
-below-p result, the only start the flow layer accepts: boosting only raises
-capacities, so that flow stays feasible and the child needs at most
-p - value new augmentations instead of p, and the child resumes the
-parent's last, failing residual search from the one edge it boosts instead
-of searching the whole graph again.
+Every flow here runs on the instance itself: the candidate shared set
+boosted to p, capped at p.  The enumeration oracle starts each flow cold,
+through `flow.max_flow_boosted`.  The branching search runs on one
+`flow.ResidualNet`: a child boosts its edge in place and resumes the
+parent's last, failing residual search from it, so it needs at most
+p - value new augmentations and searches on from that edge instead of from
+s; a backtrack restores the flow, the search and the boosts its parent saved.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Optional
 
 from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, Verdict, distance,
                    guard_witness_steps, loop_erase, shortest_path, verify_solution)
-from .flow import FlowResult, decompose_to_paths, max_flow_boosted
+from .flow import ResidualNet, decompose_to_paths, max_flow_boosted
 
 
 MAX_EXHAUSTIVE_PATHS = 64
 MAX_EXHAUSTIVE_MULTISETS = 10_000_000
 MAX_ENUM_SUBSETS = 100_000_000
+MAX_BRANCHING_NODES = 2_000_000
 
 
 def enumerate_simple_paths(g: Graph, s: int, t: int, limit: Optional[int] = None) -> list[PathSeq]:
@@ -54,16 +55,16 @@ def enumerate_simple_paths(g: Graph, s: int, t: int, limit: Optional[int] = None
     frames = [(s, iter(inc[s]))]  # (vertex, its unexplored incidences)
     while frames:
         u, pending = frames[-1]
-        for eid, v, fwd in pending:
-            if v in on_path or (directed and not fwd):
+        for arc, v in pending:
+            if v in on_path or (directed and arc & 1):
                 continue
             if v == t:
-                paths.append(PathSeq(tuple(steps) + ((eid, fwd),)))
+                paths.append(PathSeq(tuple(steps) + ((arc >> 1, not arc & 1),)))
                 if limit is not None and len(paths) > limit:
                     raise GuardExceeded(f"more than {limit} simple s-t paths")
                 continue
             on_path.add(v)
-            steps.append((eid, fwd))
+            steps.append((arc >> 1, not arc & 1))
             frames.append((v, iter(inc[v])))
             break
         else:
@@ -74,10 +75,6 @@ def enumerate_simple_paths(g: Graph, s: int, t: int, limit: Optional[int] = None
     return paths
 
 
-def _multiset_count(n_paths: int, p: int) -> int:
-    return math.comb(n_paths + p - 1, p)
-
-
 def solve_exhaustive_paths(inst: Instance) -> Verdict:
     """Minimum shared count over all p-multisets of simple paths; too-large
     inputs are refused rather than silently sampled."""
@@ -85,29 +82,28 @@ def solve_exhaustive_paths(inst: Instance) -> Verdict:
     paths = enumerate_simple_paths(g, inst.s, inst.t, limit=MAX_EXHAUSTIVE_PATHS)
     if not paths:
         return Verdict(False, method="exhaustive")
-    if _multiset_count(len(paths), inst.p) > MAX_EXHAUSTIVE_MULTISETS:
+    if math.comb(len(paths) + inst.p - 1, inst.p) > MAX_EXHAUSTIVE_MULTISETS:
         raise GuardExceeded("too large for exhaustive multiset enumeration")
     guard_witness_steps(inst.p, min(len(q.steps) for q in paths))
     edge_sets = [frozenset(p.edge_ids()) for p in paths]
-    best = None
-    best_combo = None
+    best = best_combo = best_usage = None
     nodes = 0
     for combo in itertools.combinations_with_replacement(range(len(paths)), inst.p):
         nodes += 1
         usage: dict[int, int] = {}
-        for i in combo:
+        for i, copies in Counter(combo).items():  # one pass per distinct path
             for eid in edge_sets[i]:
-                usage[eid] = usage.get(eid, 0) + 1
+                usage[eid] = usage.get(eid, 0) + copies
         shared = sum(g.edges[e].length for e, n in usage.items() if n >= 2)
         if best is None or shared < best:
-            best, best_combo = shared, combo
+            best, best_combo, best_usage = shared, combo, usage
             if best == 0:
                 break
     if best > inst.k:
         return Verdict(False, method="exhaustive", nodes_explored=nodes)
     witness = Solution(tuple(paths[i] for i in best_combo))
-    return Verdict(True, best, witness, method="exhaustive",
-                   shared_set=frozenset(witness.shared_edge_ids()), nodes_explored=nodes)
+    return Verdict(True, best, witness, method="exhaustive", nodes_explored=nodes,
+                   shared_set=frozenset(e for e, n in best_usage.items() if n >= 2))
 
 
 def _trivial_verdict(inst: Instance, method: str) -> Optional[Verdict]:
@@ -176,8 +172,10 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
     cut[:i]: a shared set lies in the child of the lowest-id cut edge it
     holds, so the search stays complete, and a barred set holds an earlier
     sibling's edge, whose subtree failed, so the first yes is unchanged and
-    no boost set is reached twice.  The pending nodes sit on one flat stack,
-    so a branch's depth is not bounded by the recursion limit.
+    no boost set is reached twice.  The nodes whose children have not all
+    run sit on one flat stack, so a branch's depth is not bounded by the
+    recursion limit.  A search past MAX_BRANCHING_NODES nodes raises
+    GuardExceeded.
 
     Last-boost rule: when even the shortest affordable cut edge leaves less
     budget than the graph's shortest edge, no child can boost again, so each
@@ -188,34 +186,44 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
     shared set and the witness are those of the search without the rule;
     only the node count falls.
     """
-    g = inst.graph
+    g, p = inst.graph, inst.p
     trivial = _trivial_verdict(inst, "branching")
     if trivial is not None:
         return trivial
 
     lengths = [e.length for e in g.edges]
     shortest = min(lengths, default=0)
-    nodes = 0
-    # pending nodes, next on top: (boosts, budget, parent flow, barred edges)
-    stack: list[tuple[frozenset[int], int, Optional[FlowResult], frozenset[int]]] = [
-        (frozenset(), inst.k, None, frozenset())]
-    while stack:
-        boosts, budget, start, barred = stack.pop()
+    barred = [False] * len(lengths)
+    net = ResidualNet(inst)
+    nodes, budget, boost = 0, inst.k, ()
+    # nodes with children left to run, deepest last: [saved net, cut, next child, budget]
+    frames: list[list] = []
+    while True:
         nodes += 1
-        fr = max_flow_boosted(inst, boosts, start=start)
-        if fr.value >= inst.p:
-            witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+        if nodes > MAX_BRANCHING_NODES:
+            raise GuardExceeded(f"branching search at {nodes} nodes (limit {MAX_BRANCHING_NODES})")
+        if net.resume(boost) >= p:
+            witness = Solution(tuple(decompose_to_paths(inst, net.result(), p)))
             return Verdict(True, witness.shared_count(g), witness, method="branching",
-                           shared_set=boosts, nodes_explored=nodes)
-        cut = sorted(e for e in fr.min_cut if lengths[e] <= budget and e not in barred)
-        # every child's budget is below the shortest edge, so each child is
-        # a leaf: one flow with the whole cut boosted settles them all
-        if (cut and budget - min(lengths[e] for e in cut) < shortest
-                and max_flow_boosted(inst, boosts.union(cut), start=fr).value < inst.p):
-            cut = []
-        for i in reversed(range(len(cut))):
-            stack.append((boosts | {cut[i]}, budget - lengths[cut[i]], fr, barred.union(cut[:i])))
-    return Verdict(False, method="branching", nodes_explored=nodes)
+                           shared_set=frozenset(net.boosts), nodes_explored=nodes)
+        cut = sorted(e for e in net.cut() if lengths[e] <= budget and not barred[e])
+        if cut:
+            frames.append([net.save(), cut, 0, budget])
+            # every child's budget is below the shortest edge, so each child
+            # is a leaf: one flow with the whole cut boosted settles them all
+            if budget - min(lengths[e] for e in cut) < shortest and net.resume(cut) < p:
+                frames.pop()
+        while frames and frames[-1][2] == len(frames[-1][1]):
+            for e in frames.pop()[1]:
+                barred[e] = False
+        if not frames:
+            return Verdict(False, method="branching", nodes_explored=nodes)
+        saved, cut, i, budget = frame = frames[-1]
+        if i:  # child i bars the cut edges before it from its whole subtree
+            barred[cut[i - 1]] = True
+        frame[2] = i + 1
+        net.restore(saved)
+        boost, budget = (cut[i],), budget - lengths[cut[i]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 
 from hypothesis import strategies as st
 
-from minshared.core import UNDIRECTED, Graph, SuperEdge
+from minshared.core import DIRECTED, UNDIRECTED, Graph, Instance, SuperEdge, distance
 
 
 def graph_from_edges(n, pairs, mode=UNDIRECTED, coords=None):
@@ -39,6 +40,30 @@ def grid_graph(n, m):
 
 def grid_vertex(m, x, y):
     return x * m + y
+
+
+def holey_grid_sample(seed, count):
+    """Seeded holey grids, undirected and directed in turn (every edge
+    pointing right or up but about a fifth turned round), 5-7 a side with a
+    tenth of the edges dropped, s and t near opposite corners, p 2-4 and k
+    from dist / 2 to dist - 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(5, 7), rng.randint(5, 7)
+        pairs = [(e.tail, e.head) for e in grid_graph(n, m).edges]
+        pairs = sorted(rng.sample(pairs, len(pairs) - len(pairs) // 10))
+        mode = DIRECTED if len(out) % 2 else UNDIRECTED
+        if mode == DIRECTED:
+            pairs = [(v, u) if rng.random() < 0.2 else (u, v) for u, v in pairs]
+        g = graph_from_edges(n * m, pairs, mode)
+        s = grid_vertex(m, rng.randint(0, 1), rng.randint(0, 1))
+        t = grid_vertex(m, n - 1 - rng.randint(0, 1), m - 1 - rng.randint(0, 1))
+        dist = distance(g, s, t)
+        if dist == float("inf"):
+            continue
+        out.append(Instance(g, s, t, rng.randint(2, 4), rng.randint(int(dist) // 2, int(dist) - 1)))
+    return out
 
 
 def is_connected(n, pairs):

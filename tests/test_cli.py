@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import minshared.core as core_module
 import minshared.grid as grid_module
 import minshared.reductions as reductions_module
+import minshared.solver as solver_module
 import minshared.vc as vc_module
 from minshared import cli
 from minshared.cli import main, render_embedding
@@ -276,6 +277,24 @@ class TestGrid:
         assert captured.out == ""
         assert captured.err.startswith("limit: ") and "(limit 100)" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "grid-decide", "grid-witness"])
+    def test_branching_node_guard_exits_three(self, monkeypatch, tmp_path, capsys, command):
+        # the 4 x 5 fallback below searches 7 nodes, one past a guard of 6
+        monkeypatch.setattr(solver_module, "MAX_BRANCHING_NODES", 6)
+        argv = [command, "4", "5", "0", "0", "0", "4", "4", "3"]
+        out = tmp_path / "out"
+        if command == "solve":
+            f = tmp_path / "g.mse"
+            f.write_text(serialize_instance(materialize_grid(GridInstance(4, 5, (0, 0), (0, 4), 4, 3))))
+            argv = ["solve", str(f), "--witness", str(out)]
+        elif command == "grid-witness":
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "limit: branching search at 7 nodes (limit 6)\n")
+        assert not out.exists()
+        monkeypatch.setattr(solver_module, "MAX_BRANCHING_NODES", 7)
+        assert main(argv) == 1
 
     def test_window_under_the_guard_on_a_grid_over_it(self, monkeypatch, tmp_path, capsys):
         # the witness builds only the rings' 5 x 6 region, under the guard

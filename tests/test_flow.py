@@ -15,7 +15,7 @@ from minshared.core import (
     verify_solution,
 )
 import minshared.flow as flow
-from minshared.flow import decompose_to_paths, max_flow_boosted
+from minshared.flow import ResidualNet, decompose_to_paths, max_flow_boosted
 from minshared.reductions import synthesize_holey_witness, vc_to_holey_grid, vc_to_manhattan_dag
 from minshared.vc import VCInstance
 
@@ -253,11 +253,22 @@ class TestCompressedNetwork:
             assert fr.min_cut == frozenset(exp.owner[u] for u in unit_fr.min_cut)
 
 
+def resumed(inst, *steps):
+    """A network resumed once per step, each step a boost set."""
+    net = ResidualNet(inst)
+    for step in steps:
+        net.resume(step)
+    return net
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("mode", [UNDIRECTED, DIRECTED])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_warm_equals_cold(self, mode, data):
+        # boosting edges in place on a below-p network gives the cold value
+        # and min cut, and restoring gives back the parent's value, cut and
+        # flows, from which the same boosts give the same flow again
         g = data.draw(graphs(mode))
         if not g.edges:
             return
@@ -265,37 +276,36 @@ class TestWarmStart:
         boosts = draw_boosts(data, g)
         subset = frozenset(b for b in sorted(boosts) if data.draw(st.booleans()))
         inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
-        parent = max_flow_boosted(inst, subset)
+        net = resumed(inst, subset)
+        parent = net.result()
+        assert parent == max_flow_boosted(inst, subset)
         if parent.min_cut is None:
-            # a parent at p has no failing search to resume
+            # a flow at p has no failing search to resume
             with pytest.raises(ValueError):
-                max_flow_boosted(inst, boosts, start=parent)
+                net.resume(boosts - subset)
             return
-        warm = max_flow_boosted(inst, boosts, start=parent)
-        cold = max_flow_boosted(inst, boosts)
-        assert (warm.value, warm.min_cut) == (cold.value, cold.min_cut)
-        if warm.value:
-            paths = decompose_to_paths(inst, warm, warm.value)
-            sol = Solution(tuple(paths))
-            assert verify_solution(replace(inst, p=warm.value), sol).answer
-            assert set(sol.shared_edge_ids()) <= boosts
+        saved = net.save()
+        net.resume(boosts - subset)
+        warm = net.result()
+        assert_is_cold(inst, boosts, warm)
+        net.restore(saved)
+        assert (net.result(), sorted(net.boosts)) == (parent, sorted(subset))
+        net.resume(boosts - subset)
+        assert net.result() == warm
 
     def test_boosted_start_at_p_raises(self):
         # the flow with edges 0 and 1 boosted puts 2 units on each of them
         # and reaches p, so it has no failing search to resume
-        g = cycle4()
-        inst = Instance(g, 0, 2, 3, 0)
-        start = max_flow_boosted(inst, boosted([0, 1]))
-        assert start.value == 3
+        net = resumed(Instance(cycle4(), 0, 2, 3, 0), boosted([0, 1]))
+        assert net.value == 3
         with pytest.raises(ValueError):
-            max_flow_boosted(inst, boosted([0]), start=start)
+            net.resume(boosted([2]))
 
     def test_unboosted_start_at_p_raises(self):
-        inst = Instance(cycle4(), 0, 2, 2, 0)
-        start = max_flow_boosted(inst, boosted([]))
-        assert start.value == 2
+        net = resumed(Instance(cycle4(), 0, 2, 2, 0), boosted([]))
+        assert net.value == 2
         with pytest.raises(ValueError):
-            max_flow_boosted(inst, boosted([]), start=start)
+            net.resume(boosted([]))
 
 
 def assert_is_cold(inst, boosts, got):
@@ -314,70 +324,70 @@ class TestResumedSearch:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_chained_starts(self, mode, data):
-        # grandparent -> parent -> child.  A step that grows the boost set by
-        # one or more edges from a below-p result must give the cold answer.
-        # A step to a boost set that drops an edge, or to another p (a new
-        # instance), must raise ValueError, and so must any step from a
-        # result at p.
+        # grandparent -> parent -> child on one network.  A step that boosts
+        # one or more new edges from a below-p flow must give the cold
+        # answer; a step that boosts an edge again, or any step from a flow
+        # at p, must raise ValueError and leave the flow as it was.  Undoing
+        # the steps gives back each below-p ancestor's result.
         g = data.draw(graphs(mode))
         if not g.edges:
             return
         ids = range(len(g.edges))
         boosts = draw_boosts(data, g)
         inst = Instance(g, 0, g.vertex_count - 1, data.draw(st.integers(1, 4)), 10**6)
-        fr = max_flow_boosted(inst, boosts)
+        net = resumed(inst, boosts)
+        undo = []  # (saved network, its result) before each step
         for _ in range(2):
-            steps = ("grow", "grow", "ceiling") + (("unrelated",) if boosts else ())
-            step = data.draw(st.sampled_from(steps))
-            child_inst, child_boosts = inst, boosts
-            if step == "grow":
-                fresh = [eid for eid in ids if eid not in boosts]
-                if fresh:
-                    child_boosts = boosts | data.draw(st.sets(st.sampled_from(fresh), min_size=1,
-                                                              max_size=2))
-            elif step == "unrelated":
-                dropped = data.draw(st.sampled_from(sorted(boosts)))
-                child_boosts = draw_boosts(data, g) - {dropped}
-            else:
-                child_inst = replace(inst, p=data.draw(st.integers(1, 4)))
-            if step != "grow" or fr.min_cut is None:
+            step = data.draw(st.sampled_from(("grow", "grow") + (("again",) if boosts else ())))
+            fresh = [eid for eid in ids if eid not in boosts]
+            new = set()
+            if step == "again":
+                new = {data.draw(st.sampled_from(sorted(boosts)))}
+            elif fresh:
+                new = data.draw(st.sets(st.sampled_from(fresh), min_size=1, max_size=2))
+            before = net.result()
+            if step != "grow" or net.value >= inst.p:
                 with pytest.raises(ValueError):
-                    max_flow_boosted(child_inst, child_boosts, start=fr)
-                return
-            boosts = child_boosts
-            fr = max_flow_boosted(inst, boosts, start=fr)
-            assert_is_cold(inst, boosts, fr)
+                    net.resume(new)
+                assert net.result() == before
+                break
+            undo.append((net.save(), before))
+            boosts = boosts | new
+            net.resume(new)
+            assert_is_cold(inst, boosts, net.result())
+        for saved, result in reversed(undo):
+            net.restore(saved)
+            assert net.result() == result
 
     @staticmethod
     def first_queues(monkeypatch):
         """The queue every residual search starts from, in call order."""
         seen = []
-        search = flow._Net.search
+        search = flow.ResidualNet.search
 
         def spy(net, par, queue, t, blocked):
             seen.append(list(queue))
             return search(net, par, queue, t, blocked)
 
-        monkeypatch.setattr(flow._Net, "search", spy)
+        monkeypatch.setattr(flow.ResidualNet, "search", spy)
         return seen
 
     def test_child_resumes_past_the_old_source_side(self, monkeypatch):
         # on a path the cut is one bridge; the child that boosts it searches
-        # on from the bridge's far end, while every start it cannot resume
-        # raises before any search
+        # on from the bridge's far end, while every resume the network cannot
+        # take raises before any search
         inst = Instance(path_graph(5), 0, 4, 2, 0)
-        root = max_flow_boosted(inst, boosted([]))
-        assert (root.value, root.min_cut) == (1, {0})
+        net = resumed(inst, boosted([]))
+        assert (net.value, net.result().min_cut) == (1, {0})
         seen = self.first_queues(monkeypatch)
-        child = max_flow_boosted(inst, boosted([0]), start=root)
-        assert seen == [[1]] and child.min_cut == {1}
-        # another p, an equal but distinct instance, a replace()d start and
-        # a start under boosts that are not a subset
-        for other, ids, start in ((replace(inst, p=3), [0], root), (replace(inst), [0], root),
-                                  (inst, [0], replace(root)), (inst, [1], child)):
+        net.resume(boosted([0]))
+        assert seen == [[1]] and net.result().min_cut == {1}
+        # an edge boosted again, twice in one step, and a flow at p
+        at_p = resumed(inst, boosted([0, 1, 2, 3]))
+        for target, ids in ((net, [0]), (net, [1, 1]), (at_p, [])):
             seen.clear()
             with pytest.raises(ValueError):
-                max_flow_boosted(other, boosted(ids), start=start)
+                target.resume(ids)
             assert seen == [], ids
 
     def test_result_is_frozen(self):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -14,9 +15,10 @@ from minshared.core import (
     PathSeq,
     Solution,
     SuperEdge,
+    serialize_solution,
     verify_solution,
 )
-from minshared.flow import max_flow_boosted
+from minshared.flow import ResidualNet, max_flow_boosted
 import minshared.solver as solver
 from minshared.solver import (
     GuardExceeded,
@@ -27,7 +29,8 @@ from minshared.solver import (
     solve_fpt_branching,
 )
 
-from helpers import brute_force_min_shared, cycle4, grid_graph, grid_vertex, path_graph
+from helpers import (brute_force_min_shared, cycle4, grid_graph, grid_vertex,
+                     holey_grid_sample, path_graph)
 
 
 ALL_SOLVERS = [solve_exhaustive_paths, solve_enum_oracle, solve_fpt_branching]
@@ -55,6 +58,13 @@ class TestExhaustive:
         g = grid_graph(4, 4)
         with pytest.raises(GuardExceeded):
             solve_exhaustive_paths(Instance(g, 0, 15, 2, 1))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_one_multiset_at_huge_p(self, k):
+        # one path, one multiset of a million copies of it: counted once
+        # per distinct path, the exhaustive answer matches the branching one
+        inst = Instance(path_graph(2), 0, 1, 1_000_000, k)
+        assert solve_exhaustive_paths(inst).answer == solve_fpt_branching(inst).answer == (k == 1)
 
     def test_long_path_beyond_recursion_limit(self):
         rep = solve_exhaustive_paths(Instance(path_graph(1500), 0, 1499, 2, 1499))
@@ -160,19 +170,44 @@ class TestBranching:
         ((3, 4, (0, 0), (1, 3), 4, 3), (True, 10, 15, [1, 3, 12])),
     ])
     def test_search_tree_pinned(self, monkeypatch, case, want):
+        # every flow of the search is one resume of its network
         calls = []
-        flow = solver.max_flow_boosted
+        resume = ResidualNet.resume
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return flow(*args, **kwargs)
+        def counted(net, new=()):
+            calls.append(new)
+            return resume(net, new)
 
-        monkeypatch.setattr(solver, "max_flow_boosted", counted)
+        monkeypatch.setattr(ResidualNet, "resume", counted)
         n, m, (sx, sy), (tx, ty), p, k = case
         rep = solve_fpt_branching(Instance(grid_graph(n, m), grid_vertex(m, sx, sy),
                                            grid_vertex(m, tx, ty), p, k))
         shared = sorted(rep.shared_set) if rep.answer else None
         assert (rep.answer, rep.nodes_explored, len(calls), shared) == want
+
+    def test_holey_grid_sample_pinned(self):
+        # answer, node count, shared set and witness text of a seeded sample
+        # of 40 holey grids, half of them directed: 32 yes, 275 nodes in all
+        rows = []
+        for inst in holey_grid_sample(39, 40):
+            rep = solve_fpt_branching(inst)
+            rows.append((rep.answer, rep.nodes_explored,
+                         sorted(rep.shared_set) if rep.answer else None,
+                         serialize_solution(rep.witness) if rep.answer else None))
+        assert (sum(r[0] for r in rows), sum(r[1] for r in rows)) == (32, 275)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "ca84fc7b026e87058da2c44593859db45cea44884c098f585160a0454bfe4d7a")
+
+    def test_node_guard(self, monkeypatch):
+        # the 4 x 4 corner-to-corner search at p = 4, k = 3 takes 7 nodes:
+        # a guard of 7 lets it answer, a guard of 6 stops it
+        inst = Instance(grid_graph(4, 4), grid_vertex(4, 0, 0), grid_vertex(4, 3, 3), 4, 3)
+        monkeypatch.setattr(solver, "MAX_BRANCHING_NODES", 7)
+        rep = solve_fpt_branching(inst)
+        assert (rep.answer, rep.nodes_explored) == (False, 7)
+        monkeypatch.setattr(solver, "MAX_BRANCHING_NODES", 6)
+        with pytest.raises(GuardExceeded, match=r"\(limit 6\)"):
+            solve_fpt_branching(inst)
 
     def test_deep_search_without_recursion(self):
         # every edge of the path is a bridge, so each level boosts one more;

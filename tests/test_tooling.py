@@ -1,8 +1,8 @@
 """The benchmark's tracer (bench/tracing.py) wraps package functions by the
 module attribute names their callers use, so renaming or deleting one of
 them breaks `bench/run.py --trace 1`; and each wrapper must pass every
-argument through, `start=` of the branching solver's flow calls included.
-These tests catch both here, and static checks keep every import of the
+argument through and return what the function returns.  These tests catch
+both here, and static checks keep every import of the
 package in use, every private module-level helper and every test helper
 referenced, the file syntax in one reader and the package free of the
 patterns that built reference cycles."""
@@ -48,36 +48,49 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
 
 def test_tracer_times_a_branching_search(monkeypatch):
-    # the flow wrapper must pass the parent's result through as `start=`:
-    # every flow call but the root's resumes one, so a wrapper that dropped
-    # it would cold-start the children, and one that broke it would raise
+    # the enumeration oracle's cold flows go through the flow wrapper, each
+    # with the boost set passed on; the branching search runs its flows on
+    # its own network, so only its span and node count show
     monkeypatch.syspath_prepend(BENCH)
     import tracing
 
     inst = Instance(grid_graph(5, 5), grid_vertex(5, 0, 1), grid_vertex(5, 4, 3), 4, 2)
-    untraced = S.solve_fpt_branching(inst)
+    untraced = S.solve_fpt_branching(inst), S.solve_enum_oracle(inst)
     flow_calls = []
     original = S.max_flow_boosted
 
     def counted(*args, **kwargs):
-        flow_calls.append(kwargs.get("start"))
+        flow_calls.append(args[1])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(S, "max_flow_boosted", counted)
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        rep = S.solve_fpt_branching(inst)
+        reps = S.solve_fpt_branching(inst), S.solve_enum_oracle(inst)
     finally:
         tracer.uninstall()
     assert S.max_flow_boosted is counted
-    assert (rep.answer, rep.nodes_explored, rep.shared_set) == (
-        untraced.answer, untraced.nodes_explored, untraced.shared_set)
+    for rep, want in zip(reps, untraced):
+        assert (rep.answer, rep.nodes_explored, rep.shared_set) == (
+            want.answer, want.nodes_explored, want.shared_set)
+    rep = reps[0]
     assert len(rep.shared_set) == 2  # the answer takes two levels of branching
     spans = [span[0] for span in tracer.spans]
-    assert spans.count("flow.max_flow") == len(flow_calls) > 1
-    assert flow_calls[0] is None and all(start is not None for start in flow_calls[1:])
+    assert spans.count("flow.max_flow") == len(flow_calls) == reps[1].nodes_explored > 1
+    assert flow_calls[-1] == reps[1].shared_set
+    assert spans.count("solver.branching") == 1
     assert tracer.counts["solver.nodes"] == rep.nodes_explored > 1
+
+
+def test_solver_and_grid_hold_no_residual_search():
+    # the branching search and the grid lines run their flows on
+    # flow.ResidualNet: neither module searches a residual graph itself or
+    # builds a flow result
+    for name in ("solver.py", "grid.py"):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "popleft" not in text and "FlowResult(" not in text, name
 
 
 def test_tracer_sees_the_witness_window(monkeypatch):

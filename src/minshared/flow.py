@@ -30,13 +30,14 @@ arcs whose far end stays unreached.  The source side of a maximum flow is
 the same for every maximum flow, so this is the min cut a cold search
 finds.  `save` and `restore` keep and give back the flow, that search and
 the boosts, so a branching search backtracks on one network.
-`max_flow_boosted` is the cold entry point, with a frozen `FlowResult`.
+`max_flow_boosted` is the cold entry point: it returns the network after
+one resume, and `decompose_to_paths` reads the flow off its residual
+capacities.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Instance, PathSeq, loop_erase
@@ -46,13 +47,6 @@ from .core import expand_chains  # noqa: F401
 
 # par[v] of a residual search: (parent vertex, arc), None if unreached
 Parents = list[Optional[tuple[int, int]]]
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    value: int
-    arc_flow: tuple[int, ...]  # signed net flow per super-edge, tail to head
-    min_cut: Optional[frozenset[int]] = None  # super-edge ids; set when value < p
 
 
 class ResidualNet:
@@ -99,7 +93,7 @@ class ResidualNet:
                 par, queue, old_blocked = [None] * len(self.adj), deque([s]), []
                 par[s] = (s, -1)
             blocked: list[tuple[int, int]] = []
-            if par[t] is not None or self.search(par, queue, t, blocked):
+            if par[t] is not None or self.search(par, queue, blocked):
                 # push the bottleneck, at most p - value, along the tree path
                 amount, v = p - self.value, t
                 while v != s:
@@ -124,17 +118,20 @@ class ResidualNet:
         return self.value
 
     def cut(self) -> list[int]:
-        """The min cut of a flow below p, as edge ids."""
+        """The min cut of a flow below p, as edge ids.  A flow at p has none:
+        asking for it raises ValueError."""
+        if self.value >= self.p:
+            raise ValueError("a flow at p has no cut below p")
         return [arc >> 1 for arc, _ in self.blocked]
 
-    def search(self, par: Parents, queue: deque, t: int, blocked: list[tuple[int, int]]) -> bool:
+    def search(self, par: Parents, queue: deque, blocked: list[tuple[int, int]]) -> bool:
         """Continue a BFS of the residual graph, neighbours scanned in edge-id
         order, from the reached vertices in `queue`.  It returns True once t
         is reached.  Otherwise every vertex reachable from the first search's
         root has its parent in `par`, and `blocked` has gained (arc, far end)
         for every arc without room that it met towards an unreached vertex,
         but a directed edge's back arc, which leads into the source side."""
-        res, adj = self.res, self.adj
+        res, adj, t = self.res, self.adj, self.t
         back = 1 if self.directed else 0
         popleft, append, record = queue.popleft, queue.append, blocked.append
         while queue:
@@ -161,33 +158,28 @@ class ResidualNet:
         self.res, self.par = list(res), list(par)
         del self.boosts[count:]
 
-    def result(self) -> FlowResult:
-        """The flow as a frozen result, with its min cut below p."""
-        res = self.res
-        flow = res[1::2] if self.directed else [(b - f) // 2 for f, b in zip(res[::2], res[1::2])]
-        return FlowResult(self.value, tuple(flow),
-                          None if self.value >= self.p else frozenset(self.cut()))
 
-
-def max_flow_boosted(inst: Instance, boosted: frozenset[int]) -> FlowResult:
-    """Max s-t flow with the `boosted` super-edges at capacity inst.p and
-    every other one at 1, capped at inst.p, searched from the zero flow."""
+def max_flow_boosted(inst: Instance, boosted: frozenset[int]) -> ResidualNet:
+    """The network of the max s-t flow with the `boosted` super-edges at
+    capacity inst.p and every other one at 1, capped at inst.p, searched
+    from the zero flow."""
     net = ResidualNet(inst)
     net.resume(boosted)
-    return net.result()
+    return net
 
 
-def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathSeq]:
-    """Extract `count` simple s-t paths from an integral flow.
+def decompose_to_paths(net: ResidualNet) -> list[PathSeq]:
+    """Extract net.value simple s-t paths from the network's flow.
 
-    Each path is a walk along flow-carrying arcs from s to t that cancels
-    every arc it takes from the flow, cycles included; its loop-erasure is
+    The signed flow of edge e, tail to head, is what its back arc gained:
+    res[2e + 1] when directed, half of res[2e + 1] - res[2e] when not.  Each
+    path is a walk along flow-carrying arcs from s to t that cancels every
+    arc it takes from the flow, cycles included; its loop-erasure is
     returned, so the paths are simple and every non-boosted super-edge
     appears in at most one of them.
     """
-    if fr.value < count:
-        raise ValueError(f"flow value {fr.value} below requested count {count}")
-    incidence, flow = inst.graph.incidence, list(fr.arc_flow)
+    res, incidence, s, t = net.res, net.adj, net.s, net.t
+    flow = res[1::2] if net.directed else [(b - f) // 2 for f, b in zip(res[::2], res[1::2])]
 
     def next_arc(u: int) -> tuple[int, int]:
         # a back arc carries negative flow, which a directed edge never has
@@ -197,10 +189,10 @@ def decompose_to_paths(inst: Instance, fr: FlowResult, count: int) -> list[PathS
         raise AssertionError(f"flow conservation broken at vertex {u}")
 
     paths = []
-    for _ in range(count):
+    for _ in range(net.value):
         steps: list[tuple[int, bool]] = []
-        walk = [inst.s]
-        while walk[-1] != inst.t:
+        walk = [s]
+        while walk[-1] != t:
             arc, v = next_arc(walk[-1])
             flow[arc >> 1] += 1 if arc & 1 else -1
             steps.append((arc >> 1, not arc & 1))

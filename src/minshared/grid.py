@@ -495,7 +495,7 @@ def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[Verdict]:
         boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
         fr = max_flow_boosted(win, boosts)
         if fr.value >= gi.p:
-            paths = tuple(decompose_to_paths(win, fr, gi.p))
+            paths = tuple(decompose_to_paths(fr))
             check = _checked(win, Solution(paths), gi)
             witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
             return Verdict(True, shared_count=check.shared_count, witness=witness,

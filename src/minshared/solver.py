@@ -20,6 +20,8 @@ through `flow.max_flow_boosted`.  The branching search runs on one
 parent's last, failing residual search from it, so it needs at most
 p - value new augmentations and searches on from that edge instead of from
 s; a backtrack restores the flow, the search and the boosts its parent saved.
+Either way a yes is one network at p, and `flow.decompose_to_paths` reads
+its witness off that network's residual capacities.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def solve_enum_oracle(inst: Instance) -> Verdict:
         nodes += 1
         fr = max_flow_boosted(inst, sub)
         if fr.value >= inst.p:
-            witness = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+            witness = Solution(tuple(decompose_to_paths(fr)))
             return Verdict(True, witness.shared_count(g), witness, method="enum",
                            shared_set=sub, nodes_explored=nodes)
     return Verdict(False, method="enum", nodes_explored=nodes)
@@ -203,7 +205,7 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
         if nodes > MAX_BRANCHING_NODES:
             raise GuardExceeded(f"branching search at {nodes} nodes (limit {MAX_BRANCHING_NODES})")
         if net.resume(boost) >= p:
-            witness = Solution(tuple(decompose_to_paths(inst, net.result(), p)))
+            witness = Solution(tuple(decompose_to_paths(net)))
             return Verdict(True, witness.shared_count(g), witness, method="branching",
                            shared_set=frozenset(net.boosts), nodes_explored=nodes)
         cut = sorted(e for e in net.cut() if lengths[e] <= budget and not barred[e])

@@ -265,7 +265,7 @@ def full_grid_witness_p_large(gi):
         fr = max_flow_boosted(inst, _line_boosts(gi, costs, s_longer == longer_x,
                                                  t_longer == longer_x))
         if fr.value >= gi.p:
-            verdict = Verdict(True, witness=Solution(tuple(decompose_to_paths(inst, fr, gi.p))),
+            verdict = Verdict(True, witness=Solution(tuple(decompose_to_paths(fr))),
                               method="criteria", certificate=criteria)
             break
     else:

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +81,7 @@ class TestMinCut:
     def test_cycle_cut(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 0)
-        cut = max_flow_boosted(inst, boosted([])).min_cut
+        cut = max_flow_boosted(inst, boosted([])).cut()
         assert len(cut) == 2
         # removing the cut disconnects t
         from minshared.core import Graph, distance
@@ -93,13 +93,13 @@ class TestMinCut:
     def test_bridge_cut(self):
         g = path_graph(3)
         inst = Instance(g, 0, 2, 2, 0)
-        cut = max_flow_boosted(inst, boosted([])).min_cut
-        assert len(cut) == 1 and cut <= {0, 1}
+        cut = max_flow_boosted(inst, boosted([])).cut()
+        assert len(cut) == 1 and set(cut) <= {0, 1}
 
     def test_grid_corner_cut(self):
         g = grid_graph(3, 3)
         inst = Instance(g, grid_vertex(3, 0, 0), grid_vertex(3, 2, 2), 4, 0)
-        cut = max_flow_boosted(inst, boosted([])).min_cut
+        cut = max_flow_boosted(inst, boosted([])).cut()
         assert len(cut) <= 3
 
     def test_cut_requires_small_flow(self):
@@ -107,12 +107,23 @@ class TestMinCut:
         inst = Instance(g, 0, 2, 2, 0)
         # a flow that reaches p has no cut below p
         fr = max_flow_boosted(inst, boosted([]))
-        assert fr.value == 2 and fr.min_cut is None
+        assert fr.value == 2
+        with pytest.raises(ValueError):
+            fr.cut()
+
+    def test_no_stale_cut_at_p(self):
+        # on the path 0-1-2 at p = 2 the cold flow stops at 1 behind bridge 0;
+        # boosting both bridges lifts it to p, and the old cut goes with it
+        net = ResidualNet(Instance(path_graph(3), 0, 2, 2, 0))
+        assert (net.resume(), net.cut()) == (1, [0])
+        assert net.resume([0, 1]) == 2
+        with pytest.raises(ValueError):
+            net.cut()
 
     def test_cut_avoids_boosted(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 4, 0)
-        cut = max_flow_boosted(inst, boosted([0])).min_cut
+        cut = max_flow_boosted(inst, boosted([0])).cut()
         assert 0 not in cut
 
 
@@ -122,7 +133,7 @@ class TestDecompose:
         s, t = grid_vertex(2, 0, 0), grid_vertex(2, 1, 1)
         inst = Instance(g, s, t, 2, 0)
         fr = max_flow_boosted(inst, boosted([]))
-        paths = decompose_to_paths(inst, fr, 2)
+        paths = decompose_to_paths(fr)
         v = verify_solution(inst, Solution(tuple(paths)))
         assert v.answer and v.shared_count == 0
 
@@ -130,42 +141,36 @@ class TestDecompose:
         g = cycle4()
         inst = Instance(g, 0, 2, 3, 4)
         fr = max_flow_boosted(inst, boosted([0, 1]))
-        paths = decompose_to_paths(inst, fr, 3)
+        paths = decompose_to_paths(fr)
         sol = Solution(tuple(paths))
         v = verify_solution(inst, sol)
         assert v.answer
         assert set(sol.shared_edge_ids()) <= {0, 1}
 
     def test_subset_decomposition(self):
-        # interior endpoints have degree 4, so the flow exceeds the request
+        # interior endpoints have degree 4: the flow at p = 4 is 4 disjoint
+        # paths, each leaving s and entering t by its own edge
         g = grid_graph(4, 4)
         s, t = grid_vertex(4, 1, 1), grid_vertex(4, 2, 2)
-        inst = Instance(g, s, t, 3, 0)
-        fr = max_flow_boosted(replace(inst, p=5), boosted([]))
+        inst = Instance(g, s, t, 4, 0)
+        fr = max_flow_boosted(inst, boosted([]))
         assert fr.value == 4
-        paths = decompose_to_paths(inst, fr, 3)
+        paths = decompose_to_paths(fr)
         v = verify_solution(inst, Solution(tuple(paths)))
-        assert v.answer and v.shared_count == 0
+        assert len(paths) == 4 and v.answer and v.shared_count == 0
 
     def test_value_five_count_three(self):
         # boosting both top edges of the 4-cycle lifts the max flow to 5;
-        # a 3-path subset decomposition must still verify
+        # all 5 paths verify and share only boosted edges
         g = cycle4()
-        inst = Instance(g, 0, 2, 3, 8)
-        fr = max_flow_boosted(replace(inst, p=5), boosted([0, 1]))
+        inst = Instance(g, 0, 2, 5, 8)
+        fr = max_flow_boosted(inst, boosted([0, 1]))
         assert fr.value == 5
-        paths = decompose_to_paths(inst, fr, 3)
+        paths = decompose_to_paths(fr)
         sol = Solution(tuple(paths))
         v = verify_solution(inst, sol)
-        assert v.answer
+        assert len(paths) == 5 and v.answer
         assert set(sol.shared_edge_ids()) <= {0, 1}
-
-    def test_insufficient_flow(self):
-        g = path_graph(3)
-        inst = Instance(g, 0, 2, 2, 0)
-        fr = max_flow_boosted(inst, boosted([]))
-        with pytest.raises(ValueError):
-            decompose_to_paths(inst, fr, 2)
 
 
 class TestAgainstBruteForce:
@@ -201,8 +206,10 @@ class TestDecomposeProperty:
         fr = max_flow_boosted(inst, boosts)
         if fr.value == 0:
             return
+        # the whole flow of a network capped at p = count <= max flow
         count = data.draw(st.integers(1, fr.value))
-        paths = decompose_to_paths(inst, fr, count)
+        fr = max_flow_boosted(replace(inst, p=count), boosts)
+        paths = decompose_to_paths(fr)
         sol = Solution(tuple(paths))
         verdict = verify_solution(Instance(g, 0, g.vertex_count - 1, count, 10**6), sol)
         assert verdict.answer, verdict.reason
@@ -219,7 +226,7 @@ class TestDecomposeProperty:
         fr = max_flow_boosted(inst, frozenset())
         if fr.value >= 3:
             return
-        cut = fr.min_cut
+        cut = fr.cut()
         rest = tuple(e for i, e in enumerate(g.edges) if i not in cut)
         g2 = Graph(g.mode, g.vertex_count, rest)
         assert math.isinf(distance(g2, 0, g.vertex_count - 1))
@@ -247,10 +254,13 @@ class TestCompressedNetwork:
         fr = max_flow_boosted(inst, boosts)
         unit_fr = max_flow_boosted(exp.expand_instance(inst), units)
         assert fr.value == unit_fr.value
-        if unit_fr.min_cut is None:
-            assert fr.min_cut is None
-        else:
-            assert fr.min_cut == frozenset(exp.owner[u] for u in unit_fr.min_cut)
+        if fr.value < ceiling:
+            assert set(fr.cut()) == {exp.owner[u] for u in unit_fr.cut()}
+
+
+def state(net):
+    """The flow's value and residual capacities, and its cut below p."""
+    return net.value, list(net.res), sorted(net.cut()) if net.value < net.p else None
 
 
 def resumed(inst, *steps):
@@ -277,21 +287,21 @@ class TestWarmStart:
         subset = frozenset(b for b in sorted(boosts) if data.draw(st.booleans()))
         inst = Instance(g, 0, g.vertex_count - 1, ceiling, 10**6)
         net = resumed(inst, subset)
-        parent = net.result()
-        assert parent == max_flow_boosted(inst, subset)
-        if parent.min_cut is None:
+        parent = state(net)
+        assert parent == state(max_flow_boosted(inst, subset))
+        if net.value >= ceiling:
             # a flow at p has no failing search to resume
             with pytest.raises(ValueError):
                 net.resume(boosts - subset)
             return
         saved = net.save()
         net.resume(boosts - subset)
-        warm = net.result()
-        assert_is_cold(inst, boosts, warm)
+        warm = state(net)
+        assert_is_cold(inst, boosts, net)
         net.restore(saved)
-        assert (net.result(), sorted(net.boosts)) == (parent, sorted(subset))
+        assert (state(net), sorted(net.boosts)) == (parent, sorted(subset))
         net.resume(boosts - subset)
-        assert net.result() == warm
+        assert state(net) == warm
 
     def test_boosted_start_at_p_raises(self):
         # the flow with edges 0 and 1 boosted puts 2 units on each of them
@@ -309,12 +319,14 @@ class TestWarmStart:
 
 
 def assert_is_cold(inst, boosts, got):
-    """`got` has the value and min cut of a cold search, and decomposes into
-    verified paths whose shared edges are boosted."""
+    """The network `got` has the value and min cut of a cold search, and
+    decomposes into verified paths whose shared edges are boosted."""
     cold = max_flow_boosted(inst, boosts)
-    assert (got.value, got.min_cut) == (cold.value, cold.min_cut)
+    assert got.value == cold.value
+    if got.value < inst.p:
+        assert sorted(got.cut()) == sorted(cold.cut())
     if got.value:
-        sol = Solution(tuple(decompose_to_paths(inst, got, got.value)))
+        sol = Solution(tuple(decompose_to_paths(got)))
         assert verify_solution(replace(inst, p=got.value), sol).answer
         assert set(sol.shared_edge_ids()) <= boosts
 
@@ -345,19 +357,19 @@ class TestResumedSearch:
                 new = {data.draw(st.sampled_from(sorted(boosts)))}
             elif fresh:
                 new = data.draw(st.sets(st.sampled_from(fresh), min_size=1, max_size=2))
-            before = net.result()
+            before = state(net)
             if step != "grow" or net.value >= inst.p:
                 with pytest.raises(ValueError):
                     net.resume(new)
-                assert net.result() == before
+                assert state(net) == before
                 break
             undo.append((net.save(), before))
             boosts = boosts | new
             net.resume(new)
-            assert_is_cold(inst, boosts, net.result())
+            assert_is_cold(inst, boosts, net)
         for saved, result in reversed(undo):
             net.restore(saved)
-            assert net.result() == result
+            assert state(net) == result
 
     @staticmethod
     def first_queues(monkeypatch):
@@ -365,9 +377,9 @@ class TestResumedSearch:
         seen = []
         search = flow.ResidualNet.search
 
-        def spy(net, par, queue, t, blocked):
+        def spy(net, par, queue, blocked):
             seen.append(list(queue))
-            return search(net, par, queue, t, blocked)
+            return search(net, par, queue, blocked)
 
         monkeypatch.setattr(flow.ResidualNet, "search", spy)
         return seen
@@ -378,10 +390,10 @@ class TestResumedSearch:
         # take raises before any search
         inst = Instance(path_graph(5), 0, 4, 2, 0)
         net = resumed(inst, boosted([]))
-        assert (net.value, net.result().min_cut) == (1, {0})
+        assert (net.value, net.cut()) == (1, [0])
         seen = self.first_queues(monkeypatch)
         net.resume(boosted([0]))
-        assert seen == [[1]] and net.result().min_cut == {1}
+        assert seen == [[1]] and net.cut() == [1]
         # an edge boosted again, twice in one step, and a flow at p
         at_p = resumed(inst, boosted([0, 1, 2, 3]))
         for target, ids in ((net, [0]), (net, [1, 1]), (at_p, [])):
@@ -389,15 +401,6 @@ class TestResumedSearch:
             with pytest.raises(ValueError):
                 target.resume(ids)
             assert seen == [], ids
-
-    def test_result_is_frozen(self):
-        fr = max_flow_boosted(Instance(cycle4(), 0, 2, 3, 0), boosted([]))
-        with pytest.raises(FrozenInstanceError):
-            fr.value = 3
-        with pytest.raises(FrozenInstanceError):
-            fr.min_cut = frozenset()
-        with pytest.raises(TypeError):
-            fr.arc_flow[0] = 0
 
 
 class TestCompiledCertificate:
@@ -412,6 +415,6 @@ class TestCompiledCertificate:
         shared = frozenset(witness.shared_edge_ids())
         fr = max_flow_boosted(inst, shared)
         assert fr.value == inst.p
-        sol = Solution(tuple(decompose_to_paths(inst, fr, inst.p)))
+        sol = Solution(tuple(decompose_to_paths(fr)))
         assert verify_solution(inst, sol).answer
         assert set(sol.shared_edge_ids()) <= shared

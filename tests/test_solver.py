@@ -262,7 +262,7 @@ class TestOracleAgreement:
             SuperEdge(0, 1, 3), SuperEdge(0, 1, 2), SuperEdge(1, 2, 1), SuperEdge(1, 2, 2),
             SuperEdge(2, 3), SuperEdge(2, 3), SuperEdge(2, 3),
         ))
-        assert sorted(max_flow_boosted(Instance(g, 0, 3, 3, 3), frozenset()).min_cut) == [0, 1]
+        assert sorted(max_flow_boosted(Instance(g, 0, 3, 3, 3), frozenset()).cut()) == [0, 1]
         dist = 4
         for k in range(dist + 1):
             inst = Instance(g, 0, 3, 3, k)

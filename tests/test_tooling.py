@@ -85,12 +85,18 @@ def test_tracer_times_a_branching_search(monkeypatch):
 
 def test_solver_and_grid_hold_no_residual_search():
     # the branching search and the grid lines run their flows on
-    # flow.ResidualNet: neither module searches a residual graph itself or
-    # builds a flow result
+    # flow.ResidualNet, the one flow object: neither module searches a
+    # residual graph itself, flow.py defines no other class, and no module
+    # names a separate flow result
     for name in ("solver.py", "grid.py"):
         with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            text = fh.read()
-        assert "popleft" not in text and "FlowResult(" not in text, name
+            assert "popleft" not in fh.read(), name
+    with open(os.path.join(SRC, "flow.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == ["ResidualNet"]
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            assert "FlowResult" not in fh.read(), path
 
 
 def test_tracer_sees_the_witness_window(monkeypatch):

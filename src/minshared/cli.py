@@ -193,16 +193,16 @@ def _cmd_grid_decide(args) -> int:
 def _cmd_grid_witness(args) -> int:
     gi = _grid_from_args(args)
     verdict = decide_grid(gi, want_witness=True)
-    # the instance file is built first, so a grid over MAX_GRID_POINTS stops
-    # the command before it prints or writes anything
-    inst = embed_grid(gi) if verdict.answer and args.instance_out else None
+    if verdict.answer:
+        # the files are written before the answer is printed, as `solve` does,
+        # and the instance file is built first, so a grid over MAX_GRID_POINTS
+        # or an unwritable --out stops the command before it prints anything
+        inst = embed_grid(gi) if args.instance_out else None
+        _write(args.out, serialize_solution(verdict.witness))
+        if inst is not None:
+            _write(args.instance_out, serialize_instance(inst))
     _print_verdict(verdict)
-    if not verdict.answer:
-        return 1
-    _write(args.out, serialize_solution(verdict.witness))
-    if inst is not None:
-        _write(args.instance_out, serialize_instance(inst))
-    return 0
+    return 0 if verdict.answer else 1
 
 
 # reduce --expand writes every unit edge as its own line, so it refuses an

@@ -236,6 +236,10 @@ class Instance:
             raise ValueError("k must be non-negative")
 
 
+_first = operator.itemgetter(0)  # a step's edge id
+_second = operator.itemgetter(1)  # a step's forward flag
+
+
 @dataclass(frozen=True)
 class PathSeq:
     """An s-t path as (edge id, forward) steps; chains traversed atomically."""
@@ -243,19 +247,25 @@ class PathSeq:
     steps: tuple[tuple[int, bool], ...]
 
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.steps)
+        return tuple(map(_first, self.steps))
 
     def vertices(self, graph: Graph, start: int) -> list[int]:
         """Declared-vertex sequence when walking from `start`; raises on breaks."""
+        edges = graph.edges
         seq = [start]
+        append = seq.append
         cur = start
         for eid, fwd in self.steps:
-            e = graph.edges[eid]
-            a, b = (e.tail, e.head) if fwd else (e.head, e.tail)
-            if a != cur:
-                raise ValueError(f"step on edge {eid} does not chain (at vertex {cur})")
-            cur = b
-            seq.append(cur)
+            e = edges[eid]
+            if fwd:
+                if e.tail != cur:
+                    raise ValueError(f"step on edge {eid} does not chain (at vertex {cur})")
+                cur = e.head
+            else:
+                if e.head != cur:
+                    raise ValueError(f"step on edge {eid} does not chain (at vertex {cur})")
+                cur = e.tail
+            append(cur)
         return seq
 
 
@@ -278,8 +288,8 @@ class Verdict:
     A solver sets `shared_count` on a yes, `shared_set` to the super-edges it
     allowed to be shared, and `nodes_explored` to its search effort.  The grid
     p-large closed form sets `certificate` to its `(case id, k_min)`; every
-    other grid no, `method` "cut-bound" (p-small, p-narrow and the degenerate
-    band), sets it to the cut lower bound above k, which is dist on p-small.
+    other grid no, `method` "cut-bound" (p-small, p-narrow and the rim zone),
+    sets it to the cut lower bound above k, which is dist on p-small.
     `reason` says why a check rejected, or which fallback a grid decision or
     witness took.
     """
@@ -311,21 +321,26 @@ def verify_solution(inst: Instance, sol: Solution) -> Verdict:
     as it can be computed.
     """
     g = inst.graph
+    n_edges, directed = len(g.edges), g.directed
     path_ids = [p.edge_ids() for p in sol.paths]
     path_sets = [set(ids) for ids in path_ids]
     ids = _shared_ids(path_sets)  # sorted; an unknown one leaves the count unknown
-    known = not ids or (ids[0] >= 0 and ids[-1] < len(g.edges))
+    known = not ids or (ids[0] >= 0 and ids[-1] < n_edges)
     shared = sum(g.edges[e].length for e in ids) if known else None
     if len(sol.paths) != inst.p:
         return Verdict(False, shared, reason=f"expected {inst.p} paths, got {len(sol.paths)}")
     for idx, path in enumerate(sol.paths):
         if not path.steps:
             return Verdict(False, shared, reason=f"path {idx} is empty")
-        for eid, fwd in path.steps:
-            if not 0 <= eid < len(g.edges):
-                return Verdict(False, shared, reason=f"path {idx}: unknown edge {eid}")
-            if g.directed and not fwd:
-                return Verdict(False, shared, reason=f"path {idx}: reverse step on arc {eid}")
+        held = path_sets[idx]
+        # the steps are walked one by one only to name the first bad one
+        if (min(held) < 0 or max(held) >= n_edges
+                or directed and not all(map(_second, path.steps))):
+            for eid, fwd in path.steps:
+                if not 0 <= eid < n_edges:
+                    return Verdict(False, shared, reason=f"path {idx}: unknown edge {eid}")
+                if directed and not fwd:
+                    return Verdict(False, shared, reason=f"path {idx}: reverse step on arc {eid}")
         try:
             seq = path.vertices(g, inst.s)
         except ValueError as exc:
@@ -471,6 +486,9 @@ def distance(g: Graph, u: int, v: int) -> float:
 # ---------------------------------------------------------------------------
 # grid embedding check
 
+_polyline = operator.attrgetter("polyline")
+
+
 def check_grid_embedding(g: Graph) -> Verdict:
     """Accept iff the expanded graph is a holey grid (subgraph of a bounded grid).
 
@@ -502,13 +520,14 @@ def check_grid_embedding(g: Graph) -> Verdict:
        bisection whether one of them lies strictly inside its open y-range.
     """
     coord_of = g.coords or {}  # a graph with no vertex has no coordinates
-    if any(v not in coord_of for v in range(g.vertex_count)):
+    if not all(map(coord_of.__contains__, range(g.vertex_count))):
         raise ValueError("missing coordinates")
-    for eid, e in enumerate(g.edges):
-        if e.polyline is None:
-            raise ValueError(f"edge {eid} has no polyline")
+    polylines = tuple(map(_polyline, g.edges))
+    if not all(polylines):  # a polyline has at least two points
+        raise ValueError(f"edge {polylines.index(None)} has no polyline")
 
-    vertex_at = {pt: v for v, pt in reversed(coord_of.items())}  # first holder of each
+    # first holder of each point
+    vertex_at = dict(zip(reversed(coord_of.values()), reversed(coord_of.keys())))
     if len(vertex_at) < len(coord_of):
         v, pt = next((v, pt) for v, pt in coord_of.items() if vertex_at[pt] != v)
         return Verdict(False, reason=f"vertices {vertex_at[pt]} and {v} share point {pt}")
@@ -519,14 +538,13 @@ def check_grid_embedding(g: Graph) -> Verdict:
     bends: list[Point] = []
     units: dict[tuple[Point, Point], int] = {}  # unit chain's (lower, upper) ends -> first owner
     repeats: list[tuple[tuple[Point, Point], int]] = []
-    for eid, e in enumerate(g.edges):
-        pts = e.polyline
+    for eid, (e, pts) in enumerate(zip(g.edges, polylines)):
         ax, ay = start = coord_of[e.tail]
         if pts[0] != start or pts[-1] != coord_of[e.head]:
             return Verdict(False, reason=f"edge {eid} polyline does not start/end at its vertices")
         if e.length == 1:  # a unit chain: kept out of the runs, see pass 2
             a, b = pts
-            seg = (a, b) if a < b else (b, a)
+            seg = pts if a < b else (b, a)
             if units.setdefault(seg, eid) != eid:
                 repeats.append((seg, eid))
             continue
@@ -549,8 +567,8 @@ def check_grid_embedding(g: Graph) -> Verdict:
     bend_set = set(bends)
     if len(bend_set) < len(bends) or not bend_set.isdisjoint(vertex_at):
         seen: dict[Point, int] = {}
-        for eid, e in enumerate(g.edges):
-            for p in e.polyline[1:-1]:
+        for eid, pts in enumerate(polylines):
+            for p in pts[1:-1]:
                 if p in vertex_at:
                     return Verdict(False, reason=f"edge {eid} passes through vertex {vertex_at[p]} at {p}")
                 if p in seen:
@@ -561,8 +579,13 @@ def check_grid_embedding(g: Graph) -> Verdict:
 
     for runs, at in ((hs, lambda line, c: (c, line)), (vs, lambda line, c: (line, c))):
         runs.sort()
-        i = next((i for i, (a, b) in enumerate(zip(runs, runs[1:]), 1)
-                  if b[1] < a[2] and a[0] == b[0]), 0)
+        # i: the first run to start before the run ahead of it on its line ends
+        i, last_line, last_hi = 0, None, 0
+        for j, (line, lo, hi, _) in enumerate(runs):
+            if lo < last_hi and line == last_line:
+                i = j
+                break
+            last_line, last_hi = line, hi
         if i:
             line, lo, hi, owner = runs[i]
             held = runs[i - 1][3]
@@ -582,19 +605,21 @@ def check_grid_embedding(g: Graph) -> Verdict:
     long_h = [r for r in hs if r[2] - r[1] > 1]
     joins = sorted(long_h, key=operator.itemgetter(1))
     leaves = sorted(long_h, key=operator.itemgetter(2))
+    n_long = len(long_h)
+    insort, bisect_left, bisect_right = bisect.insort, bisect.bisect_left, bisect.bisect_right
     active: list[int] = []
     j = k = 0
     for x, lo, hi, ev in [r for r in vs if r[2] - r[1] > 1]:
-        while j < len(joins) and joins[j][1] < x:
-            bisect.insort(active, joins[j][0])
+        while j < n_long and joins[j][1] < x:
+            insort(active, joins[j][0])
             j += 1
-        while k < len(leaves) and leaves[k][2] <= x:
-            del active[bisect.bisect_left(active, leaves[k][0])]
+        while k < n_long and leaves[k][2] <= x:
+            del active[bisect_left(active, leaves[k][0])]
             k += 1
-        i = bisect.bisect_right(active, lo)
+        i = bisect_right(active, lo)
         if i < len(active) and active[i] < hi:
             y = active[i]
-            eh = hs[bisect.bisect_left(hs, (y, x)) - 1][3]
+            eh = hs[bisect_left(hs, (y, x)) - 1][3]
             if eh == ev:
                 return Verdict(False, reason=f"edge {eh} self-intersects at {(x, y)}")
             return Verdict(False, reason=f"edges {eh},{ev} cross at {(x, y)}")
@@ -712,7 +737,9 @@ def serialize_instance(inst: Instance, include_polylines: bool = True) -> str:
     g = inst.graph
     out = ["mse 1", f"mode {g.mode}", f"vertices {g.vertex_count}",
            f"s {inst.s}", f"t {inst.t}", f"p {inst.p}", f"k {inst.k}"]
-    out += [f"coord {v} {x} {y}" for v, (x, y) in sorted((g.coords or {}).items())]
+    coords = g.coords or {}
+    order = sorted(coords)  # bare ids: no (id, point) pair is kept per vertex
+    out += [f"coord {v} {x} {y}" for v, (x, y) in zip(order, map(coords.__getitem__, order))]
     out += [f"edge {e.tail} {e.head}" if e.length == 1 and e.polyline is None
             else f"chain {e.tail} {e.head} {e.length}" + (
                 "".join(f" {x} {y}" for x, y in e.polyline)

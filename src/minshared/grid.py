@@ -20,9 +20,10 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
   on the s-t box widened by ceil(p/2) + 1, inside the grid.  Either way
   its cost does not grow with n * m.  When no line reaches p, the trivial
   solution answers at k >= dist and the solver fallback below it.  In the
-  degenerate band, where the closed form's yes can be one too low, every
-  budget from the cut bound to dist - 1 takes this route, witness wanted
-  or not.
+  rim zone (rim_zone: a terminal within max(1, p // 4) of a rim, and s
+  and t nearly aligned or p large for their separation), where the
+  closed form's yes can be too low, every budget from the cut bound to
+  dist - 1 takes this route, witness wanted or not.
 * p-narrow (neither): between the cut bound and dist the solver fallback
   decides.  It is the one exact branching-solver call of this module,
   labelled as a fallback: its yes is verified, like every grid yes, and its
@@ -30,7 +31,7 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
-in its own frame: the degenerate band test is frame-free, and each terminal's
+in its own frame: the rim zone test is frame-free, and each terminal's
 rim distance is measured from the corner away from the other terminal.
 variants yields the 16 variant instances and canonicalize returns one
 representative of them; they serve the tests and bench/tracing.py, and no
@@ -63,6 +64,11 @@ MAX_GRID_POINTS = 1_000_000
 P_SMALL = "pSmall"
 P_LARGE = "pLarge"
 P_NARROW = "pNarrow"
+
+# the reasons of a p-large line miss below dist: the rim zone's, and one
+# outside it, where the closed form claims a yes that no line reached
+ZONE_REASON = "fallback: rim zone"
+LINE_MISS_REASON = "fallback: no boosted line reaches p"
 
 
 @dataclass(frozen=True)
@@ -208,20 +214,35 @@ def _trivial_witness(gi: GridInstance) -> Solution:
 # ---------------------------------------------------------------------------
 # decisions
 
-def degenerate_alignment(gi: GridInstance) -> bool:
-    """True when s and t nearly share a row or column: the one test of
-    where decide_grid does not trust the p-large closed form's yes alone.
-    The test is frame-free: no grid symmetry changes |dx| or |dy|.
+def rim_zone(gi: GridInstance) -> bool:
+    """True where decide_grid does not trust the p-large closed form's yes
+    alone: some terminal lies within reach = max(1, p // 4) of a rim, and
+    either sep = min(|dx|, |dy|) <= 1 or p >= 2 sep + 3.  A terminal near a
+    rim in front of it has the other one nearer still, so this is the least
+    rim distance behind a terminal as _rims measures it, and the test is
+    frame-free.
 
-    Inside this band the closed form's yes can be one too low, so
-    decide_grid trusts only its cut bound there: below the bound the answer
-    is a `cut-bound` no, at k >= dist it is the `trivial` yes, and in
-    between build_witness_p_large decides, by the rings, a boosted line or,
-    on a miss, by the solver fallback.  Interior band instances with
-    |dx|, |dy| >= 1 (each terminal at least ceil(p/2) - 1 and 1 from every
-    rim behind it) are exact at k_min: the rings' witness shares k_min.
+    In the zone decide_grid answers as build_witness_p_large does, by the
+    rings, a boosted line or, on a line miss, by the solver fallback under
+    the zone's own reason.  Outside it the closed form stands.  The zone is
+    a conjecture from data, not a proof.  Every line miss at k = k_min < dist
+    lies in it: of every canonical p-large instance up to 12 x 12, and of
+    seeded samples up to 40 x 40 with p up to 30, where misses reach rim
+    distance p // 4 but none lie beyond it.  A reach of 1 (the same up to
+    p = 7) is too short: GridInstance(10, 16, (2, 9), (2, 2), 10, 6) has
+    both terminals 2 from their rims, no line reaches p, and its optimum
+    is 7.
+    Outside the zone, 360 seeded instances on grids up to 20 x 20 (p up to
+    12) met k_min against an exact integer program.
     """
-    return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
+    (sx, sy), (tx, ty) = gi.s, gi.t
+    dx, dy = abs(tx - sx), abs(ty - sy)
+    if dx > 1 and dy > 1 and 2 * (dx if dx < dy else dy) + 3 > gi.p:  # sep > 1, p < 2 sep + 3
+        return False
+    reach = gi.p // 4 or 1
+    far_x, far_y = gi.n - 1 - reach, gi.m - 1 - reach
+    return (sx <= reach or tx <= reach or sy <= reach or ty <= reach
+            or sx >= far_x or tx >= far_x or sy >= far_y or ty >= far_y)
 
 
 def _rims(gi: GridInstance) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -272,9 +293,9 @@ def criteria_p_large(gi: GridInstance) -> tuple[int, int]:
     _rims threshold, the budget the sum of the two side costs.
 
     The budget, capped at dist, is grid_cut_lower_bound, which the boosted
-    lines of build_witness_p_large meet below dist.  It is exact except on a
-    few rim instances and in part of the band of degenerate_alignment, where
-    the optimum lies above it; decide_grid sends the band to those lines."""
+    lines of build_witness_p_large meet below dist.  It is exact except on
+    some instances of rim_zone, where the optimum lies above it; decide_grid
+    sends the zone to those lines."""
     criteria = _bound_pass(gi)[2]
     if criteria is None:
         raise ValueError("criteria_p_large needs a p-large instance")
@@ -298,18 +319,18 @@ def decide_grid(gi: GridInstance, want_witness: bool = False) -> Verdict:
     `single-path`; k below the cut bound is no (`criteria` where the p-large
     closed form holds, else `cut-bound`, certified by the bound); at k >=
     dist, where the bound is dist (all of p-small, p-large at k_min >= dist)
-    or no closed form holds (p-narrow, the band), the yes is `trivial`: the
-    trivial witness, sharing dist, and no grid built.  The p-narrow budgets
-    from the cut bound to dist - 1 go to the solver fallback, `fallback:
-    p-narrow`.  p-large outside the band and without a witness answers the
-    rest yes by closed form; every other p-large budget (the band, or a
-    witness wanted) goes to build_witness_p_large, whose witness is dropped
-    when none was asked for."""
+    or no closed form holds (p-narrow, the rim zone), the yes is `trivial`:
+    the trivial witness, sharing dist, and no grid built.  The p-narrow
+    budgets from the cut bound to dist - 1 go to the solver fallback,
+    `fallback: p-narrow`.  p-large outside rim_zone and without a witness
+    answers the rest yes by closed form; every other p-large budget (the
+    zone, or a witness wanted) goes to build_witness_p_large, whose witness
+    is dropped when none was asked for."""
     if gi.p == 1:
         witness = _trivial_witness(gi) if want_witness else None
         return Verdict(True, shared_count=0, witness=witness, method="single-path")
     regime, bound, criteria, _ = _bound_pass(gi)
-    closed_form = criteria is not None and not degenerate_alignment(gi)
+    closed_form = criteria is not None and not rim_zone(gi)
     if gi.k < bound:
         if closed_form:
             return Verdict(False, method="criteria", certificate=criteria)
@@ -526,11 +547,12 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
        that reaches p is decomposed and verified on the window; its paths
        share only boosted edges, so at most k_min, and they are lifted to
        gi's edge ids.  The verdict is `criteria`.
-    3. when no line reaches p (a few instances with a terminal on the rim,
-       and some in the band of degenerate_alignment, which decide_grid
-       sends here witness or not) and k < dist, the solver fallback decides
-       on the whole of materialize_grid(gi), and verifies its yes there;
-       its no marks a closed-form undershoot.
+    3. when no line reaches p and k < dist, the solver fallback decides on
+       the whole of materialize_grid(gi), and verifies its yes there.  Its
+       reason is ZONE_REASON in rim_zone, which decide_grid sends here
+       witness or not and where every miss seen so far lies.  Outside the
+       zone it is LINE_MISS_REASON: the miss refutes rim_zone, and a no
+       there marks a closed-form undershoot.
     4. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
        solution: `trivial`, sharing dist; this route builds no grid itself.
 
@@ -549,5 +571,5 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
         if verdict is not None:
             return verdict
     if gi.k < gi.dist():
-        return _solver_fallback(gi, "fallback: no boosted line reaches p")
+        return _solver_fallback(gi, ZONE_REASON if rim_zone(gi) else LINE_MISS_REASON)
     return _trivial_verdict(gi, True)

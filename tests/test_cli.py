@@ -171,8 +171,10 @@ class TestGrid:
          ["answer yes", "shared 1", "method criteria"]),
         (["2", "5", "0", "0", "1", "4", "3", "4"], 0,
          ["answer yes", "shared 4", "method fallback", "reason fallback: p-narrow"]),
+        # s on a corner and s, t in one column: the rim zone, where a line
+        # miss goes to the solver under the zone's own reason
         (["4", "5", "0", "0", "0", "4", "4", "3"], 1,
-         ["answer no", "method fallback", "reason fallback: no boosted line reaches p"]),
+         ["answer no", "method fallback", "reason fallback: rim zone"]),
     ])
     def test_decide_fallback_reason(self, capsys, args, code, lines):
         assert main(["grid-decide", *args]) == code
@@ -194,8 +196,9 @@ class TestGrid:
 
     @pytest.mark.parametrize("k", ["16", "17"])
     def test_decide_band_far_apart_within_a_second(self, capsys, k):
-        # s and t one column apart, 29 rows apart: a boosted line on the
-        # window answers; the exact solver on the whole grid takes over 40 s
+        # s and t one column apart, 29 rows apart, s 5 = p // 4 from its
+        # rims, so in the rim zone: a boosted line on the window answers;
+        # the exact solver on the whole grid takes over 40 s
         start = time.perf_counter()
         assert main(["grid-decide", "40", "40", "5", "5", "6", "34", "20", k]) == 0
         assert time.perf_counter() - start < 1
@@ -209,7 +212,7 @@ class TestGrid:
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert lines == ["answer yes", "shared 5", "method fallback",
-                         "reason fallback: no boosted line reaches p"]
+                         "reason fallback: rim zone"]
         assert main(["verify", str(inst_out), str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["answer yes", "shared 5"]
 
@@ -222,7 +225,7 @@ class TestGrid:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out.splitlines() == ["answer no", "method fallback",
-                                             "reason fallback: no boosted line reaches p"]
+                                             "reason fallback: rim zone"]
         assert captured.err == "" and not out.exists()
 
     def test_witness(self, tmp_path, capsys):
@@ -235,6 +238,17 @@ class TestGrid:
         inst = parse_instance(inst_out.read_text())
         v = verify_solution(inst, sol)
         assert v.answer and v.shared_count == 6
+
+    def test_witness_writes_before_it_prints(self, tmp_path, capsys):
+        # an --out that cannot be written stops the command before the answer
+        # is printed, as for solve, and no --instance-out is left behind
+        inst_out = tmp_path / "g.mse"
+        code = main(["grid-witness", "5", "5", "0", "0", "3", "3", "2", "1",
+                     "--out", str(tmp_path / "no-such-dir" / "x"),
+                     "--instance-out", str(inst_out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and not inst_out.exists()
 
     def test_witness_on_a_large_grid(self, tmp_path, capsys):
         # only the rings' region around s and t is built, so this runs in

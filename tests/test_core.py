@@ -193,26 +193,60 @@ class TestVerify:
         g = cycle4()
         inst = Instance(g, 0, 2, 2, 4)
         v = verify_solution(inst, Solution((PathSeq(((0, True), (1, True))),)))
-        assert not v.answer and "2 paths" in v.reason
+        assert not v.answer and v.reason == "expected 2 paths, got 1"
 
     def test_non_simple_path_rejected(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 1), (1, 3)])
         inst = Instance(g, 0, 3, 1, 0)
         walk = PathSeq(((0, True), (1, True), (2, True), (3, True)))
         v = verify_solution(inst, walk and Solution((walk,)))
-        assert not v.answer and "repeats a vertex" in v.reason
+        assert not v.answer and v.reason == "path 0 repeats a vertex"
 
     def test_disconnected_steps_rejected(self):
         g = cycle4()
         inst = Instance(g, 0, 2, 1, 0)
         v = verify_solution(inst, Solution((PathSeq(((0, True), (2, True))),)))
-        assert not v.answer and "chain" in v.reason
+        assert not v.answer
+        assert v.reason == "path 0: step on edge 2 does not chain (at vertex 1)"
+        # a backward step whose head is not the current vertex breaks too
+        v = verify_solution(inst, Solution((PathSeq(((0, True), (3, False))),)))
+        assert v.reason == "path 0: step on edge 3 does not chain (at vertex 1)"
 
     def test_direction_violation(self):
         g = cycle4(DIRECTED)
         inst = Instance(g, 0, 2, 1, 0)
         v = verify_solution(inst, Solution((PathSeq(((3, False), (2, False))),)))
-        assert not v.answer and "reverse" in v.reason
+        assert not v.answer and v.reason == "path 0: reverse step on arc 3"
+
+    def test_shared_count_over_k(self):
+        top = PathSeq(((0, True), (1, True)))
+        bottom = PathSeq(((3, False), (2, False)))
+        v = verify_solution(Instance(cycle4(), 0, 2, 3, 1), Solution((top, top, bottom)))
+        assert (v.answer, v.shared_count) == (False, 2)
+        assert v.reason == "2 shared unit edges exceed k=1"
+
+    def test_first_reason_wins(self):
+        # every step's id and direction is checked before the walk, so an
+        # unknown id after a broken step is the reason, and a fault in path
+        # 0 is reported before one in path 1
+        g = cycle4()
+        good = PathSeq(((0, True), (1, True)))
+        broken_then_unknown = PathSeq(((0, True), (2, True), (9, True)))
+        v = verify_solution(Instance(g, 0, 2, 2, 4), Solution((broken_then_unknown, good)))
+        assert v.reason == "path 0: unknown edge 9"
+        v = verify_solution(Instance(g, 0, 2, 2, 4), Solution((good, broken_then_unknown)))
+        assert v.reason == "path 1: unknown edge 9"
+        v = verify_solution(Instance(g, 0, 2, 2, 4),
+                            Solution((PathSeq(((0, True), (2, True))), broken_then_unknown)))
+        assert v.reason == "path 0: step on edge 2 does not chain (at vertex 1)"
+        # on arcs the first bad step names the fault, unknown id or reverse
+        d = cycle4(DIRECTED)
+        v = verify_solution(Instance(d, 0, 2, 1, 0), Solution((PathSeq(((3, False), (9, True))),)))
+        assert v.reason == "path 0: reverse step on arc 3"
+        v = verify_solution(Instance(d, 0, 2, 1, 0), Solution((PathSeq(((9, True), (3, False))),)))
+        assert v.reason == "path 0: unknown edge 9"
+        v = verify_solution(Instance(d, 0, 2, 1, 0), Solution((PathSeq(((-1, True),)),)))
+        assert v.reason == "path 0: unknown edge -1"
 
     @given(st.permutations(range(3)))
     def test_shared_count_permutation_invariant(self, perm):

@@ -10,6 +10,8 @@ import pytest
 import minshared.grid as grid_module
 from minshared.core import PathSeq, Verdict, serialize_instance, verify_solution
 from minshared.grid import (
+    LINE_MISS_REASON,
+    ZONE_REASON,
     GridInstance,
     P_LARGE,
     P_NARROW,
@@ -19,10 +21,10 @@ from minshared.grid import (
     classify,
     criteria_p_large,
     decide_grid,
-    degenerate_alignment,
     embed_grid,
     grid_cut_lower_bound,
     materialize_grid,
+    rim_zone,
     variants,
 )
 from minshared.grid import _boosted_lines, _bound_pass, _lift, _solver_fallback, _walk, _window
@@ -38,7 +40,7 @@ LINE_S_SHORTER = GridInstance(8, 8, (1, 3), (3, 6), 8, 4)  # third flow
 SOLVER = GridInstance(7, 7, (0, 2), (2, 6), 7, 5)  # no line reaches p: exact solver
 SOLVER_PAST_WINDOW = GridInstance(12, 7, (0, 2), (2, 6), 7, 5)  # the same, on a 8 x 7 window
 ROUTES = (LINE, LINE_T_SHORTER, LINE_S_SHORTER_RIM, LINE_S_SHORTER, SOLVER)
-SOLVER_REASON = "fallback: no boosted line reaches p"
+SOLVER_REASON = ZONE_REASON  # SOLVER's, a line miss in the rim zone
 
 
 def _lines(gi):
@@ -46,7 +48,9 @@ def _lines(gi):
     do not apply: the first boosted line that reaches p or, on a miss, the
     solver fallback on the whole grid."""
     line = _boosted_lines(gi, _bound_pass(gi))
-    return _solver_fallback(gi, SOLVER_REASON) if line is None else line
+    if line is not None:
+        return line
+    return _solver_fallback(gi, ZONE_REASON if rim_zone(gi) else LINE_MISS_REASON)
 
 
 class TestClassify:
@@ -175,11 +179,12 @@ class TestDecideGrid:
 
     @pytest.mark.parametrize("want_witness", [False, True])
     def test_band_yes_from_a_line(self, monkeypatch, want_witness):
-        # |dy| = 1: the band's budgets from the cut bound up take the boosted
-        # lines, and a line that reaches p is a verified yes at k_min
+        # |dy| = 1 and s on a corner: the rim zone's budgets from the cut
+        # bound up take the boosted lines, and a line that reaches p is a
+        # verified yes at k_min
         monkeypatch.setattr(grid_module, "solve_fpt_branching", None)
         gi = GridInstance(4, 4, (0, 0), (3, 1), 3, 1)
-        assert degenerate_alignment(gi) and grid_cut_lower_bound(gi) == 1
+        assert rim_zone(gi) and grid_cut_lower_bound(gi) == 1
         v = decide_grid(gi, want_witness)
         assert (v.answer, v.method, v.reason) == (True, "criteria", None)
         assert (v.certificate, v.shared_count) == ((2, 1), 1)
@@ -188,19 +193,19 @@ class TestDecideGrid:
             assert verify_solution(materialize_grid(gi), v.witness).shared_count == 1
 
     def test_band_line_miss_is_a_fallback_no(self):
-        # a no at the bound: no line reaches p, and the band optimum here is
+        # a no at the bound: no line reaches p, and the zone optimum here is
         # one above the bound, so the solver completes its search
         gi = GridInstance(4, 5, (0, 0), (0, 4), 4, 3)
         rep = solve_fpt_branching(materialize_grid(gi))
         for want_witness in (False, True):
             v = decide_grid(gi, want_witness)
-            assert (v.answer, v.method, v.reason) == (
-                False, "fallback", "fallback: no boosted line reaches p")
+            assert (v.answer, v.method, v.reason) == (False, "fallback", ZONE_REASON)
             assert v.nodes_explored == rep.nodes_explored > 1
 
     def test_band_agrees_with_the_solver_up_to_5x5(self, monkeypatch):
-        # every band instance with p >= 2 at each k from the cut bound to
-        # dist - 1, with and without a witness: lines settle most of them
+        # every rim-zone instance with p >= 2 (up to 5x5, the band) at each k
+        # from the cut bound to dist - 1, with and without a witness: lines
+        # settle most of them
         calls = _count_calls(monkeypatch, "solve_fpt_branching")
         decided = 0
         for n, m in itertools.product(range(2, 6), repeat=2):
@@ -208,7 +213,7 @@ class TestDecideGrid:
             for s, t in itertools.permutations(pts, 2):
                 for p in range(2, min(n, m) + 1):
                     gi = GridInstance(n, m, s, t, p, 0)
-                    if not degenerate_alignment(gi):
+                    if not rim_zone(gi):
                         continue
                     for k in range(grid_cut_lower_bound(gi), gi.dist()):
                         at_k = replace(gi, k=k)
@@ -237,11 +242,11 @@ class TestDecideGrid:
 
 class TestTrivialRow:
     """At k >= dist the trivial solution answers every side whose cut bound
-    is dist (p-small, p-large at k_min >= dist), p-narrow and band sides, and
+    is dist (p-small, p-large at k_min >= dist), p-narrow and rim-zone sides, and
     a p-large line miss, without the solver or a whole grid."""
 
     NARROW = GridInstance(2, 5, (0, 0), (1, 4), 3, 5)  # dist 5
-    BAND = GridInstance(4, 5, (0, 0), (0, 4), 4, 4)  # dist 4
+    BAND = GridInstance(4, 5, (0, 0), (0, 4), 4, 4)  # dist 4, in the rim zone
     LINE_MISS = GridInstance(12, 7, (0, 2), (2, 6), 7, 6)  # dist 6, on an 8 x 7 window
 
     @pytest.fixture
@@ -275,15 +280,17 @@ class TestTrivialRow:
         assert built == []
 
     def test_line_miss_builds_only_its_window(self, built):
+        # build_witness_p_large tries the lines on the window; decide_grid
+        # answers this rim-zone instance at k = dist by the trivial row
         gi = self.LINE_MISS
-        assert criteria_p_large(gi) == (2, 5)
+        assert criteria_p_large(gi) == (2, 5) and rim_zone(gi)
         self.check_trivial(gi, build_witness_p_large(gi))
         self.check_trivial(gi, decide_grid(gi, want_witness=True))
-        assert built == [_window(gi)[0]] * 2
-        assert decide_grid(gi).method == "criteria"
+        assert built == [_window(gi)[0]]
+        assert decide_grid(gi).method == "trivial"
 
     def test_agrees_with_the_solver_up_to_5x5(self):
-        # every p-narrow and band instance at k = dist - 1 and k = dist
+        # every p-narrow and rim-zone instance at k = dist - 1 and k = dist
         count = trivial = 0
         for n, m in itertools.product(range(1, 6), repeat=2):
             pts = list(itertools.product(range(n), range(m)))
@@ -291,7 +298,7 @@ class TestTrivialRow:
                 for p in range(2, max(n, m) + 1):
                     gi = GridInstance(n, m, s, t, p, 0)
                     regime = classify(gi)
-                    if regime == P_SMALL or (regime == P_LARGE and not degenerate_alignment(gi)):
+                    if regime == P_SMALL or (regime == P_LARGE and not rim_zone(gi)):
                         continue
                     for k in (gi.dist() - 1, gi.dist()):
                         at_k = replace(gi, k=k)
@@ -302,10 +309,10 @@ class TestTrivialRow:
         assert (count, trivial) == (17912, 8956)
 
     def test_k_min_at_least_dist_builds_no_grid(self, built):
-        # every non-degenerate p-large instance up to 8x8, s before t, whose
-        # k_min is at least dist, at k = k_min: the boosted lines could share
-        # up to k_min there, but the cut bound is dist and the trivial
-        # witness meets it
+        # every p-large instance up to 8x8, s before t, whose k_min is at
+        # least dist, at k = k_min, in the rim zone or not: the boosted lines
+        # could share up to k_min there, but the cut bound is dist and the
+        # trivial witness meets it
         count = 0
         for n in range(1, 9):
             for m in range(n, 9):
@@ -313,18 +320,18 @@ class TestTrivialRow:
                 for s, t in itertools.combinations(pts, 2):
                     for p in range(2, n + 1):
                         gi = GridInstance(n, m, s, t, p, 0)
-                        if degenerate_alignment(gi) or criteria_p_large(gi)[1] < gi.dist():
+                        if criteria_p_large(gi)[1] < gi.dist():
                             continue
                         gi = replace(gi, k=criteria_p_large(gi)[1])
                         self.check_trivial(gi, decide_grid(gi, want_witness=True))
                         self.check_trivial(gi, build_witness_p_large(gi))
                         count += 1
-        assert count == 1010
+        assert count == 10442
         assert built == []
 
 
 def test_closed_form_witness_meets_the_cut_bound_up_to_6x6():
-    # every p-small or non-degenerate p-large instance up to 6x6, s before t,
+    # every p-small or rim-zone-free p-large instance up to 6x6, s before t,
     # at k = the cut bound, dist and dist + 1: the witness shares the bound,
     # also where k reaches a k_min above dist (6x6, (0, 5) -> (2, 3), p = 6)
     count = 0
@@ -335,7 +342,7 @@ def test_closed_form_witness_meets_the_cut_bound_up_to_6x6():
                 for p in range(2, m + 2):
                     gi = GridInstance(n, m, s, t, p, 0)
                     if classify(gi) == P_NARROW or (classify(gi) == P_LARGE
-                                                    and degenerate_alignment(gi)):
+                                                    and rim_zone(gi)):
                         continue
                     bound = grid_cut_lower_bound(gi)
                     for k in (bound, gi.dist(), gi.dist() + 1):
@@ -345,7 +352,7 @@ def test_closed_form_witness_meets_the_cut_bound_up_to_6x6():
                         assert check.answer, (at_k, check.reason)
                         assert check.shared_count == v.shared_count == bound, at_k
                         count += 1
-    assert count == 14088
+    assert count == 14190
 
 
 class TestWitness:
@@ -398,7 +405,7 @@ class TestLowerBound:
 
 
 def _below_bound_without_closed_form(size):
-    """Every canonical p-narrow or degenerate-band instance up to size x size
+    """Every canonical p-narrow or rim-zone instance up to size x size
     with p in 2..max(n, m) and cut bound >= 1, at k = bound - 1."""
     seen = set()
     for n in range(2, size + 1):
@@ -408,7 +415,7 @@ def _below_bound_without_closed_form(size):
                 for p in range(2, max(n, m) + 1):
                     gi = GridInstance(n, m, s, t, p, 0)
                     regime = classify(gi)
-                    if regime == P_SMALL or (regime == P_LARGE and not degenerate_alignment(gi)):
+                    if regime == P_SMALL or (regime == P_LARGE and not rim_zone(gi)):
                         continue
                     canon = canonicalize(gi)
                     bound = grid_cut_lower_bound(canon)
@@ -434,7 +441,7 @@ def _count_calls(monkeypatch, *names):
 class TestCutBoundFirst:
     def test_sound_and_solver_free_up_to_6x6(self, monkeypatch):
         cases = list(_below_bound_without_closed_form(6))
-        assert len(cases) == 1218
+        assert len(cases) == 1213
         calls = _count_calls(monkeypatch, "solve_fpt_branching", "materialize_grid")
         for gi in cases:
             v = decide_grid(gi)
@@ -448,18 +455,18 @@ class TestCutBoundFirst:
         (GridInstance(3, 3, (0, 0), (2, 2), 4, 4), P_SMALL),
         (GridInstance(100, 100, (20, 30), (80, 70), 40, 35), P_LARGE),
         (GridInstance(100, 100, (20, 30), (80, 70), 40, 36), P_LARGE),
-        (GridInstance(4, 4, (0, 0), (3, 1), 3, 0), P_LARGE),  # the band
+        (GridInstance(4, 4, (0, 0), (3, 1), 3, 0), P_LARGE),  # the rim zone
         (GridInstance(4, 4, (0, 0), (3, 1), 3, 1), P_LARGE),
         (GridInstance(2, 5, (0, 0), (1, 4), 3, 3), P_NARROW),
         (GridInstance(2, 5, (0, 0), (1, 4), 3, 4), P_NARROW),
     ])
     def test_one_pass_per_decision(self, monkeypatch, gi, regime):
         assert classify(gi) == regime
-        band = regime == P_LARGE and degenerate_alignment(gi) and gi.k >= grid_cut_lower_bound(gi)
+        zone = regime == P_LARGE and rim_zone(gi) and gi.k >= grid_cut_lower_bound(gi)
         calls = _count_calls(monkeypatch, "classify", "_rims")
         decide_grid(gi)
-        if band:
-            # the band from its cut bound up also runs build_witness_p_large's
+        if zone:
+            # the zone from its cut bound up also runs build_witness_p_large's
             # passes: one on gi and one on the window
             assert calls == {"classify": 3, "_rims": 3}
         else:
@@ -667,7 +674,7 @@ class TestOwnFrame:
                 for s, t in itertools.permutations(pts, 2):
                     for p in range(1, min(n, m) + 1):
                         gi = GridInstance(n, m, s, t, p, 0)
-                        if degenerate_alignment(gi):
+                        if rim_zone(gi):
                             continue
                         canon = canonicalize(gi)
                         expected = criteria_p_large(canon)
@@ -723,7 +730,10 @@ class TestWitnessOwnFrame:
 
 class TestWitnessFallback:
     def test_fallback_is_labelled(self):
-        assert decide_grid(SOLVER).reason is None
+        # SOLVER lies in the rim zone: a line miss goes to the solver,
+        # witness wanted or not
+        assert (decide_grid(SOLVER).method, decide_grid(SOLVER).reason) == (
+            "fallback", SOLVER_REASON)
         v = decide_grid(SOLVER, want_witness=True)
         assert (v.method, v.reason) == ("fallback", SOLVER_REASON)
         check = verify_solution(materialize_grid(SOLVER), v.witness)
@@ -731,11 +741,12 @@ class TestWitnessFallback:
 
     def test_undershoot_is_a_fallback_no(self):
         # the closed form promises k_min = 4, but the completed search finds
-        # no witness: the answer is the solver's no, not an error
+        # no witness: the answer is the solver's no, not an error, and in the
+        # rim zone decide_grid gives it without a witness too
         gi = GridInstance(7, 7, (0, 3), (2, 6), 7, 4)
-        assert decide_grid(gi).answer
         rep = solve_fpt_branching(materialize_grid(gi))
-        for v in (build_witness_p_large(gi), decide_grid(gi, want_witness=True)):
+        for v in (build_witness_p_large(gi), decide_grid(gi),
+                  decide_grid(gi, want_witness=True)):
             assert (v.answer, v.method, v.reason, v.witness) == (
                 False, "fallback", SOLVER_REASON, None)
             assert v.nodes_explored == rep.nodes_explored > 1
@@ -771,9 +782,9 @@ class TestWitnessFallback:
 
 
 def _case1_at_k_min(gi):
-    """gi at k = k_min when it is a non-degenerate case-1 instance with
+    """gi at k = k_min when it is a case-1 instance outside the rim zone with
     k_min < dist, else None."""
-    if gi.p < 2 or classify(gi) != P_LARGE or degenerate_alignment(gi):
+    if gi.p < 2 or classify(gi) != P_LARGE or rim_zone(gi):
         return None
     case_id, k_min = criteria_p_large(gi)
     if case_id != 1 or k_min >= gi.dist():
@@ -839,7 +850,7 @@ class TestBoostedLine:
 
     def test_every_interior_case1_instance_up_to_9x9(self, spies):
         instances = list(_interior_canonical_case1(9))
-        assert len(instances) == 209
+        assert len(instances) == 968
         for gi in instances:
             self.check_line_witness(gi)
         assert spies == {"max_flow_boosted": len(instances), "solve_fpt_branching": 0}
@@ -886,9 +897,14 @@ class TestBoostedLine:
         assert check.answer and check.shared_count == w.shared_count == gi.k
 
 
-def _canonical_at_k_min(size):
-    """Every canonical, non-degenerate p-large instance up to size x size
-    (either side may be the longer) at k = k_min < dist."""
+def _band(gi):
+    """s and t nearly share a row or a column: |dx| <= 1 or |dy| <= 1."""
+    return abs(gi.t[0] - gi.s[0]) <= 1 or abs(gi.t[1] - gi.s[1]) <= 1
+
+
+def _canonical_at_k_min(size, skip=rim_zone):
+    """Every canonical p-large instance up to size x size (either side may
+    be the longer) at k = k_min < dist, but those that `skip` holds."""
     for n in range(3, size + 1):
         for m in range(3, size + 1):
             pts = [(x, y) for x in range(n) for y in range(m)]
@@ -897,7 +913,7 @@ def _canonical_at_k_min(size):
                     continue
                 for p in range(2, min(n, m) + 1):
                     gi = GridInstance(n, m, s, t, p, 0)
-                    if degenerate_alignment(gi):
+                    if skip(gi):
                         continue
                     k_min = criteria_p_large(gi)[1]
                     gi = replace(gi, k=k_min)
@@ -913,14 +929,18 @@ def _witness_outcome(gi, build=build_witness_p_large):
     if v.answer:
         check = verify_solution(materialize_grid(gi), v.witness)
         assert check.answer and check.shared_count == v.shared_count, (gi, check.reason)
-    assert v.reason == (SOLVER_REASON if v.method == "fallback" else None), gi
+    if v.method == "fallback":
+        assert v.reason == (ZONE_REASON if rim_zone(gi) else LINE_MISS_REASON), gi
+    else:
+        assert v.reason is None, gi
     return v.method, v.answer, v.shared_count
 
 
 class TestWitnessSweep:
     def test_every_frame_up_to_6x6_agrees(self):
+        # off the rim zone, the interior of the band included
         instances = list(_canonical_at_k_min(6))
-        assert len(instances) == 444
+        assert len(instances) == 453
         for gi in instances:
             base = _witness_outcome(gi)
             assert base[0] == "criteria", gi
@@ -928,10 +948,11 @@ class TestWitnessSweep:
                 assert _witness_outcome(variant) == base, (gi, variant)
 
     def test_canonical_up_to_8x8_line_misses(self):
-        # the boosted lines on every instance, rings or not
+        # the boosted lines on every instance off the band, rings or not:
+        # every miss lies in the rim zone, and none outside it
         misses = {}
         count = 0
-        for gi in _canonical_at_k_min(8):
+        for gi in _canonical_at_k_min(8, skip=_band):
             method, answer, _ = _witness_outcome(gi, _lines)
             count += 1
             if method != "criteria":
@@ -949,6 +970,30 @@ class TestWitnessSweep:
             (8, 8, (0, 3), (2, 7), 7, 4): ("fallback", False),
             (8, 8, (0, 4), (2, 7), 7, 4): ("fallback", False),
         }
+        assert all(rim_zone(GridInstance(*key)) for key in misses)
+
+
+def test_decide_agrees_with_the_witness_route_up_to_6x6():
+    # every canonical p-large instance up to 6x6 at each k from the cut bound
+    # to dist: the answer, method and reason without a witness are those of
+    # the witness route, so closed-form yeses hold only where a witness does
+    count = fallbacks = 0
+    for n in range(2, 7):
+        for m in range(n, 7):
+            pts = [(x, y) for x in range(n) for y in range(m)]
+            for s, t in itertools.permutations(pts, 2):
+                for p in range(2, n + 1):
+                    gi = GridInstance(n, m, s, t, p, 0)
+                    if canonicalize(gi) != gi:
+                        continue
+                    for k in range(grid_cut_lower_bound(gi), gi.dist() + 1):
+                        at_k = replace(gi, k=k)
+                        v, w = decide_grid(at_k), decide_grid(at_k, want_witness=True)
+                        assert (v.answer, v.method, v.reason) == (
+                            w.answer, w.method, w.reason), at_k
+                        count += 1
+                        fallbacks += v.method == "fallback"
+    assert (count, fallbacks) == (5735, 31)
 
 
 def _ring_region(gi):
@@ -967,7 +1012,7 @@ def _ring_region(gi):
 
 
 def _canonical_ring_instances(size):
-    """Every canonical p-large instance up to size x size, the band included,
+    """Every canonical p-large instance up to size x size, the rim zone included,
     at k = k_min < dist, that the rings cover."""
     for n in range(3, size + 1):
         for m in range(3, size + 1):
@@ -1022,15 +1067,15 @@ class TestRings:
 
     def test_every_covered_instance_up_to_8x8(self, spies):
         instances = list(_canonical_ring_instances(8))
-        band = sum(map(degenerate_alignment, instances))
-        assert (len(instances), band) == (1074, 703)
+        zone = sum(map(rim_zone, instances))
+        assert (len(instances), zone) == (1074, 594)
         for gi in instances:
             spies.clear()
             self.check_rings(gi, build_witness_p_large(gi), spies)
 
     def test_every_frame_agrees_up_to_6x6(self, spies):
         # (method, answer, shared) of all 16 frames of each covered instance,
-        # the band included, each frame by the rings on its own region
+        # the rim zone included, each frame by the rings on its own region
         instances = list(_canonical_ring_instances(6))
         assert len(instances) == 102
         for gi in instances:
@@ -1044,11 +1089,12 @@ class TestRings:
 
     @pytest.mark.parametrize("want_witness", [False, True])
     def test_decide_grid_builds_only_the_region(self, spies, want_witness):
-        # a band instance decides by the rings, witness wanted or not
-        gi = GridInstance(12, 12, (4, 3), (5, 8), 6, 2)
-        assert degenerate_alignment(gi) and criteria_p_large(gi) == (1, 2)
+        # a rim-zone instance decides by the rings, witness wanted or not:
+        # s is 1 from its rim, which is q when p <= 4
+        gi = GridInstance(12, 12, (1, 3), (2, 8), 4, 0)
+        assert rim_zone(gi) and criteria_p_large(gi) == (1, 0)
         v = decide_grid(gi, want_witness)
-        assert (v.answer, v.method, v.shared_count) == (True, "criteria", 2)
+        assert (v.answer, v.method, v.shared_count) == (True, "criteria", 0)
         assert (v.witness is not None) == want_witness
         assert spies == [_ring_region(gi)]
 
@@ -1095,7 +1141,7 @@ class TestRings:
 
 
 def _seeded_near_rim(seed, count):
-    """`count` non-degenerate p-large instances at k = k_min < dist on
+    """`count` p-large instances off the band at k = k_min < dist on
     10-45-sided grids with p up to 30, s within 2 of a rim in 40% of them."""
     rng = random.Random(seed)
     out = []
@@ -1110,7 +1156,7 @@ def _seeded_near_rim(seed, count):
         if tuple(s) == t:
             continue
         gi = GridInstance(n, m, tuple(s), t, p, 0)
-        if degenerate_alignment(gi):
+        if _band(gi):
             continue
         gi = replace(gi, k=criteria_p_large(gi)[1])
         if gi.k < gi.dist():
@@ -1166,7 +1212,7 @@ class TestWindow:
         return a.method
 
     def test_canonical_up_to_7x7(self, lifts):
-        instances = list(_canonical_at_k_min(7))
+        instances = list(_canonical_at_k_min(7, skip=_band))
         methods = [self.assert_same(gi) for gi in instances]
         assert (len(methods), methods.count("fallback")) == (1477, 2)
         # every path of every witness but the two fallbacks', p = 7 each

@@ -296,6 +296,36 @@ def test_no_reference_cycles_by_construction():
     assert _cycle_makers() == []
 
 
+_COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def _collector_switches(path):
+    """(line, name) of each gc.disable, gc.enable, gc.freeze or
+    gc.set_threshold that the module at `path` names, under any alias of
+    the gc module or imported from it."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "gc"}
+    found = [(node.lineno, a.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "gc"
+             for a in node.names if a.name in _COLLECTOR_SWITCHES]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in _COLLECTOR_SWITCHES
+              and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    return found
+
+
+def test_only_the_command_line_switches_the_collector():
+    # the cyclic collector belongs to the program that embeds the library:
+    # only cli.main, which is such a program, turns it off and back on
+    found = {os.path.basename(path): _collector_switches(path)
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))}
+    assert {name for _, name in found.pop("cli.py")} == {"disable", "enable"}
+    assert len(found) > 5
+    assert {module: hits for module, hits in found.items() if hits} == {}
+
+
 def test_grid_has_one_solver_call_and_one_result_type():
     # the grid layer's exact-solver fallback lives in one helper, and every
     # result is a Verdict: no subclass of it or of Solution carries extra fields
@@ -477,5 +507,6 @@ def test_readme_names_every_fallback_reason():
                and node.value.startswith("fallback: ")}
     with open(README, encoding="utf-8") as fh:
         readme = " ".join(fh.read().split())  # a name may wrap across lines
-    assert reasons == {"fallback: p-narrow", "fallback: no boosted line reaches p"}
+    assert reasons == {"fallback: p-narrow", "fallback: rim zone",
+                       "fallback: no boosted line reaches p"}
     assert [r for r in sorted(reasons) if f"`{r}`" not in readme] == []

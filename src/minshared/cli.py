@@ -2,8 +2,8 @@
 compilation, composition, normalisation and figure emission.
 
 Exit codes: 0 success (or answer yes), 1 answer no / rejected, 2 usage error
-(an unreadable or unwritable file included), 3 guard or layout limit, 4
-internal error (a bug, never an answer).  Verdicts are machine readable:
+(an unreadable or unwritable file included), 3 guard limit, 4 internal
+error (a bug, never an answer).  Verdicts are machine readable:
 `answer yes|no`, `shared <int>`, `method <name>` and `reason <text>` lines on
 stdout.  All randomness is seeded (`--seed`); outputs never depend on wall
 clock or environment.
@@ -32,7 +32,6 @@ from .core import (
 )
 from .grid import GridInstance, decide_grid, embed_grid
 from .reductions import (
-    LayoutError,
     classify_malformed,
     or_compose,
     serialize_trace,
@@ -377,7 +376,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuardExceeded, LayoutError) as exc:
+    except GuardExceeded as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug, never an answer: keep it off exit code 1

@@ -43,10 +43,6 @@ from .core import (
 from .vc import VCInstance, is_cover, pad_to_power_of_two
 
 
-class LayoutError(RuntimeError):
-    """The routing rules ran out of geometric room (diagnostic, not silent)."""
-
-
 # ---------------------------------------------------------------------------
 # constants
 
@@ -239,77 +235,58 @@ def _grow_tree(bld: _Builder, tree_depth: int, x: int, y: int, level: int,
         _grow_tree(bld, tree_depth, child[0], child[1], level + 1, prefix + [eid], into_t, leaves)
 
 
-def _route_snakes(tracks: list[tuple[int, int]], y_top: int, y_bottom: int,
-                  run: int, c: int, max_drop: int) -> list[list[Point]]:
-    """Greedy routes for one gap's tracks (sx, tx), left to right: drop as far
-    as allowed, run right, drop below every conflicting return run, run back
-    over the target, descend.
-
-    The drop zone holds max_drop levels (four in the undirected construction,
-    eight in the directed one whose columns carry two tracks); return levels
-    beyond c-1 would collide with the next row's rainbows and raise."""
-    drops: list[tuple[int, int, int]] = []  # (level, sx, elbow) per drop run
-    returns: list[tuple[int, int]] = []     # (level, elbow) per return run
-    routes = []
+def _route_snakes(tracks: list[tuple[int, int]], run: int
+                  ) -> list[tuple[int, int, int, int, int]]:
+    """Greedy plans for one gap's tracks (sx, tx), left to right: drop, run
+    right, drop below every conflicting return run, run back over the
+    target, descend.  A plan is (sx, drop depth, elbow, return depth, tx):
+    a drop run at depth d sits d levels above the deepest drop level, a
+    return run at depth r sits r levels below it.  A track starting under an
+    earlier drop run drops one level less, and one ending under an earlier
+    return run returns one level lower."""
+    drops: list[tuple[int, int, int]] = []  # (depth, sx, elbow) per drop run
+    returns: list[tuple[int, int]] = []     # (depth, elbow) per return run
+    plans = []
     elbow = -math.inf  # every elbow lies right of the one before
     for sx, tx in tracks:
-        drop = min([max_drop] + [lvl - 1 for lvl, x1, x2 in drops if x1 <= sx <= x2])
-        if drop < 1:
-            raise LayoutError("snake drop level exhausted")
+        drop = max([0] + [d + 1 for d, x1, x2 in drops if x1 <= sx <= x2])
         elbow = max(sx + run, tx + 1, elbow + 1)
-        level = max([max_drop] + [lvl for lvl, x in returns if x >= tx]) + 1
-        if level > c - 1:
-            raise LayoutError("snake return level exhausted")
+        ret = max([0] + [r for r, x in returns if x >= tx]) + 1
         drops.append((drop, sx, elbow))
-        returns.append((level, elbow))
-        routes.append([(sx, y_top), (sx, y_top - drop), (elbow, y_top - drop),
-                       (elbow, y_top - level), (tx, y_top - level), (tx, y_bottom)])
-    return routes
+        returns.append((ret, elbow))
+        plans.append((sx, drop, elbow, ret, tx))
+    return plans
 
 
 # the most vertices _compile_holey takes, padded to a power of two or not:
-# gen_vc_deg3(1, 64, 96) compiles to about 3.6M super-edges and 2.4M
-# vertices in 13-14 s of CPU at a peak RSS of 1.5 GB (2-core machine)
+# gen_vc_deg3(1, 64, 96) at k = 32 compiles to about 3.6M super-edges and
+# 2.4M vertices in 11-14 s of CPU at a peak RSS of 1.5 GB (2-core machine)
 MAX_COMPILE_VERTICES = 64
 
 
 def _compile_holey(vc_raw: VCInstance, directed: bool, demo: bool) -> ReductionArtifact:
-    """Layout driver: tries the paper-faithful row spacing M + c first and
-    stretches the gaps between rows only when the snake router runs out of
-    levels (row spacing is purely geometric and enters no budget constant;
-    misaligned wide/narrow row pairs can need more return corridors than
-    c - 1).  Each spacing plans its snake routes on coordinates alone before
-    any chain is laid, so a spacing that fails lays nothing.  A graph of
-    more than MAX_COMPILE_VERTICES vertices raises GuardExceeded before any
-    per-vertex work."""
+    """Layout driver.  A graph of more than MAX_COMPILE_VERTICES vertices
+    raises GuardExceeded before any per-vertex work."""
     if vc_raw.graph.vertex_count > MAX_COMPILE_VERTICES:
         raise GuardExceeded(f"{vc_raw.graph.vertex_count} vertices to compile "
                             f"(limit {MAX_COMPILE_VERTICES})")
     vc = pad_to_power_of_two(vc_raw)
     if max(vc.degrees(), default=0) > 3:
         raise ValueError("compiler requires maximum degree three")
-    cons = reduction_constants(vc)
-    # keep the failure as text: the exception's traceback holds this frame,
-    # so keeping the exception here would tie both, and the failed attempt's
-    # frames, into a reference cycle
-    last = ""
-    for extra in (0, 8, 24, 56, 120, 248):
-        try:
-            return _lay_holey(vc, cons, directed, demo, extra)
-        except LayoutError as exc:
-            last = str(exc)
-    raise LayoutError(f"snake routing failed even with stretched rows: {last}")
+    return _lay_holey(vc, reduction_constants(vc), directed, demo)
 
 
-def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: bool,
-               extra_spacing: int) -> ReductionArtifact:
-    """The layout for one row spacing.  The frame and every snake route are
-    fixed first, so that LayoutError (the router ran out of levels) is raised
-    before any chain is laid; then every chain is emitted, s side to t side."""
+def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool,
+               demo: bool) -> ReductionArtifact:
+    """The layout in one pass.  Every snake route is planned first, on
+    columns counted from v'_{i,1}; the plans set the row spacing M + c:
+    c is the paper's unless the snakes need more levels between rows (row
+    spacing is purely geometric and enters no budget constant; misaligned
+    wide/narrow row pairs can need more return corridors than c - 1).
+    Then the frame is fixed and every chain is emitted, s side to t side."""
     nv = vc.graph.vertex_count
     ne = len(vc.graph.edges)
     m_val = cons.M
-    c = (cons.c_manhattan if directed else cons.c) + extra_spacing
     budget = cons.k_double_prime if directed else cons.k_prime
     tree_depth = nv.bit_length() - 1
 
@@ -317,6 +294,54 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
     for j, e in enumerate(vc.graph.edges):
         incident[e.tail][j] = True
         incident[e.head][j] = True
+
+    if demo:
+        b_len = 6
+        gap = 2
+        run = 8
+    else:
+        b_len = cons.b
+        # the inner band gap only needs budget-1 (bands then exceed the
+        # budget); the directed layout widens it so that fewer snake return
+        # runs overlap within one run-length window, keeping the doubled
+        # tracks inside the paper's c-1 levels between rows more often
+        gap = 3 * budget if directed else budget - 1
+        run = budget
+
+    # a cell is its b-chain (plus the junction arc when directed), followed
+    # by a rainbow unless the row vertex covers the column edge; columns
+    # count from v'_{i,1} until the frame fixes its x
+    row_x: list[list[int]] = [[]]
+    for i in range(1, nv + 1):
+        xs = [0]
+        for bare in incident[i - 1]:
+            xs.append(xs[-1] + b_len + directed + (0 if bare else 2 * m_val + gap))
+        row_x.append(xs)
+
+    # snake-chains between consecutive rows, one (or one pair) per column
+    plans = []
+    for i in range(1, nv):
+        tracks = []
+        for j in range(1, ne + 2):
+            sx = row_x[i][j - 1]
+            tx = row_x[i + 1][j - 1]
+            tracks.append((sx, "down", j, tx))
+            if directed:
+                # up-snakes attach right of the row vertex (the X2 junction),
+                # except at the last column where they use the W1 junction
+                # just before it
+                shift = 1 if j <= ne else -1
+                tracks.append((sx + shift, "up", j, tx + shift))
+        tracks.sort()
+        plans.append((i, tracks, _route_snakes([(sx, tx) for sx, _, _, tx in tracks], run)))
+    # the drop zone holds max_drop levels (at least four in the undirected
+    # construction, eight in the directed one whose columns carry two
+    # tracks), the return runs the levels below it, above the next row's
+    # rainbows
+    c_paper = cons.c_manhattan if directed else cons.c
+    every = [plan for _, _, planned in plans for plan in planned]
+    max_drop = max(8 if directed else 4, (c_paper - 1) // 2, max(p[1] for p in every) + 1)
+    c = max(c_paper, max_drop + max(p[3] for p in every) + 1)
 
     # frame: row i baseline at (nv - i)(M + c); leaves a0 below row 1
     row_y = [0] + [(nv - i) * (m_val + c) for i in range(1, nv + 1)]
@@ -332,57 +357,26 @@ def _lay_holey(vc: VCInstance, cons: ReductionConstants, directed: bool, demo: b
         r_off[i] = i - 1 if leaf_y[i] < row_y[i] else nv - i
 
     if demo:
-        b_len = 6
-        gap = 2
-        run = 8
         a_len = max(v_off[i] + r_off[i] for i in range(1, nv + 1)) + 2
         # budget recomputed from the demo lengths so witnesses stay coherent;
         # demo artifacts are tagged and never sound as hardness instances
         budget = _budgets(vc.k, ne, m_val, cons.trees, cons.c_prime,
                           a_len, b_len)[directed]
     else:
-        b_len = cons.b
-        # the inner band gap only needs budget-1 (bands then exceed the
-        # budget); the directed layout widens it so that fewer snake return
-        # runs overlap within one run-length window, keeping the doubled
-        # tracks inside the c-1 levels between rows
-        gap = 3 * budget if directed else budget - 1
-        run = budget
         a_len = cons.a
 
     x0 = tree_depth + a_len + 2 * m_val + gap  # column of the v'_{i,1}
-    # a cell is its b-chain (plus the junction arc when directed), followed
-    # by a rainbow unless the row vertex covers the column edge
-    row_x: list[list[int]] = [[]]
-    for i in range(1, nv + 1):
-        xs = [x0]
-        for bare in incident[i - 1]:
-            xs.append(xs[-1] + b_len + directed + (0 if bare else 2 * m_val + gap))
-        row_x.append(xs)
-
-    # snake-chains between consecutive rows, one (or one pair) per column
+    row_x = [[x + x0 for x in xs] for xs in row_x]
     snake_routes: list[tuple[int, int, str, list[Point]]] = []
-    overhang = x0
-    max_drop = max(8 if directed else 4, (c - 1) // 2)
-    for i in range(1, nv):
-        tracks = []
-        for j in range(1, ne + 2):
-            sx = row_x[i][j - 1]
-            tx = row_x[i + 1][j - 1]
-            tracks.append((sx, "down", j, tx))
-            if directed:
-                # up-snakes attach right of the row vertex (the X2 junction),
-                # except at the last column where they use the W1 junction
-                # just before it
-                shift = 1 if j <= ne else -1
-                tracks.append((sx + shift, "up", j, tx + shift))
-        tracks.sort()
-        planned = _route_snakes([(sx, tx) for sx, _, _, tx in tracks],
-                                row_y[i], row_y[i + 1], run, c, max_drop)
-        for (_, kind, j, _), pts in zip(tracks, planned):
+    for i, tracks, planned in plans:
+        y_top, y_bottom = row_y[i], row_y[i + 1]
+        for (_, kind, j, _), (sx, drop, elbow, ret, tx) in zip(tracks, planned):
+            sx, elbow, tx = sx + x0, elbow + x0, tx + x0
+            dy, ry = y_top - max_drop + drop, y_top - max_drop - ret
+            pts = [(sx, y_top), (sx, dy), (elbow, dy), (elbow, ry), (tx, ry), (tx, y_bottom)]
             # up arcs run bottom -> top
             snake_routes.append((i, j, kind, pts[::-1] if kind == "up" else pts))
-        overhang = max(overhang, planned[-1][2][0])  # the last elbow
+    overhang = x0 + max(p[2] for p in every)  # the rightmost elbow
 
     bld = _Builder(DIRECTED if directed else UNDIRECTED)
     rainbows: list[RainbowTrace] = []

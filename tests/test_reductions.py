@@ -22,7 +22,6 @@ from minshared.core import (
 from minshared import reductions
 from minshared.reductions import (
     CompositionReport,
-    LayoutError,
     SMALL_P,
     TRIVIAL_NO,
     TRIVIAL_YES,
@@ -227,30 +226,31 @@ class TestManhattan:
                 assert check_grid_embedding(art.instance.graph).answer
 
 
-# sha1 of the instance text without polylines plus the trace sidecar, as the
-# compilers emitted them before the snake routes were planned ahead of layout;
-# the row spacing each compile settles on is noted as (holey, Manhattan)
+# sha1 of the instance text without polylines plus the trace sidecar.  The
+# row spacing is M + c; c is noted as (holey, Manhattan), the paper's being
+# (10, 20).  The first two graphs fit the paper's spacing; the last two need
+# more levels between rows and are laid at the least c their snake plans fit
 COMPILED_DIGESTS = {
-    # paper example, k=2: spacing (0, 0)
+    # paper example, k=2: c = (10, 20)
     ("paper", False, False): "bd45df77b418dcc59e0407b51b2777ad5c974d3a",
     ("paper", False, True): "9c18861d0b0b7a8505c02085f84bd104b706143e",
     ("paper", True, False): "2e0b01b8716f22dbc368dc5a812d44cd215197bc",
     ("paper", True, True): "5828861ab0c69f290ce588e36d76035d122e8cd6",
-    # gen_vc_deg3(3, 6, 6), k=2: spacing (0, 0)
+    # gen_vc_deg3(3, 6, 6), k=2: c = (10, 20)
     ((3, 6, 6, 2), False, False): "0dd64be8b30c430b359405a881373ea8f1f9238a",
     ((3, 6, 6, 2), False, True): "147a2513fb07e944ea026ac6735231a284b194f3",
     ((3, 6, 6, 2), True, False): "b077270fe6210fbcbe6f569a0af92b2b9c302d77",
     ((3, 6, 6, 2), True, True): "e934a0dca175695e50bfeee12476ab0d217ecfba",
-    # gen_vc_deg3(2, 6, 6), k=2: spacing (8, 24)
-    ((2, 6, 6, 2), False, False): "fafd7635858afb03e90bb50d7379e2eebc6e755e",
-    ((2, 6, 6, 2), False, True): "2181a92df60423d5fc02c938cc3f59172c434985",
-    ((2, 6, 6, 2), True, False): "88f2cce3d075d936f0fad48de33fabad161d52dc",
-    ((2, 6, 6, 2), True, True): "a3ae43511055df32d7b28b3baf68c804deb8201a",
-    # gen_vc_deg3(5, 8, 10), k=4: spacing (24, 56)
-    ((5, 8, 10, 4), False, False): "9382ca9625461d093693be2f8cee81cdc5dbd9d2",
-    ((5, 8, 10, 4), False, True): "0d7a1e20486c6d6261b60f9500ede367789d57ec",
-    ((5, 8, 10, 4), True, False): "a1ec3db2dc5a3c2bc48ec61064feba3f288b9872",
-    ((5, 8, 10, 4), True, True): "816ca090c61231bc2997cd156d275d6622ad5be4",
+    # gen_vc_deg3(2, 6, 6), k=2: c = (15, 29)
+    ((2, 6, 6, 2), False, False): "f94c2adbd3d67763bcce46fac8872e9d0a78f3d0",
+    ((2, 6, 6, 2), False, True): "44d89a16039e65076daddef183b559a7f93e446c",
+    ((2, 6, 6, 2), True, False): "0219e23264c5674d8ba8347df714b33b315a1d22",
+    ((2, 6, 6, 2), True, True): "2fe6f6f05f769f9ca27e3df08c5eccaa9e74e362",
+    # gen_vc_deg3(5, 8, 10), k=4: c = (21, 41)
+    ((5, 8, 10, 4), False, False): "e3b3ba0c297c558ec98aeb17b68e255fefbb3930",
+    ((5, 8, 10, 4), False, True): "d02a15e7c8c5b15f229976e7a754f2a5c24a58f5",
+    ((5, 8, 10, 4), True, False): "128c66e82e4de2ae94e3f67b964b848e70c33ba2",
+    ((5, 8, 10, 4), True, True): "41d0088d0909d914093d3bb6470e309275285755",
 }
 
 
@@ -349,46 +349,50 @@ class TestCompileOnce:
             return lay(self, chains)
 
         monkeypatch.setattr(reductions._Builder, "lay", counted)
-        # spacing 8 (holey) and 24 (Manhattan): earlier spacings fail to route
+        # laid at a stretched spacing: c = 15 (holey) and 29 (Manhattan)
         art = compiler(_digest_source((2, 6, 6, 2)))
         assert len(laid) == len(art.instance.graph.edges)
         assert [(u, v) for u, v, _ in laid] == [(e.tail, e.head) for e in art.instance.graph.edges]
 
     def test_snake_routes(self):
-        # (sx, tx) tracks under y_top 100, y_bottom 0, run 5, c 8, max_drop 3:
-        # a track starting under an earlier drop run drops one level less,
-        # and one ending under an earlier return run returns one level lower
-        routes = reductions._route_snakes([(0, 2), (3, 4), (10, 30), (12, 31)],
-                                          100, 0, 5, 8, 3)
-        assert routes == [
-            [(0, 100), (0, 97), (5, 97), (5, 96), (2, 96), (2, 0)],
-            [(3, 100), (3, 98), (8, 98), (8, 95), (4, 95), (4, 0)],
-            [(10, 100), (10, 97), (31, 97), (31, 96), (30, 96), (30, 0)],
-            [(12, 100), (12, 98), (32, 98), (32, 95), (31, 95), (31, 0)],
-        ]
+        # (sx, tx) tracks under run 5: a track starting under an earlier drop
+        # run drops one level less (drop depth 1), and one ending under an
+        # earlier return run returns one level lower (return depth 2)
+        plans = reductions._route_snakes([(0, 2), (3, 4), (10, 30), (12, 31)], 5)
+        assert plans == [(0, 0, 5, 1, 2), (3, 1, 8, 2, 4), (10, 0, 31, 1, 30), (12, 1, 32, 2, 31)]
 
-    @pytest.mark.parametrize("c, max_drop, message", [
-        (10, 1, "snake drop level exhausted"),
-        (5, 3, "snake return level exhausted"),
-    ])
-    def test_snake_levels_exhausted(self, c, max_drop, message):
-        with pytest.raises(LayoutError, match=message):
-            reductions._route_snakes([(0, 0), (1, 1)], 100, 0, 5, c, max_drop)
+    @pytest.mark.parametrize("graph, k, demo", [
+        ((3, 46, 69), 11, True),  # the smallest graph a fixed ladder of six spacings could not route
+        ((1, 64, 96), 32, False),  # MAX_COMPILE_VERTICES, README's example
+    ], ids=str)
+    def test_dense_manhattan_layouts_reach_their_chains(self, graph, k, demo, monkeypatch):
+        # every snake is planned and the frame fixed before the first chain
+        # is laid, so stopping there tests the layout without building it
+        class Laid(Exception):
+            pass
 
+        def stop(self, chains):
+            raise Laid
+
+        monkeypatch.setattr(reductions._Builder, "lay", stop)
+        with pytest.raises(Laid):
+            vc_to_manhattan_dag(replace(gen_vc_deg3(*graph), k=k), demo=demo)
+
+    @pytest.mark.parametrize("name", [(2, 6, 6, 2), (5, 8, 10, 4)], ids=str)
     @pytest.mark.parametrize("compiler", [vc_to_holey_grid, vc_to_manhattan_dag])
-    def test_every_spacing_exhausted(self, compiler, monkeypatch):
-        spacings = []
-
-        def exhausted(vc, cons, directed, demo, extra_spacing):
-            spacings.append(extra_spacing)
-            raise LayoutError("snake return level exhausted")
-
-        monkeypatch.setattr(reductions, "_lay_holey", exhausted)
-        with pytest.raises(LayoutError) as info:
-            compiler(paper_vc())
-        assert spacings == [0, 8, 24, 56, 120, 248]
-        assert str(info.value) == (
-            "snake routing failed even with stretched rows: snake return level exhausted")
+    @pytest.mark.parametrize("demo", [False, True])
+    def test_least_row_spacing_that_fits(self, name, compiler, demo):
+        # row i+1 lies M + c below row i; either c is the paper's or the
+        # deepest snake return run sits at level c - 1, just above the next
+        # row's rainbows
+        art = compiler(_digest_source(name), demo=demo)
+        graph, trace = art.instance.graph, art.trace
+        row_y = [graph.coords[row[0]][1] for row in trace.rows[1:]]
+        c = row_y[0] - row_y[1] - art.constants.M
+        deepest = max(row_y[st.gap - 1] - min(y for _, y in graph.edges[st.edge].polyline[1:-1])
+                      for st in trace.snakes)
+        paper = art.constants.c_manhattan if compiler is vc_to_manhattan_dag else art.constants.c
+        assert c == paper or deepest == c - 1
 
 
 def _with_chain(graph, points):

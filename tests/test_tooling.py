@@ -8,6 +8,7 @@ referenced, the file syntax in one reader and the package free of the
 patterns that built reference cycles."""
 
 import ast
+import builtins
 import glob
 import itertools
 import os
@@ -324,6 +325,36 @@ def test_only_the_command_line_switches_the_collector():
     assert {name for _, name in found.pop("cli.py")} == {"disable", "enable"}
     assert len(found) > 5
     assert {module: hits for module, hits in found.items() if hits} == {}
+
+
+def _exceptions_and_raises():
+    """The exception classes defined in the package (subclasses of a
+    builtin exception or of one another) and the names its raise
+    statements name."""
+    bases, raised = {}, set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    while more := {name for name, parents in bases.items() if parents & exceptions} - exceptions:
+        exceptions |= more
+    return exceptions & bases.keys(), raised
+
+
+def test_every_exception_class_is_raised():
+    # an error type with no raise site lingers: callers go on catching it
+    # and documents go on naming it after nothing can raise it any more
+    defined, raised = _exceptions_and_raises()
+    assert {"FormatError", "GuardExceeded"} <= defined
+    assert defined - raised == set()
 
 
 def test_grid_has_one_solver_call_and_one_result_type():

@@ -142,9 +142,6 @@ class SuperEdge:
             raise ValueError("edge has no polyline")
         return lattice_points(self.polyline)
 
-    def other(self, v: int) -> int:
-        return self.head if v == self.tail else self.tail
-
 
 # the slots' own setters: the class is frozen, so __init__ sets each field
 # through these (cheaper than object.__setattr__, which looks the name up)

@@ -32,13 +32,14 @@ finds.  `save` and `restore` keep and give back the flow, that search and
 the boosts, so a branching search backtracks on one network.
 `max_flow_boosted` is the cold entry point: it returns the network after
 one resume, and `decompose_to_paths` reads the flow off its residual
-capacities.
+capacities.  `flow_paths` is the one walk of a flow into paths; the
+anti-parallel normalisation walks its cancelled units with it too.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import Instance, PathSeq, loop_erase
 # not used here: kept importable under this name because tracing tools wrap
@@ -172,14 +173,24 @@ def decompose_to_paths(net: ResidualNet) -> list[PathSeq]:
     """Extract net.value simple s-t paths from the network's flow.
 
     The signed flow of edge e, tail to head, is what its back arc gained:
-    res[2e + 1] when directed, half of res[2e + 1] - res[2e] when not.  Each
-    path is a walk along flow-carrying arcs from s to t that cancels every
-    arc it takes from the flow, cycles included; its loop-erasure is
-    returned, so the paths are simple and every non-boosted super-edge
-    appears in at most one of them.
+    res[2e + 1] when directed, half of res[2e + 1] - res[2e] when not.
+    `flow_paths` walks it into paths.
     """
-    res, incidence, s, t = net.res, net.adj, net.s, net.t
+    res = net.res
     flow = res[1::2] if net.directed else [(b - f) // 2 for f, b in zip(res[::2], res[1::2])]
+    return flow_paths(flow, net.adj, net.s, net.t, net.value)
+
+
+def flow_paths(flow: list[int], incidence: Sequence[Sequence[tuple[int, int]]],
+               s: int, t: int, count: int) -> list[PathSeq]:
+    """`count` simple s-t paths out of an s-t flow of value at least count,
+    given as the signed flow of each edge, tail to head; `flow` is used up.
+
+    Each path is a walk along flow-carrying arcs from s to t, the lowest arc
+    id first, that cancels every arc it takes from the flow, cycles
+    included; its loop-erasure is returned.  So the paths are simple, and
+    no edge lies on more of them than the units of flow it carried.
+    """
 
     def next_arc(u: int) -> tuple[int, int]:
         # a back arc carries negative flow, which a directed edge never has
@@ -189,7 +200,7 @@ def decompose_to_paths(net: ResidualNet) -> list[PathSeq]:
         raise AssertionError(f"flow conservation broken at vertex {u}")
 
     paths = []
-    for _ in range(net.value):
+    for _ in range(count):
         steps: list[tuple[int, bool]] = []
         walk = [s]
         while walk[-1] != t:

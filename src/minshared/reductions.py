@@ -105,9 +105,9 @@ def _budgets(k: int, ne: int, m_val: int, trees: int, c_prime: int,
 @dataclass
 class RainbowTrace:
     location: str
-    left_stub: list[int]   # M unit edges from the left terminal inward
-    right_stub: list[int]  # M unit edges from the innermost attach to the right terminal
-    bands: list[int]       # M band chains, innermost first
+    left_stub: range   # ids of the M unit edges from the left terminal inward
+    right_stub: range  # ids of the M unit edges from the innermost attach to the right terminal
+    bands: range       # ids of the M band chains, innermost first
 
 
 @dataclass
@@ -211,8 +211,9 @@ def _emit_rainbow(bld: _Builder, x_left: int, y: int, gap: int, m_val: int,
     bld.lay((u, v, (a, (a[0], y + q), (b[0], y + q), b))  # band q: up, right, down
             for q, u, v, a, b in zip(range(1, m_val + 1), reversed(left), right, reversed(lp), rp))
     bld.lay(zip(right, right[1:], zip(rp, rp[1:])))
-    ids = list(range(first, first + 3 * m_val))
-    rainbows.append(RainbowTrace(location, ids[:m_val], ids[2 * m_val:], ids[m_val:2 * m_val]))
+    rainbows.append(RainbowTrace(location, range(first, first + m_val),
+                                 range(first + 2 * m_val, first + 3 * m_val),
+                                 range(first + m_val, first + 2 * m_val)))
     return rainbows[-1]
 
 
@@ -522,7 +523,7 @@ def _rainbow_passage(rt: RainbowTrace, band: int, m_val: int) -> list[int]:
     """Edges through a rainbow via band index `band` (0 = innermost).  Band q
     needs the first M-q left stub edges and the last M-q right stub edges."""
     take = m_val - band
-    return rt.left_stub[:take] + [rt.bands[band]] + rt.right_stub[m_val - take:]
+    return [*rt.left_stub[:take], rt.bands[band], *rt.right_stub[m_val - take:]]
 
 
 def _pad_cover(cover: set[int], nv: int, k: int) -> set[int]:

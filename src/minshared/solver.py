@@ -32,8 +32,8 @@ from collections import Counter
 from typing import Optional
 
 from .core import (Graph, GuardExceeded, Instance, PathSeq, Solution, Verdict, distance,
-                   guard_witness_steps, loop_erase, shortest_path, verify_solution)
-from .flow import ResidualNet, decompose_to_paths, max_flow_boosted
+                   guard_witness_steps, shortest_path, verify_solution)
+from .flow import ResidualNet, decompose_to_paths, flow_paths, max_flow_boosted
 
 
 MAX_EXHAUSTIVE_PATHS = 64
@@ -124,21 +124,13 @@ def _subsets_within_budget(g: Graph, budget: int):
     """Super-edge subsets with total expanded length <= budget, lazily, in
     ascending (size, lexicographic id) order."""
     lengths = [e.length for e in g.edges]
-    for size in range(0, min(len(lengths), budget) + 1):
-        yield from _subsets_of_size(lengths, 0, budget, size, [])
-
-
-def _subsets_of_size(lengths: list[int], start: int, left: int, need: int, acc: list[int]):
-    """acc plus `need` more ids from start on, of total length <= left, in
-    lexicographic order."""
-    if need == 0:
-        yield frozenset(acc)
-        return
-    for i in range(start, len(lengths) - need + 1):
-        if lengths[i] <= left:
-            acc.append(i)
-            yield from _subsets_of_size(lengths, i + 1, left - lengths[i], need - 1, acc)
-            acc.pop()
+    short = [eid for eid, n in enumerate(lengths) if n <= budget]
+    # past this size even the shortest edges overrun the budget
+    largest = sum(1 for total in itertools.accumulate(sorted(lengths)) if total <= budget)
+    for size in range(largest + 1):
+        for sub in itertools.combinations(short, size):
+            if sum(lengths[e] for e in sub) <= budget:
+                yield frozenset(sub)
 
 
 def solve_enum_oracle(inst: Instance) -> Verdict:
@@ -231,35 +223,15 @@ def solve_fpt_branching(inst: Instance) -> Verdict:
 # ---------------------------------------------------------------------------
 # anti-parallel normalisation (directed instances)
 
-def _find_antiparallel_conflict(g: Graph, sol: Solution) -> Optional[tuple[int, int, int, int]]:
-    """(path index a, arc e, path index b, arc e') with e=(u,v), e'=(v,u) used
-    by different paths; lowest arc-id pair first."""
-    arcs_between: dict[tuple[int, int], list[int]] = {}
-    for eid, e in enumerate(g.edges):
-        arcs_between.setdefault((e.tail, e.head), []).append(eid)
-    users: dict[int, list[int]] = {}
-    for i, p in enumerate(sol.paths):
-        for eid in p.edge_ids():
-            users.setdefault(eid, []).append(i)
-    for eid in sorted(users):
-        e = g.edges[eid]
-        for mate in arcs_between.get((e.head, e.tail), ()):
-            if mate not in users:
-                continue
-            for a in users[eid]:
-                for b in users[mate]:
-                    if a != b:
-                        return a, eid, b, mate
-    return None
-
-
 def normalize_antiparallel(inst: Instance, sol: Solution) -> Solution:
-    """Rewire paths so no anti-parallel arc pair is used in both directions.
+    """Cancel the units on every anti-parallel arc pair used both ways.
 
-    Whenever P_A uses (u,v) and P_B uses (v,u), P_A becomes
-    P_A[s,u] . P_B[u,t] and P_B becomes P_B[s,v] . P_A[v,t], with all cycles
-    removed.  Total edge occurrences drop strictly at each rewrite, so this
-    terminates; the shared count never increases.
+    The paths' arc counts are an s-t flow of value p.  Wherever arcs (u,v)
+    and (v,u) both carry units, the lighter side's units come off both: the
+    flow keeps its value and no arc's count rises, so no arc becomes shared.
+    If nothing was cancelled, `sol` itself is returned; otherwise
+    `flow.flow_paths` walks the units left into p simple paths, and no
+    anti-parallel pair is used in both directions.
     """
     g = inst.graph
     if not g.directed:
@@ -268,23 +240,26 @@ def normalize_antiparallel(inst: Instance, sol: Solution) -> Solution:
     if not verdict.answer:
         raise ValueError(f"input solution invalid: {verdict.reason}")
 
-    paths = list(sol.paths)
-    while True:
-        conflict = _find_antiparallel_conflict(g, Solution(tuple(paths)))
-        if conflict is None:
-            break
-        a, e_fwd, b, e_bwd = conflict
-        pa, pb = paths[a], paths[b]
-        ia = pa.edge_ids().index(e_fwd)
-        ib = pb.edge_ids().index(e_bwd)
-        # pa: s ->[.. ia-1] u -(u,v)-> v ->[ia+1 ..] t
-        # pb: s ->[.. ib-1] v -(v,u)-> u ->[ib+1 ..] t
-        for i, walk in ((a, pa.steps[:ia] + pb.steps[ib + 1 :]),
-                        (b, pb.steps[:ib] + pa.steps[ia + 1 :])):
-            kept = loop_erase(PathSeq(walk).vertices(g, inst.s))
-            paths[i] = PathSeq(tuple(walk[j - 1] for j in kept[1:]))
+    units = [0] * len(g.edges)
+    for path in sol.paths:
+        for eid in path.edge_ids():
+            units[eid] += 1
+    used: dict[tuple[int, int], list[int]] = {}  # (tail, head) -> arcs with units
+    for eid, e in enumerate(g.edges):
+        if units[eid]:
+            used.setdefault((e.tail, e.head), []).append(eid)
+    cancelled = 0
+    for (u, v), arcs in used.items():
+        for eid in arcs:
+            for mate in used.get((v, u), ()):
+                c = min(units[eid], units[mate])
+                units[eid] -= c
+                units[mate] -= c
+                cancelled += c
+    if not cancelled:
+        return sol
 
-    out = Solution(tuple(paths))
+    out = Solution(tuple(flow_paths(units, g.incidence, inst.s, inst.t, inst.p)))
     check = verify_solution(inst, out)
     if not check.answer:
         raise AssertionError(f"normalisation broke the solution: {check.reason}")

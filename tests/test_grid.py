@@ -880,6 +880,8 @@ class TestBoostedLine:
         (LINE_S_SHORTER, 2, 0),
         (SOLVER, 4, 1),
         (GridInstance(12, 11, (8, 7), (2, 1), 9, 7), 0, 0),  # case 2
+        # only the fourth order, both runs along the shorter axis, reaches p
+        (GridInstance(5, 10, (0, 2), (4, 7), 5, 2), 3, 0),
     ])
     def test_routes(self, spies, gi, misses, solver):
         """`misses` boosted flows fall short of p before one reaches it or,

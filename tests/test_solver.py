@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -15,10 +17,12 @@ from minshared.core import (
     PathSeq,
     Solution,
     SuperEdge,
+    loop_erase,
     serialize_solution,
     verify_solution,
 )
 from minshared.flow import ResidualNet, max_flow_boosted
+from minshared.reductions import undirected_to_directed
 import minshared.solver as solver
 from minshared.solver import (
     GuardExceeded,
@@ -84,7 +88,7 @@ class TestExhaustive:
                 return
             for eid in adj[u]:
                 e = g.edges[eid]
-                v = e.other(u)
+                v = e.head if u == e.tail else e.tail
                 if v not in seen:
                     dfs(v, steps + [(eid, e.tail == u)], seen | {v})
 
@@ -381,6 +385,39 @@ class TestNormalize:
         pb = PathSeq(((3, True), (7, True), (2, True)))
         once = normalize_antiparallel(inst, Solution((pa, pb)))
         assert normalize_antiparallel(inst, once) == once
+
+    def test_many_seeded_walks_on_a_lifted_grid(self):
+        """20 loop-erased random walks across the lifted 20 x 20 grid use
+        many anti-parallel pairs both ways; normalised, they verify, use no
+        arc more often than before and no pair both ways."""
+        base = Instance(grid_graph(20, 20), 0, grid_vertex(20, 19, 19), 20, 1)
+        g = undirected_to_directed(base).graph
+        out_arcs = [[] for _ in range(g.vertex_count)]
+        for eid, e in enumerate(g.edges):
+            out_arcs[e.tail].append((eid, e.head))
+        rng = random.Random(20)
+        paths = []
+        for _ in range(20):
+            walk, steps = [base.s], []
+            while walk[-1] != base.t:
+                eid, v = rng.choice(out_arcs[walk[-1]])
+                steps.append((eid, True))
+                walk.append(v)
+            paths.append(PathSeq(tuple(steps[i - 1] for i in loop_erase(walk)[1:])))
+        inst = Instance(g, base.s, base.t, 20, g.unit_size())
+
+        def uses(sol):
+            return Counter(itertools.chain.from_iterable(p.edge_ids() for p in sol.paths))
+
+        before = uses(Solution(tuple(paths)))
+        both_ways = sum(1 for eid in before if eid % 2 == 0 and eid + 1 in before)
+        assert both_ways > 100
+        out = normalize_antiparallel(inst, Solution(tuple(paths)))
+        assert verify_solution(inst, out).answer
+        after = uses(out)
+        assert all(n <= before[eid] for eid, n in after.items())
+        # undirected_to_directed lays edge i as arcs 2i and 2i + 1
+        assert not any(eid % 2 == 0 and eid + 1 in after for eid in after)
 
     def test_rejects_undirected(self):
         inst = Instance(cycle4(), 0, 2, 1, 1)

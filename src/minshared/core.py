@@ -44,11 +44,12 @@ class GuardExceeded(RuntimeError):
 MAX_WITNESS_STEPS = 4_000_000
 
 
-def guard_witness_steps(p: int, steps: int) -> None:
-    """Raise GuardExceeded when p paths of at least `steps` steps each would
-    exceed MAX_WITNESS_STEPS; called before anything of size p is built."""
-    if p * steps > MAX_WITNESS_STEPS:
-        raise GuardExceeded(f"a witness of {p} paths has at least {p * steps} steps "
+def guard_witness_steps(p: int, total: int) -> None:
+    """Raise GuardExceeded when p paths of at least `total` steps in all
+    would exceed MAX_WITNESS_STEPS; called before anything of size p is
+    built."""
+    if total > MAX_WITNESS_STEPS:
+        raise GuardExceeded(f"a witness of {p} paths has at least {total} steps "
                             f"(limit {MAX_WITNESS_STEPS})")
 
 
@@ -278,7 +279,7 @@ class Solution:
         return sum(graph.edges[e].length for e in self.shared_edge_ids())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Verdict:
     """The one result type: of a verification, a grid decision or a solver.
 
@@ -288,7 +289,9 @@ class Verdict:
     other grid no, `method` "cut-bound" (p-small, p-narrow and the rim zone),
     sets it to the cut lower bound above k, which is dist on p-small.
     `reason` says why a check rejected, or which fallback a grid decision or
-    witness took.
+    witness took.  Like SuperEdge it is a frozen, slotted value whose
+    `__init__` sets each field through the slot's own setter, since every
+    closed-form grid decision builds one.
     """
 
     answer: bool
@@ -300,8 +303,31 @@ class Verdict:
     shared_set: Optional[frozenset[int]] = None
     nodes_explored: int = 0
 
+    def __init__(self, answer: bool, shared_count: Optional[int] = None,
+                 witness: Optional[Solution] = None, certificate: object = None,
+                 method: Optional[str] = None, reason: Optional[str] = None,
+                 shared_set: Optional[frozenset[int]] = None, nodes_explored: int = 0):
+        _set_answer(self, answer)
+        _set_shared_count(self, shared_count)
+        _set_witness(self, witness)
+        _set_certificate(self, certificate)
+        _set_method(self, method)
+        _set_reason(self, reason)
+        _set_shared_set(self, shared_set)
+        _set_nodes_explored(self, nodes_explored)
+
     def __bool__(self) -> bool:
         return self.answer
+
+
+_set_answer = Verdict.answer.__set__
+_set_shared_count = Verdict.shared_count.__set__
+_set_witness = Verdict.witness.__set__
+_set_certificate = Verdict.certificate.__set__
+_set_method = Verdict.method.__set__
+_set_reason = Verdict.reason.__set__
+_set_shared_set = Verdict.shared_set.__set__
+_set_nodes_explored = Verdict.nodes_explored.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ decision or witness path reaches either.
 
 Decisions run on bare grids (materialize_grid): no coords and no polylines,
 since the flows, the solver and verify_solution read only an edge's ends
-and length.  embed_grid adds the geometry for files and drawings.  Neither
-builds a grid of more than MAX_GRID_POINTS points; closed-form and trivial
-answers build none.
+and length.  A bare grid depends only on its shape (n, m), so it is built
+once and shared, incidence included, by every later instance of that
+shape, up to MAX_HELD_GRID_POINTS points held in all.  embed_grid adds the
+geometry for files and drawings.  Neither builds a grid of more than
+MAX_GRID_POINTS points; closed-form and trivial answers build none.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ Point = tuple[int, int]
 # the most points materialize_grid builds: a witness on a 400 x 400 window
 # (160,000 points) peaks at 139 MB, so one at the limit stays near 1 GB
 MAX_GRID_POINTS = 1_000_000
+
+# the most points of the bare grids that materialize_grid keeps for reuse: at
+# about 650 bytes per point, edges and incidence included, some 16 MB
+MAX_HELD_GRID_POINTS = 25_000
 
 P_SMALL = "pSmall"
 P_LARGE = "pLarge"
@@ -149,20 +155,62 @@ def materialize_grid(gi: GridInstance) -> Instance:
     - 1 (the point has a right edge) and 0 otherwise, point (x, y) owns the
     ids from x(2m - 1) + y(1 + r), its right edge first; _walk and _lift
     write paths in that numbering.  A grid of more than MAX_GRID_POINTS
-    points raises GuardExceeded before anything is built.
+    points raises GuardExceeded before anything is built or looked up.
+
+    The graph depends only on (n, m), so each shape's is built once and
+    shared: every Instance of one shape, while _HELD keeps it, has the same
+    Graph object, and with it the incidence that the flows build on first
+    use.
     """
     n, m = gi.n, gi.m
     size = n * m
     if size > MAX_GRID_POINTS:
         raise GuardExceeded(f"{n}x{m} grid has {size} points (limit {MAX_GRID_POINTS})")
+    return Instance(_HELD.get(n, m), gi.s[0] * m + gi.s[1], gi.t[0] * m + gi.t[1], gi.p, gi.k)
+
+
+def _bare_grid(n: int, m: int) -> Graph:
+    size = n * m
     edges = []
     for v in range(size):
         if v + m < size:
             edges.append(SuperEdge(v, v + m))
         if (v + 1) % m:
             edges.append(SuperEdge(v, v + 1))
-    g = Graph("undirected", size, tuple(edges))
-    return Instance(g, gi.s[0] * m + gi.s[1], gi.t[0] * m + gi.t[1], gi.p, gi.k)
+    return Graph("undirected", size, tuple(edges))
+
+
+class _HeldGrids:
+    """The bare grids that materialize_grid shares, by shape, least recently
+    used first, holding at most MAX_HELD_GRID_POINTS points in all: a new
+    shape drops the oldest ones until it fits, and a grid larger than the
+    cap is built for its caller alone."""
+
+    def __init__(self):
+        self.graphs: dict[tuple[int, int], Graph] = {}
+        self.points = 0
+
+    def get(self, n: int, m: int) -> Graph:
+        graphs = self.graphs
+        g = graphs.pop((n, m), None)
+        if g is None:
+            g = _bare_grid(n, m)
+            if n * m > MAX_HELD_GRID_POINTS:
+                return g
+            self.points += n * m
+            while self.points > MAX_HELD_GRID_POINTS:
+                a, b = next(iter(graphs))
+                del graphs[a, b]
+                self.points -= a * b
+        graphs[n, m] = g
+        return g
+
+    def clear(self) -> None:
+        self.graphs.clear()
+        self.points = 0
+
+
+_HELD = _HeldGrids()
 
 
 def embed_grid(gi: GridInstance) -> Instance:
@@ -207,7 +255,7 @@ def _walk(n: int, m: int, corners: Sequence[Point]) -> PathSeq:
 def _trivial_witness(gi: GridInstance) -> Solution:
     """p copies of the monotone s-t path that runs along x first, then y;
     GuardExceeded, before any is made, past MAX_WITNESS_STEPS."""
-    guard_witness_steps(gi.p, gi.dist())
+    guard_witness_steps(gi.p, gi.p * gi.dist())
     return Solution((_walk(gi.n, gi.m, (gi.s, (gi.t[0], gi.s[1]), gi.t)),) * gi.p)
 
 
@@ -474,7 +522,11 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
 
     The routes take the region [-q, X+q] x [-q, Y+q], the s-t box widened
     by q; they are verified on materialize_grid of it, in gi's orientation,
-    and written in gi's edge ids by _walk, run by run.
+    and written in gi's edge ids by _walk, run by run.  Each route has X + Y
+    steps plus 6r for O_r and U_r and 4q for L and R, and every dropped
+    route is A or B, so the kept ones have p(X + Y) + 6c(c + 1) + 8q steps
+    in all; past MAX_WITNESS_STEPS that raises GuardExceeded before any is
+    walked.
     """
     (sx, sy), (tx, ty) = gi.s, gi.t
     c = max(0, -(-(gi.p - 4) // 2))
@@ -484,6 +536,7 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
     if sx == tx or sy == ty or min(x0, y0) < 0 or x1 >= gi.n or y1 >= gi.m:
         return None
     X, Y = abs(tx - sx), abs(ty - sy)
+    guard_witness_steps(gi.p, gi.p * (X + Y) + 6 * c * (c + 1) + 8 * q)
     routes = [((0, 0), (X, 0), (X, Y)), ((0, 0), (0, Y), (X, Y))]
     for r in range(1, c + 1):
         routes += [((0, 0), (-r, 0), (-r, Y + r), (X + r, Y + r), (X + r, Y), (X, Y)),

@@ -86,7 +86,7 @@ def solve_exhaustive_paths(inst: Instance) -> Verdict:
         return Verdict(False, method="exhaustive")
     if math.comb(len(paths) + inst.p - 1, inst.p) > MAX_EXHAUSTIVE_MULTISETS:
         raise GuardExceeded("too large for exhaustive multiset enumeration")
-    guard_witness_steps(inst.p, min(len(q.steps) for q in paths))
+    guard_witness_steps(inst.p, inst.p * min(len(q.steps) for q in paths))
     edge_sets = [frozenset(p.edge_ids()) for p in paths]
     best = best_combo = best_usage = None
     nodes = 0
@@ -114,7 +114,7 @@ def _trivial_verdict(inst: Instance, method: str) -> Optional[Verdict]:
     path = shortest_path(inst.graph, inst.s, inst.t, limit=inst.k)
     if path is None:
         return None
-    guard_witness_steps(inst.p, len(path.steps))
+    guard_witness_steps(inst.p, inst.p * len(path.steps))
     shared = frozenset(path.edge_ids() if inst.p > 1 else ())
     return Verdict(True, sum(inst.graph.edges[e].length for e in shared),
                    Solution((path,) * inst.p), method=method, shared_set=shared)

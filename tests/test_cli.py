@@ -334,6 +334,22 @@ class TestGrid:
         assert capsys.readouterr().out.splitlines() == [
             "answer yes", "shared 4", "method trivial"]
 
+    @pytest.mark.parametrize("limit, code", [(23, 0), (22, 3)])
+    def test_ring_witness_step_bound(self, monkeypatch, tmp_path, capsys, limit, code):
+        # the rings' 3 routes of 9, 7 and 7 steps: 23 steps in all
+        monkeypatch.setattr(core_module, "MAX_WITNESS_STEPS", limit)
+        out = tmp_path / "w.msesol"
+        assert main(["grid-witness", "20", "20", "5", "5", "7", "8", "3", "0",
+                     "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.splitlines()[:3] == ["answer yes", "shared 0", "method criteria"]
+            assert sum(len(q.steps) for q in parse_solution(out.read_text()).paths) == 23
+        else:
+            assert (captured.out, captured.err) == (
+                "", "limit: a witness of 3 paths has at least 23 steps (limit 22)\n")
+            assert not out.exists()
+
     def test_decide_on_a_huge_grid_builds_none(self, monkeypatch, capsys):
         def stub(gi):
             raise AssertionError(f"built {gi}")

@@ -17,6 +17,7 @@ from minshared.core import (
     PathSeq,
     Solution,
     SuperEdge,
+    Verdict,
     check_grid_embedding,
     distance,
     expand_chains,
@@ -811,6 +812,42 @@ class TestSuperEdgeValue:
         with pytest.raises(ValueError, match="polyline length 3 does not match chain length 4"):
             dataclasses.replace(e, length=e.length + 1)
         assert dataclasses.replace(e, tail=2) == SuperEdge(2, 1, 3, e.polyline)
+
+
+class TestVerdictValue:
+    FULL = Verdict(True, 3, Solution((PathSeq(((0, True),)),) * 2), (1, 3), "criteria",
+                   "because", frozenset({0}), 7)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.FULL.answer = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.FULL.nodes_explored = 0
+
+    def test_slotted(self):
+        assert not hasattr(Verdict(False), "__dict__")
+        assert "__slots__" in vars(Verdict)
+
+    def test_fields_defaults_and_order(self):
+        assert [f.name for f in dataclasses.fields(Verdict)] == [
+            "answer", "shared_count", "witness", "certificate", "method", "reason",
+            "shared_set", "nodes_explored"]
+        v = Verdict(False)
+        assert (v.shared_count, v.witness, v.certificate, v.method, v.reason,
+                v.shared_set, v.nodes_explored) == (None,) * 6 + (0,)
+        assert repr(v) == ("Verdict(answer=False, shared_count=None, witness=None, "
+                           "certificate=None, method=None, reason=None, shared_set=None, "
+                           "nodes_explored=0)")
+        assert not v and self.FULL
+
+    def test_replace_keeps_every_field(self):
+        full = self.FULL
+        assert dataclasses.replace(full) == full
+        changed = dataclasses.replace(full, witness=None, method="fallback")
+        assert changed != full
+        assert dataclasses.replace(changed, witness=full.witness, method="criteria") == full
+        assert [getattr(changed, f.name) for f in dataclasses.fields(Verdict)] == [
+            True, 3, None, (1, 3), "fallback", "because", frozenset({0}), 7]
 
 
 class TestPolylineNormalForm:

@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import pytest
 
+import minshared.core as core_module
 import minshared.grid as grid_module
-from minshared.core import PathSeq, Verdict, serialize_instance, verify_solution
+from minshared.core import (PathSeq, Verdict, serialize_instance, serialize_solution,
+                            verify_solution)
 from minshared.grid import (
     LINE_MISS_REASON,
     ZONE_REASON,
@@ -27,7 +29,8 @@ from minshared.grid import (
     rim_zone,
     variants,
 )
-from minshared.grid import _boosted_lines, _bound_pass, _lift, _solver_fallback, _walk, _window
+from minshared.grid import (_HeldGrids, _boosted_lines, _bound_pass, _lift, _solver_fallback, _walk,
+                            _window)
 from helpers import full_grid_witness_p_large, point_lift
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
 from minshared.core import check_grid_embedding
@@ -531,13 +534,98 @@ class TestMaterialize:
         assert hashlib.sha1(text.encode()).hexdigest() == digest
 
     def test_guard(self, monkeypatch):
+        over = (GridInstance(13, 1, (0, 0), (12, 0), 2, 0), GridInstance(4, 4, (0, 0), (3, 3), 2, 0))
+        for gi in over:  # held from before the limit is lowered: the guard comes first
+            materialize_grid(gi)
         monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", 12)
         assert materialize_grid(GridInstance(3, 4, (0, 0), (2, 3), 2, 0)).graph.vertex_count == 12
-        for gi in (GridInstance(13, 1, (0, 0), (12, 0), 2, 0),
-                   GridInstance(4, 4, (0, 0), (3, 3), 2, 0)):
+        for gi in over:
             for build in (materialize_grid, embed_grid):
                 with pytest.raises(GuardExceeded, match=r"has \d+ points \(limit 12\)"):
                     build(gi)
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """A fresh, empty store of shared bare grids for one test."""
+    store = _HeldGrids()
+    monkeypatch.setattr(grid_module, "_HELD", store)
+    return store
+
+
+class TestSharedGrids:
+    def test_one_graph_per_shape(self, held):
+        a = materialize_grid(GridInstance(4, 5, (0, 0), (3, 4), 2, 1))
+        b = materialize_grid(GridInstance(4, 5, (1, 1), (2, 2), 3, 0))
+        assert a.graph is b.graph and (a.s, a.t, a.p, a.k) != (b.s, b.t, b.p, b.k)
+        assert materialize_grid(GridInstance(5, 4, (0, 0), (4, 3), 2, 1)).graph is not a.graph
+        # the incidence, built on first use, is shared with the graph
+        assert a.graph.incidence is b.graph.incidence
+        assert list(held.graphs) == [(4, 5), (5, 4)] and held.points == 40
+
+    def test_cap_drops_the_least_recently_used_shape(self, held, monkeypatch):
+        monkeypatch.setattr(grid_module, "MAX_HELD_GRID_POINTS", 100)
+        graphs = {}
+        for n, m in ((5, 5), (6, 6), (5, 6), (6, 6)):  # 6 x 6 used again last
+            graphs[n, m] = materialize_grid(GridInstance(n, m, (0, 0), (1, 1), 2, 0)).graph
+            assert held.points <= 100
+        assert list(held.graphs) == [(5, 5), (5, 6), (6, 6)] and held.points == 91
+        four = materialize_grid(GridInstance(4, 4, (0, 0), (1, 1), 2, 0)).graph
+        assert list(held.graphs) == [(5, 6), (6, 6), (4, 4)] and held.points == 82
+        # the oldest shape was dropped, so it is built again
+        again = materialize_grid(GridInstance(5, 5, (2, 2), (4, 4), 3, 1)).graph
+        assert again is not graphs[5, 5] and again.edges == graphs[5, 5].edges
+        assert list(held.graphs) == [(6, 6), (4, 4), (5, 5)] and held.points == 77
+        assert materialize_grid(GridInstance(6, 6, (0, 0), (1, 1), 2, 0)).graph is graphs[6, 6]
+        assert materialize_grid(GridInstance(4, 4, (3, 3), (0, 0), 2, 0)).graph is four
+        assert held.points == sum(n * m for n, m in held.graphs) <= 100
+
+    def test_grid_over_the_cap_is_not_kept(self, held, monkeypatch):
+        monkeypatch.setattr(grid_module, "MAX_HELD_GRID_POINTS", 100)
+        small = materialize_grid(GridInstance(3, 3, (0, 0), (2, 2), 2, 0)).graph
+        big = GridInstance(10, 11, (0, 0), (9, 10), 2, 0)
+        first = materialize_grid(big).graph
+        assert materialize_grid(big).graph is not first
+        assert list(held.graphs) == [(3, 3)] and held.points == 9
+        assert materialize_grid(GridInstance(3, 3, (1, 1), (2, 2), 2, 0)).graph is small
+
+
+def _every_decision_up_to_5x5():
+    """(gi, want_witness) for every instance with n, m <= 5, s != t, p from
+    2 to 6 and k from the cut bound - 1 (at least 0) to dist."""
+    for n, m in itertools.product(range(1, 6), repeat=2):
+        pts = list(itertools.product(range(n), range(m)))
+        for s, t in itertools.permutations(pts, 2):
+            for p in range(2, 7):
+                gi = GridInstance(n, m, s, t, p, 0)
+                for k in range(max(0, grid_cut_lower_bound(gi) - 1), gi.dist() + 1):
+                    for want_witness in (False, True):
+                        yield replace(gi, k=k), want_witness
+
+
+def _outcome(gi, want_witness):
+    v = decide_grid(gi, want_witness)
+    witness = None if v.witness is None else serialize_solution(v.witness)
+    return repr((v.answer, v.method, v.reason, v.certificate, v.shared_count, witness))
+
+
+def test_shared_grids_change_no_decision_up_to_5x5(held):
+    # one digest of every decision, each on an emptied store, then all of
+    # them again on a warm one in a shuffled order; the digest is pinned to
+    # the decisions of grids built afresh for every call
+    cases = list(_every_decision_up_to_5x5())
+    assert len(cases) == 83984
+    cold = []
+    for case in cases:
+        held.clear()
+        cold.append(_outcome(*case))
+    order = list(range(len(cases)))
+    random.Random(44).shuffle(order)
+    warm = [None] * len(cases)
+    for i in order:
+        warm[i] = _outcome(*cases[i])
+    digests = [hashlib.sha1("".join(out).encode()).hexdigest() for out in (cold, warm)]
+    assert digests == ["412a6e178adfb5c7c9aa2bbddb4e2c356fa1789e"] * 2
 
 
 class TestSymmetryInvariance:
@@ -604,14 +692,20 @@ class TestEdgeIds:
 
 class TestMaterializeCalls:
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def instances(self):
+        """The Instance that each materialize_grid call returned."""
+        return []
+
+    @pytest.fixture
+    def calls(self, monkeypatch, instances):
         """The GridInstance of every materialize_grid call."""
         made = []
         original = grid_module.materialize_grid
 
         def counting(gi):
             made.append(gi)
-            return original(gi)
+            instances.append(original(gi))
+            return instances[-1]
 
         monkeypatch.setattr(grid_module, "materialize_grid", counting)
         return made
@@ -641,15 +735,17 @@ class TestMaterializeCalls:
         *ROUTES,
         SOLVER_PAST_WINDOW,
     ])
-    def test_once_for_nontrivial_p_large_witness(self, calls, gi):
+    def test_once_for_nontrivial_p_large_witness(self, calls, instances, gi):
         # the boosted lines materialise the window once; a line miss then
-        # materialises the whole grid for the solver fallback, even where
-        # the window is the whole grid, as on SOLVER
+        # materialises the whole grid for the solver fallback, and where
+        # the window is the whole grid, as on SOLVER, both share one graph
         v = _lines(gi)
         window = _window(gi)[0]
         assert calls == ([window, gi] if gi in (SOLVER, SOLVER_PAST_WINDOW) else [window])
         # the other grids here are small enough to be their own window
         assert (window != gi) == (gi in (LINE, SOLVER_PAST_WINDOW)), window
+        if len(instances) == 2:
+            assert (instances[0].graph is instances[1].graph) == (gi == SOLVER)
         check = verify_solution(materialize_grid(gi), v.witness)
         assert v.answer and check.answer and check.shared_count == v.shared_count
 
@@ -1133,6 +1229,27 @@ class TestRings:
         monkeypatch.setattr(grid_module, "MAX_GRID_POINTS", size - 1)
         with pytest.raises(GuardExceeded, match=f"limit {size - 1}"):
             build_witness_p_large(gi)
+
+    @pytest.mark.parametrize("gi", [
+        GridInstance(20, 20, (5, 5), (7, 8), 2, 0),  # L and R alone
+        GridInstance(20, 20, (7, 8), (5, 5), 3, 0),  # A dropped
+        EDGE,
+        GridInstance(30, 30, (14, 17), (10, 10), 9, 6),
+    ])
+    def test_step_guard_at_the_bound(self, spies, monkeypatch, gi):
+        # the routes' total steps, p(X + Y) + 6c(c + 1) + 8q, are checked
+        # before any route is walked or any region built
+        assert criteria_p_large(gi)[1] == gi.k < gi.dist()
+        steps = sum(len(q.steps) for q in decide_grid(gi, want_witness=True).witness.paths)
+        monkeypatch.setattr(core_module, "MAX_WITNESS_STEPS", steps)
+        spies.clear()
+        self.check_rings(gi, decide_grid(gi, want_witness=True), spies)
+        monkeypatch.setattr(core_module, "MAX_WITNESS_STEPS", steps - 1)
+        spies.clear()
+        with pytest.raises(GuardExceeded, match=f"a witness of {gi.p} paths has at least "
+                                                f"{steps} steps \\(limit {steps - 1}\\)"):
+            decide_grid(gi, want_witness=True)
+        assert spies == []
 
     def test_300_sided_interior_instance_in_a_fraction_of_a_second(self, spies):
         gi = GridInstance(300, 300, (100, 100), (250, 250), 6, 2)

@@ -6,12 +6,17 @@ handler, whose traceback holds the frame that keeps it) leaves each result
 alive until the cyclic collector runs.  Each case runs one entry point with
 automatic collection off, between two collections, and asserts that the
 second finds nothing.  The CLI is left out: argparse builds cycles of its
-own."""
+own.
+
+The one thing kept past a call is the bare grid graph that
+grid.materialize_grid shares per shape (n, m); a sweep over more shapes
+than grid.MAX_HELD_GRID_POINTS holds keeps no more points than that."""
 
 import gc
 
 import pytest
 
+import minshared.grid as grid_module
 from minshared import reductions
 from minshared.core import (
     Instance,
@@ -23,7 +28,7 @@ from minshared.core import (
     serialize_solution,
     verify_solution,
 )
-from minshared.grid import GridInstance, decide_grid
+from minshared.grid import GridInstance, decide_grid, materialize_grid
 from minshared.reductions import synthesize_holey_witness, vc_to_holey_grid, vc_to_manhattan_dag
 from minshared.solver import solve_enum_oracle, solve_exhaustive_paths, solve_fpt_branching
 from minshared.vc import VCInstance, gen_vc_deg3, parse_vc, serialize_vc, vc_decide
@@ -121,3 +126,15 @@ def test_guard_sees_a_cycle():
         node["self"] = node
 
     assert _cyclic_garbage(build) == 1
+
+
+def test_shared_grids_stay_under_their_cap(monkeypatch):
+    held = grid_module._HeldGrids()
+    monkeypatch.setattr(grid_module, "_HELD", held)
+    cap = grid_module.MAX_HELD_GRID_POINTS
+    built = 0
+    for n in range(60, 75):  # 15 shapes of 6,000 to 7,400 points
+        materialize_grid(GridInstance(n, 100, (0, 0), (n - 1, 99), 2, 0))
+        built += n * 100
+        assert held.points == sum(a * b for a, b in held.graphs) <= cap
+    assert built > 3 * cap and list(held.graphs) == [(72, 100), (73, 100), (74, 100)]

@@ -4,8 +4,9 @@ them breaks `bench/run.py --trace 1`; and each wrapper must pass every
 argument through and return what the function returns.  These tests catch
 both here, and static checks keep every import of the
 package in use, every private module-level helper and every test helper
-referenced, the file syntax in one reader and the package free of the
-patterns that built reference cycles."""
+referenced, the file syntax in one reader, the package's grammar within
+the oldest Python it declares and the package free of the patterns that
+built reference cycles."""
 
 import ast
 import builtins
@@ -165,6 +166,18 @@ def test_every_package_import_is_used():
              for path in sorted(glob.glob(os.path.join(SRC, "*.py")))}
     assert len(found) > 5
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_package_parses_as_its_oldest_python():
+    # pyproject.toml declares requires-python >= 3.10, while the tests run
+    # on a newer interpreter: the grammar is the part they can check
+    with open(os.path.join(SRC, os.pardir, os.pardir, "pyproject.toml")) as f:
+        assert 'requires-python = ">=3.10"' in f.read()
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert paths
+    for path in paths:
+        with open(path) as f:
+            ast.parse(f.read(), path, feature_version=(3, 10))
 
 
 def _private_definitions():

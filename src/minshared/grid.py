@@ -11,23 +11,20 @@ with no grid built, wherever the cut bound is dist or no closed form holds.
 * p-large (p <= min(n, m)): a non-trivial solution exists iff an arithmetic
   criterion on p, k and the rim distances of s and t holds; its budget
   k_min, capped at dist, is the cut bound.  At k_min < dist the witness
-  builder first writes the paths down, with no flow: when s and t differ
-  in both coordinates and each lies at least ceil(p/2) - 1 (and at least
-  1) from every rim behind it, nested rings around the s-t box carry the
-  p paths, sharing only a short line at each terminal, k_min edges in all.
-  Elsewhere it runs max-flows with the criterion's own shared edges
-  boosted (a short line at s and one at t, each along either axis first)
-  on the s-t box widened by ceil(p/2) + 1, inside the grid.  Either way
-  its cost does not grow with n * m.  When no line reaches p, the trivial
-  solution answers at k >= dist and the solver fallback below it.  In the
-  rim zone (rim_zone: a terminal within max(1, p // 4) of a rim, and s
-  and t nearly aligned or p large for their separation), where the
-  closed form's yes can be too low, every budget from the cut bound to
-  dist - 1 takes this route, witness wanted or not.
+  builder (build_witness_p_large) finds p paths on a sub-grid around s and
+  t, by nested rings with no flow or by boosted line flows, at a cost that
+  does not grow with n * m, and verifies them there.  When no line reaches
+  p, the trivial solution answers at k >= dist and the solver fallback
+  below it.  In the rim zone (rim_zone: a terminal within max(1, p // 4)
+  of a rim, and s and t nearly aligned or p large for their separation),
+  where the closed form's yes can be too low, every budget from the cut
+  bound to dist - 1 takes this route, witness wanted or not.
 * p-narrow (neither): between the cut bound and dist the solver fallback
   decides.  It is the one exact branching-solver call of this module,
-  labelled as a fallback: its yes is verified, like every grid yes, and its
-  no is a completed search.
+  labelled as a fallback: its yes is verified, as ring and line yeses are,
+  and its no is a completed search.  The trivial and single-path witnesses
+  are not verified: each is p copies of one closed-form path (ROADMAP
+  item 4).
 
 Decisions are invariant under the 16 grid symmetries (4 reflections x
 transpose x swapping s and t), and every public entry point takes an instance
@@ -404,7 +401,7 @@ def _trivial_verdict(gi: GridInstance, want_witness: bool) -> Verdict:
 def _solver_fallback(gi: GridInstance, reason: str) -> Verdict:
     """The grid layer's one exact-solver call: the branching solver's verdict
     on materialize_grid(gi), yes or no, labelled `fallback` with `reason`; a
-    yes is verified, like every other grid yes."""
+    yes is verified on that grid."""
     inst = materialize_grid(gi)
     verdict = solve_fpt_branching(inst)
     if verdict.answer:
@@ -421,7 +418,7 @@ def _line_boosts(gi: GridInstance, costs: tuple[int, int], s_x_first: bool,
     unit edges of an L-shaped shortest path from s to t, and the first
     cost_t of one from t to s, each along x first when its flag says so;
     `costs` is _bound_pass's.  Edge ids are materialize_grid(gi)'s, and
-    build_witness_p_large passes its window as gi."""
+    _boosted_lines passes its window as gi."""
     cost_s, cost_t = costs
     boosts = set()
     for a, b, cost, x_first in ((gi.s, gi.t, cost_s, s_x_first), (gi.t, gi.s, cost_t, t_x_first)):
@@ -457,11 +454,11 @@ def _window(gi: GridInstance) -> tuple[GridInstance, Point]:
 
 
 def _lift(gi: GridInstance, w: GridInstance, origin: Point, path: PathSeq) -> PathSeq:
-    """`path`, a path of materialize_grid(w), in gi's edge ids: w is a window
-    of gi whose lowest point is `origin`.
+    """`path`, a path of materialize_grid(w), in gi's edge ids: w is a
+    sub-grid of gi whose lowest point is `origin`.
 
-    Each window edge id is mapped on its own, by materialize_grid's closed
-    form run backwards then forwards: divmod by the window's column stride
+    Each sub-grid edge id is mapped on its own, by materialize_grid's closed
+    form run backwards then forwards: divmod by the sub-grid's column stride
     2 w.m - 1 gives the column x and an offset, which is y alone in the last
     column (only up edges) and divmod(offset, 2) = (y, up) elsewhere; the
     closed form then numbers that edge, shifted by `origin`, in gi.  A shift
@@ -487,11 +484,11 @@ def _checked(inst: Instance, sol: Solution, gi: GridInstance) -> Verdict:
     return check
 
 
-def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdict]:
-    """The `criteria` verdict of a p-large instance at k_min < dist, its
-    witness written down as nested rings around the s-t box with no flow,
-    or None where the rings do not apply: when s and t share a row or a
-    column, or a terminal lies less than q from a rim behind it.
+def _ring_witness(gi: GridInstance) -> Optional[tuple]:
+    """The rings of a p-large instance at k_min < dist, written down with no
+    flow on the region they take, or None where they do not apply: when s
+    and t share a row or a column, or a terminal lies less than q from a rim
+    behind it.
 
     In the frame where s = (0, 0) and t = (X, Y), X, Y >= 1, reached from
     gi's by reflecting x and/or y, let c = max(0, ceil((p - 4)/2)) and
@@ -520,13 +517,12 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
     degree 4 and 2(rho + 2) - 4 >= 4q >= p, so each costs c under _rims
     and 2c is k_min: the witness meets the cut bound.
 
-    The routes take the region [-q, X+q] x [-q, Y+q], the s-t box widened
-    by q; they are verified on materialize_grid of it, in gi's orientation,
-    and written in gi's edge ids by _walk, run by run.  Each route has X + Y
-    steps plus 6r for O_r and U_r and 4q for L and R, and every dropped
-    route is A or B, so the kept ones have p(X + Y) + 6c(c + 1) + 8q steps
-    in all; past MAX_WITNESS_STEPS that raises GuardExceeded before any is
-    walked.
+    The region is the s-t box widened by q, [-q, X+q] x [-q, Y+q], in gi's
+    orientation; each route is written in its edge ids by _walk, run by
+    run.  Each route has X + Y steps plus 6r for O_r and U_r and 4q for L
+    and R, and every dropped route is A or B, so the kept ones have p(X +
+    Y) + 6c(c + 1) + 8q steps in all; past MAX_WITNESS_STEPS that raises
+    GuardExceeded before any is walked.
     """
     (sx, sy), (tx, ty) = gi.s, gi.t
     c = max(0, -(-(gi.p - 4) // 2))
@@ -543,23 +539,19 @@ def _ring_witness(gi: GridInstance, criteria: tuple[int, int]) -> Optional[Verdi
                    ((0, 0), (-r, 0), (-r, -r), (X + r, -r), (X + r, Y), (X, Y))]
     routes += [((0, 0), (-q, 0), (-q, Y + q), (X, Y + q), (X, Y)),
                ((0, 0), (0, -q), (X + q, -q), (X + q, Y), (X, Y))]
-    fx, fy = (1 if tx > sx else -1), (1 if ty > sy else -1)
-    kept = [[(sx + fx * a, sy + fy * b) for a, b in route] for route in routes[-gi.p:]]
     w = GridInstance(x1 - x0 + 1, y1 - y0 + 1, (sx - x0, sy - y0), (tx - x0, ty - y0),
                      gi.p, gi.k)
-    local = tuple(_walk(w.n, w.m, [(x - x0, y - y0) for x, y in route]) for route in kept)
-    check = _checked(materialize_grid(w), Solution(local), gi)
-    witness = Solution(tuple(_walk(gi.n, gi.m, route) for route in kept))
-    return Verdict(True, shared_count=check.shared_count, witness=witness,
-                   method="criteria", certificate=criteria)
+    fx, fy = (1 if tx > sx else -1), (1 if ty > sy else -1)
+    paths = tuple(_walk(w.n, w.m, [(w.s[0] + fx * a, w.s[1] + fy * b) for a, b in route])
+                  for route in routes[-gi.p:])
+    return materialize_grid(w), w, (x0, y0), paths
 
 
-def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[Verdict]:
-    """The verdict of the boosted-line route on a p-large instance at
-    k_min < dist, with _bound_pass(gi) as `closed_form`: the first of up
-    to four line flows on _window(gi) that reaches p, as a verified
-    `criteria` yes, or None when none does."""
-    _, _, criteria, costs = closed_form
+def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[tuple]:
+    """The paths of the first of up to four line flows on _window(gi) that
+    reaches p, on a p-large instance at k_min < dist with _bound_pass(gi) as
+    `closed_form`, or None when none does."""
+    costs = closed_form[3]
     w, origin = _window(gi)
     if _bound_pass(w) != closed_form:
         raise AssertionError(f"window {w} of {gi} changes the closed form")
@@ -569,45 +561,44 @@ def _boosted_lines(gi: GridInstance, closed_form: tuple) -> Optional[Verdict]:
         boosts = _line_boosts(w, costs, s_longer == longer_x, t_longer == longer_x)
         fr = max_flow_boosted(win, boosts)
         if fr.value >= gi.p:
-            paths = tuple(decompose_to_paths(fr))
-            check = _checked(win, Solution(paths), gi)
-            witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
-            return Verdict(True, shared_count=check.shared_count, witness=witness,
-                           method="criteria", certificate=criteria)
+            return win, w, origin, tuple(decompose_to_paths(fr))
     return None
 
 
 def build_witness_p_large(gi: GridInstance) -> Verdict:
-    """The decision, with a verified witness in gi's frame on a yes, of a
-    p-large instance in any frame at a budget of at least k_min; unless no
-    boosted line reaches p, the witness shares the cut bound min(k_min,
-    dist), so it is optimal.
+    """The decision, with a witness in gi's frame on a yes, of a p-large
+    instance in any frame at a budget of at least k_min; unless no boosted
+    line reaches p, the witness shares the cut bound min(k_min, dist), so it
+    is optimal.
 
-    Four routes:
+    Below dist two path finders work on a sub-grid of gi, at a cost that
+    does not grow with n * m, and return (the sub-grid built, the sub-grid
+    as a GridInstance, its lowest point in gi, p paths in its edge ids), or
+    None:
 
-    1. when k_min < dist, rings (_ring_witness), where both terminals lie
-       off each other's row and column and at least max(1, ceil(p/2) - 1)
-       from every rim behind them: p routes around the s-t box, written
-       down with no flow, that share exactly k_min edges, verified on the
-       region they take.  The verdict is `criteria`, certified by (case id,
-       k_min).
-    2. otherwise below dist, boosted lines (_boosted_lines), on _window(gi)
-       alone, the s-t box widened by ceil(p/2) + 1: one max-flow per axis
-       choice with _line_boosts, the criterion's own shared set, boosted to
-       p; each terminal's line runs along the longer axis first (x on a
-       tie) or the shorter one, tried as (longer, longer), (longer,
-       shorter), (shorter, longer), (shorter, shorter).  The first flow
-       that reaches p is decomposed and verified on the window; its paths
-       share only boosted edges, so at most k_min, and they are lifted to
-       gi's edge ids.  The verdict is `criteria`.
-    3. when no line reaches p and k < dist, the solver fallback decides on
-       the whole of materialize_grid(gi), and verifies its yes there.  Its
-       reason is ZONE_REASON in rim_zone, which decide_grid sends here
-       witness or not and where every miss seen so far lies.  Outside the
-       zone it is LINE_MISS_REASON: the miss refutes rim_zone, and a no
-       there marks a closed-form undershoot.
-    4. otherwise (k_min >= dist, or a line miss at k >= dist), the trivial
-       solution: `trivial`, sharing dist; this route builds no grid itself.
+    * the rings (_ring_witness), where both terminals lie off each other's
+      row and column and at least max(1, ceil(p/2) - 1) from every rim
+      behind them: p routes around the s-t box, written down with no flow
+      on the region they take, that share exactly k_min edges;
+    * otherwise the boosted lines (_boosted_lines), on _window(gi), the s-t
+      box widened by ceil(p/2) + 1: one max-flow per axis choice with
+      _line_boosts, the criterion's own shared set, boosted to p; each
+      terminal's line runs along the longer axis first (x on a tie) or the
+      shorter one, tried as (longer, longer), (longer, shorter), (shorter,
+      longer), (shorter, shorter).  The first flow that reaches p is
+      decomposed; its paths share only boosted edges, so at most k_min.
+
+    This is their one exit: the paths are verified on the sub-grid
+    (_checked), each is mapped to gi's edge ids by _lift, and the yes is
+    `criteria`, certified by (case id, k_min), with the shared count that
+    the check found.  When no line reaches p and k < dist, the solver
+    fallback decides on the whole of materialize_grid(gi), and verifies its
+    yes there.  Its reason is ZONE_REASON in rim_zone, which decide_grid
+    sends here witness or not and where every miss seen so far lies.
+    Outside the zone it is LINE_MISS_REASON: the miss refutes rim_zone, and
+    a no there marks a closed-form undershoot.  Otherwise (k_min >= dist,
+    or a line miss at k >= dist) the answer is the trivial solution,
+    `trivial`, sharing dist, with no grid built and no check run.
 
     Both the rings' cover and the lines' choice set are closed under the 16
     grid symmetries, so every frame of an instance takes the same route and
@@ -620,9 +611,13 @@ def build_witness_p_large(gi: GridInstance) -> Verdict:
     if gi.k < criteria[1]:
         raise ValueError("only the trivial solution exists at this budget")
     if criteria[1] < gi.dist():
-        verdict = _ring_witness(gi, criteria) or _boosted_lines(gi, closed_form)
-        if verdict is not None:
-            return verdict
+        found = _ring_witness(gi) or _boosted_lines(gi, closed_form)
+        if found is not None:
+            inst, w, origin, paths = found
+            check = _checked(inst, Solution(paths), gi)
+            witness = Solution(tuple(_lift(gi, w, origin, q) for q in paths))
+            return Verdict(True, shared_count=check.shared_count, witness=witness,
+                           method="criteria", certificate=criteria)
     if gi.k < gi.dist():
         return _solver_fallback(gi, ZONE_REASON if rim_zone(gi) else LINE_MISS_REASON)
     return _trivial_verdict(gi, True)

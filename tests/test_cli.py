@@ -65,6 +65,16 @@ class TestSolve:
         f.write_text(serialize_instance(materialize_grid(gi)))
         assert main(["solve", str(f), "--method", "exhaustive"]) == 3
 
+    def test_multiset_guard_exits_three(self, tmp_path, capsys):
+        # 40 parallel s-t edges are 40 simple paths, within the path guard,
+        # but C(49, 10) multisets of 10 of them are over the multiset guard
+        f = tmp_path / "par.mse"
+        f.write_text("mse 1\nmode undirected\nvertices 2\ns 0\nt 1\np 10\nk 0\n"
+                     + "edge 0 1\n" * 40)
+        assert main(["solve", str(f), "--method", "exhaustive"]) == 3
+        assert capsys.readouterr().err == \
+            "limit: too large for exhaustive multiset enumeration\n"
+
     @pytest.mark.parametrize("method", ["fpt", "enum", "exhaustive"])
     def test_witness_over_the_step_bound_exits_three(self, tmp_path, capsys, method):
         # p copies of the one-edge path: one step over MAX_WITNESS_STEPS is
@@ -584,6 +594,18 @@ class TestRender:
         assert capsys.readouterr().err == "error: scale must be at least 1\n"
         assert not out.exists()
 
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match="unknown format 'png'"):
+            render_embedding(self._grid_instance(), None, "png")
+
+    def test_svg_without_coords_exits_two(self, tmp_path, capsys):
+        f, out = tmp_path / "c.mse", tmp_path / "c.svg"
+        f.write_text(serialize_instance(Instance(cycle4(), 0, 2, 2, 1)))
+        assert main(["render", str(f), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: missing embedding: SVG needs coords and polylines\n"
+        assert not out.exists()
+
     def test_demo_artifact_renders(self, tmp_path, capsys):
         from minshared.reductions import vc_to_holey_grid
 
@@ -690,6 +712,15 @@ class TestNormalize:
         for p in out_sol.paths:
             used.update(p.edge_ids())
         assert not ({6, 7} <= used)
+
+    def test_invalid_solution_exits_two(self, tmp_path, capsys):
+        # one path where p = 2 asks for two
+        fi, fs, fo = tmp_path / "i.mse", tmp_path / "s.msesol", tmp_path / "o.msesol"
+        fi.write_text("mse 1\nmode directed\nvertices 2\ns 0\nt 1\np 2\nk 1\nedge 0 1\n")
+        fs.write_text("msesol 1\npaths 1\npath 0+\n")
+        assert main(["normalize", str(fi), str(fs), "--out", str(fo)]) == 2
+        assert capsys.readouterr().err.startswith("error: input solution invalid: ")
+        assert not fo.exists()
 
 
 # an undirected and a directed instance; their witnesses share 2 and 3 unit

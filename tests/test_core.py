@@ -266,6 +266,10 @@ class TestExpand:
         assert exp.graph.vertex_count == 2
         assert len(exp.graph.edges) == 1
 
+    def test_points_need_a_polyline(self):
+        with pytest.raises(ValueError, match="edge has no polyline"):
+            SuperEdge(0, 1, 3).expand_points()
+
     def test_chain_three(self):
         g = Graph(UNDIRECTED, 2, (SuperEdge(0, 1, 3),))
         exp = expand_chains(g)
@@ -417,6 +421,13 @@ class TestGridEmbedding:
         )
         g2 = Graph(UNDIRECTED, 9, exp_edges, g.coords)
         assert check_grid_embedding(g2).answer
+
+    def test_edge_without_polyline_is_refused(self):
+        # coords on every vertex, but edge 1 has no polyline to check
+        e0 = SuperEdge(0, 1, 1, ((0, 0), (1, 0)))
+        g = Graph(UNDIRECTED, 3, (e0, SuperEdge(1, 2)), {0: (0, 0), 1: (1, 0), 2: (2, 0)})
+        with pytest.raises(ValueError, match="edge 1 has no polyline"):
+            check_grid_embedding(g)
 
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError):

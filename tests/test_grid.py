@@ -4,6 +4,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -29,7 +30,7 @@ from minshared.grid import (
     rim_zone,
     variants,
 )
-from minshared.grid import (_HeldGrids, _boosted_lines, _bound_pass, _lift, _solver_fallback, _walk,
+from minshared.grid import (_HeldGrids, _boosted_lines, _bound_pass, _lift, _walk,
                             _window)
 from helpers import full_grid_witness_p_large, point_lift
 from minshared.solver import GuardExceeded, solve_enum_oracle, solve_fpt_branching
@@ -50,10 +51,8 @@ def _lines(gi):
     """The verdict build_witness_p_large reaches below dist where the rings
     do not apply: the first boosted line that reaches p or, on a miss, the
     solver fallback on the whole grid."""
-    line = _boosted_lines(gi, _bound_pass(gi))
-    if line is not None:
-        return line
-    return _solver_fallback(gi, ZONE_REASON if rim_zone(gi) else LINE_MISS_REASON)
+    with mock.patch.object(grid_module, "_ring_witness", lambda gi: None):
+        return build_witness_p_large(gi)
 
 
 class TestClassify:
@@ -983,13 +982,12 @@ class TestBoostedLine:
         """`misses` boosted flows fall short of p before one reaches it or,
         after all four, the line route gives None, with no search, and
         build_witness_p_large runs the solver."""
-        w = _boosted_lines(gi, _bound_pass(gi))
+        found = _boosted_lines(gi, _bound_pass(gi))
         flows = misses + (not solver)
         assert spies == {"max_flow_boosted": flows, "solve_fpt_branching": 0}
-        assert (w is None) == solver
-        if solver:
-            w = build_witness_p_large(gi)
-            assert spies["solve_fpt_branching"] == 1
+        assert (found is None) == solver
+        w = _lines(gi)
+        assert spies == {"max_flow_boosted": 2 * flows, "solve_fpt_branching": int(solver)}
         assert w.reason == (SOLVER_REASON if solver else None)
         check = verify_solution(materialize_grid(gi), w.witness)
         assert check.answer and check.shared_count == w.shared_count == gi.k
@@ -1170,6 +1168,16 @@ class TestRings:
         for gi in instances:
             spies.clear()
             self.check_rings(gi, build_witness_p_large(gi), spies)
+
+    def test_witnesses_up_to_8x8_are_pinned(self):
+        # one digest of every ring witness up to 8x8, pinned to the paths
+        # written route by route in each instance's own edge ids; unlike the
+        # 5x5 decision digest it holds rings at p >= 5
+        digest = hashlib.sha1()
+        for gi in _canonical_ring_instances(8):
+            v = build_witness_p_large(gi)
+            digest.update(f"{gi} {v.shared_count} {serialize_solution(v.witness)}".encode())
+        assert digest.hexdigest() == "23a05792c4d779e6588883cc4a9a0ed8663e7c96"
 
     def test_every_frame_agrees_up_to_6x6(self, spies):
         # (method, answer, shared) of all 16 frames of each covered instance,

@@ -1,5 +1,6 @@
 import graphlib
 import hashlib
+import os
 import random
 from dataclasses import replace
 
@@ -41,6 +42,9 @@ from minshared.solver import solve_enum_oracle, solve_exhaustive_paths, solve_fp
 from minshared.vc import VCInstance, gen_vc_deg3, pad_to_power_of_two, vc_decide
 
 from helpers import cycle4, graph_from_edges, path_graph
+
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
 
 
 def paper_vc(k=2):
@@ -93,6 +97,11 @@ class TestHoleyGrid:
         assert check_grid_embedding(art.instance.graph).answer
         assert len(art.trace.rainbows) == art.constants.c_prime == 16
         assert art.instance.p == 27 and art.instance.k == 596352
+
+    def test_cover_of_unknown_vertex_is_refused(self):
+        art = vc_to_holey_grid(paper_vc(2), demo=True)
+        with pytest.raises(ValueError, match="cover names unknown vertices"):
+            synthesize_holey_witness(art, {0, 4})
 
     def test_incidence_encoding(self):
         art = vc_to_holey_grid(paper_vc(2))
@@ -184,6 +193,35 @@ class TestHoleyGrid:
         again = parse_instance(text)
         assert again == art.instance
         assert check_grid_embedding(again.graph).answer
+
+
+class TestConverse:
+    """No cover of size k means no routing within the compiled budget, on
+    one instance: the triangle has no cover of one vertex, and the exact
+    integer program of bench/oracle.py puts every routing of either
+    full-constant artifact above its budget.  It runs on the super-edges,
+    each costing its length, which is exact: a chain is shared whole or not
+    at all."""
+
+    @pytest.mark.parametrize("compiler, super_edges, budget, optimum", [
+        (vc_to_holey_grid, 466, 159_033, 159_116),
+        (vc_to_manhattan_dag, 494, 159_036, 159_119),
+    ], ids=["holey", "manhattan"])
+    def test_triangle_has_no_routing_within_budget(self, monkeypatch, compiler, super_edges,
+                                                   budget, optimum):
+        pytest.importorskip("scipy")
+        monkeypatch.syspath_prepend(BENCH)
+        import oracle
+
+        edges = (SuperEdge(0, 1), SuperEdge(1, 2), SuperEdge(0, 2))
+        vc = VCInstance(Graph(UNDIRECTED, 3, edges), 1)
+        assert not vc_decide(vc).exists
+        inst = compiler(vc).instance
+        g = inst.graph
+        assert (len(g.edges), inst.p, inst.k) == (super_edges, 14, budget)
+        chains = [(e.tail, e.head, e.length) for e in g.edges]
+        opt = oracle.min_shared(g.vertex_count, chains, inst.s, inst.t, inst.p, g.directed)
+        assert opt == optimum > budget
 
 
 class TestManhattan:
@@ -492,6 +530,13 @@ class TestCompose:
             rep = or_compose(list(pair))
             assert solve_fpt_branching(rep.instance).answer == want, pair
 
+    def test_malformed_input_is_refused(self):
+        # same (p, k) and mode, but t cannot be reached from s
+        bad = Instance(graph_from_edges(3, [(0, 1)]), 0, 2, 3, 1)
+        assert classify_malformed(bad) == TRIVIAL_NO
+        with pytest.raises(ValueError, match="malformed input present"):
+            or_compose([_corpus_instance(True), bad])
+
     def test_padding_to_power_of_two(self):
         yes, no = _corpus_instance(True), _corpus_instance(False)
         rep = or_compose([no, no, yes])  # padded to q=4 by repetition
@@ -558,6 +603,10 @@ class TestTreeGadget:
         into_t = [e for e in g.edges if inst.t in (e.tail, e.head)]
         assert len(into_t) == 4  # two parallel pairs
 
+    def test_height_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="height must be at least 1"):
+            build_tree_gadget(0, 3, 1)
+
     def test_h2_thresholds(self):
         for k, want in [(0, False), (1, False), (2, True)]:
             inst = build_tree_gadget(2, 5, k)
@@ -574,6 +623,11 @@ class TestLifting:
         inst = Instance(graph_from_edges(2, [(0, 1)]), 0, 1, 1, 0)
         lifted = undirected_to_directed(inst)
         assert lifted.graph.directed and len(lifted.graph.edges) == 2
+
+    def test_directed_instance_is_refused(self):
+        inst = undirected_to_directed(Instance(graph_from_edges(2, [(0, 1)]), 0, 1, 1, 0))
+        with pytest.raises(ValueError, match="already directed"):
+            undirected_to_directed(inst)
 
     def test_cycle_equivalence(self):
         g = cycle4()

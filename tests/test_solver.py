@@ -54,6 +54,9 @@ class TestExhaustive:
         rep = solve_exhaustive_paths(Instance(g, 0, 2, 3, 2))
         assert rep.answer and rep.witness.shared_count(g) == 2
 
+    def test_a_vertex_to_itself_is_the_empty_path(self):
+        assert enumerate_simple_paths(cycle4(), 1, 1) == [PathSeq(())]
+
     def test_single_path(self):
         rep = solve_exhaustive_paths(Instance(cycle4(), 0, 2, 1, 0))
         assert rep.answer and rep.witness.shared_count(cycle4()) == 0

@@ -406,11 +406,11 @@ def _grid_reach(*roots):
 
 
 def test_rings_name_no_flow_and_no_search():
-    # the ring construction writes its witness down: neither it nor any
+    # the ring construction writes its paths down: neither it nor any
     # grid.py function it reaches names a flow, a path decomposition or the
     # solver, so a ring witness never searches
     reached, names = _grid_reach("_ring_witness")
-    assert {"_walk", "_checked", "materialize_grid"} <= reached
+    assert {"_walk", "materialize_grid"} <= reached
     assert names & {"max_flow_boosted", "decompose_to_paths", "solve_fpt_branching"} == set()
 
 
@@ -418,9 +418,35 @@ def test_boosted_lines_name_no_search():
     # a line miss returns None: build_witness_p_large, not the line route,
     # calls the solver fallback, the grid layer's one solver call
     reached, names = _grid_reach("_boosted_lines")
-    assert {"_window", "_line_boosts", "_checked", "_lift", "materialize_grid"} <= reached
+    assert {"_window", "_line_boosts", "materialize_grid"} <= reached
     assert names & {"_solver_fallback", "solve_fpt_branching"} == set()
     assert {"solve_fpt_branching", "_checked"} <= _grid_reach("_solver_fallback")[1]
+
+
+def test_p_large_paths_leave_by_one_exit():
+    # the rings and the lines return sub-grid paths: only
+    # build_witness_p_large verifies them and lifts them to the grid's edge
+    # ids, and it builds the one witnessed `criteria` yes; the solver
+    # fallback verifies its own yes
+    with open(os.path.join(SRC, "grid.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    calls = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    calls.setdefault(node.func.id, set()).add(fn.name)
+    assert calls["_checked"] == {"build_witness_p_large", "_solver_fallback"}
+    assert calls["_lift"] == {"build_witness_p_large"}
+    ring = next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_ring_witness")
+    assert [a.arg for a in ring.args.args] == ["gi"]
+    assert {node.id for node in ast.walk(ring) if isinstance(node, ast.Name)} \
+        & {"Verdict", "_checked"} == set()
+    yeses = [{kw.arg: getattr(kw.value, "value", None) for kw in node.keywords}
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Verdict"]
+    assert sum(kw.get("method") == "criteria" and "witness" in kw for kw in yeses) == 1
 
 
 def test_decisions_never_reach_the_symmetries():

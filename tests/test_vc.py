@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from minshared.core import Graph, SuperEdge, UNDIRECTED
+from minshared.core import DIRECTED, Graph, SuperEdge, UNDIRECTED
 from minshared.solver import GuardExceeded
 from minshared.vc import (
     CoverResult,
@@ -40,6 +40,14 @@ class TestDecide:
         # e1 and e3 are vertex-disjoint, so one vertex cannot cover both
         assert not vc_decide(paper_example(1)).exists
         assert not brute_force_has_cover(paper_example(1))
+
+    @pytest.mark.parametrize("graph, message", [
+        (Graph(DIRECTED, 2, (SuperEdge(0, 1),)), "vertex cover instances are undirected"),
+        (Graph(UNDIRECTED, 2, (SuperEdge(0, 1, 2),)), "unit edges only"),
+    ], ids=["directed", "chain"])
+    def test_graph_must_be_undirected_unit_edges(self, graph, message):
+        with pytest.raises(ValueError, match=message):
+            VCInstance(graph, 1)
 
     def test_empty_edges(self):
         vc = VCInstance(Graph(UNDIRECTED, 3, ()), 0)
